@@ -10,6 +10,7 @@ prefix of the network, so quantization error accumulates forward.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -24,16 +25,29 @@ from .model import (
 from .quant import (
     GranularityConfig,
     ScaleSet,
+    check_exact_accumulation,
+    check_layer_scales,
     combine_tiles,
     finish_rows,
+    grouped_forward,
     init_scale,
     make_partition,
     quantize_values,
+    quantize_weight_groups,
     quantized_forward_layer,
 )
 from .tensor import conv_reference
 
 DISTANCE_METRICS = ("euclidean", "cosine")
+
+# The weight search builds candidate row blocks in chunks of at most this many
+# bytes per [candidates, rows, P] float64 array.
+_CHUNK_BYTES = 256 * 1024
+
+# A screened distance and distance() both stay within N*eps of the exact
+# value (N = OC*P); a candidate is confirmed if it lies within this many
+# N*eps of the screened minimum, which covers both errors with a wide margin.
+_SCREEN_SLACK = 16
 
 
 @dataclass(frozen=True)
@@ -110,11 +124,12 @@ def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales
     """Enumerate input-scale candidates and keep the one closest to target.
 
     With `weight_scales` given, candidates are evaluated through the grouped
-    integer path; otherwise weights stay in float. The grid center is always
-    part of the comparison set, like the evaluated incumbent of the weight
-    search, so a scale that is already exact is never displaced. Ties go to
-    the smaller scale; `incumbent` additionally joins the set (used by the
-    re-search step).
+    integer path; the weight codes are made once and only `cols` is
+    re-quantized per candidate. Otherwise weights stay in float. The grid
+    center is always part of the comparison set, like the evaluated
+    incumbent of the weight search, so a scale that is already exact is
+    never displaced. Ties go to the smaller scale; `incumbent` additionally
+    joins the set (used by the re-search step).
     """
     if cols.shape[1] == 0:
         raise ValueError("empty calibration set")
@@ -125,6 +140,11 @@ def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales
     if incumbent is not None:
         candidates = np.append(candidates, incumbent)
     candidates = np.unique(candidates)  # ascending; strict < keeps the smallest tie
+    if weight_scales is not None:
+        scales = ScaleSet(weight_scales, center, cfg.weight_bits, cfg.act_bits)
+        check_layer_scales(weights, cols, partition, scales)
+        codes = quantize_weight_groups(weights, partition, scales.weight_scales,
+                                       cfg.weight_bits)
     best_scale, best_d = None, np.inf
     for cand in candidates:
         cand = float(cand)
@@ -133,12 +153,90 @@ def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales
             out = conv_reference(weights, deq, activation, bias, slope)
         else:
             scales = ScaleSet(weight_scales, cand, cfg.weight_bits, cfg.act_bits)
-            out = quantized_forward_layer(weights, cols, partition, scales, bias,
-                                          activation, slope)
+            out = grouped_forward(codes, quantize_values(cols, cand, cfg.act_bits),
+                                  partition, scales, bias, activation, slope)
         d = distance(out, target, cfg.metric)
         if d < best_d:
             best_scale, best_d = cand, d
     return best_scale, best_d
+
+
+class _Screen:
+    """Running per-row sums that score a candidate row block in O(rows*P).
+
+    A screened value adds the same float64 terms as `distance` (squared
+    differences for euclidean; products and squares for cosine), only in
+    another order, so it stays within a summation-error bound of the exact
+    value: relative N*eps on the sum of squares, absolute N*eps on the
+    cosine distance because |sum(x*y)| <= |x||y|.
+    """
+
+    def __init__(self, out, target, metric):
+        self.metric = metric
+        self.target = np.asarray(target, dtype=np.float64)
+        self.target_norm = np.linalg.norm(self.target.reshape(-1))
+        self.rows = self.row_sums(out, self.target)
+        self.tol = _SCREEN_SLACK * out.size * np.finfo(np.float64).eps
+
+    def row_sums(self, block, target_rows):
+        """Per-row sums of `block` ([..., rows, P]): (squared error,) or (dot, norm^2)."""
+        x = block.astype(np.float64)
+        if self.metric == "euclidean":
+            return (np.sum((x - target_rows) ** 2, axis=-1),)
+        return np.sum(x * target_rows, axis=-1), np.sum(x * x, axis=-1)
+
+    def update(self, r0, r1, rows_out):
+        for acc, new in zip(self.rows, self.row_sums(rows_out, self.target[r0:r1])):
+            acc[r0:r1] = new
+
+    def score(self, r0, r1, blocks):
+        """Screened value per candidate block; NaN where only distance() can decide."""
+        sums = [np.sum(acc[:r0]) + np.sum(acc[r1:]) + np.sum(new, axis=-1)
+                for acc, new in zip(self.rows, self.row_sums(blocks, self.target[r0:r1]))]
+        if self.metric == "euclidean":
+            return sums[0]
+        dot, sq = sums
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = 1.0 - dot / (np.sqrt(sq) * self.target_norm)
+        scores[(sq == 0.0) | (self.target_norm == 0.0)] = np.nan
+        return scores
+
+    def contenders(self, scores):
+        """Mask of the candidates that could still hold the smallest distance.
+
+        A candidate is dropped only if its screened value lies beyond the
+        tolerance above the screened minimum; then the candidate holding
+        that minimum is strictly closer under `distance()` as well.
+        Non-finite screens always stay.
+        """
+        finite = np.isfinite(scores)
+        best = scores[finite].min(initial=np.inf)
+        limit = best * (1.0 + self.tol) if self.metric == "euclidean" else best + self.tol
+        return ~finite | (scores <= limit)
+
+
+def _candidate_blocks(group, col_block, prefix, suffix, input_scale, bias_rows, cfg,
+                      activation, slope, cands):
+    """Integer tiles and finished row blocks of one group under each of `cands`.
+
+    One stacked matmul serves every candidate; the codes are integers below
+    the 2^53 bound, so each tile is exact. The rescaled tile lands between
+    the fixed terms before and after it in ascending h, like combine_tiles.
+    """
+    codes = quantize_values(group[None], cands[:, None, None], cfg.weight_bits)
+    n, rows, width = codes.shape
+    tiles = (codes.reshape(n * rows, width) @ col_block).reshape(n, rows, -1)
+    acc = (cands * input_scale)[:, None, None] * tiles
+    if prefix is not None:
+        acc = prefix + acc
+    for term in suffix:
+        acc = acc + term
+    return tiles, finish_rows(acc, bias_rows, activation, slope)
+
+
+def _chunks(items, size):
+    for i in range(0, len(items), size):
+        yield items[i:i + size]
 
 
 def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
@@ -149,12 +247,23 @@ def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
     groups in row-major (v, h) order; for each group a candidate grid is
     generated from the scale held at group entry and a candidate is committed
     only on strict improvement of the full-layer output distance, all other
-    scales fixed. Per-group integer tiles are cached so a candidate evaluation
-    recomputes only the affected row block, reproducing a fresh forward bit
-    for bit. Returns the scale grid and the distance trace (initial value
-    plus one entry per sweep).
+    scales fixed; among equal distances the earliest candidate wins.
+
+    Candidates are evaluated in batches: one stacked integer matmul per chunk
+    of candidates, tiles combined in the ascending-h order of combine_tiles,
+    so every candidate row block equals a fresh forward bit for bit. Each
+    block is first screened with running per-row sums in O(rows*P) (see
+    _Screen). Only the candidates within the summation-error tolerance of
+    the screened minimum are confirmed with `distance()` on the full layer
+    output, in candidate order with strict `<` from the exact entry
+    distance; every other candidate is provably farther than the screened
+    best, so the choice equals that of scoring every candidate with
+    `distance()`.
+    Returns the scale grid and the distance trace (initial value plus one
+    entry per sweep).
     """
     oc, p = weights.shape[0], cols.shape[1]
+    check_exact_accumulation(partition, cfg.weight_bits, cfg.act_bits)
     q_cols = quantize_values(cols, input_scale, cfg.act_bits)
     col_blocks = [q_cols[c0:c1] for c0, c1 in partition.col_ranges]
     v_groups, h_groups = partition.v_groups, partition.h_groups
@@ -178,32 +287,41 @@ def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
         out[r0:r1] = finish_rows(combine_tiles(tiles[v], scales[v], input_scale),
                                  bias_rows[v], activation, slope)
 
-    trace = [distance(out, target, cfg.metric)]
+    screen = _Screen(out, target, cfg.metric)
+    d_entry = distance(out, target, cfg.metric)
+    trace = [d_entry]
     for _ in range(cfg.iterations):
         for v, (r0, r1) in enumerate(partition.row_ranges):
+            chunk = max(1, _CHUNK_BYTES // ((r1 - r0) * p * 8))
             for h in range(h_groups):
                 if skip[v, h]:
                     continue
-                d_best = distance(out, target, cfg.metric)
-                entry_scale = scales[v, h]
+                prefix = combine_tiles(tiles[v][:h], scales[v][:h], input_scale) \
+                    if h else None
+                suffix = [(float(scales[v, k]) * input_scale) * tiles[v][k]
+                          for k in range(h + 1, h_groups)]
+                build = partial(_candidate_blocks, w_groups[v][h], col_blocks[h], prefix,
+                                suffix, input_scale, bias_rows[v], cfg, activation, slope)
+
+                cands = scale_space(cfg.alpha, cfg.beta, scales[v, h], cfg.grid_size)
+                scores = np.concatenate([screen.score(r0, r1, build(part)[1])
+                                         for part in _chunks(cands, chunk)])
+                keep = np.flatnonzero(screen.contenders(scores))
                 incumbent_rows = out[r0:r1].copy()
-                incumbent_tile = tiles[v][h]
-                best = (entry_scale, incumbent_tile, incumbent_rows)
-                row_scales = scales[v].copy()
-                for cand in scale_space(cfg.alpha, cfg.beta, entry_scale, cfg.grid_size):
-                    cand = float(cand)
-                    tile = quantize_values(w_groups[v][h], cand, cfg.weight_bits) \
-                        @ col_blocks[h]
-                    tiles[v][h] = tile
-                    row_scales[h] = cand
-                    block = finish_rows(combine_tiles(tiles[v], row_scales, input_scale),
-                                        bias_rows[v], activation, slope)
-                    out[r0:r1] = block
-                    d = distance(out, target, cfg.metric)
-                    if d < d_best:
-                        d_best = d
-                        best = (cand, tile, block)
-                scales[v, h], tiles[v][h], out[r0:r1] = best
+                best = None
+                for part in _chunks(keep, chunk):
+                    cand_tiles, blocks = build(cands[part])
+                    for i, c in enumerate(part):
+                        out[r0:r1] = blocks[i]
+                        d = distance(out, target, cfg.metric)
+                        if d < d_entry:
+                            d_entry = d
+                            best = (float(cands[c]), cand_tiles[i].copy(), blocks[i].copy())
+                if best is None:
+                    out[r0:r1] = incumbent_rows
+                else:
+                    scales[v, h], tiles[v][h], out[r0:r1] = best
+                    screen.update(r0, r1, out[r0:r1])
         trace.append(distance(out, target, cfg.metric))
     return scales, trace
 

@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadInputError
-from .quant import ScaleSet, quantized_forward_layer, make_partition, GranularityConfig
+from .quant import (
+    GranularityConfig,
+    ScaleSet,
+    check_exact_accumulation,
+    make_partition,
+    quantized_forward_layer,
+)
 from .tensor import apply_activation, conv_output_hw, conv_reference, im2col
 
 BUNDLE_VERSION = 1
@@ -322,13 +328,44 @@ def load_bundle(path):
     graph = ModelGraph(layers=layers, segments=segments,
                        input_shape=list(manifest.get("input_shape", [])),
                        reorderings=list(manifest.get("reorderings", [])))
+    by_id = {layer.id: layer for layer in layers}
     for lid, entry in manifest.get("scales", {}).items():
-        scales = ScaleSet(np.array(entry["weight_scales"], dtype=np.float64),
-                          float(entry["input_scale"]),
-                          int(entry["weight_bits"]), int(entry["act_bits"]))
-        graph.scales[lid] = QuantizedLayerInfo(scales, int(entry["rows_per_group"]),
-                                               int(entry["cols_per_group"]))
+        graph.scales[lid] = _load_scale_entry(lid, entry, by_id.get(lid))
     return graph.validate()
+
+
+def _load_scale_entry(lid, entry, layer):
+    """One manifest scale entry, checked against the geometry of its layer."""
+    if layer is None or layer.kind not in ("conv", "linear"):
+        raise BadInputError(f"scales given for {lid!r}, which is not a conv or linear layer")
+    try:
+        weight_scales = np.array(entry["weight_scales"], dtype=np.float64)
+        input_scale = float(entry["input_scale"])
+        bits = {what: int(entry[what]) for what in ("weight_bits", "act_bits")}
+        rows, cols = int(entry["rows_per_group"]), int(entry["cols_per_group"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadInputError(f"layer {lid}: malformed scale entry ({exc!r})") from exc
+    for what, value in bits.items():
+        if not 2 <= value <= 16:
+            raise BadInputError(f"layer {lid}: {what} {value} outside [2, 16]")
+    if rows < 1 or cols < 1:
+        raise BadInputError(f"layer {lid}: group shape {rows}x{cols} is not positive")
+    if not (np.all(weight_scales > 0) and np.all(np.isfinite(weight_scales))
+            and 0 < input_scale < np.inf):
+        raise BadInputError(f"layer {lid}: scales must be finite and strictly positive")
+    info = QuantizedLayerInfo(ScaleSet(weight_scales, input_scale, **bits), rows, cols)
+    partition = info.partition(layer)
+    if weight_scales.shape != (partition.v_groups, partition.h_groups):
+        raise BadInputError(
+            f"layer {lid}: scale grid {weight_scales.shape} does not match the "
+            f"{partition.v_groups}x{partition.h_groups} partition of its "
+            f"{layer.out_channels}x{layer.weights_per_channel} weights into "
+            f"{rows}x{cols} groups")
+    try:
+        check_exact_accumulation(partition, bits["weight_bits"], bits["act_bits"])
+    except ValueError as exc:
+        raise BadInputError(f"layer {lid}: {exc}") from exc
+    return info
 
 
 def save_calibration_set(path, samples):

@@ -18,6 +18,10 @@ GRANULARITY_MODES = ("layerwise", "channelwise", "method1", "method2")
 # every partial sum stays below 2**53.
 _EXACT_ACC_LIMIT = 2 ** 53
 
+# quantize_values works through large inputs in blocks of this many elements
+# (256 KB of float64), so its in-place passes stay in cache.
+_QUANT_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class QuantSpec:
@@ -45,11 +49,30 @@ def quantize_values(x, scale, bits):
     """Map reals to integer codes: clamp(round(x / scale)).
 
     Rounds halves away from zero. Returns float64 values that are exact
-    integers, so BLAS matmuls on them behave as integer arithmetic.
+    integers, so BLAS matmuls on them behave as integer arithmetic. A large
+    input under one scale is processed in cache-sized blocks; every element
+    goes through the same float64 operations either way.
     """
-    y = np.asarray(x, dtype=np.float64) / scale
-    q = np.copysign(np.floor(np.abs(y) + 0.5), y)
-    return np.clip(q, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1)
+    x = np.asarray(x)
+    if np.ndim(scale) or x.size <= _QUANT_BLOCK:
+        q = _quantize_block(x, scale, bits, np.empty(np.broadcast_shapes(x.shape,
+                                                                         np.shape(scale))))
+        return q if q.ndim else q[()]
+    out = np.empty(x.shape)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    for i in range(0, x.size, _QUANT_BLOCK):
+        _quantize_block(flat_x[i:i + _QUANT_BLOCK], scale, bits, flat_out[i:i + _QUANT_BLOCK])
+    return out
+
+
+def _quantize_block(x, scale, bits, q):
+    """quantize_values of `x` into the float64 buffer `q`, in place."""
+    y = np.divide(x, scale, dtype=np.float64)
+    np.abs(y, out=q)
+    q += 0.5
+    np.floor(q, out=q)
+    np.copysign(q, y, out=q)
+    return np.clip(q, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1, out=q)
 
 
 def quantize(x, spec):
@@ -206,7 +229,7 @@ def finish_rows(acc, bias_rows, activation, slope):
     return apply_activation(acc, activation, slope).astype(np.float32)
 
 
-def _check_exact_accumulation(partition, weight_bits, act_bits):
+def check_exact_accumulation(partition, weight_bits, act_bits):
     width = max(c1 - c0 for c0, c1 in partition.col_ranges)
     worst = width * (2 ** (weight_bits - 1)) * (2 ** (act_bits - 1))
     if worst > _EXACT_ACC_LIMIT:
@@ -216,14 +239,9 @@ def _check_exact_accumulation(partition, weight_bits, act_bits):
         )
 
 
-def quantized_forward_layer(weights, cols, partition, scales, bias=None,
-                            activation="identity", slope=0.01, counters=None):
-    """Grouped integer conv: per group (v, h), quantize, multiply-accumulate
-    integer codes, rescale by the group scale times the input scale, and sum
-    over h; bias and activation are applied on the rescaled result.
-    """
-    weights = np.asarray(weights)
-    cols = np.asarray(cols)
+def check_layer_scales(weights, cols, partition, scales):
+    """Reject shapes, scale grids and bit widths the grouped forward cannot
+    run exactly; positivity is checked by ScaleSet itself."""
     oc, j = weights.shape
     if oc != partition.out_channels or j != partition.weights_per_channel:
         raise ValueError(f"weights {weights.shape} do not match partition "
@@ -233,20 +251,61 @@ def quantized_forward_layer(weights, cols, partition, scales, bias=None,
     if scales.weight_scales.shape != (partition.v_groups, partition.h_groups):
         raise ValueError(f"scale grid {scales.weight_scales.shape} does not match "
                          f"partition {partition.v_groups}x{partition.h_groups}")
-    _check_exact_accumulation(partition, scales.weight_bits, scales.act_bits)
+    check_exact_accumulation(partition, scales.weight_bits, scales.act_bits)
 
+
+def _row_values(partition, group_values):
+    """Expand one value per row group to one value per output channel."""
+    counts = [r1 - r0 for r0, r1 in partition.row_ranges]
+    return np.repeat(group_values, counts)[:, None]
+
+
+def quantize_weight_groups(weights, partition, weight_scales, weight_bits):
+    """Integer weight codes, one [OC, width] matrix per column group h.
+
+    Row group v of matrix h holds the codes of group (v, h) under its own
+    scale weight_scales[v, h].
+    """
+    weights = np.asarray(weights)
+    return [quantize_values(weights[:, c0:c1],
+                            _row_values(partition, weight_scales[:, h]), weight_bits)
+            for h, (c0, c1) in enumerate(partition.col_ranges)]
+
+
+def grouped_forward(codes, q_cols, partition, scales, bias=None,
+                    activation="identity", slope=0.01, counters=None):
+    """Rescale and sum one integer matmul per column group, then bias and
+    activation.
+
+    Column group h contributes (codes[h] @ q_cols[c0:c1]) times the per-row
+    vector weight_scales[v, h] * input_scale, summed in ascending h: the same
+    float64 products and sums as combine_tiles on every row group.
+    """
+    acc = None
+    for h, (c0, c1) in enumerate(partition.col_ranges):
+        term = codes[h] @ q_cols[c0:c1]
+        term *= _row_values(partition, scales.weight_scales[:, h] * scales.input_scale)
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+        if counters is not None:
+            counters.rescale_macs += term.size
+    return finish_rows(acc, bias, activation, slope)
+
+
+def quantized_forward_layer(weights, cols, partition, scales, bias=None,
+                            activation="identity", slope=0.01, counters=None):
+    """Grouped integer conv: quantize every group (v, h) under its scale, run
+    one integer matmul per column group, rescale each row group by its group
+    scale times the input scale, and sum over h; bias and activation are
+    applied on the rescaled result.
+    """
+    weights = np.asarray(weights)
+    cols = np.asarray(cols)
+    check_layer_scales(weights, cols, partition, scales)
+    codes = quantize_weight_groups(weights, partition, scales.weight_scales,
+                                   scales.weight_bits)
     q_cols = quantize_values(cols, scales.input_scale, scales.act_bits)
-    p = cols.shape[1]
-    out = np.empty((oc, p), dtype=np.float32)
-    for v, (r0, r1) in enumerate(partition.row_ranges):
-        tiles = []
-        for h, (c0, c1) in enumerate(partition.col_ranges):
-            qw = quantize_values(weights[r0:r1, c0:c1], scales.weight_scales[v, h],
-                                 scales.weight_bits)
-            tiles.append(qw @ q_cols[c0:c1])
-            if counters is not None:
-                counters.rescale_macs += (r1 - r0) * p
-        acc = combine_tiles(tiles, scales.weight_scales[v], scales.input_scale)
-        out[r0:r1] = finish_rows(acc, None if bias is None else bias[r0:r1],
-                                 activation, slope)
-    return out
+    return grouped_forward(codes, q_cols, partition, scales, bias, activation, slope,
+                           counters)

@@ -3,12 +3,14 @@
 import csv
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
 
 from conftest import write_config
 from subquant.cli import main
+from subquant.errors import BadInputError
 from subquant.fixtures import build_small_cnn
 from subquant.model import Layer, ModelGraph, load_bundle, save_bundle, save_calibration_set
 
@@ -316,6 +318,91 @@ class TestEval:
             out=str(tmp_path / "out"))
         assert main(["eval", "--config", str(config)]) == 2
 
+
+@pytest.fixture(scope="module")
+def quantized_small_cnn(fixture_dir, tmp_path_factory):
+    """A small_cnn bundle with a method2 scale table, quantized once."""
+    root = tmp_path_factory.mktemp("quantized")
+    config = write_config(
+        root / "run.json",
+        model=str(fixture_dir / "small_cnn"),
+        calibration=str(fixture_dir / "small_cnn_calib.ptqc"),
+        granularity={"mode": "method2", "rows_per_group": 1, "h_groups": 4},
+        calib=quick_calib(),
+        out=str(root / "out"))
+    assert main(["quantize", "--config", str(config)]) == 0
+    return root / "out" / "quantized"
+
+
+class TestMalformedScaleTable:
+    def eval_with_manifest_edit(self, bundle, fixture_dir, tmp_path, edit):
+        broken = tmp_path / "broken"
+        shutil.copytree(bundle, broken)
+        manifest = json.loads((broken / "manifest.json").read_text())
+        edit(manifest["scales"]["conv3"])
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        config = write_config(
+            tmp_path / "run.json",
+            model=str(broken),
+            calibration=str(fixture_dir / "small_cnn_calib.ptqc"),
+            granularity={"mode": "channelwise"},
+            calib=quick_calib(),
+            eval={"inputs": str(fixture_dir / "small_cnn_eval.ptqc"),
+                  "labels": str(fixture_dir / "small_cnn_eval_labels.json")},
+            out=str(tmp_path / "out"))
+        return main(["eval", "--config", str(config)])
+
+    def test_unchanged_bundle_evaluates(self, quantized_small_cnn, fixture_dir, tmp_path):
+        assert self.eval_with_manifest_edit(quantized_small_cnn, fixture_dir, tmp_path,
+                                            lambda entry: None) == 0
+
+    def test_zero_input_scale_exits_2(self, quantized_small_cnn, fixture_dir, tmp_path,
+                                      capsys):
+        def edit(entry):
+            entry["input_scale"] = 0
+        assert self.eval_with_manifest_edit(quantized_small_cnn, fixture_dir, tmp_path,
+                                            edit) == 2
+        err = capsys.readouterr().err
+        assert "conv3" in err and "positive" in err
+
+    def test_scale_grid_one_row_short_exits_2(self, quantized_small_cnn, fixture_dir,
+                                              tmp_path, capsys):
+        def edit(entry):
+            entry["weight_scales"].pop()
+        assert self.eval_with_manifest_edit(quantized_small_cnn, fixture_dir, tmp_path,
+                                            edit) == 2
+        err = capsys.readouterr().err
+        assert "conv3" in err and "scale grid" in err
+
+    @pytest.mark.parametrize("key,value", [("weight_bits", 1), ("act_bits", 17),
+                                           ("rows_per_group", 0)])
+    def test_bad_geometry_or_bits_exits_2(self, quantized_small_cnn, fixture_dir,
+                                          tmp_path, key, value, capsys):
+        def edit(entry):
+            entry[key] = value
+        assert self.eval_with_manifest_edit(quantized_small_cnn, fixture_dir, tmp_path,
+                                            edit) == 2
+        assert "conv3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width,ok", [(2 ** 23, True), (2 ** 23 + 1, False)])
+    def test_accumulation_bound_checked_at_load(self, tmp_path, width, ok):
+        """At W16/A16 a group of 2^23 columns reaches 2^53 exactly; one more
+        column would make the integer accumulation inexact."""
+        manifest = {
+            "layers": [
+                {"id": "in", "kind": "input"},
+                {"id": "fc", "kind": "linear", "predecessors": ["in"],
+                 "out_channels": 1, "in_channels": width, "quantize": True},
+                {"id": "out", "kind": "output", "predecessors": ["fc"]}],
+            "scales": {"fc": {"weight_scales": [[1.0]], "input_scale": 1.0,
+                              "weight_bits": 16, "act_bits": 16,
+                              "rows_per_group": 1, "cols_per_group": width}}}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        if ok:
+            assert load_bundle(tmp_path).scales["fc"].cols_per_group == width
+        else:
+            with pytest.raises(BadInputError, match="layer fc: .*exact float64 range"):
+                load_bundle(tmp_path)
 
 class TestDeterminism:
     def test_quantize_reports_byte_identical(self, fixture_dir, tmp_path):

@@ -61,6 +61,19 @@ class TestMappingFunction:
             err = np.abs(spec.scale * quantize_values(x, spec.scale, bits) - x)
             assert err.max() <= spec.scale / 2 + 1e-12
 
+    def test_large_input_matches_elementwise_formula(self):
+        """Inputs past the cache block size go through the block loop; every
+        code must equal the one-shot formula, halves and clamps included."""
+        rng = np.random.default_rng(2)
+        x = rng.normal(scale=3.0, size=(300, 500)).astype(np.float32)
+        x[0, :4] = [0.125, -0.125, 0.375, -50.0]  # halves of 0.25 and a clamp
+        for arr in (x, x[:, ::3], x.astype(np.float64)):
+            manual = np.clip(np.copysign(np.floor(np.abs(arr.astype(np.float64) / 0.25)
+                                                  + 0.5), arr), -128, 127)
+            q = quantize_values(arr, 0.25, 8)
+            np.testing.assert_array_equal(q, manual)
+            assert q.dtype == np.float64 and q.shape == arr.shape
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuantSpec(1, 1.0)
