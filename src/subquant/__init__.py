@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .calib import CalibConfig, calibrate_layer, calibrate_network, distance
 from .errors import BadInputError, SubquantError
 from .model import ModelGraph, forward_float, forward_quantized, load_bundle, save_bundle
-from .quant import GranularityConfig, QuantSpec, ScaleSet, make_partition
+from .quant import GranularityConfig, ScaleSet, make_partition
 from .reorder import ReorderConfig, ea_search
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "CalibConfig",
     "GranularityConfig",
     "ModelGraph",
-    "QuantSpec",
     "ReorderConfig",
     "ScaleSet",
     "SubquantError",

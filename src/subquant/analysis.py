@@ -6,12 +6,10 @@ overhead of a conv layer is #H / (K*K*IC). Memory overhead is the scale
 count #V*#H against OC*J stored weights, roughly 1/(rows*cols) per group.
 """
 
-import csv
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
-from .model import propagate_shapes
+from .model import csv_text, propagate_shapes, write_atomic
 from .quant import make_partition
 
 
@@ -111,26 +109,20 @@ OVERHEAD_COLUMNS = ["layer", "kernel", "in_channels", "out_channels", "pixels",
 
 
 def write_overhead_csv(report, path):
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OVERHEAD_COLUMNS)
-        for r in report.layers:
-            writer.writerow([r.layer_id, r.kernel, r.in_channels, r.out_channels,
-                             r.pixels, r.v_groups, r.h_groups, r.base_macs,
-                             r.extra_macs, repr(r.compute_overhead), r.scale_count,
-                             r.weight_count, repr(r.memory_overhead)])
-        writer.writerow(["TOTAL", "", "", "", "", "", "", report.total_base_macs,
-                         report.total_extra_macs, repr(report.total_compute_overhead),
-                         report.total_scale_count, report.total_weight_count,
-                         repr(report.total_memory_overhead)])
-    tmp.replace(path)
-    return path
+    rows = [OVERHEAD_COLUMNS]
+    for r in report.layers:
+        rows.append([r.layer_id, r.kernel, r.in_channels, r.out_channels, r.pixels,
+                     r.v_groups, r.h_groups, r.base_macs, r.extra_macs,
+                     repr(r.compute_overhead), r.scale_count, r.weight_count,
+                     repr(r.memory_overhead)])
+    rows.append(["TOTAL", "", "", "", "", "", "", report.total_base_macs,
+                 report.total_extra_macs, repr(report.total_compute_overhead),
+                 report.total_scale_count, report.total_weight_count,
+                 repr(report.total_memory_overhead)])
+    return write_atomic(path, csv_text(rows))
 
 
 def write_overhead_json(report, path):
-    path = Path(path)
     payload = {
         "layers": [asdict(r) for r in report.layers],
         "total": {
@@ -142,7 +134,4 @@ def write_overhead_json(report, path):
             "memory_overhead": report.total_memory_overhead,
         },
     }
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n")
-    tmp.replace(path)
-    return path
+    return write_atomic(path, json.dumps(payload, indent=2) + "\n")

@@ -14,14 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import (
-    QuantizedLayerInfo,
-    forward_float,
-    lower_layer_input,
-    raise_layer_output,
-    reference_target,
-    run_simple_layer,
-)
+from .model import QuantizedLayerInfo, execute, float_conv, forward_float, reference_target
 from .quant import (
     GranularityConfig,
     ScaleSet,
@@ -377,37 +370,31 @@ class NetworkCalibration:
 def calibrate_network(graph, samples, granularity, cfg, references=None):
     """Calibrate every quantizable layer in topological order.
 
-    `references` may carry a precollected float forward map so that sweeps
-    across granularities reuse one reference run.
+    One executor walk: each quantized layer is calibrated on its input from
+    the already-quantized prefix against its float reference, and its
+    quantized output feeds the layers after it. `references` may carry a
+    precollected float forward map so that sweeps across granularities
+    reuse one reference run.
     """
     samples = subsample(np.asarray(samples, dtype=np.float32), cfg.samples, cfg.seed)
     refs = forward_float(graph, samples) if references is None else references
-    current = {}
     scales = {}
-    layer_distances = {}
     step_distances = {}
-    for layer in graph.layers:
-        if layer.kind == "input":
-            current[layer.id] = samples
-        elif layer.kind in ("conv", "linear"):
-            if layer.weight is None:
-                raise ValueError(f"layer {layer.id} has no weights loaded")
-            cols, meta = lower_layer_input(layer, current[layer.predecessors[0]])
-            if layer.quantize:
-                target = reference_target(layer, refs[layer.id])
-                cal = calibrate_layer(layer.weight_matrix(), cols, target, granularity,
-                                      cfg, layer.bias, layer.activation, layer.slope)
-                current[layer.id] = raise_layer_output(layer, cal.output, meta)
-                scales[layer.id] = QuantizedLayerInfo(
-                    cal.scales, cal.partition.rows_per_group, cal.partition.cols_per_group)
-                step_distances[layer.id] = cal.step_distances
-            else:
-                out = conv_reference(layer.weight_matrix(), cols, layer.activation,
-                                     layer.bias, layer.slope)
-                current[layer.id] = raise_layer_output(layer, out, meta)
-        else:
-            current[layer.id] = run_simple_layer(layer, current)
-        layer_distances[layer.id] = distance(current[layer.id], refs[layer.id], cfg.metric)
+
+    def conv_op(layer, cols):
+        if not layer.quantize:
+            return float_conv(layer, cols)
+        target = reference_target(layer, refs[layer.id])
+        cal = calibrate_layer(layer.weight_matrix(), cols, target, granularity, cfg,
+                              layer.bias, layer.activation, layer.slope)
+        scales[layer.id] = QuantizedLayerInfo(
+            cal.scales, cal.partition.rows_per_group, cal.partition.cols_per_group)
+        step_distances[layer.id] = cal.step_distances
+        return cal.output
+
+    layer_distances = {
+        layer.id: distance(out, refs[layer.id], cfg.metric)
+        for layer, out in execute(graph.layers, {graph.input_id: samples}, conv_op)}
     return NetworkCalibration(scales=scales, layer_distances=layer_distances,
                               network_distance=layer_distances[graph.output_id],
                               step_distances=step_distances)

@@ -6,12 +6,11 @@ written atomically. Exit codes: 0 success, 1 internal error, 2 bad input.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +19,17 @@ from .analysis import network_overhead_report, write_overhead_csv, write_overhea
 from .calib import CalibConfig, calibrate_network, distance, subsample
 from .errors import BadInputError, SubquantError
 from .model import (
+    csv_text,
+    execute,
+    float_conv,
     forward_float,
     forward_quantized,
     load_bundle,
     load_calibration_set,
     prepare_for_quantization,
+    quantized_conv,
     save_bundle,
+    write_atomic,
 )
 from .quant import GranularityConfig
 from .reorder import ReorderConfig, commit_segment_reordering, ea_search, make_segment_context
@@ -107,27 +111,12 @@ def _resolve_optional(config_path, value):
     return p if p.is_absolute() else (config_path.parent / p).resolve()
 
 
-def _write_text_atomic(path, text):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
-    return path
-
-
 def _write_csv_atomic(path, rows):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-    tmp.replace(path)
-    return path
+    return write_atomic(path, csv_text(rows))
 
 
 def _write_json_atomic(path, payload):
-    return _write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
+    return write_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _load_model(cfg, prepare=True):
@@ -135,10 +124,20 @@ def _load_model(cfg, prepare=True):
     return prepare_for_quantization(graph) if prepare else graph
 
 
-def _load_samples(cfg):
+def _load_sample_file(path, graph):
+    """A PTQC file whose per-sample shape matches the graph input."""
+    samples = load_calibration_set(path)
+    expect = list(graph.input_shape[1:])
+    if expect and list(samples.shape[1:]) != expect:
+        raise BadInputError(f"{path}: samples of shape {list(samples.shape[1:])} do not "
+                            f"match the model input {expect}")
+    return samples
+
+
+def _load_samples(cfg, graph):
     if cfg.calibration is None:
         raise BadInputError("config has no calibration set path")
-    return load_calibration_set(cfg.calibration)
+    return _load_sample_file(cfg.calibration, graph)
 
 
 def _layer_distance_rows(graph, result):
@@ -152,7 +151,7 @@ def _layer_distance_rows(graph, result):
 
 def cmd_quantize(cfg):
     graph = _load_model(cfg)
-    samples = _load_samples(cfg)
+    samples = _load_samples(cfg, graph)
     result = calibrate_network(graph, samples, cfg.granularity, cfg.calib)
     graph.scales = result.scales
     bundle_dir = save_bundle(graph, cfg.out / "quantized")
@@ -189,9 +188,9 @@ def cmd_sweep(cfg):
         raise BadInputError("sweep config needs non-empty rows and cols (or h_groups)")
     axis, col_values = _sweep_axis(cfg)
     graph = _load_model(cfg)
-    samples = subsample(_load_samples(cfg), cfg.calib.samples, cfg.calib.seed)
+    samples = subsample(_load_samples(cfg, graph), cfg.calib.samples, cfg.calib.seed)
     references = forward_float(graph, samples)
-    eval_data = _load_eval_set(cfg) if cfg.eval_inputs else None
+    eval_data = _load_eval_set(cfg, graph) if cfg.eval_inputs else None
 
     def run_cell(rows, value):
         if axis == "cols":
@@ -214,31 +213,23 @@ def cmd_sweep(cfg):
     else:
         outcomes = [_guarded(run_cell)(r, v) for r, v in cells]
 
-    grid = {}
-    for (r, v), outcome in zip(cells, outcomes):
-        grid[(r, v)] = outcome
+    grid = dict(zip(cells, outcomes))
     header = [f"rows\\{axis}"] + [str(v) for v in col_values]
-    dist_rows = [header]
-    for r in cfg.sweep_rows:
-        dist_rows.append([str(r)] + [_cell_text(grid[(r, v)], "distance")
-                                     for v in col_values])
-    _write_csv_atomic(cfg.out / "sweep_distance.csv", dist_rows)
+
+    def table(key):
+        return [header] + [[str(r)] + [_cell_text(grid[(r, v)], key) for v in col_values]
+                           for r in cfg.sweep_rows]
+
+    _write_csv_atomic(cfg.out / "sweep_distance.csv", table("distance"))
     if eval_data is not None:
-        acc_rows = [header]
-        for r in cfg.sweep_rows:
-            acc_rows.append([str(r)] + [_cell_text(grid[(r, v)], "accuracy")
-                                        for v in col_values])
-        _write_csv_atomic(cfg.out / "sweep_accuracy.csv", acc_rows)
+        _write_csv_atomic(cfg.out / "sweep_accuracy.csv", table("accuracy"))
     summary = {
         "axis": axis,
         "rows": cfg.sweep_rows,
         "values": col_values,
         "metric": cfg.calib.metric,
         "seed": cfg.seed,
-        "cells": [{"rows": r, axis: v,
-                   **({"error": grid[(r, v)]["error"]} if "error" in grid[(r, v)]
-                      else grid[(r, v)])}
-                  for r, v in cells],
+        "cells": [{"rows": r, axis: v, **grid[(r, v)]} for r, v in cells],
     }
     _write_json_atomic(cfg.out / "sweep_summary.json", summary)
     failed = sum(1 for o in outcomes if "error" in o)
@@ -263,26 +254,21 @@ def _cell_text(cell, key):
 
 def cmd_reorder(cfg):
     graph = _load_model(cfg)
-    samples = _load_samples(cfg)
-    baseline = calibrate_network(graph, samples, cfg.granularity, cfg.calib)
+    samples = _load_samples(cfg, graph)
+    calib_samples = subsample(samples, cfg.calib.samples, cfg.calib.seed)
+    references = forward_float(graph, calib_samples)
+    baseline = calibrate_network(graph, calib_samples, cfg.granularity, cfg.calib,
+                                 references=references)
     if not graph.segments:
         print("no segments declared in the bundle; nothing to reorder")
         _write_json_atomic(cfg.out / "reorder_summary.json", {
             "segments": [], "baseline_network_distance": baseline.network_distance,
             "final_network_distance": baseline.network_distance, "seed": cfg.seed})
         return 0
-    calib_samples = subsample(np.asarray(samples, dtype=np.float32),
-                              cfg.calib.samples, cfg.calib.seed)
-    references = forward_float(graph, calib_samples)
     results = []
     for index, segment in enumerate(graph.segments):
         ctx = make_segment_context(graph, segment, references, cfg.granularity, cfg.calib)
-        ea_cfg = ReorderConfig(population=cfg.reorder.population,
-                               iterations=cfg.reorder.iterations,
-                               max_pairs=cfg.reorder.max_pairs,
-                               selection=cfg.reorder.selection,
-                               seed=cfg.reorder.seed + index)
-        res = ea_search(ctx, ea_cfg)
+        res = ea_search(ctx, replace(cfg.reorder, seed=cfg.reorder.seed + index))
         commit_segment_reordering(graph, segment, res.best_perms)
         results.append(res)
         print(f"segment {segment.id}: score {res.identity_score:.6g} -> "
@@ -326,10 +312,10 @@ def cmd_overhead(cfg):
     return 0
 
 
-def _load_eval_set(cfg):
+def _load_eval_set(cfg, graph):
     if cfg.eval_inputs is None or cfg.eval_labels is None:
         raise BadInputError("eval requires eval.inputs and eval.labels in the config")
-    eval_x = load_calibration_set(cfg.eval_inputs)
+    eval_x = _load_sample_file(cfg.eval_inputs, graph)
     if eval_x.shape[0] == 0:
         raise BadInputError(f"eval set {cfg.eval_inputs} holds no samples")
     if not cfg.eval_labels.is_file():
@@ -343,30 +329,30 @@ def _load_eval_set(cfg):
 
 def cmd_eval(cfg):
     graph = _load_model(cfg)
-    eval_x, labels = _load_eval_set(cfg)
-    if graph.scales:
-        scales = graph.scales
-    else:
-        samples = _load_samples(cfg)
-        scales = calibrate_network(graph, samples, cfg.granularity, cfg.calib).scales
-        graph.scales = scales
-    float_outs = forward_float(graph, eval_x)
-    quant_outs = forward_quantized(graph, eval_x, scales)
+    eval_x, labels = _load_eval_set(cfg, graph)
+    if not graph.scales:
+        samples = _load_samples(cfg, graph)
+        graph.scales = calibrate_network(graph, samples, cfg.granularity, cfg.calib).scales
+    # one float and one quantized walk in lockstep; only the live activations
+    # and the network outputs stay in memory
+    feeds = {graph.input_id: eval_x}
+    walks = zip(execute(graph.layers, feeds, float_conv),
+                execute(graph.layers, feeds, quantized_conv(graph.scales)))
     out_id = graph.output_id
-    float_top1 = float(np.mean(np.argmax(float_outs[out_id], axis=1) == labels))
-    quant_top1 = float(np.mean(np.argmax(quant_outs[out_id], axis=1) == labels))
     rows = [["layer", "kind", "quantized", "distance"]]
-    layer_distances = {}
-    for layer in graph.layers:
-        d = distance(quant_outs[layer.id], float_outs[layer.id], cfg.calib.metric)
-        layer_distances[layer.id] = d
-        rows.append([layer.id, layer.kind, int(layer.id in scales), repr(d)])
+    for (layer, float_out), (_, quant_out) in walks:
+        d = distance(quant_out, float_out, cfg.calib.metric)
+        rows.append([layer.id, layer.kind, int(layer.id in graph.scales), repr(d)])
+        if layer.id == out_id:
+            network_distance = d
+            float_top1 = float(np.mean(np.argmax(float_out, axis=1) == labels))
+            quant_top1 = float(np.mean(np.argmax(quant_out, axis=1) == labels))
     _write_csv_atomic(cfg.out / "eval_layer_distances.csv", rows)
     _write_json_atomic(cfg.out / "eval_summary.json", {
         "eval_samples": int(eval_x.shape[0]),
         "float_top1": float_top1,
         "quantized_top1": quant_top1,
-        "network_distance": layer_distances[out_id],
+        "network_distance": network_distance,
         "seed": cfg.seed,
     })
     print(f"top-1 float {float_top1:.4f} vs quantized {quant_top1:.4f} on "

@@ -6,6 +6,8 @@ Calibration sets are single files: magic `PTQC`, u32 sample count, u32 rank,
 u32 per-sample dims, then the float32 samples.
 """
 
+import csv
+import io
 import json
 import struct
 from dataclasses import dataclass, field, replace
@@ -108,12 +110,19 @@ class ModelGraph:
                 return layer
         raise KeyError(layer_id)
 
+    def _node_id(self, kind):
+        for layer in self.layers:
+            if layer.kind == kind:
+                return layer.id
+        raise ValueError(f"graph has no {kind} node")
+
+    @property
+    def input_id(self):
+        return self._node_id("input")
+
     @property
     def output_id(self):
-        for layer in self.layers:
-            if layer.kind == "output":
-                return layer.id
-        raise ValueError("graph has no output node")
+        return self._node_id("output")
 
     def conv_like(self):
         return [l for l in self.layers if l.kind in ("conv", "linear")]
@@ -150,6 +159,24 @@ class ModelGraph:
 # ---------------------------------------------------------------------------
 # bundle serialization
 
+def write_atomic(path, data):
+    """Write text (as UTF-8) or bytes to `path` through a temporary file and a
+    rename, so a reader never sees a half-written file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data.encode() if isinstance(data, str) else data)
+    tmp.replace(path)
+    return path
+
+
+def csv_text(rows):
+    """Rows rendered by the csv module, CRLF line ends included."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def _require_finite(arr, what):
     if not np.all(np.isfinite(arr)):
         raise BadInputError(f"{what} contains non-finite values")
@@ -182,7 +209,6 @@ def _scale_entry(info):
 def save_bundle(graph, path):
     """Write manifest.json plus tensors.bin; layer order defines blob order."""
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     blobs = _BlobWriter()
     layers = []
     for layer in graph.layers:
@@ -223,12 +249,8 @@ def save_bundle(graph, path):
         manifest["scales"] = {lid: _scale_entry(info) for lid, info in graph.scales.items()}
     if graph.reorderings:
         manifest["reorderings"] = graph.reorderings
-    tmp_bin = path / (BLOB_NAME + ".tmp")
-    tmp_bin.write_bytes(b"".join(blobs.chunks))
-    tmp_bin.replace(path / BLOB_NAME)
-    tmp_manifest = path / (MANIFEST_NAME + ".tmp")
-    tmp_manifest.write_text(json.dumps(manifest, indent=2) + "\n")
-    tmp_manifest.replace(path / MANIFEST_NAME)
+    write_atomic(path / BLOB_NAME, b"".join(blobs.chunks))
+    write_atomic(path / MANIFEST_NAME, json.dumps(manifest, indent=2) + "\n")
     return path
 
 
@@ -265,55 +287,14 @@ def load_bundle(path):
     for entry in manifest.get("layers", []):
         try:
             lid, kind = entry["id"], entry["kind"]
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             raise BadInputError(f"manifest layer entry missing {exc}") from exc
-        layer = Layer(id=lid, kind=kind, predecessors=list(entry.get("predecessors", [])))
-        if kind in ("conv", "linear"):
-            layer.out_channels = int(entry["out_channels"])
-            layer.in_channels = int(entry["in_channels"])
-            if kind == "conv":
-                layer.kernel = int(entry["kernel"])
-                layer.stride = int(entry.get("stride", 1))
-                layer.padding = int(entry.get("padding", 0))
-            layer.activation = entry.get("activation", "identity")
-            layer.slope = float(entry.get("slope", 0.01))
-            if "quantize" in entry:
-                layer.quantize = bool(entry["quantize"])
-            else:
-                layer.quantize = True
-                implicit_quantize.append(layer)
-            if "weight" in entry:
-                flat = _read_blob(entry["weight"], data, lid, "weight")
-                expect = layer.out_channels * layer.weights_per_channel
-                if flat.size != expect:
-                    raise BadInputError(
-                        f"layer {lid}: weight blob has {flat.size} elements, "
-                        f"expected {expect}")
-                if kind == "conv":
-                    layer.weight = flat.reshape(layer.out_channels, layer.in_channels,
-                                                layer.kernel, layer.kernel)
-                else:
-                    layer.weight = flat.reshape(layer.out_channels, layer.in_channels)
-            if "bias" in entry:
-                bias = _read_blob(entry["bias"], data, lid, "bias")
-                if bias.size != layer.out_channels:
-                    raise BadInputError(
-                        f"layer {lid}: bias blob has {bias.size} elements, "
-                        f"expected {layer.out_channels}")
-                layer.bias = bias
-        elif kind == "batchnorm":
-            channels = int(entry["channels"])
-            parts = {}
-            for what in ("gamma", "beta", "mean", "var"):
-                arr = _read_blob(entry[what], data, lid, what)
-                if arr.size != channels:
-                    raise BadInputError(f"layer {lid}: {what} blob size {arr.size} != "
-                                        f"declared channels {channels}")
-                parts[what] = arr
-            layer.bn = BatchNormParams(parts["gamma"], parts["beta"], parts["mean"],
-                                       parts["var"], float(entry.get("epsilon", 1e-5)))
-        elif kind == "leaky-relu":
-            layer.slope = float(entry.get("slope", 0.01))
+        try:
+            layer = _load_layer(entry, lid, kind, data)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadInputError(f"layer {lid}: malformed manifest entry ({exc!r})") from exc
+        if kind in ("conv", "linear") and "quantize" not in entry:
+            implicit_quantize.append(layer)
         layers.append(layer)
 
     # unless the manifest says otherwise, the first and last weighted layers
@@ -324,7 +305,10 @@ def load_bundle(path):
             if boundary in implicit_quantize:
                 boundary.quantize = False
 
-    segments = [Segment(s["id"], list(s["layers"])) for s in manifest.get("segments", [])]
+    try:
+        segments = [Segment(s["id"], list(s["layers"])) for s in manifest.get("segments", [])]
+    except (KeyError, TypeError) as exc:
+        raise BadInputError(f"malformed segment entry in manifest ({exc!r})") from exc
     graph = ModelGraph(layers=layers, segments=segments,
                        input_shape=list(manifest.get("input_shape", [])),
                        reorderings=list(manifest.get("reorderings", [])))
@@ -332,6 +316,54 @@ def load_bundle(path):
     for lid, entry in manifest.get("scales", {}).items():
         graph.scales[lid] = _load_scale_entry(lid, entry, by_id.get(lid))
     return graph.validate()
+
+
+def _load_layer(entry, lid, kind, data):
+    """One manifest layer entry with its blobs."""
+    layer = Layer(id=lid, kind=kind, predecessors=list(entry.get("predecessors", [])))
+    if kind in ("conv", "linear"):
+        layer.out_channels = int(entry["out_channels"])
+        layer.in_channels = int(entry["in_channels"])
+        if kind == "conv":
+            layer.kernel = int(entry["kernel"])
+            layer.stride = int(entry.get("stride", 1))
+            layer.padding = int(entry.get("padding", 0))
+        layer.activation = entry.get("activation", "identity")
+        layer.slope = float(entry.get("slope", 0.01))
+        layer.quantize = bool(entry.get("quantize", True))
+        if "weight" in entry:
+            flat = _read_blob(entry["weight"], data, lid, "weight")
+            expect = layer.out_channels * layer.weights_per_channel
+            if flat.size != expect:
+                raise BadInputError(
+                    f"layer {lid}: weight blob has {flat.size} elements, "
+                    f"expected {expect}")
+            if kind == "conv":
+                layer.weight = flat.reshape(layer.out_channels, layer.in_channels,
+                                            layer.kernel, layer.kernel)
+            else:
+                layer.weight = flat.reshape(layer.out_channels, layer.in_channels)
+        if "bias" in entry:
+            bias = _read_blob(entry["bias"], data, lid, "bias")
+            if bias.size != layer.out_channels:
+                raise BadInputError(
+                    f"layer {lid}: bias blob has {bias.size} elements, "
+                    f"expected {layer.out_channels}")
+            layer.bias = bias
+    elif kind == "batchnorm":
+        channels = int(entry["channels"])
+        parts = {}
+        for what in ("gamma", "beta", "mean", "var"):
+            arr = _read_blob(entry[what], data, lid, what)
+            if arr.size != channels:
+                raise BadInputError(f"layer {lid}: {what} blob size {arr.size} != "
+                                    f"declared channels {channels}")
+            parts[what] = arr
+        layer.bn = BatchNormParams(parts["gamma"], parts["beta"], parts["mean"],
+                                   parts["var"], float(entry.get("epsilon", 1e-5)))
+    elif kind == "leaky-relu":
+        layer.slope = float(entry.get("slope", 0.01))
+    return layer
 
 
 def _load_scale_entry(lid, entry, layer):
@@ -374,11 +406,7 @@ def save_calibration_set(path, samples):
     dims = samples.shape[1:]
     header = CALIB_MAGIC + struct.pack(f"<II{len(dims)}I", samples.shape[0],
                                        len(dims), *dims)
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(header + np.ascontiguousarray(samples).tobytes())
-    tmp.replace(path)
-    return path
+    return write_atomic(path, header + np.ascontiguousarray(samples).tobytes())
 
 
 def load_calibration_set(path):
@@ -388,6 +416,8 @@ def load_calibration_set(path):
     data = path.read_bytes()
     if data[:4] != CALIB_MAGIC:
         raise BadInputError(f"{path} is not a calibration set (bad magic)")
+    if len(data) < 12 or len(data) < 12 + 4 * struct.unpack_from("<I", data, 8)[0]:
+        raise BadInputError(f"{path}: truncated header ({len(data)} bytes)")
     count, rank = struct.unpack_from("<II", data, 4)
     dims = struct.unpack_from(f"<{rank}I", data, 12)
     body = data[12 + 4 * rank:]
@@ -420,7 +450,7 @@ def fold_batchnorm(conv, bn):
     return replace(conv, weight=weight.astype(np.float32), bias=bias.astype(np.float32))
 
 
-def _successors(graph):
+def successors(graph):
     succ = {l.id: [] for l in graph.layers}
     for layer in graph.layers:
         for pred in layer.predecessors:
@@ -430,9 +460,9 @@ def _successors(graph):
 
 def fold_all_batchnorms(graph):
     """Remove every BN node whose sole predecessor is a conv feeding only it."""
-    succ = _successors(graph)
+    succ = successors(graph)
     folded = {}
-    drop = set()
+    remap = {}
     for layer in graph.layers:
         if layer.kind != "batchnorm":
             continue
@@ -443,24 +473,13 @@ def fold_all_batchnorms(graph):
             raise ValueError(f"cannot fold batchnorm {layer.id}: predecessor is not "
                              f"an exclusively-consumed conv")
         folded[conv.id] = fold_batchnorm(conv, layer.bn)
-        drop.add(layer.id)
-    if not drop:
-        return graph
-    remap = {bn_id: graph.layer(bn_id).predecessors[0] for bn_id in drop}
-    layers = []
-    for layer in graph.layers:
-        if layer.id in drop:
-            continue
-        layer = folded.get(layer.id, layer)
-        preds = [remap.get(p, p) for p in layer.predecessors]
-        layers.append(replace(layer, predecessors=preds))
-    return ModelGraph(layers, graph.segments, graph.input_shape,
-                      dict(graph.scales), list(graph.reorderings))
+        remap[layer.id] = conv.id
+    return _rewire(graph, folded, remap)
 
 
 def fuse_activations(graph):
     """Absorb a relu/leaky-relu node into a conv/linear that only feeds it."""
-    succ = _successors(graph)
+    succ = successors(graph)
     drop = {}
     updated = {}
     for layer in graph.layers:
@@ -474,15 +493,17 @@ def fuse_activations(graph):
         act = "relu" if layer.kind == "relu" else "leaky_relu"
         updated[prev.id] = replace(prev, activation=act, slope=layer.slope)
         drop[layer.id] = prev.id
-    if not drop:
+    return _rewire(graph, updated, drop)
+
+
+def _rewire(graph, updated, remap):
+    """The graph without the layers in `remap`, whose consumers read from
+    remap[id] instead, and with the layers in `updated` swapped in."""
+    if not remap:
         return graph
-    layers = []
-    for layer in graph.layers:
-        if layer.id in drop:
-            continue
-        layer = updated.get(layer.id, layer)
-        preds = [drop.get(p, p) for p in layer.predecessors]
-        layers.append(replace(layer, predecessors=preds))
+    layers = [replace(updated.get(l.id, l),
+                      predecessors=[remap.get(p, p) for p in l.predecessors])
+              for l in graph.layers if l.id not in remap]
     return ModelGraph(layers, graph.segments, graph.input_shape,
                       dict(graph.scales), list(graph.reorderings))
 
@@ -497,19 +518,14 @@ def prepare_for_quantization(graph):
 
 def lower_layer_input(layer, x):
     """Lower the incoming activation to the [J, P] matrix plus reshape info."""
+    n = x.shape[0]
     if layer.kind == "conv":
-        n = x.shape[0]
         out_h, out_w = conv_output_hw(x.shape[2], x.shape[3], layer.kernel,
                                       layer.stride, layer.padding)
         cols = im2col(x, layer.kernel, layer.stride, layer.padding)
         return cols, (n, out_h, out_w)
     # linear: flatten features per sample
-    n = x.shape[0]
-    flat = x.reshape(n, -1)
-    if flat.shape[1] != layer.in_channels:
-        raise ValueError(f"layer {layer.id}: expected {layer.in_channels} input "
-                         f"features, got {flat.shape[1]}")
-    return np.ascontiguousarray(flat.T), (n,)
+    return np.ascontiguousarray(x.reshape(n, -1).T), (n,)
 
 
 def raise_layer_output(layer, out, meta):
@@ -551,57 +567,82 @@ def run_simple_layer(layer, outputs):
     raise ValueError(f"cannot execute layer kind {layer.kind!r}")
 
 
-def _check_input(graph, x):
-    if graph.input_shape and tuple(x.shape[1:]) != tuple(graph.input_shape[1:]):
-        raise ValueError(f"input shape {x.shape} does not match graph input "
-                         f"{graph.input_shape} (batch dim free)")
+def _run_weighted(layer, x, conv_op):
+    """One conv or linear layer: lower, conv_op, raise. The [J, P] matrix
+    lives only in this frame, so it is gone before the executor yields."""
+    if layer.weight is None:
+        raise ValueError(f"layer {layer.id} has no weights loaded")
+    got = x.shape[1] if layer.kind == "conv" else int(np.prod(x.shape[1:]))
+    if got != layer.in_channels:
+        raise ValueError(f"layer {layer.id}: expected {layer.in_channels} input "
+                         f"channels, got an activation of shape {x.shape}")
+    cols, meta = lower_layer_input(layer, x)
+    return raise_layer_output(layer, conv_op(layer, cols), meta)
+
+
+def execute(layers, feeds, conv_op):
+    """Run `layers` in topological order, yielding (layer, output) for each.
+
+    An input layer (cast to float32), and any predecessor outside `layers`,
+    reads its array from `feeds`. A conv or linear layer hands its lowered
+    [J, P] input to conv_op(layer, cols), which returns the [OC, P] output;
+    other kinds run in float. An activation is dropped once its last
+    consumer has run.
+    """
+    last_use = {}
+    for i, layer in enumerate(layers):
+        for pred in layer.predecessors:
+            last_use[pred] = i
+    values = dict(feeds)
+    for i, layer in enumerate(layers):
+        if layer.kind == "input":
+            out = np.asarray(feeds[layer.id], dtype=np.float32)
+        elif layer.kind in ("conv", "linear"):
+            out = _run_weighted(layer, values[layer.predecessors[0]], conv_op)
+        else:
+            out = run_simple_layer(layer, values)
+        for pred in layer.predecessors:
+            if last_use[pred] == i:
+                values.pop(pred, None)
+        if layer.id in last_use:
+            values[layer.id] = out
+        yield layer, out
+
+
+def float_conv(layer, cols):
+    """conv_op of the float network: the reference conv of the layer."""
+    return conv_reference(layer.weight_matrix(), cols, layer.activation, layer.bias,
+                          layer.slope)
+
+
+def quantized_conv(scales):
+    """conv_op running every quantized layer with an entry in `scales` through
+    the grouped integer path; all other layers run in float."""
+    def conv_op(layer, cols):
+        info = scales.get(layer.id) if layer.quantize else None
+        if info is None:
+            return float_conv(layer, cols)
+        return quantized_forward_layer(layer.weight_matrix(), cols, info.partition(layer),
+                                       info.scales, layer.bias, layer.activation,
+                                       layer.slope)
+    return conv_op
 
 
 def forward_float(graph, x):
     """Run the float network; returns every layer's output keyed by id."""
-    _check_input(graph, x)
-    outputs = {}
-    for layer in graph.layers:
-        if layer.kind == "input":
-            outputs[layer.id] = np.asarray(x, dtype=np.float32)
-        elif layer.kind in ("conv", "linear"):
-            if layer.weight is None:
-                raise ValueError(f"layer {layer.id} has no weights loaded")
-            cols, meta = lower_layer_input(layer, outputs[layer.predecessors[0]])
-            out = conv_reference(layer.weight_matrix(), cols, layer.activation,
-                                 layer.bias, layer.slope)
-            outputs[layer.id] = raise_layer_output(layer, out, meta)
-        else:
-            outputs[layer.id] = run_simple_layer(layer, outputs)
-    return outputs
+    return {layer.id: out
+            for layer, out in execute(graph.layers, {graph.input_id: x}, float_conv)}
 
 
-def forward_quantized(graph, x, scales=None, counters=None):
+def forward_quantized(graph, x, scales=None):
     """Run the network with quantized conv/linear layers.
 
     Layers present in `scales` (default: the graph's own scale table) run the
     grouped integer path; everything else runs in float.
     """
-    scales = graph.scales if scales is None else scales
-    _check_input(graph, x)
-    outputs = {}
-    for layer in graph.layers:
-        if layer.kind == "input":
-            outputs[layer.id] = np.asarray(x, dtype=np.float32)
-        elif layer.kind in ("conv", "linear"):
-            cols, meta = lower_layer_input(layer, outputs[layer.predecessors[0]])
-            info = scales.get(layer.id) if layer.quantize else None
-            if info is not None:
-                out = quantized_forward_layer(
-                    layer.weight_matrix(), cols, info.partition(layer), info.scales,
-                    layer.bias, layer.activation, layer.slope, counters=counters)
-            else:
-                out = conv_reference(layer.weight_matrix(), cols, layer.activation,
-                                     layer.bias, layer.slope)
-            outputs[layer.id] = raise_layer_output(layer, out, meta)
-        else:
-            outputs[layer.id] = run_simple_layer(layer, outputs)
-    return outputs
+    conv_op = quantized_conv(graph.scales if scales is None else scales)
+    return {layer.id: out
+            for layer, out in execute(graph.layers, {graph.input_id: x}, conv_op)}
 
 
 def propagate_shapes(graph, batch=1):

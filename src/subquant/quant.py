@@ -23,28 +23,6 @@ _EXACT_ACC_LIMIT = 2 ** 53
 _QUANT_BLOCK = 1 << 15
 
 
-@dataclass(frozen=True)
-class QuantSpec:
-    """Bit width and scale of one symmetric uniform quantizer."""
-
-    bits: int
-    scale: float
-
-    def __post_init__(self):
-        if not 2 <= self.bits <= 16:
-            raise ValueError(f"bits must be in [2, 16], got {self.bits}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-
-    @property
-    def qmin(self):
-        return -(2 ** (self.bits - 1))
-
-    @property
-    def qmax(self):
-        return 2 ** (self.bits - 1) - 1
-
-
 def quantize_values(x, scale, bits):
     """Map reals to integer codes: clamp(round(x / scale)).
 
@@ -73,21 +51,6 @@ def _quantize_block(x, scale, bits, q):
     np.floor(q, out=q)
     np.copysign(q, y, out=q)
     return np.clip(q, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1, out=q)
-
-
-def quantize(x, spec):
-    """Integer code(s) for x under spec; scalar in, int out."""
-    q = quantize_values(x, spec.scale, spec.bits)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return int(q)
-    return q.astype(np.int64)
-
-
-def dequantize(q, spec):
-    """Approximate the original value by rescaling the code."""
-    if np.isscalar(q) or np.ndim(q) == 0:
-        return float(spec.scale * q)
-    return spec.scale * np.asarray(q, dtype=np.float64)
 
 
 def init_scale(values, bits):

@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calib import CalibConfig, calibrate_layer, distance
-from .model import lower_layer_input, raise_layer_output, reference_target
-from .tensor import conv_reference
+from .errors import BadInputError
+from .model import execute, float_conv, reference_target, successors
 
 
 @dataclass(frozen=True)
@@ -118,21 +118,23 @@ class SegmentContext:
 def score_block(ctx, layers):
     """Fitness of a reordered block: negative euclidean distance between the
     quantized and float outputs of the block's last conv, after recalibrating
-    every scale inside the block (quantized activations propagate within)."""
-    current_f = ctx.block_input
-    current_q = ctx.block_input
-    final_f = final_q = None
-    for layer in layers:
-        cols_f, meta = lower_layer_input(layer, current_f)
-        out_f = conv_reference(layer.weight_matrix(), cols_f, layer.activation,
-                               layer.bias, layer.slope)
-        cols_q, _ = lower_layer_input(layer, current_q)
-        cal = calibrate_layer(layer.weight_matrix(), cols_q, out_f, ctx.granularity,
-                              ctx.calib_cfg, layer.bias, layer.activation, layer.slope)
-        final_f, final_q = out_f, cal.output
-        current_f = raise_layer_output(layer, out_f, meta)
-        current_q = raise_layer_output(layer, cal.output, meta)
-    return -distance(final_q, final_f, "euclidean")
+    every scale inside the block (quantized activations propagate within).
+
+    A float pass over the block gives every layer's target; a calibrating
+    pass then runs each layer on the quantized output of the one before.
+    """
+    feeds = {layers[0].predecessors[0]: ctx.block_input}
+    targets = {layer.id: reference_target(layer, out)
+               for layer, out in execute(layers, feeds, float_conv)}
+
+    def calibrate(layer, cols):
+        cal = calibrate_layer(layer.weight_matrix(), cols, targets[layer.id],
+                              ctx.granularity, ctx.calib_cfg, layer.bias,
+                              layer.activation, layer.slope)
+        return cal.output
+
+    *_, (last, out) = execute(layers, feeds, calibrate)
+    return -distance(reference_target(last, out), targets[last.id], "euclidean")
 
 
 @dataclass
@@ -145,8 +147,26 @@ class EAResult:
 
 
 def make_segment_context(graph, segment, float_refs, granularity, calib_cfg):
-    """Build the scoring context for a segment from cached float activations."""
+    """Build the scoring context for a segment from cached float activations.
+
+    The segment must be a chain of convs on the prepared graph: each layer
+    after the first reads only the one before it, and every inner layer
+    feeds only the next one, so a joint reordering preserves the function.
+    """
     layers = [graph.layer(lid) for lid in segment.layer_ids]
+    if not layers:
+        raise BadInputError(f"segment {segment.id} has no layers")
+    consumers = successors(graph)
+    for i, layer in enumerate(layers):
+        if layer.kind != "conv":
+            fault = f"{layer.id} is a {layer.kind} layer, not a conv"
+        elif i and layer.predecessors != [layers[i - 1].id]:
+            fault = f"{layer.id} does not read only from {layers[i - 1].id}"
+        elif i < len(layers) - 1 and consumers[layer.id] != [layers[i + 1].id]:
+            fault = f"{layer.id} feeds {consumers[layer.id]}, not only {layers[i + 1].id}"
+        else:
+            continue
+        raise BadInputError(f"segment {segment.id} is not a conv chain: {fault}")
     entry = layers[0].predecessors[0]
     return SegmentContext(segment_id=segment.id, layers=layers,
                           block_input=float_refs[entry], granularity=granularity,

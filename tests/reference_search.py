@@ -1,5 +1,7 @@
 """Unbatched reference implementations of the weight search and the grouped
-forward, kept as oracles for the batched versions in `subquant`.
+forward, kept as oracles for the batched versions in `subquant`, plus the
+block fitness written as its own layer loop, an oracle for the executor-based
+`score_block`.
 
 `reference_search_weight_scales` scores every grid candidate with
 `distance()` on the full layer output; `reference_quantized_forward_layer`
@@ -9,7 +11,8 @@ results the library must reproduce bit for bit.
 
 import numpy as np
 
-from subquant.calib import distance, scale_space
+from subquant.calib import calibrate_layer, distance, scale_space
+from subquant.model import lower_layer_input, raise_layer_output
 from subquant.quant import (
     check_exact_accumulation,
     combine_tiles,
@@ -17,6 +20,7 @@ from subquant.quant import (
     init_scale,
     quantize_values,
 )
+from subquant.tensor import conv_reference
 
 
 def reference_search_weight_scales(weights, cols, partition, input_scale, target, cfg,
@@ -93,3 +97,21 @@ def reference_quantized_forward_layer(weights, cols, partition, scales, bias=Non
         out[r0:r1] = finish_rows(acc, None if bias is None else bias[r0:r1],
                                  activation, slope)
     return out
+
+
+def reference_score_block(ctx, layers):
+    """The block fitness as one interleaved loop: float and quantized
+    activations advance together, each layer calibrated against its float
+    output in the lowered [OC, P] layout."""
+    current_f = current_q = ctx.block_input
+    for layer in layers:
+        cols_f, meta = lower_layer_input(layer, current_f)
+        out_f = conv_reference(layer.weight_matrix(), cols_f, layer.activation,
+                               layer.bias, layer.slope)
+        cols_q, _ = lower_layer_input(layer, current_q)
+        out_q = calibrate_layer(layer.weight_matrix(), cols_q, out_f, ctx.granularity,
+                                ctx.calib_cfg, layer.bias, layer.activation,
+                                layer.slope).output
+        current_f = raise_layer_output(layer, out_f, meta)
+        current_q = raise_layer_output(layer, out_q, meta)
+    return -distance(out_q, out_f, "euclidean")

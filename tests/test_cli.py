@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -404,6 +405,74 @@ class TestMalformedScaleTable:
             with pytest.raises(BadInputError, match="layer fc: .*exact float64 range"):
                 load_bundle(tmp_path)
 
+class TestMalformedInput:
+    """Malformed manifests and sample files exit 2 with a message naming the
+    fault, never 1 with an internal error."""
+
+    def edited_bundle(self, fixture_dir, tmp_path, edit):
+        broken = tmp_path / "broken"
+        shutil.copytree(fixture_dir / "small_cnn", broken)
+        manifest = json.loads((broken / "manifest.json").read_text())
+        edit(manifest)
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        return broken
+
+    def run(self, command, tmp_path, model, calibration, eval_inputs=None, labels=8):
+        extra = {}
+        if eval_inputs is not None:
+            (tmp_path / "labels.json").write_text(json.dumps([0] * labels))
+            extra["eval"] = {"inputs": str(eval_inputs),
+                             "labels": str(tmp_path / "labels.json")}
+        config = write_config(
+            tmp_path / "run.json", model=str(model), calibration=str(calibration),
+            granularity={"mode": "channelwise"}, calib=quick_calib(),
+            reorder={"population": 2, "iterations": 1},
+            sweep={"rows": [1], "h_groups": [1]}, out=str(tmp_path / "out"), **extra)
+        return main([command, "--config", str(config)])
+
+    def test_conv_without_out_channels_exits_2(self, fixture_dir, tmp_path, capsys):
+        def edit(manifest):
+            entry = next(e for e in manifest["layers"] if e["id"] == "conv3")
+            del entry["out_channels"]
+        bundle = self.edited_bundle(fixture_dir, tmp_path, edit)
+        assert self.run("quantize", tmp_path, bundle,
+                        fixture_dir / "small_cnn_calib.ptqc") == 2
+        err = capsys.readouterr().err
+        assert "conv3" in err and "out_channels" in err
+
+    def test_truncated_ptqc_header_exits_2(self, fixture_dir, tmp_path, capsys):
+        (tmp_path / "short.ptqc").write_bytes(b"PTQC" + struct.pack("<I", 4))
+        assert self.run("quantize", tmp_path, fixture_dir / "small_cnn",
+                        tmp_path / "short.ptqc") == 2
+        assert "truncated header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["quantize", "sweep", "reorder", "eval"])
+    def test_calibration_shape_mismatch_exits_2(self, fixture_dir, tmp_path, command,
+                                                capsys):
+        save_calibration_set(tmp_path / "small.ptqc", np.zeros((4, 3, 7, 7), np.float32))
+        assert self.run(command, tmp_path, fixture_dir / "small_cnn",
+                        tmp_path / "small.ptqc",
+                        eval_inputs=fixture_dir / "small_cnn_eval.ptqc") == 2
+        err = capsys.readouterr().err
+        assert "small.ptqc" in err and "[3, 7, 7]" in err and "[3, 8, 8]" in err
+
+    def test_eval_set_shape_mismatch_exits_2(self, fixture_dir, tmp_path, capsys):
+        save_calibration_set(tmp_path / "small.ptqc", np.zeros((4, 3, 7, 7), np.float32))
+        assert self.run("eval", tmp_path, fixture_dir / "small_cnn",
+                        fixture_dir / "small_cnn_calib.ptqc",
+                        eval_inputs=tmp_path / "small.ptqc", labels=4) == 2
+        err = capsys.readouterr().err
+        assert "small.ptqc" in err and "[3, 7, 7]" in err
+
+    def test_segment_that_is_not_a_conv_chain_exits_2(self, fixture_dir, tmp_path, capsys):
+        def edit(manifest):
+            manifest["segments"] = [{"id": "skip", "layers": ["conv3", "conv5"]}]
+        bundle = self.edited_bundle(fixture_dir, tmp_path, edit)
+        assert self.run("reorder", tmp_path, bundle,
+                        fixture_dir / "small_cnn_calib.ptqc") == 2
+        assert "segment skip is not a conv chain" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_quantize_reports_byte_identical(self, fixture_dir, tmp_path):
         def run(out):
@@ -423,3 +492,37 @@ class TestDeterminism:
                 (tmp_path / "b" / name).read_bytes()
         assert (tmp_path / "a" / "quantized" / "tensors.bin").read_bytes() == \
             (tmp_path / "b" / "quantized" / "tensors.bin").read_bytes()
+
+    def test_reorder_reports_byte_identical(self, fixture_dir, tmp_path):
+        config = write_config(
+            tmp_path / "run.json",
+            model=str(fixture_dir / "small_cnn"),
+            calibration=str(fixture_dir / "small_cnn_calib.ptqc"),
+            granularity={"mode": "method1", "rows_per_group": 4, "cols_per_group": 27},
+            calib=quick_calib(),
+            reorder={"population": 4, "iterations": 1},
+            seed=3)
+        for out in ("a", "b"):
+            assert main(["reorder", "--config", str(config), "--out",
+                         str(tmp_path / out)]) == 0
+        for name in ("segment_scores.csv", "reorder_summary.json",
+                     "reordered/manifest.json", "reordered/tensors.bin"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
+
+    def test_eval_reports_byte_identical(self, fixture_dir, tmp_path):
+        config = write_config(
+            tmp_path / "run.json",
+            model=str(fixture_dir / "small_cnn"),
+            calibration=str(fixture_dir / "small_cnn_calib.ptqc"),
+            granularity={"mode": "method2", "rows_per_group": 1, "h_groups": 4},
+            calib=quick_calib(),
+            eval={"inputs": str(fixture_dir / "small_cnn_eval.ptqc"),
+                  "labels": str(fixture_dir / "small_cnn_eval_labels.json")},
+            seed=3)
+        for out in ("a", "b"):
+            assert main(["eval", "--config", str(config), "--out",
+                         str(tmp_path / out)]) == 0
+        for name in ("eval_layer_distances.csv", "eval_summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()

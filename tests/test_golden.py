@@ -1,4 +1,5 @@
-"""Regression checks against frozen golden files (see tests/golden/regen.py)."""
+"""Regression checks against frozen golden files (regenerated by
+tests/golden_helpers.py)."""
 
 import json
 from pathlib import Path

@@ -1,6 +1,7 @@
 """Bundle round-trips, BN folding, and the float forward pass."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from subquant.model import (
     BatchNormParams,
     Layer,
     ModelGraph,
+    execute,
+    float_conv,
     fold_batchnorm,
     forward_float,
     fuse_activations,
@@ -207,6 +210,56 @@ class TestBatchNormFolding:
         want = forward_float(graph, x)["output"]
         got = forward_float(prepare_for_quantization(graph), x)["output"]
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+
+class TestExecute:
+    def test_consumed_activation_released_mid_walk(self):
+        graph = prepare_for_quantization(build_small_cnn())
+        x = random_inputs(graph, 2, seed=0)
+        alive = {}
+        for layer, out in execute(graph.layers, {graph.input_id: x}, float_conv):
+            alive[layer.id] = weakref.ref(out)
+            if layer.id == "conv4":
+                # add1 still needs the shortcut
+                assert alive["conv2"]() is not None
+            if layer.id == "add1":
+                assert alive["conv2"]() is None
+                assert alive["conv4"]() is None
+        assert alive["add1"]() is None
+
+    def test_sub_graph_runs_from_its_entry_feed(self):
+        graph = prepare_for_quantization(build_small_cnn())
+        full = forward_float(graph, random_inputs(graph, 2, seed=1))
+        block = [graph.layer("conv3"), graph.layer("conv4")]
+        outs = dict((layer.id, out) for layer, out in
+                    execute(block, {"conv2": full["conv2"]}, float_conv))
+        np.testing.assert_array_equal(outs["conv4"], full["conv4"])
+
+    def test_conv_op_sees_lowered_matrices(self):
+        graph = prepare_for_quantization(build_small_cnn())
+        seen = {}
+
+        def conv_op(layer, cols):
+            seen[layer.id] = cols.shape
+            return float_conv(layer, cols)
+
+        x = random_inputs(graph, 3, seed=2)
+        list(execute(graph.layers, {graph.input_id: x}, conv_op))
+        assert seen["conv1"] == (3 * 3 * 3, 3 * 8 * 8)
+        assert seen["conv5"] == (12 * 3 * 3, 3 * 4 * 4)
+        assert seen["fc"] == (16 * 4 * 4, 3)
+
+    def test_input_channel_mismatch_names_layer(self):
+        graph = prepare_for_quantization(build_small_cnn())
+        x = np.zeros((1, 4, 8, 8), np.float32)
+        with pytest.raises(ValueError, match="layer conv1: expected 3 input channels"):
+            forward_float(graph, x)
+
+    def test_missing_weights_named(self):
+        graph = prepare_for_quantization(build_small_cnn())
+        graph.layer("conv2").weight = None
+        with pytest.raises(ValueError, match="layer conv2 has no weights loaded"):
+            forward_float(graph, random_inputs(graph, 1, seed=0))
 
 
 class TestForward:

@@ -6,12 +6,9 @@ import pytest
 from subquant.quant import (
     GranularityConfig,
     OpCounters,
-    QuantSpec,
     ScaleSet,
-    dequantize,
     init_scale,
     make_partition,
-    quantize,
     quantize_values,
     quantized_forward_layer,
 )
@@ -27,39 +24,34 @@ class TestMappingFunction:
 
     def test_zero_maps_to_zero(self):
         for bits in (2, 4, 8, 16):
-            assert quantize(0.0, QuantSpec(bits, 0.37)) == 0
+            assert quantize_values(0.0, 0.37, bits) == 0
 
     def test_clamp_endpoints(self):
-        spec = QuantSpec(4, 1.0)
-        assert quantize(100.0, spec) == 7
-        assert quantize(-100.0, spec) == -8
+        assert quantize_values(100.0, 1.0, 4) == 7
+        assert quantize_values(-100.0, 1.0, 4) == -8
 
     def test_known_value_spot_checks(self):
-        assert quantize(-0.8, QuantSpec(4, 0.1)) == -8
-        assert dequantize(-3, QuantSpec(4, 0.5)) == -1.5
+        assert quantize_values(-0.8, 0.1, 4) == -8
+        assert 0.5 * quantize_values(-1.5, 0.5, 4) == -1.5
+        assert quantize_values(-1.5, 0.5, 4) == -3
 
     def test_round_half_away_from_zero(self):
-        spec = QuantSpec(8, 1.0)
-        assert quantize(0.5, spec) == 1
-        assert quantize(1.5, spec) == 2
-        assert quantize(2.5, spec) == 3
-        assert quantize(-0.5, spec) == -1
-        assert quantize(-2.5, spec) == -3
+        np.testing.assert_array_equal(
+            quantize_values(np.array([0.5, 1.5, 2.5, -0.5, -2.5]), 1.0, 8),
+            [1, 2, 3, -1, -3])
 
     def test_roundtrip_exact_on_grid(self):
-        spec = QuantSpec(6, 0.25)
-        for m in range(-32, 32):
-            x = m * 0.25
-            assert dequantize(quantize(x, spec), spec) == x
+        grid = np.arange(-32, 32) * 0.25
+        np.testing.assert_array_equal(0.25 * quantize_values(grid, 0.25, 6), grid)
 
     def test_reconstruction_bound(self):
         rng = np.random.default_rng(1)
+        scale = 0.1
         for bits in (3, 5, 8):
-            spec = QuantSpec(bits, 0.1)
-            lim = (2 ** (bits - 1) - 1) * spec.scale
+            lim = (2 ** (bits - 1) - 1) * scale
             x = rng.uniform(-lim, lim, size=3000)
-            err = np.abs(spec.scale * quantize_values(x, spec.scale, bits) - x)
-            assert err.max() <= spec.scale / 2 + 1e-12
+            err = np.abs(scale * quantize_values(x, scale, bits) - x)
+            assert err.max() <= scale / 2 + 1e-12
 
     def test_large_input_matches_elementwise_formula(self):
         """Inputs past the cache block size go through the block loop; every
@@ -73,12 +65,6 @@ class TestMappingFunction:
             q = quantize_values(arr, 0.25, 8)
             np.testing.assert_array_equal(q, manual)
             assert q.dtype == np.float64 and q.shape == arr.shape
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuantSpec(1, 1.0)
-        with pytest.raises(ValueError):
-            QuantSpec(8, 0.0)
 
 
 class TestInitScale:

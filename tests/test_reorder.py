@@ -3,9 +3,22 @@
 import numpy as np
 import pytest
 
+from reference_search import reference_score_block
 from subquant.calib import CalibConfig, distance
-from subquant.fixtures import build_resnet20_style, build_toy_segment_net, random_inputs
-from subquant.model import forward_float, load_bundle, prepare_for_quantization, save_bundle
+from subquant.errors import BadInputError
+from subquant.fixtures import (
+    build_resnet20_style,
+    build_small_cnn,
+    build_toy_segment_net,
+    random_inputs,
+)
+from subquant.model import (
+    Segment,
+    forward_float,
+    load_bundle,
+    prepare_for_quantization,
+    save_bundle,
+)
 from subquant.quant import GranularityConfig
 from subquant.reorder import (
     ReorderConfig,
@@ -205,6 +218,45 @@ class TestEASearch:
         manual = [apply_output_permutation(ctx.layers[0], perm),
                   apply_input_permutation(ctx.layers[1], perm)]
         assert score_block(ctx, manual) == via_joint
+
+
+class TestScoreBlock:
+    def test_equals_interleaved_loop_on_random_reorderings(self):
+        """The two executor passes must reproduce the interleaved float and
+        quantized loop exactly, down to the last ulp of the score."""
+        graph = prepared_resnet20()
+        x = random_inputs(graph, 4, seed=3)
+        refs = forward_float(graph, x)
+        cfg = CalibConfig(grid_size=8, iterations=1, samples=4)
+        rng = np.random.default_rng(8)
+        for segment in graph.segments[::4]:
+            ctx = make_segment_context(graph, segment, refs,
+                                       GranularityConfig("method1", 4, 36), cfg)
+            for _ in range(3):
+                perm = rng.permutation(ctx.layers[0].out_channels)
+                layers = joint_reorder(ctx.layers, [perm])
+                assert score_block(ctx, layers) == reference_score_block(ctx, layers)
+
+
+class TestSegmentChain:
+    @pytest.mark.parametrize("layer_ids,fault", [
+        (["conv4", "add1"], "add1 is a residual-add layer"),
+        (["conv3", "conv5"], "conv3 feeds ['conv4'], not only conv5"),
+        (["conv2", "conv3"], "conv2 feeds ['conv3', 'add1']"),
+    ])
+    def test_non_chain_rejected(self, layer_ids, fault):
+        graph = prepare_for_quantization(build_small_cnn())
+        refs = forward_float(graph, random_inputs(graph, 2, seed=0))
+        with pytest.raises(BadInputError, match=r"segment bad is not a conv chain") as err:
+            make_segment_context(graph, Segment("bad", layer_ids), refs,
+                                 GranularityConfig("channelwise"), CalibConfig())
+        assert fault in str(err.value)
+
+    def test_empty_segment_rejected(self):
+        graph = prepare_for_quantization(build_small_cnn())
+        with pytest.raises(BadInputError, match="no layers"):
+            make_segment_context(graph, Segment("bad", []), {},
+                                 GranularityConfig("channelwise"), CalibConfig())
 
 
 def test_reorder_config_validation():
