@@ -3,10 +3,10 @@
 Per quantized layer the pipeline runs four steps: (1) enumerative search of
 the input scale with float weights, (2) iterative greedy grid search of the
 per-group weight scales with the input scale fixed, (3) a second input-scale
-search with the weight scales fixed, (4) the final quantized forward whose
-output propagates to downstream layers. Targets are always the float
-reference activations, while layer inputs come from the already-quantized
-prefix of the network, so quantization error accumulates forward.
+search with the weight scales fixed, (4) the winning step-3 candidate's output
+propagates to downstream layers. Targets are always the float reference
+activations, while layer inputs come from the already-quantized prefix of
+the network, so quantization error accumulates forward.
 """
 
 from dataclasses import dataclass, field
@@ -20,14 +20,14 @@ from .quant import (
     ScaleSet,
     check_exact_accumulation,
     check_layer_scales,
-    combine_tiles,
     finish_rows,
     grouped_forward,
+    grouped_terms,
     init_scale,
     make_partition,
     quantize_values,
     quantize_weight_groups,
-    quantized_forward_layer,
+    sum_terms,
 )
 from .tensor import conv_reference
 
@@ -112,8 +112,7 @@ def subsample(samples, count, seed):
 
 
 def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales=None,
-                       center=None, incumbent=None, bias=None,
-                       activation="identity", slope=0.01):
+                       center=None, bias=None, activation="identity", slope=0.01):
     """Enumerate input-scale candidates and keep the one closest to target.
 
     With `weight_scales` given, candidates are evaluated through the grouped
@@ -121,24 +120,22 @@ def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales
     re-quantized per candidate. Otherwise weights stay in float. The grid
     center is always part of the comparison set, like the evaluated
     incumbent of the weight search, so a scale that is already exact is
-    never displaced. Ties go to the smaller scale; `incumbent` additionally
-    joins the set (used by the re-search step).
+    never displaced. Ties go to the smaller scale. Returns the winning
+    scale, its distance and its output.
     """
     if cols.shape[1] == 0:
         raise ValueError("empty calibration set")
     if center is None:
         center = init_scale(cols, cfg.act_bits)
     candidates = scale_space(cfg.alpha, cfg.beta, center, cfg.grid_size)
-    candidates = np.append(candidates, center)
-    if incumbent is not None:
-        candidates = np.append(candidates, incumbent)
-    candidates = np.unique(candidates)  # ascending; strict < keeps the smallest tie
+    # ascending; strict < keeps the smallest tie
+    candidates = np.unique(np.append(candidates, center))
     if weight_scales is not None:
         scales = ScaleSet(weight_scales, center, cfg.weight_bits, cfg.act_bits)
         check_layer_scales(weights, cols, partition, scales)
         codes = quantize_weight_groups(weights, partition, scales.weight_scales,
                                        cfg.weight_bits)
-    best_scale, best_d = None, np.inf
+    best_scale, best_d, best_out = None, np.inf, None
     for cand in candidates:
         cand = float(cand)
         if weight_scales is None:
@@ -150,8 +147,8 @@ def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales
                                   partition, scales, bias, activation, slope)
         d = distance(out, target, cfg.metric)
         if d < best_d:
-            best_scale, best_d = cand, d
-    return best_scale, best_d
+            best_scale, best_d, best_out = cand, d, out
+    return best_scale, best_d, best_out
 
 
 class _Screen:
@@ -208,23 +205,19 @@ class _Screen:
         return ~finite | (scores <= limit)
 
 
-def _candidate_blocks(group, col_block, prefix, suffix, input_scale, bias_rows, cfg,
+def _candidate_blocks(group, col_block, row_terms, h, input_scale, bias_rows, cfg,
                       activation, slope, cands):
-    """Integer tiles and finished row blocks of one group under each of `cands`.
+    """Terms and finished row blocks of a row block's group h under each of `cands`.
 
-    One stacked matmul serves every candidate; the codes are integers below
-    the 2^53 bound, so each tile is exact. The rescaled tile lands between
-    the fixed terms before and after it in ascending h, like combine_tiles.
+    One stacked matmul serves every candidate, exact like the forward's.
+    The candidate terms replace term h of the row block's terms in sum_terms.
     """
     codes = quantize_values(group[None], cands[:, None, None], cfg.weight_bits)
     n, rows, width = codes.shape
-    tiles = (codes.reshape(n * rows, width) @ col_block).reshape(n, rows, -1)
-    acc = (cands * input_scale)[:, None, None] * tiles
-    if prefix is not None:
-        acc = prefix + acc
-    for term in suffix:
-        acc = acc + term
-    return tiles, finish_rows(acc, bias_rows, activation, slope)
+    terms = (codes.reshape(n * rows, width) @ col_block).reshape(n, rows, -1)
+    terms *= (cands * input_scale)[:, None, None]
+    acc = sum_terms(row_terms[:h] + [terms] + row_terms[h + 1:])
+    return terms, finish_rows(acc, bias_rows, activation, slope)
 
 
 def _chunks(items, size):
@@ -242,43 +235,28 @@ def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
     only on strict improvement of the full-layer output distance, all other
     scales fixed; among equal distances the earliest candidate wins.
 
-    Candidates are evaluated in batches: one stacked integer matmul per chunk
-    of candidates, tiles combined in the ascending-h order of combine_tiles,
-    so every candidate row block equals a fresh forward bit for bit. Each
-    block is first screened with running per-row sums in O(rows*P) (see
-    _Screen). Only the candidates within the summation-error tolerance of
-    the screened minimum are confirmed with `distance()` on the full layer
-    output, in candidate order with strict `<` from the exact entry
-    distance; every other candidate is provably farther than the screened
-    best, so the choice equals that of scoring every candidate with
-    `distance()`.
+    The state is the layer's grouped terms (quant.grouped_terms). A chunk of
+    candidates costs one stacked integer matmul, and its terms take the
+    place of the group's term in sum_terms, so every candidate row block
+    equals a fresh forward bit for bit. Each block is first screened with
+    running per-row sums in O(rows*P) (see _Screen). Only the candidates
+    within the summation-error tolerance of the screened minimum are
+    confirmed with `distance()` on the full layer output, in candidate order
+    with strict `<` from the exact entry distance; every other candidate is
+    provably farther than the screened best, so the choice equals that of
+    scoring every candidate with `distance()`.
     Returns the scale grid and the distance trace (initial value plus one
     entry per sweep).
     """
-    oc, p = weights.shape[0], cols.shape[1]
+    p = cols.shape[1]
     check_exact_accumulation(partition, cfg.weight_bits, cfg.act_bits)
     q_cols = quantize_values(cols, input_scale, cfg.act_bits)
-    col_blocks = [q_cols[c0:c1] for c0, c1 in partition.col_ranges]
-    v_groups, h_groups = partition.v_groups, partition.h_groups
-
-    w_groups = [[weights[r0:r1, c0:c1] for c0, c1 in partition.col_ranges]
-                for r0, r1 in partition.row_ranges]
-    scales = np.empty((v_groups, h_groups), dtype=np.float64)
-    skip = np.zeros((v_groups, h_groups), dtype=bool)
-    tiles = [[None] * h_groups for _ in range(v_groups)]
-    for v in range(v_groups):
-        for h in range(h_groups):
-            group = w_groups[v][h]
-            scales[v, h] = init_scale(group, cfg.weight_bits)
-            skip[v, h] = not np.any(group)  # all-zero group: any scale is exact
-            tiles[v][h] = quantize_values(group, scales[v, h], cfg.weight_bits) @ col_blocks[h]
-
-    out = np.empty((oc, p), dtype=np.float32)
-    bias_rows = [None] * v_groups if bias is None else \
-        [bias[r0:r1] for r0, r1 in partition.row_ranges]
-    for v, (r0, r1) in enumerate(partition.row_ranges):
-        out[r0:r1] = finish_rows(combine_tiles(tiles[v], scales[v], input_scale),
-                                 bias_rows[v], activation, slope)
+    scales = np.array([[init_scale(weights[r0:r1, c0:c1], cfg.weight_bits)
+                        for c0, c1 in partition.col_ranges]
+                       for r0, r1 in partition.row_ranges])
+    codes = quantize_weight_groups(weights, partition, scales, cfg.weight_bits)
+    terms = list(grouped_terms(codes, q_cols, partition, scales, input_scale))
+    out = finish_rows(sum_terms(terms), bias, activation, slope)
 
     screen = _Screen(out, target, cfg.metric)
     d_entry = distance(out, target, cfg.metric)
@@ -286,15 +264,14 @@ def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
     for _ in range(cfg.iterations):
         for v, (r0, r1) in enumerate(partition.row_ranges):
             chunk = max(1, _CHUNK_BYTES // ((r1 - r0) * p * 8))
-            for h in range(h_groups):
-                if skip[v, h]:
-                    continue
-                prefix = combine_tiles(tiles[v][:h], scales[v][:h], input_scale) \
-                    if h else None
-                suffix = [(float(scales[v, k]) * input_scale) * tiles[v][k]
-                          for k in range(h + 1, h_groups)]
-                build = partial(_candidate_blocks, w_groups[v][h], col_blocks[h], prefix,
-                                suffix, input_scale, bias_rows[v], cfg, activation, slope)
+            bias_rows = None if bias is None else bias[r0:r1]
+            for h, (c0, c1) in enumerate(partition.col_ranges):
+                group = weights[r0:r1, c0:c1]
+                if not np.any(group):
+                    continue  # all-zero group: any scale is exact
+                build = partial(_candidate_blocks, group, q_cols[c0:c1],
+                                [term[r0:r1] for term in terms], h, input_scale,
+                                bias_rows, cfg, activation, slope)
 
                 cands = scale_space(cfg.alpha, cfg.beta, scales[v, h], cfg.grid_size)
                 scores = np.concatenate([screen.score(r0, r1, build(part)[1])
@@ -303,17 +280,17 @@ def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
                 incumbent_rows = out[r0:r1].copy()
                 best = None
                 for part in _chunks(keep, chunk):
-                    cand_tiles, blocks = build(cands[part])
+                    cand_terms, blocks = build(cands[part])
                     for i, c in enumerate(part):
                         out[r0:r1] = blocks[i]
                         d = distance(out, target, cfg.metric)
                         if d < d_entry:
                             d_entry = d
-                            best = (float(cands[c]), cand_tiles[i].copy(), blocks[i].copy())
+                            best = (float(cands[c]), cand_terms[i], blocks[i])
                 if best is None:
                     out[r0:r1] = incumbent_rows
                 else:
-                    scales[v, h], tiles[v][h], out[r0:r1] = best
+                    scales[v, h], terms[h][r0:r1], out[r0:r1] = best
                     screen.update(r0, r1, out[r0:r1])
         trace.append(distance(out, target, cfg.metric))
     return scales, trace
@@ -332,25 +309,25 @@ class LayerCalibration:
 
 def calibrate_layer(weights, cols, target, granularity, cfg, bias=None,
                     activation="identity", slope=0.01):
-    """Run the four calibration steps on one lowered layer."""
+    """Run the four calibration steps on one lowered layer.
+
+    Step 4 is no extra forward: the output is that of the winning step-3
+    candidate, which ran the same codes under the final scales.
+    """
     oc, j = weights.shape
     partition = make_partition(oc, j, granularity)
-    input_scale, d1 = search_input_scale(weights, cols, target, cfg, bias=bias,
-                                         activation=activation, slope=slope)
+    input_scale, d1, _ = search_input_scale(weights, cols, target, cfg, bias=bias,
+                                            activation=activation, slope=slope)
     weight_scales, trace = search_weight_scales(weights, cols, partition, input_scale,
                                                 target, cfg, bias, activation, slope)
-    input_scale, d3 = search_input_scale(weights, cols, target, cfg,
-                                         partition=partition, weight_scales=weight_scales,
-                                         center=input_scale, incumbent=input_scale,
-                                         bias=bias, activation=activation, slope=slope)
+    input_scale, d3, output = search_input_scale(
+        weights, cols, target, cfg, partition=partition, weight_scales=weight_scales,
+        center=input_scale, bias=bias, activation=activation, slope=slope)
     scales = ScaleSet(weight_scales, input_scale, cfg.weight_bits, cfg.act_bits)
-    output = quantized_forward_layer(weights, cols, partition, scales, bias,
-                                     activation, slope)
-    d4 = distance(output, target, cfg.metric)
     steps = {"input_search": d1, "weight_search": trace[-1],
-             "input_research": d3, "final": d4, "weight_trace": trace}
+             "input_research": d3, "final": d3, "weight_trace": trace}
     return LayerCalibration(scales=scales, partition=partition, output=output,
-                            distance=d4, step_distances=steps)
+                            distance=d3, step_distances=steps)
 
 
 @dataclass

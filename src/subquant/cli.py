@@ -19,6 +19,7 @@ from .analysis import network_overhead_report, write_overhead_csv, write_overhea
 from .calib import CalibConfig, calibrate_network, distance, subsample
 from .errors import BadInputError, SubquantError
 from .model import (
+    check_shapes,
     csv_text,
     execute,
     float_conv,
@@ -32,7 +33,13 @@ from .model import (
     write_atomic,
 )
 from .quant import GranularityConfig
-from .reorder import ReorderConfig, commit_segment_reordering, ea_search, make_segment_context
+from .reorder import (
+    ReorderConfig,
+    commit_segment_reordering,
+    ea_search,
+    make_segment_context,
+    segment_layers,
+)
 
 OUT_ENV_VAR = "SUBQUANT_OUT"
 
@@ -119,9 +126,8 @@ def _write_json_atomic(path, payload):
     return write_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _load_model(cfg, prepare=True):
-    graph = load_bundle(cfg.model)
-    return prepare_for_quantization(graph) if prepare else graph
+def _load_model(cfg):
+    return check_shapes(prepare_for_quantization(load_bundle(cfg.model)))
 
 
 def _load_sample_file(path, graph):
@@ -254,6 +260,8 @@ def _cell_text(cell, key):
 
 def cmd_reorder(cfg):
     graph = _load_model(cfg)
+    for segment in graph.segments:  # reject a bad segment before any calibration
+        segment_layers(graph, segment)
     samples = _load_samples(cfg, graph)
     calib_samples = subsample(samples, cfg.calib.samples, cfg.calib.seed)
     references = forward_float(graph, calib_samples)

@@ -279,6 +279,7 @@ def load_bundle(path):
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise BadInputError(f"malformed manifest in {path}: {exc}") from exc
+    _check_manifest_types(manifest, path)
     blob_path = path / BLOB_NAME
     data = blob_path.read_bytes() if blob_path.is_file() else b""
 
@@ -316,6 +317,20 @@ def load_bundle(path):
     for lid, entry in manifest.get("scales", {}).items():
         graph.scales[lid] = _load_scale_entry(lid, entry, by_id.get(lid))
     return graph.validate()
+
+
+def _check_manifest_types(manifest, path):
+    """The manifest's top level: an object with list and object fields."""
+    if not isinstance(manifest, dict):
+        raise BadInputError(f"manifest in {path} is not a JSON object")
+    for key, kind in (("layers", list), ("segments", list), ("input_shape", list),
+                      ("reorderings", list), ("scales", dict)):
+        if not isinstance(manifest.get(key, kind()), kind):
+            raise BadInputError(f"manifest field {key!r} in {path} is not a "
+                                f"{'list' if kind is list else 'JSON object'}")
+    if not all(type(dim) is int for dim in manifest.get("input_shape", [])):
+        raise BadInputError(f"manifest field 'input_shape' in {path} is not a list "
+                            f"of integers")
 
 
 def _load_layer(entry, lid, kind, data):
@@ -646,14 +661,21 @@ def forward_quantized(graph, x, scales=None):
 
 
 def propagate_shapes(graph, batch=1):
-    """Per-layer output shapes at the given batch size, from graph metadata."""
+    """Per-layer output shapes at the given batch size, from graph metadata.
+
+    Raises ValueError naming the layer whose input a conv cannot take.
+    """
     shapes = {}
     for layer in graph.layers:
         if layer.kind == "input":
             shapes[layer.id] = (batch, *graph.input_shape[1:])
         elif layer.kind == "conv":
-            n, _, h, w = shapes[layer.predecessors[0]]
-            out_h, out_w = conv_output_hw(h, w, layer.kernel, layer.stride, layer.padding)
+            try:
+                n, _, h, w = shapes[layer.predecessors[0]]
+                out_h, out_w = conv_output_hw(h, w, layer.kernel, layer.stride,
+                                              layer.padding)
+            except ValueError as exc:
+                raise ValueError(f"layer {layer.id}: {exc}") from exc
             shapes[layer.id] = (n, layer.out_channels, out_h, out_w)
         elif layer.kind == "linear":
             n = shapes[layer.predecessors[0]][0]
@@ -661,3 +683,31 @@ def propagate_shapes(graph, batch=1):
         else:
             shapes[layer.id] = shapes[layer.predecessors[0]]
     return shapes
+
+
+def check_shapes(graph):
+    """Reject a graph whose wired layers disagree on shapes, naming the layer.
+
+    A conv or linear layer must declare the channels (features) its
+    predecessor produces, both inputs of a residual-add must match, and
+    every conv window must fit. Not part of validate(): shape-only graphs
+    such as yolov3_320_shape wire head convs to a stand-in predecessor.
+    """
+    if not graph.input_shape:
+        return graph
+    try:
+        shapes = propagate_shapes(graph)
+    except ValueError as exc:
+        raise BadInputError(str(exc)) from exc
+    for layer in graph.layers:
+        ins = [shapes[pred] for pred in layer.predecessors]
+        if layer.kind in ("conv", "linear"):
+            got = ins[0][1] if layer.kind == "conv" else int(np.prod(ins[0][1:]))
+            if got != layer.in_channels:
+                raise BadInputError(
+                    f"layer {layer.id}: declares {layer.in_channels} input channels, "
+                    f"but {layer.predecessors[0]} gives {got}")
+        elif layer.kind == "residual-add" and ins[0] != ins[1]:
+            raise BadInputError(f"layer {layer.id}: residual-add input shapes differ "
+                                f"({list(ins[0][1:])} vs {list(ins[1][1:])})")
+    return graph

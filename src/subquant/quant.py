@@ -173,20 +173,8 @@ class OpCounters:
     rescale_macs: int = 0
 
 
-def combine_tiles(tiles, group_scales, input_scale):
-    """Rescale and sum per-group integer tiles for one row group.
-
-    Accumulates in ascending h order; the calibration search reuses this
-    helper so cached evaluations match a fresh forward bit for bit.
-    """
-    acc = (float(group_scales[0]) * input_scale) * tiles[0]
-    for h in range(1, len(tiles)):
-        acc = acc + (float(group_scales[h]) * input_scale) * tiles[h]
-    return acc
-
-
 def finish_rows(acc, bias_rows, activation, slope):
-    """Bias add and activation for one row block; float32 like stored tensors."""
+    """Bias add and activation for a block of rows; float32 like stored tensors."""
     if bias_rows is not None:
         acc = acc + np.asarray(bias_rows, dtype=np.float64)[:, None]
     return apply_activation(acc, activation, slope).astype(np.float32)
@@ -235,25 +223,47 @@ def quantize_weight_groups(weights, partition, weight_scales, weight_bits):
             for h, (c0, c1) in enumerate(partition.col_ranges)]
 
 
-def grouped_forward(codes, q_cols, partition, scales, bias=None,
-                    activation="identity", slope=0.01, counters=None):
-    """Rescale and sum one integer matmul per column group, then bias and
-    activation.
+def grouped_terms(codes, q_cols, partition, weight_scales, input_scale):
+    """Yield each column group's rescaled integer partial product.
 
-    Column group h contributes (codes[h] @ q_cols[c0:c1]) times the per-row
-    vector weight_scales[v, h] * input_scale, summed in ascending h: the same
-    float64 products and sums as combine_tiles on every row group.
+    Term h is (codes[h] @ q_cols[c0:c1]) times the per-row vector
+    weight_scales[v, h] * input_scale, a fresh [OC, P] float64 array: the
+    #H rescales of a sub-layerwise layer. The matmul is exact while
+    check_exact_accumulation holds.
     """
-    acc = None
     for h, (c0, c1) in enumerate(partition.col_ranges):
         term = codes[h] @ q_cols[c0:c1]
-        term *= _row_values(partition, scales.weight_scales[:, h] * scales.input_scale)
-        if acc is None:
-            acc = term
-        else:
-            acc += term
-        if counters is not None:
-            counters.rescale_macs += term.size
+        term *= _row_values(partition, weight_scales[:, h] * input_scale)
+        yield term
+
+
+def sum_terms(terms):
+    """Sum a layer's terms in ascending h without mutating any of them.
+
+    Terms broadcast, so one of them may be a stack of candidate terms. Every
+    quantized layer output is this sum, which keeps batched calibration
+    results equal to a fresh forward bit for bit.
+    """
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = acc + term
+    return acc
+
+
+def grouped_forward(codes, q_cols, partition, scales, bias=None,
+                    activation="identity", slope=0.01, counters=None):
+    """Sum the grouped terms in ascending h, then bias and activation.
+
+    Accumulates in place, so only one term is alive beside the sum; the
+    float64 additions are those of sum_terms.
+    """
+    terms = grouped_terms(codes, q_cols, partition, scales.weight_scales,
+                          scales.input_scale)
+    acc = next(terms)
+    for term in terms:
+        acc += term
+    if counters is not None:
+        counters.rescale_macs += partition.h_groups * acc.size
     return finish_rows(acc, bias, activation, slope)
 
 

@@ -146,12 +146,11 @@ class EAResult:
     best_history: list
 
 
-def make_segment_context(graph, segment, float_refs, granularity, calib_cfg):
-    """Build the scoring context for a segment from cached float activations.
-
-    The segment must be a chain of convs on the prepared graph: each layer
-    after the first reads only the one before it, and every inner layer
-    feeds only the next one, so a joint reordering preserves the function.
+def segment_layers(graph, segment):
+    """The layers of a segment, which must be a chain of convs on the
+    prepared graph: each layer after the first reads only the one before it,
+    and every inner layer feeds only the next one, so a joint reordering
+    preserves the function.
     """
     layers = [graph.layer(lid) for lid in segment.layer_ids]
     if not layers:
@@ -167,6 +166,13 @@ def make_segment_context(graph, segment, float_refs, granularity, calib_cfg):
         else:
             continue
         raise BadInputError(f"segment {segment.id} is not a conv chain: {fault}")
+    return layers
+
+
+def make_segment_context(graph, segment, float_refs, granularity, calib_cfg):
+    """Build the scoring context for a segment (see segment_layers) from
+    cached float activations."""
+    layers = segment_layers(graph, segment)
     entry = layers[0].predecessors[0]
     return SegmentContext(segment_id=segment.id, layers=layers,
                           block_input=float_refs[entry], granularity=granularity,

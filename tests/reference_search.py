@@ -13,14 +13,19 @@ import numpy as np
 
 from subquant.calib import calibrate_layer, distance, scale_space
 from subquant.model import lower_layer_input, raise_layer_output
-from subquant.quant import (
-    check_exact_accumulation,
-    combine_tiles,
-    finish_rows,
-    init_scale,
-    quantize_values,
-)
-from subquant.tensor import conv_reference
+from subquant.quant import check_exact_accumulation, init_scale, quantize_values
+from subquant.tensor import apply_activation, conv_reference
+
+
+def finish_row_group(tiles, group_scales, input_scale, bias_rows, activation, slope):
+    """One row group's output: each integer tile times its group scale and the
+    input scale, summed in ascending h, then bias and activation; float32."""
+    acc = (float(group_scales[0]) * input_scale) * tiles[0]
+    for h in range(1, len(tiles)):
+        acc = acc + (float(group_scales[h]) * input_scale) * tiles[h]
+    if bias_rows is not None:
+        acc = acc + np.asarray(bias_rows, dtype=np.float64)[:, None]
+    return apply_activation(acc, activation, slope).astype(np.float32)
 
 
 def reference_search_weight_scales(weights, cols, partition, input_scale, target, cfg,
@@ -46,8 +51,8 @@ def reference_search_weight_scales(weights, cols, partition, input_scale, target
     bias_rows = [None] * v_groups if bias is None else \
         [bias[r0:r1] for r0, r1 in partition.row_ranges]
     for v, (r0, r1) in enumerate(partition.row_ranges):
-        out[r0:r1] = finish_rows(combine_tiles(tiles[v], scales[v], input_scale),
-                                 bias_rows[v], activation, slope)
+        out[r0:r1] = finish_row_group(tiles[v], scales[v], input_scale, bias_rows[v],
+                                      activation, slope)
 
     trace = [distance(out, target, cfg.metric)]
     for _ in range(cfg.iterations):
@@ -67,8 +72,8 @@ def reference_search_weight_scales(weights, cols, partition, input_scale, target
                         @ col_blocks[h]
                     tiles[v][h] = tile
                     row_scales[h] = cand
-                    block = finish_rows(combine_tiles(tiles[v], row_scales, input_scale),
-                                        bias_rows[v], activation, slope)
+                    block = finish_row_group(tiles[v], row_scales, input_scale,
+                                             bias_rows[v], activation, slope)
                     out[r0:r1] = block
                     d = distance(out, target, cfg.metric)
                     if d < d_best:
@@ -93,9 +98,9 @@ def reference_quantized_forward_layer(weights, cols, partition, scales, bias=Non
             tiles.append(qw @ q_cols[c0:c1])
             if counters is not None:
                 counters.rescale_macs += (r1 - r0) * p
-        acc = combine_tiles(tiles, scales.weight_scales[v], scales.input_scale)
-        out[r0:r1] = finish_rows(acc, None if bias is None else bias[r0:r1],
-                                 activation, slope)
+        out[r0:r1] = finish_row_group(tiles, scales.weight_scales[v], scales.input_scale,
+                                      None if bias is None else bias[r0:r1],
+                                      activation, slope)
     return out
 
 

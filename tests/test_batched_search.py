@@ -10,6 +10,7 @@ from reference_search import (
 )
 from subquant.calib import (
     CalibConfig,
+    calibrate_layer,
     distance,
     scale_space,
     search_input_scale,
@@ -150,17 +151,33 @@ def test_input_research_matches_reference(metric):
     cfg = CalibConfig(grid_size=25, metric=metric)
     grid, _ = search_weight_scales(weights, cols, partition, 0.03, target, cfg, bias, "relu")
     got = search_input_scale(weights, cols, target, cfg, partition=partition,
-                             weight_scales=grid, center=0.03, incumbent=0.03, bias=bias,
-                             activation="relu")
+                             weight_scales=grid, center=0.03, bias=bias, activation="relu")
     candidates = np.unique(np.append(scale_space(cfg.alpha, cfg.beta, 0.03, 25), 0.03))
-    best = (None, np.inf)
+    best = (None, np.inf, None)
     for cand in candidates:
         out = reference_quantized_forward_layer(weights, cols, partition,
                                                 ScaleSet(grid, float(cand)), bias, "relu")
         d = distance(out, target, metric)
         if d < best[1]:
-            best = (float(cand), d)
-    assert got == best
+            best = (float(cand), d, out)
+    assert got[:2] == best[:2]
+    assert np.array_equal(got[2], best[2])
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+@pytest.mark.parametrize("granularity", GRANULARITIES, ids=lambda g: g.describe())
+def test_calibrated_output_is_the_final_forward(metric, granularity):
+    """calibrate_layer returns the winning step-3 output instead of running a
+    fourth forward; it must equal that forward and its distance bit for bit."""
+    weights, cols, bias = make_layer(9)
+    target = target_of(weights, cols, bias, "leaky_relu", seed=2)
+    cfg = CalibConfig(grid_size=15, iterations=1, metric=metric)
+    cal = calibrate_layer(weights, cols, target, granularity, cfg, bias, "leaky_relu", 0.1)
+    expect = quantized_forward_layer(weights, cols, cal.partition, cal.scales, bias,
+                                     "leaky_relu", 0.1)
+    assert np.array_equal(cal.output, expect)
+    assert cal.distance == distance(expect, target, metric)
+    assert cal.step_distances["final"] == cal.distance
 
 
 @pytest.mark.parametrize("width,ok", [(2, True), (3, False)])

@@ -93,7 +93,7 @@ class TestSearchInputScale:
         w, x = lossless_layer()
         target = conv_reference(w, x)
         cfg = CalibConfig(grid_size=100)
-        scale, d = search_input_scale(w, x, target, cfg)
+        scale, d, _ = search_input_scale(w, x, target, cfg)
         assert scale == 0.0625
         assert d == 0.0
 
@@ -105,7 +105,7 @@ class TestSearchInputScale:
         cfg = CalibConfig(grid_size=2)
         # grid_size=1 is reachable through scale_space directly; the config
         # minimum is 2, so emulate by comparing against the init candidate
-        scale, _ = search_input_scale(w, x, target, cfg)
+        scale, _, _ = search_input_scale(w, x, target, cfg)
         assert scale > 0
 
     def test_constant_input_matches_bruteforce(self):
@@ -113,7 +113,7 @@ class TestSearchInputScale:
         w = np.array([[1.0]], dtype=np.float32)
         x = np.full((1, 6), 1.27, dtype=np.float32)
         target = x.copy()
-        scale, _ = search_input_scale(w, x, target, cfg)
+        scale, _, _ = search_input_scale(w, x, target, cfg)
         center = init_scale(x, cfg.act_bits)
         cands = np.unique(np.append(scale_space(cfg.alpha, cfg.beta, center, 100), center))
         errs = []
@@ -254,7 +254,7 @@ class TestCalibrateLayer:
                                   cfg, activation="relu")
             steps = cal.step_distances
             assert steps["input_research"] <= steps["weight_search"] + 1e-12
-            assert steps["final"] == pytest.approx(steps["input_research"])
+            assert steps["final"] == steps["input_research"]
 
 
 def tiny_two_layer_graph(dw=0.25, dx=0.0625):

@@ -464,13 +464,60 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "small.ptqc" in err and "[3, 7, 7]" in err
 
-    def test_segment_that_is_not_a_conv_chain_exits_2(self, fixture_dir, tmp_path, capsys):
+    def test_segment_that_is_not_a_conv_chain_exits_2(self, fixture_dir, tmp_path, capsys,
+                                                      monkeypatch):
         def edit(manifest):
             manifest["segments"] = [{"id": "skip", "layers": ["conv3", "conv5"]}]
+
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibration ran before the segment check")
+        monkeypatch.setattr("subquant.cli.calibrate_network", no_calibration)
         bundle = self.edited_bundle(fixture_dir, tmp_path, edit)
         assert self.run("reorder", tmp_path, bundle,
                         fixture_dir / "small_cnn_calib.ptqc") == 2
         assert "segment skip is not a conv chain" in capsys.readouterr().err
+
+    def test_manifest_that_is_not_an_object_exits_2(self, fixture_dir, tmp_path, capsys):
+        bundle = self.edited_bundle(fixture_dir, tmp_path, lambda manifest: None)
+        (bundle / "manifest.json").write_text("[]")
+        assert self.run("quantize", tmp_path, bundle,
+                        fixture_dir / "small_cnn_calib.ptqc") == 2
+        assert "is not a JSON object" in capsys.readouterr().err
+
+    def test_input_shape_that_is_not_a_list_exits_2(self, fixture_dir, tmp_path, capsys):
+        bundle = self.edited_bundle(fixture_dir, tmp_path,
+                                    lambda manifest: manifest.update(input_shape=5))
+        assert self.run("quantize", tmp_path, bundle,
+                        fixture_dir / "small_cnn_calib.ptqc") == 2
+        assert "'input_shape'" in capsys.readouterr().err
+
+    def hand_built_bundle(self, tmp_path, *convs):
+        """A chain of convs on the [3, 8, 8] input of small_cnn's samples;
+        each conv is (id, in_channels, out_channels, kernel)."""
+        rng = np.random.default_rng(0)
+        layers, last = [Layer(id="input", kind="input")], "input"
+        for lid, ic, oc, k in convs:
+            layers.append(Layer(id=lid, kind="conv", predecessors=[last], out_channels=oc,
+                                in_channels=ic, kernel=k,
+                                weight=rng.normal(size=(oc, ic, k, k)).astype(np.float32)))
+            last = lid
+        layers.append(Layer(id="output", kind="output", predecessors=[last]))
+        return save_bundle(ModelGraph(layers, input_shape=[1, 3, 8, 8]).validate(),
+                           tmp_path / "hand")
+
+    def test_channel_mismatch_exits_2(self, fixture_dir, tmp_path, capsys):
+        bundle = self.hand_built_bundle(tmp_path, ("a", 3, 4, 1), ("b", 5, 2, 1))
+        assert self.run("quantize", tmp_path, bundle,
+                        fixture_dir / "small_cnn_calib.ptqc") == 2
+        err = capsys.readouterr().err
+        assert "layer b: declares 5 input channels" in err and "a gives 4" in err
+
+    def test_kernel_larger_than_input_exits_2(self, fixture_dir, tmp_path, capsys):
+        bundle = self.hand_built_bundle(tmp_path, ("big", 3, 2, 9))
+        assert self.run("quantize", tmp_path, bundle,
+                        fixture_dir / "small_cnn_calib.ptqc") == 2
+        err = capsys.readouterr().err
+        assert "layer big:" in err and "kernel=9" in err
 
 
 class TestDeterminism:

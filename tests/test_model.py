@@ -9,6 +9,7 @@ import pytest
 from subquant.errors import BadInputError
 from subquant.fixtures import build_resnet20_style, build_small_cnn, random_inputs
 from subquant.model import (
+    check_shapes,
     BatchNormParams,
     Layer,
     ModelGraph,
@@ -88,6 +89,17 @@ class TestBundleIO:
         (bundle / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(BadInputError, match="cx"):
             load_bundle(bundle)
+
+    @pytest.mark.parametrize("field,value", [
+        ("layers", {}), ("segments", "s1"), ("input_shape", [1, "3"]),
+        ("input_shape", [1, 3.0, 8, 8]), ("reorderings", 5), ("scales", [])])
+    def test_manifest_field_of_wrong_type_names_field(self, tmp_path, field, value):
+        save_bundle(build_small_cnn(), tmp_path / "m")
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        manifest[field] = value
+        (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BadInputError, match=f"'{field}'"):
+            load_bundle(tmp_path / "m")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(BadInputError):
@@ -315,3 +327,17 @@ class TestForward:
         assert shapes["conv5"] == (2, 16, 4, 4)
         assert shapes["fc"] == (2, 10)
         assert shapes["output"] == (2, 10)
+
+    def test_check_shapes_rejects_residual_add_of_two_shapes(self):
+        layers = [Layer(id="input", kind="input"),
+                  Layer(id="c", kind="conv", predecessors=["input"], out_channels=3,
+                        in_channels=3, kernel=3, weight=np.zeros((3, 3, 3, 3), np.float32)),
+                  Layer(id="add", kind="residual-add", predecessors=["c", "input"]),
+                  Layer(id="output", kind="output", predecessors=["add"])]
+        graph = ModelGraph(layers, input_shape=[1, 3, 4, 4]).validate()
+        with pytest.raises(BadInputError, match=r"layer add: .*\[3, 2, 2\] vs \[3, 4, 4\]"):
+            check_shapes(graph)
+
+    def test_check_shapes_accepts_the_fixtures(self):
+        for graph in (build_small_cnn(), build_resnet20_style()):
+            check_shapes(prepare_for_quantization(graph))
