@@ -14,7 +14,14 @@ from functools import partial
 
 import numpy as np
 
-from .model import QuantizedLayerInfo, execute, float_conv, forward_float, reference_target
+from .model import (
+    QuantizedLayerInfo,
+    execute,
+    float_conv,
+    forward_float,
+    lower_layer_input,
+    reference_target,
+)
 from .quant import (
     GranularityConfig,
     ScaleSet,
@@ -358,10 +365,11 @@ def calibrate_network(graph, samples, granularity, cfg, references=None):
     scales = {}
     step_distances = {}
 
-    def conv_op(layer, cols):
+    def conv_op(layer, x):
         if not layer.quantize:
-            return float_conv(layer, cols)
+            return float_conv(layer, x)
         target = reference_target(layer, refs[layer.id])
+        cols, _ = lower_layer_input(layer, x)
         cal = calibrate_layer(layer.weight_matrix(), cols, target, granularity, cfg,
                               layer.bias, layer.activation, layer.slope)
         scales[layer.id] = QuantizedLayerInfo(

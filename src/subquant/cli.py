@@ -328,11 +328,17 @@ def _load_eval_set(cfg, graph):
         raise BadInputError(f"eval set {cfg.eval_inputs} holds no samples")
     if not cfg.eval_labels.is_file():
         raise BadInputError(f"labels file not found: {cfg.eval_labels}")
-    labels = np.asarray(json.loads(cfg.eval_labels.read_text()), dtype=np.int64)
-    if labels.ndim != 1 or labels.shape[0] != eval_x.shape[0]:
-        raise BadInputError(f"{labels.shape[0]} labels for {eval_x.shape[0]} "
-                            f"eval samples")
-    return eval_x, labels
+    try:
+        raw = json.loads(cfg.eval_labels.read_text())
+    except json.JSONDecodeError as exc:
+        raise BadInputError(f"malformed labels file {cfg.eval_labels}: {exc}") from exc
+    if not (isinstance(raw, list) and all(type(v) is int and abs(v) < 2 ** 63 for v in raw)):
+        raise BadInputError(f"labels file {cfg.eval_labels} must hold a JSON list of "
+                            f"64-bit integers")
+    if len(raw) != eval_x.shape[0]:
+        raise BadInputError(f"{len(raw)} labels in {cfg.eval_labels} for "
+                            f"{eval_x.shape[0]} eval samples")
+    return eval_x, np.array(raw, dtype=np.int64)
 
 
 def cmd_eval(cfg):

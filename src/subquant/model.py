@@ -307,7 +307,8 @@ def load_bundle(path):
                 boundary.quantize = False
 
     try:
-        segments = [Segment(s["id"], list(s["layers"])) for s in manifest.get("segments", [])]
+        segments = [Segment(s["id"], _id_list(s["layers"], f"segment {s['id']}", "layers"))
+                    for s in manifest.get("segments", [])]
     except (KeyError, TypeError) as exc:
         raise BadInputError(f"malformed segment entry in manifest ({exc!r})") from exc
     graph = ModelGraph(layers=layers, segments=segments,
@@ -333,9 +334,19 @@ def _check_manifest_types(manifest, path):
                             f"of integers")
 
 
+def _id_list(value, owner, field):
+    """A manifest list of layer ids; a bare string would split into characters."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise BadInputError(f"{owner}: {field!r} must be a list of layer ids, "
+                            f"got {value!r}")
+    return value
+
+
 def _load_layer(entry, lid, kind, data):
     """One manifest layer entry with its blobs."""
-    layer = Layer(id=lid, kind=kind, predecessors=list(entry.get("predecessors", [])))
+    layer = Layer(id=lid, kind=kind,
+                  predecessors=_id_list(entry.get("predecessors", []), f"layer {lid}",
+                                        "predecessors"))
     if kind in ("conv", "linear"):
         layer.out_channels = int(entry["out_channels"])
         layer.in_channels = int(entry["in_channels"])
@@ -531,16 +542,22 @@ def prepare_for_quantization(graph):
 # ---------------------------------------------------------------------------
 # forward passes
 
-def lower_layer_input(layer, x):
-    """Lower the incoming activation to the [J, P] matrix plus reshape info."""
-    n = x.shape[0]
+def _output_meta(layer, x_shape):
+    """Reshape info of a conv or linear layer's [OC, P] output, from its input shape."""
     if layer.kind == "conv":
-        out_h, out_w = conv_output_hw(x.shape[2], x.shape[3], layer.kernel,
-                                      layer.stride, layer.padding)
-        cols = im2col(x, layer.kernel, layer.stride, layer.padding)
-        return cols, (n, out_h, out_w)
+        return (x_shape[0], *conv_output_hw(x_shape[2], x_shape[3], layer.kernel,
+                                            layer.stride, layer.padding))
+    return (x_shape[0],)
+
+
+def lower_layer_input(layer, x):
+    """Lower the incoming activation to the float64 [J, P] matrix plus reshape
+    info for raise_layer_output."""
+    meta = _output_meta(layer, x.shape)
+    if layer.kind == "conv":
+        return im2col(x, layer.kernel, layer.stride, layer.padding), meta
     # linear: flatten features per sample
-    return np.ascontiguousarray(x.reshape(n, -1).T), (n,)
+    return np.array(x.reshape(x.shape[0], -1).T, dtype=np.float64, order="C"), meta
 
 
 def raise_layer_output(layer, out, meta):
@@ -583,24 +600,25 @@ def run_simple_layer(layer, outputs):
 
 
 def _run_weighted(layer, x, conv_op):
-    """One conv or linear layer: lower, conv_op, raise. The [J, P] matrix
-    lives only in this frame, so it is gone before the executor yields."""
+    """One conv or linear layer: check the input, conv_op, raise. Whatever
+    conv_op lowers lives only below this frame, so it is gone before the
+    executor yields."""
     if layer.weight is None:
         raise ValueError(f"layer {layer.id} has no weights loaded")
     got = x.shape[1] if layer.kind == "conv" else int(np.prod(x.shape[1:]))
     if got != layer.in_channels:
         raise ValueError(f"layer {layer.id}: expected {layer.in_channels} input "
                          f"channels, got an activation of shape {x.shape}")
-    cols, meta = lower_layer_input(layer, x)
-    return raise_layer_output(layer, conv_op(layer, cols), meta)
+    return raise_layer_output(layer, conv_op(layer, x), _output_meta(layer, x.shape))
 
 
 def execute(layers, feeds, conv_op):
     """Run `layers` in topological order, yielding (layer, output) for each.
 
     An input layer (cast to float32), and any predecessor outside `layers`,
-    reads its array from `feeds`. A conv or linear layer hands its lowered
-    [J, P] input to conv_op(layer, cols), which returns the [OC, P] output;
+    reads its array from `feeds`. A conv or linear layer hands its incoming
+    activation to conv_op(layer, x), which lowers it (lower_layer_input, or
+    quantize first and lower the codes) and returns the [OC, P] output;
     other kinds run in float. An activation is dropped once its last
     consumer has run.
     """
@@ -624,22 +642,24 @@ def execute(layers, feeds, conv_op):
         yield layer, out
 
 
-def float_conv(layer, cols):
-    """conv_op of the float network: the reference conv of the layer."""
+def float_conv(layer, x):
+    """conv_op of the float network: the reference conv of the lowered input."""
+    cols, _ = lower_layer_input(layer, x)
     return conv_reference(layer.weight_matrix(), cols, layer.activation, layer.bias,
                           layer.slope)
 
 
 def quantized_conv(scales):
     """conv_op running every quantized layer with an entry in `scales` through
-    the grouped integer path; all other layers run in float."""
-    def conv_op(layer, cols):
+    the grouped integer path, which quantizes the activation before lowering
+    it; all other layers run in float."""
+    def conv_op(layer, x):
         info = scales.get(layer.id) if layer.quantize else None
         if info is None:
-            return float_conv(layer, cols)
-        return quantized_forward_layer(layer.weight_matrix(), cols, info.partition(layer),
-                                       info.scales, layer.bias, layer.activation,
-                                       layer.slope)
+            return float_conv(layer, x)
+        return quantized_forward_layer(
+            layer.weight_matrix(), x, info.partition(layer), info.scales, layer.bias,
+            layer.activation, layer.slope, lower=lambda q: lower_layer_input(layer, q)[0])
     return conv_op
 
 

@@ -44,13 +44,17 @@ def quantize_values(x, scale, bits):
 
 
 def _quantize_block(x, scale, bits, q):
-    """quantize_values of `x` into the float64 buffer `q`, in place."""
-    y = np.divide(x, scale, dtype=np.float64)
-    np.abs(y, out=q)
-    q += 0.5
-    np.floor(q, out=q)
-    np.copysign(q, y, out=q)
-    return np.clip(q, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1, out=q)
+    """quantize_values of `x` into the float64 buffer `q`, in place.
+
+    Rounding half away from zero is symmetric, so y + copysign(0.5, y) is
+    exactly +-(|y| + 0.5) and its truncation equals copysign(floor(|y| + 0.5), y)
+    for every float64 y, signed zeros, infinities and NaN included.
+    """
+    np.divide(x, scale, out=q, dtype=np.float64)
+    q += np.copysign(0.5, q)
+    np.trunc(q, out=q)
+    np.minimum(q, 2 ** (bits - 1) - 1, out=q)
+    return np.maximum(q, -(2 ** (bits - 1)), out=q)
 
 
 def init_scale(values, bits):
@@ -267,18 +271,26 @@ def grouped_forward(codes, q_cols, partition, scales, bias=None,
     return finish_rows(acc, bias, activation, slope)
 
 
-def quantized_forward_layer(weights, cols, partition, scales, bias=None,
-                            activation="identity", slope=0.01, counters=None):
+def quantized_forward_layer(weights, x, partition, scales, bias=None,
+                            activation="identity", slope=0.01, counters=None, lower=None):
     """Grouped integer conv: quantize every group (v, h) under its scale, run
     one integer matmul per column group, rescale each row group by its group
     scale times the input scale, and sum over h; bias and activation are
     applied on the rescaled result.
+
+    `x` is the lowered [J, P] input, or, with `lower` given, the activation
+    that lower(x) turns into it. The activation is then quantized before it
+    is lowered: quantization is elementwise and lowering only copies
+    elements and pads with +0.0, whose code is +0.0, so the codes are the
+    same bit for bit while a K*K conv quantizes each input element once
+    instead of K*K times.
     """
     weights = np.asarray(weights)
-    cols = np.asarray(cols)
-    check_layer_scales(weights, cols, partition, scales)
+    q_cols = quantize_values(x, scales.input_scale, scales.act_bits)
+    if lower is not None:
+        q_cols = lower(q_cols)
+    check_layer_scales(weights, q_cols, partition, scales)
     codes = quantize_weight_groups(weights, partition, scales.weight_scales,
                                    scales.weight_bits)
-    q_cols = quantize_values(cols, scales.input_scale, scales.act_bits)
     return grouped_forward(codes, q_cols, partition, scales, bias, activation, slope,
                            counters)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .calib import CalibConfig, calibrate_layer, distance
 from .errors import BadInputError
-from .model import execute, float_conv, reference_target, successors
+from .model import execute, float_conv, lower_layer_input, reference_target, successors
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,8 @@ def score_block(ctx, layers):
     targets = {layer.id: reference_target(layer, out)
                for layer, out in execute(layers, feeds, float_conv)}
 
-    def calibrate(layer, cols):
+    def calibrate(layer, x):
+        cols, _ = lower_layer_input(layer, x)
         cal = calibrate_layer(layer.weight_matrix(), cols, targets[layer.id],
                               ctx.granularity, ctx.calib_cfg, layer.bias,
                               layer.activation, layer.slope)

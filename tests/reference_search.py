@@ -1,7 +1,8 @@
 """Unbatched reference implementations of the weight search and the grouped
 forward, kept as oracles for the batched versions in `subquant`, plus the
 block fitness written as its own layer loop, an oracle for the executor-based
-`score_block`.
+`score_block`, and the earlier forms of the quantization formula and of
+im2col.
 
 `reference_search_weight_scales` scores every grid candidate with
 `distance()` on the full layer output; `reference_quantized_forward_layer`
@@ -14,7 +15,29 @@ import numpy as np
 from subquant.calib import calibrate_layer, distance, scale_space
 from subquant.model import lower_layer_input, raise_layer_output
 from subquant.quant import check_exact_accumulation, init_scale, quantize_values
-from subquant.tensor import apply_activation, conv_reference
+from subquant.tensor import apply_activation, conv_output_hw, conv_reference
+
+
+def reference_quantize_values(x, scale, bits):
+    """clamp(copysign(floor(|x / scale| + 0.5), x / scale)) with np.clip, the
+    formula quantize_values had before its truncating kernel."""
+    y = np.divide(x, scale, dtype=np.float64)
+    q = np.copysign(np.floor(np.abs(y) + 0.5), y)
+    return np.clip(q, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1)
+
+
+def reference_im2col(x, kernel, stride=1, padding=0):
+    """The float32 im2col: np.pad, then one transposed copy per kernel offset."""
+    n, c, h, w = x.shape
+    out_h, out_w = conv_output_hw(h, w, kernel, stride, padding)
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((c, kernel, kernel, n, out_h, out_w), dtype=np.float32)
+    for ki in range(kernel):
+        for kj in range(kernel):
+            patch = x[:, :, ki:ki + stride * out_h:stride, kj:kj + stride * out_w:stride]
+            cols[:, ki, kj] = patch.transpose(1, 0, 2, 3)
+    return cols.reshape(c * kernel * kernel, n * out_h * out_w)
 
 
 def finish_row_group(tiles, group_scales, input_scale, bias_rows, activation, slope):

@@ -418,9 +418,11 @@ class TestMalformedInput:
         return broken
 
     def run(self, command, tmp_path, model, calibration, eval_inputs=None, labels=8):
+        """`labels` is a label count, or the labels file's text."""
         extra = {}
         if eval_inputs is not None:
-            (tmp_path / "labels.json").write_text(json.dumps([0] * labels))
+            (tmp_path / "labels.json").write_text(
+                json.dumps([0] * labels) if isinstance(labels, int) else labels)
             extra["eval"] = {"inputs": str(eval_inputs),
                              "labels": str(tmp_path / "labels.json")}
         config = write_config(
@@ -476,6 +478,35 @@ class TestMalformedInput:
         assert self.run("reorder", tmp_path, bundle,
                         fixture_dir / "small_cnn_calib.ptqc") == 2
         assert "segment skip is not a conv chain" in capsys.readouterr().err
+
+    def test_predecessors_that_are_a_string_exit_2(self, fixture_dir, tmp_path, capsys):
+        def edit(manifest):
+            entry = next(e for e in manifest["layers"] if e["id"] == "conv1")
+            entry["predecessors"] = "input"
+        bundle = self.edited_bundle(fixture_dir, tmp_path, edit)
+        assert self.run("quantize", tmp_path, bundle,
+                        fixture_dir / "small_cnn_calib.ptqc") == 2
+        err = capsys.readouterr().err
+        assert "layer conv1" in err and "'predecessors' must be a list" in err
+
+    @pytest.mark.parametrize("layers", ["conv3", ["conv3", 4]])
+    def test_segment_layers_that_are_not_ids_exit_2(self, fixture_dir, tmp_path, layers,
+                                                   capsys):
+        def edit(manifest):
+            manifest["segments"] = [{"id": "block1", "layers": layers}]
+        bundle = self.edited_bundle(fixture_dir, tmp_path, edit)
+        assert self.run("reorder", tmp_path, bundle,
+                        fixture_dir / "small_cnn_calib.ptqc") == 2
+        err = capsys.readouterr().err
+        assert "segment block1" in err and "'layers' must be a list" in err
+
+    @pytest.mark.parametrize("text", ["[1, 2", '["a", 1, 2, 3, 4, 5, 6, 7]',
+                                      "[1.7, 1, 2, 3, 4, 5, 6, 7]", '{"0": 1}'])
+    def test_malformed_eval_labels_exit_2(self, fixture_dir, tmp_path, text, capsys):
+        assert self.run("eval", tmp_path, fixture_dir / "small_cnn",
+                        fixture_dir / "small_cnn_calib.ptqc",
+                        eval_inputs=fixture_dir / "small_cnn_eval.ptqc", labels=text) == 2
+        assert "labels.json" in capsys.readouterr().err
 
     def test_manifest_that_is_not_an_object_exits_2(self, fixture_dir, tmp_path, capsys):
         bundle = self.edited_bundle(fixture_dir, tmp_path, lambda manifest: None)

@@ -1,10 +1,14 @@
 """Bundle round-trips, BN folding, and the float forward pass."""
 
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from subquant.errors import BadInputError
 from subquant.fixtures import build_resnet20_style, build_small_cnn, random_inputs
@@ -13,6 +17,7 @@ from subquant.model import (
     BatchNormParams,
     Layer,
     ModelGraph,
+    QuantizedLayerInfo,
     execute,
     float_conv,
     fold_batchnorm,
@@ -20,11 +25,14 @@ from subquant.model import (
     fuse_activations,
     load_bundle,
     load_calibration_set,
+    lower_layer_input,
     prepare_for_quantization,
     propagate_shapes,
+    quantized_conv,
     save_bundle,
     save_calibration_set,
 )
+from subquant.quant import ScaleSet, quantize_values
 
 
 class TestBundleIO:
@@ -248,18 +256,25 @@ class TestExecute:
         np.testing.assert_array_equal(outs["conv4"], full["conv4"])
 
     def test_conv_op_sees_lowered_matrices(self):
+        """conv_op gets the incoming activation; lowering it gives the
+        float64 [J, P] matrix."""
         graph = prepare_for_quantization(build_small_cnn())
-        seen = {}
+        seen, lowered = {}, {}
 
-        def conv_op(layer, cols):
-            seen[layer.id] = cols.shape
-            return float_conv(layer, cols)
+        def conv_op(layer, x):
+            seen[layer.id] = x.shape
+            cols, _ = lower_layer_input(layer, x)
+            lowered[layer.id] = (cols.shape, cols.dtype)
+            return float_conv(layer, x)
 
         x = random_inputs(graph, 3, seed=2)
         list(execute(graph.layers, {graph.input_id: x}, conv_op))
-        assert seen["conv1"] == (3 * 3 * 3, 3 * 8 * 8)
-        assert seen["conv5"] == (12 * 3 * 3, 3 * 4 * 4)
-        assert seen["fc"] == (16 * 4 * 4, 3)
+        assert seen["conv1"] == (3, 3, 8, 8)
+        assert seen["conv5"] == (3, 12, 8, 8)
+        assert seen["fc"] == (3, 16, 4, 4)
+        assert lowered["conv1"] == ((3 * 3 * 3, 3 * 8 * 8), np.float64)
+        assert lowered["conv5"] == ((12 * 3 * 3, 3 * 4 * 4), np.float64)
+        assert lowered["fc"] == ((16 * 4 * 4, 3), np.float64)
 
     def test_input_channel_mismatch_names_layer(self):
         graph = prepare_for_quantization(build_small_cnn())
@@ -272,6 +287,65 @@ class TestExecute:
         graph.layer("conv2").weight = None
         with pytest.raises(ValueError, match="layer conv2 has no weights loaded"):
             forward_float(graph, random_inputs(graph, 1, seed=0))
+
+    @pytest.mark.parametrize("kind,bound", [("float", 1.45), ("quantized", 1.75)])
+    def test_conv_step_peak_memory(self, kind, bound):
+        """Traced peak of running conv3 on 256 samples, in units of its float64
+        [J, P] matrix: the float32 lowering plus its float64 copy, or codes of
+        the lowered matrix beside the lowered matrix, would exceed the bound."""
+        graph = prepare_for_quantization(build_small_cnn())
+        layer = graph.layer("conv3")
+        info = QuantizedLayerInfo(ScaleSet(np.full((12, 4), 0.02), 0.05), 1, 27)
+        conv_op = float_conv if kind == "float" else quantized_conv({"conv3": info})
+        walk = execute(graph.layers, {graph.input_id: random_inputs(graph, 256, seed=0)},
+                       conv_op)
+        for done, _ in walk:
+            if done.id == layer.predecessors[0]:
+                break
+        tracemalloc.start()
+        try:
+            stepped, _ = next(walk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stepped is layer
+        lowered_bytes = layer.weights_per_channel * 256 * 8 * 8 * 8
+        assert peak / lowered_bytes < bound
+
+
+@st.composite
+def layer_and_activation(draw):
+    """A conv (kernel 1 or 3, stride 1 or 2, padding 0 or 1) or a linear layer,
+    with a float32 activation that may hold signed zeros, infinities and NaN."""
+    kind = draw(st.sampled_from(["conv", "linear"]))
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kernel, stride, padding = (draw(st.sampled_from([1, 3])), draw(st.sampled_from([1, 2])),
+                               draw(st.sampled_from([0, 1])))
+    low = max(1, kernel - 2 * padding) if kind == "conv" else 1
+    h, w = draw(st.integers(low, 6)), draw(st.integers(low, 6))
+    if kind == "conv":
+        layer = Layer(id="l", kind="conv", out_channels=1, in_channels=c, kernel=kernel,
+                      stride=stride, padding=padding)
+    else:
+        layer = Layer(id="l", kind="linear", out_channels=1, in_channels=c * h * w)
+    x = draw(hnp.arrays(np.float32, (n, c, h, w), elements=st.floats(width=32)))
+    return layer, x
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=layer_and_activation(),
+       scale=st.floats(min_value=1e-4, max_value=1e4),
+       bits=st.integers(2, 16))
+def test_quantizing_commutes_with_lowering(case, scale, bits):
+    """Lowering copies elements and pads with +0.0, whose code is +0.0, so
+    quantize-then-lower equals lower-then-quantize bit for bit."""
+    layer, x = case
+    with np.errstate(over="ignore"):
+        early, _ = lower_layer_input(layer, quantize_values(x, scale, bits))
+        late = quantize_values(lower_layer_input(layer, x)[0], scale, bits)
+    assert early.dtype == late.dtype == np.float64
+    assert np.array_equal(early, late, equal_nan=True)
+    assert np.array_equal(np.signbit(early), np.signbit(late))
 
 
 class TestForward:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference_search import reference_quantize_values
 from subquant.quant import (
     GranularityConfig,
     OpCounters,
@@ -65,6 +66,54 @@ class TestMappingFunction:
             q = quantize_values(arr, 0.25, 8)
             np.testing.assert_array_equal(q, manual)
             assert q.dtype == np.float64 and q.shape == arr.shape
+
+
+def adversarial_values(scale, bits):
+    """Inputs whose codes are easy to get wrong: exact halves, the largest
+    double below 0.5, signed zeros, infinities, NaN, the clamp endpoints and
+    their neighbours, plus the float64 extremes."""
+    top = 2.0 ** (bits - 1)
+    ks = np.concatenate([np.arange(-8, 8), [-top - 1, -top, top - 2, top - 1, top]])
+    ys = np.concatenate([ks, ks + 0.5, [0.49999999999999994, -0.49999999999999994,
+                                        top - 0.5, -top - 0.5, top + 0.5]])
+    x = np.concatenate([ys * scale, ys, [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                                         5e-324, -5e-324, 1.7e308, -1.7e308]])
+    return np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+class TestQuantizeKernel:
+    """quantize_values against the np.clip formula it replaced, bit for bit:
+    values, NaN positions and the signs of zeros and NaN."""
+
+    @staticmethod
+    def assert_same_codes(got, want):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("bits", [2, 4, 8, 16])
+    @pytest.mark.parametrize("scale", [1.0, 0.25, 0.1, 3.0, 7.5e-5, 2.0 ** -20])
+    def test_adversarial_values(self, scale, bits):
+        x = adversarial_values(scale, bits)
+        self.assert_same_codes(quantize_values(x, scale, bits),
+                               reference_quantize_values(x, scale, bits))
+        x32 = x.astype(np.float32)
+        self.assert_same_codes(quantize_values(x32, scale, bits),
+                               reference_quantize_values(x32, scale, bits))
+
+    @pytest.mark.parametrize("bits", [2, 8])
+    def test_blocked_and_per_row_paths(self, bits):
+        """Large inputs run block by block; a scale vector broadcasts per row."""
+        x = adversarial_values(0.25, bits)
+        big = np.tile(x, 3 * (1 << 15) // x.size + 1)
+        assert big.size > 1 << 16
+        self.assert_same_codes(quantize_values(big, 0.25, bits),
+                               reference_quantize_values(big, 0.25, bits))
+        rows = np.stack([x, -x, 3 * x])
+        row_scales = np.array([[0.25], [0.1], [3.0]])
+        self.assert_same_codes(quantize_values(rows, row_scales, bits),
+                               reference_quantize_values(rows, row_scales, bits))
 
 
 class TestInitScale:

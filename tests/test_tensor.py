@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference_search import reference_im2col
 from subquant.tensor import apply_activation, conv_output_hw, conv_reference, im2col
 
 
@@ -67,6 +68,28 @@ class TestIm2col:
         cols_perm = im2col(x[:, perm], k, 1, 1)
         block_rows = np.concatenate([np.arange(c * k * k, (c + 1) * k * k) for c in perm])
         np.testing.assert_array_equal(cols_perm, cols[block_rows])
+
+    @pytest.mark.parametrize("n,ic,h,w,k,s,pad", [
+        (1, 1, 5, 5, 3, 1, 0),
+        (2, 3, 6, 6, 3, 2, 1),
+        (1, 4, 7, 5, 1, 1, 0),
+        (2, 4, 6, 6, 1, 2, 1),
+        (3, 2, 8, 8, 5, 2, 2),
+    ])
+    def test_matches_float32_oracle(self, n, ic, h, w, k, s, pad):
+        """The float64 lowering equals the earlier float32 one cast to float64,
+        signs of zeros included, for contiguous and channel-major inputs."""
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(n, ic, h, w)).astype(np.float32)
+        x.reshape(-1)[::5] = -0.0
+        x.reshape(-1)[1::7] = np.inf
+        channel_major = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        want = reference_im2col(x, k, s, pad).astype(np.float64)
+        for arr in (x, channel_major):
+            got = im2col(arr, k, s, pad)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
     def test_rejects_bad_geometry(self):
         x = np.zeros((1, 1, 3, 3), dtype=np.float32)
