@@ -9,7 +9,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -35,10 +34,10 @@ from .model import (
 from .quant import GranularityConfig
 from .reorder import (
     ReorderConfig,
+    check_segments,
     commit_segment_reordering,
     ea_search,
     make_segment_context,
-    segment_layers,
 )
 
 OUT_ENV_VAR = "SUBQUANT_OUT"
@@ -61,12 +60,42 @@ class RunConfig:
     eval_labels: Path | None
 
 
+def _section(raw, key):
+    """A config section, which must be a JSON object when present."""
+    entry = raw.get(key, {})
+    if not isinstance(entry, dict):
+        raise TypeError(f"{key} must be a JSON object, got {entry!r}")
+    return entry
+
+
+def _int(what, value):
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _int_list(what, value):
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list of integers, got {value!r}")
+    for v in value:
+        _int(f"each entry of {what}", v)
+    return value
+
+
 def _granularity_from(entry):
-    mode = entry.get("mode", "channelwise")
-    return GranularityConfig(mode=mode,
-                             rows_per_group=int(entry.get("rows_per_group", 1)),
-                             cols_per_group=entry.get("cols_per_group"),
-                             h_groups=entry.get("h_groups"))
+    sizes = {key: _int(f"granularity.{key}", entry[key])
+             for key in ("rows_per_group", "cols_per_group", "h_groups")
+             if entry.get(key) is not None}
+    return GranularityConfig(mode=entry.get("mode", "channelwise"), **sizes)
+
+
+def _calib_from(entry):
+    calib = CalibConfig(**entry)
+    for what in ("weight_bits", "act_bits"):
+        bits = _int(f"calib.{what}", getattr(calib, what))
+        if not 2 <= bits <= 16:  # the rule load_bundle applies to a scale table
+            raise ValueError(f"calib.{what} {bits} outside [2, 16]")
+    return calib
 
 
 def load_run_config(path, out=None, seed=None, jobs=None):
@@ -78,29 +107,35 @@ def load_run_config(path, out=None, seed=None, jobs=None):
     except json.JSONDecodeError as exc:
         raise BadInputError(f"malformed config {path}: {exc}") from exc
     try:
+        if not isinstance(raw, dict):
+            raise TypeError(f"the config must be a JSON object, got {raw!r}")
         run_seed = int(seed if seed is not None else raw.get("seed", 0))
-        calib_raw = dict(raw.get("calib", {}))
+        calib_raw = dict(_section(raw, "calib"))
         calib_raw.setdefault("seed", run_seed)
-        reorder_raw = dict(raw.get("reorder", {}))
+        reorder_raw = dict(_section(raw, "reorder"))
         reorder_raw.setdefault("seed", run_seed)
-        sweep = raw.get("sweep", {})
+        sweep = _section(raw, "sweep")
+        eval_raw = _section(raw, "eval")
         out_dir = Path(out if out is not None
                        else os.environ.get(OUT_ENV_VAR) or raw.get("out", "subquant-out"))
         model = raw["model"]
+        run_jobs = _int("jobs", jobs if jobs is not None else raw.get("jobs", 1))
+        if run_jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {run_jobs}")
         cfg = RunConfig(
             model=(path.parent / model).resolve() if not Path(model).is_absolute() else Path(model),
             calibration=_resolve_optional(path, raw.get("calibration")),
-            granularity=_granularity_from(raw.get("granularity", {})),
-            calib=CalibConfig(**calib_raw),
+            granularity=_granularity_from(_section(raw, "granularity")),
+            calib=_calib_from(calib_raw),
             reorder=ReorderConfig(**reorder_raw),
             out=out_dir,
             seed=run_seed,
-            jobs=int(jobs if jobs is not None else raw.get("jobs", 1)),
-            sweep_rows=list(sweep.get("rows", [])),
-            sweep_cols=list(sweep.get("cols", [])),
-            sweep_h=list(sweep.get("h_groups", [])),
-            eval_inputs=_resolve_optional(path, raw.get("eval", {}).get("inputs")),
-            eval_labels=_resolve_optional(path, raw.get("eval", {}).get("labels")),
+            jobs=run_jobs,
+            sweep_rows=_int_list("sweep.rows", sweep.get("rows", [])),
+            sweep_cols=_int_list("sweep.cols", sweep.get("cols", [])),
+            sweep_h=_int_list("sweep.h_groups", sweep.get("h_groups", [])),
+            eval_inputs=_resolve_optional(path, eval_raw.get("inputs")),
+            eval_labels=_resolve_optional(path, eval_raw.get("labels")),
         )
     except BadInputError:
         raise
@@ -179,6 +214,45 @@ def cmd_quantize(cfg):
     return 0
 
 
+def parallel_map(fn, items, jobs):
+    """[fn(item) for item in items], spread over up to `jobs` worker processes.
+
+    Workers are forked, so `fn` may be a closure over large arrays: it and the
+    items reach the workers through the fork, and only the results are
+    pickled back. Results keep the order of `items`, whatever `jobs` is. With
+    one worker (jobs 1 or a single item) everything runs in this process. An
+    exception `fn` raises in a worker is raised here, and the items not yet
+    started are dropped.
+    """
+    items = list(items)
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    # Imported here, as only a pool needs them: at module level they would
+    # add about 15 ms to every command's start.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    # A fork-context pool forks all its workers before it starts its own
+    # threads, and the fork hands the initializer's arguments over unpickled.
+    with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                             initializer=_receive_work, initargs=(fn, items)) as pool:
+        return list(pool.map(_run_item, range(len(items))))
+
+
+_forked_work = None  # set in each worker process only: (fn, items)
+
+
+def _receive_work(fn, items):
+    global _forked_work
+    _forked_work = fn, items
+
+
+def _run_item(index):
+    fn, items = _forked_work
+    return fn(items[index])
+
+
 def _sweep_axis(cfg):
     if cfg.sweep_cols and cfg.sweep_h:
         raise BadInputError("sweep config must set either cols or h_groups, not both")
@@ -198,11 +272,12 @@ def cmd_sweep(cfg):
     references = forward_float(graph, samples)
     eval_data = _load_eval_set(cfg, graph) if cfg.eval_inputs else None
 
-    def run_cell(rows, value):
+    def run_cell(rows_value):
+        rows, value = rows_value
         if axis == "cols":
-            gran = GranularityConfig("method1", rows, int(value))
+            gran = GranularityConfig("method1", rows, value)
         else:
-            gran = GranularityConfig("method2", rows, h_groups=int(value))
+            gran = GranularityConfig("method2", rows, h_groups=value)
         result = calibrate_network(graph, samples, gran, cfg.calib,
                                    references=references)
         cell = {"distance": result.network_distance}
@@ -213,11 +288,7 @@ def cmd_sweep(cfg):
         return cell
 
     cells = [(r, v) for r in cfg.sweep_rows for v in col_values]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(_guarded(run_cell), *zip(*cells)))
-    else:
-        outcomes = [_guarded(run_cell)(r, v) for r, v in cells]
+    outcomes = parallel_map(_guarded(run_cell), cells, cfg.jobs)
 
     grid = dict(zip(cells, outcomes))
     header = [f"rows\\{axis}"] + [str(v) for v in col_values]
@@ -244,9 +315,9 @@ def cmd_sweep(cfg):
 
 
 def _guarded(fn):
-    def wrapped(*args):
+    def wrapped(item):
         try:
-            return fn(*args)
+            return fn(item)
         except Exception as exc:  # keep the sweep alive, mark the cell
             return {"error": f"{type(exc).__name__}: {exc}"}
     return wrapped
@@ -260,8 +331,7 @@ def _cell_text(cell, key):
 
 def cmd_reorder(cfg):
     graph = _load_model(cfg)
-    for segment in graph.segments:  # reject a bad segment before any calibration
-        segment_layers(graph, segment)
+    check_segments(graph)  # reject bad segments before any calibration
     samples = _load_samples(cfg, graph)
     calib_samples = subsample(samples, cfg.calib.samples, cfg.calib.seed)
     references = forward_float(graph, calib_samples)
@@ -273,12 +343,18 @@ def cmd_reorder(cfg):
             "segments": [], "baseline_network_distance": baseline.network_distance,
             "final_network_distance": baseline.network_distance, "seed": cfg.seed})
         return 0
-    results = []
-    for index, segment in enumerate(graph.segments):
-        ctx = make_segment_context(graph, segment, references, cfg.granularity, cfg.calib)
-        res = ea_search(ctx, replace(cfg.reorder, seed=cfg.reorder.seed + index))
+    # The segments are disjoint and every search reads the float references,
+    # so no search depends on another's commit: all run on the uncommitted
+    # graph, and the commits follow in segment order.
+    contexts = [make_segment_context(graph, segment, references, cfg.granularity, cfg.calib)
+                for segment in graph.segments]
+
+    def search(index):
+        return ea_search(contexts[index], replace(cfg.reorder, seed=cfg.reorder.seed + index))
+
+    results = parallel_map(search, range(len(contexts)), cfg.jobs)
+    for segment, res in zip(graph.segments, results):
         commit_segment_reordering(graph, segment, res.best_perms)
-        results.append(res)
         print(f"segment {segment.id}: score {res.identity_score:.6g} -> "
               f"{res.best_score:.6g}")
     final = calibrate_network(graph, samples, cfg.granularity, cfg.calib)
@@ -399,7 +475,8 @@ def build_parser():
         cmd.add_argument("--out", default=None, help="output directory "
                          f"(overrides config and ${OUT_ENV_VAR})")
         cmd.add_argument("--seed", type=int, default=None, help="master seed override")
-        cmd.add_argument("--jobs", type=int, default=None, help="parallel sweep workers")
+        cmd.add_argument("--jobs", type=int, default=None,
+                         help="worker processes for sweep cells and reorder segments")
     return parser
 
 

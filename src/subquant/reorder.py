@@ -170,6 +170,19 @@ def segment_layers(graph, segment):
     return layers
 
 
+def check_segments(graph):
+    """Every segment is a conv chain (see segment_layers), and no layer is in
+    two segments, so each segment's search can run on the graph as loaded:
+    no segment's reordering changes another's layers."""
+    owner = {}
+    for segment in graph.segments:
+        for layer in segment_layers(graph, segment):
+            if layer.id in owner:
+                raise BadInputError(f"segments {owner[layer.id]} and {segment.id} overlap "
+                                    f"at layer {layer.id}")
+            owner[layer.id] = segment.id
+
+
 def make_segment_context(graph, segment, float_refs, granularity, calib_cfg):
     """Build the scoring context for a segment (see segment_layers) from
     cached float activations."""

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import os
+import re
 import shutil
 import struct
 
@@ -10,9 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import write_config
-from subquant.cli import main
+from subquant.cli import main, parallel_map
 from subquant.errors import BadInputError
-from subquant.fixtures import build_small_cnn
+from subquant.fixtures import build_resnet20_style, build_small_cnn, random_inputs
 from subquant.model import Layer, ModelGraph, load_bundle, save_bundle, save_calibration_set
 
 
@@ -25,6 +27,23 @@ def quick_calib(**overrides):
     cfg = {"grid_size": 12, "iterations": 1, "samples": 8}
     cfg.update(overrides)
     return cfg
+
+
+@pytest.fixture(scope="module")
+def resnet20_config(tmp_path_factory):
+    """A reorder run on resnet20_style, whose 9 segments give each of two
+    workers several searches, with search settings cut down for a test."""
+    root = tmp_path_factory.mktemp("resnet20")
+    graph = build_resnet20_style()
+    save_bundle(graph, root / "resnet20_style")
+    save_calibration_set(root / "calib.ptqc", random_inputs(graph, 4, seed=0))
+    return write_config(
+        root / "run.json",
+        model=str(root / "resnet20_style"),
+        calibration=str(root / "calib.ptqc"),
+        granularity={"mode": "method1", "rows_per_group": 4, "cols_per_group": 36},
+        calib=quick_calib(grid_size=4, samples=4),
+        reorder={"population": 2, "iterations": 1})
 
 
 class TestQuantize:
@@ -164,6 +183,16 @@ class TestSweep:
         assert (tmp_path / "seq" / "sweep_distance.csv").read_bytes() == \
             (tmp_path / "par" / "sweep_distance.csv").read_bytes()
 
+    def test_failed_cell_in_a_worker(self, fixture_dir, tmp_path):
+        config = self.base_config(fixture_dir, tmp_path, {"rows": [0, 1], "cols": [36]})
+        for jobs in ("1", "2"):
+            assert main(["sweep", "--config", str(config), "--jobs", jobs, "--out",
+                         str(tmp_path / jobs)]) == 0
+        rows = read_csv(tmp_path / "2" / "sweep_distance.csv")
+        assert rows[1][1] == "FAILED" and rows[2][1] != "FAILED"
+        for name in ("sweep_distance.csv", "sweep_summary.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_empty_sweep_exits_2(self, fixture_dir, tmp_path):
         config = self.base_config(fixture_dir, tmp_path, {"rows": []})
         assert main(["sweep", "--config", str(config)]) == 2
@@ -192,6 +221,25 @@ class TestReorder:
         loaded = load_bundle(tmp_path / "rout" / "reordered")
         assert loaded.reorderings[0]["segment"] == "block1"
         assert sorted(loaded.reorderings[0]["permutations"][0]) == list(range(12))
+
+    def test_jobs_flag_keeps_results_identical(self, resnet20_config, tmp_path):
+        for jobs in ("1", "2"):
+            assert main(["reorder", "--config", str(resnet20_config), "--jobs", jobs,
+                         "--out", str(tmp_path / jobs)]) == 0
+        for name in ("segment_scores.csv", "reorder_summary.json",
+                     "reordered/manifest.json", "reordered/tensors.bin"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_bad_input_in_a_worker_exits_2(self, resnet20_config, tmp_path, capsys,
+                                           monkeypatch):
+        def rejecting_search(ctx, cfg):
+            raise BadInputError(f"segment {ctx.segment_id} rejected in process {os.getpid()}")
+        monkeypatch.setattr("subquant.cli.ea_search", rejecting_search)
+        assert main(["reorder", "--config", str(resnet20_config), "--jobs", "2",
+                     "--out", str(tmp_path / "out")]) == 2
+        found = re.search(r"error: segment block1 rejected in process (\d+)",
+                          capsys.readouterr().err)
+        assert found and int(found.group(1)) != os.getpid()
 
     def test_no_segments_is_noop(self, tmp_path, capsys):
         graph = build_small_cnn()
@@ -479,6 +527,59 @@ class TestMalformedInput:
                         fixture_dir / "small_cnn_calib.ptqc") == 2
         assert "segment skip is not a conv chain" in capsys.readouterr().err
 
+    def test_overlapping_segments_exit_2(self, fixture_dir, tmp_path, capsys, monkeypatch):
+        def edit(manifest):
+            manifest["segments"] = [{"id": "block1", "layers": ["conv3", "conv4"]},
+                                    {"id": "tail", "layers": ["conv4"]}]
+
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibration ran before the segment check")
+        monkeypatch.setattr("subquant.cli.calibrate_network", no_calibration)
+        bundle = self.edited_bundle(fixture_dir, tmp_path, edit)
+        assert self.run("reorder", tmp_path, bundle,
+                        fixture_dir / "small_cnn_calib.ptqc") == 2
+        assert "segments block1 and tail overlap at layer conv4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entries,fault", [
+        pytest.param({"calib": quick_calib(weight_bits=40)},
+                     "calib.weight_bits 40 outside [2, 16]", id="weight_bits-40"),
+        pytest.param({"calib": quick_calib(act_bits=1)},
+                     "calib.act_bits 1 outside [2, 16]", id="act_bits-1"),
+        pytest.param({"sweep": {"rows": "14", "h_groups": [1]}},
+                     "sweep.rows must be a list of integers, got '14'", id="rows-string"),
+        pytest.param({"sweep": {"rows": [True], "h_groups": [1]}},
+                     "each entry of sweep.rows must be an integer, got True", id="rows-bool"),
+        pytest.param({"sweep": {"rows": [1], "cols": [2.5]}},
+                     "each entry of sweep.cols must be an integer, got 2.5", id="cols-float"),
+        pytest.param({"sweep": [1]}, "sweep must be a JSON object", id="sweep-list"),
+        pytest.param({"granularity": [1]}, "granularity must be a JSON object",
+                     id="granularity-list"),
+        pytest.param({"granularity": {"mode": "method1", "cols_per_group": 2.5}},
+                     "granularity.cols_per_group must be an integer, got 2.5",
+                     id="cols_per_group-float"),
+        pytest.param({"jobs": 0}, "jobs must be >= 1, got 0", id="jobs-0"),
+        pytest.param({"jobs": "2"}, "jobs must be an integer, got '2'", id="jobs-string"),
+    ])
+    def test_malformed_run_config_exits_2(self, fixture_dir, tmp_path, entries, fault,
+                                          capsys):
+        config = write_config(tmp_path / "run.json", **{
+            "model": str(fixture_dir / "small_cnn"),
+            "calibration": str(fixture_dir / "small_cnn_calib.ptqc"),
+            "calib": quick_calib(), "sweep": {"rows": [1], "h_groups": [1]},
+            "out": str(tmp_path / "out"), **entries})
+        assert main(["sweep", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "run.json" in err and fault in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_flag_below_1_exits_2(self, fixture_dir, tmp_path, jobs, capsys):
+        config = write_config(tmp_path / "run.json", model=str(fixture_dir / "small_cnn"),
+                              calibration=str(fixture_dir / "small_cnn_calib.ptqc"),
+                              calib=quick_calib(), sweep={"rows": [1], "h_groups": [1]})
+        assert main(["sweep", "--config", str(config), "--jobs", jobs,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
     def test_predecessors_that_are_a_string_exit_2(self, fixture_dir, tmp_path, capsys):
         def edit(manifest):
             entry = next(e for e in manifest["layers"] if e["id"] == "conv1")
@@ -549,6 +650,42 @@ class TestMalformedInput:
                         fixture_dir / "small_cnn_calib.ptqc") == 2
         err = capsys.readouterr().err
         assert "layer big:" in err and "kernel=9" in err
+
+
+class TestParallelMap:
+    def test_keeps_order_in_worker_processes(self):
+        offset = 10  # a closure over local state reaches the workers through the fork
+        results = parallel_map(lambda i: (i + offset, os.getpid()), range(7), 2)
+        assert [value for value, _ in results] == list(range(10, 17))
+        pids = {pid for _, pid in results}
+        assert os.getpid() not in pids and len(pids) <= 2
+
+    def test_never_more_workers_than_items(self, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            """Records the pool size and runs the items in this process."""
+
+            def __init__(self, workers, *, initializer, initargs, **_):
+                pools.append(workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("subquant.cli._forked_work", None)
+        assert parallel_map(str, [1, 2, 3], 1000) == ["1", "2", "3"]
+        assert parallel_map(str, [4], 8) == ["4"]
+        assert parallel_map(str, [5, 6], 1) == ["5", "6"]
+        assert parallel_map(str, [], 4) == []
+        assert pools == [3]
 
 
 class TestDeterminism:
