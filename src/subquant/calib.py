@@ -78,14 +78,9 @@ class CalibConfig:
 
 
 def scale_space(alpha, beta, center, n):
-    """n candidates evenly spaced over [alpha*center, beta*center].
-
-    A singleton space (n=1) degenerates to the center itself.
-    """
+    """n candidates evenly spaced over [alpha*center, beta*center]."""
     if center <= 0:
         raise ValueError(f"center scale must be positive, got {center}")
-    if n == 1:
-        return np.array([center], dtype=np.float64)
     return np.linspace(alpha * center, beta * center, n, dtype=np.float64)
 
 
@@ -351,20 +346,14 @@ class NetworkCalibration:
         return float(np.mean([self.layer_distances[k] for k in keys])) if keys else 0.0
 
 
-def calibrate_network(graph, samples, granularity, cfg, references=None):
-    """Calibrate every quantizable layer in topological order.
+def calibrating_conv(refs, granularity, cfg, on_layer=None):
+    """conv_op that calibrates each quantized layer as the walk reaches it.
 
-    One executor walk: each quantized layer is calibrated on its input from
-    the already-quantized prefix against its float reference, and its
-    quantized output feeds the layers after it. `references` may carry a
-    precollected float forward map so that sweeps across granularities
-    reuse one reference run.
+    A quantized layer is calibrated (calibrate_layer) on its lowered input
+    against its float reference refs[layer.id], and its quantized output
+    feeds the layers after it; a layer with quantize false runs in float.
+    on_layer(layer, cal), when given, sees each LayerCalibration.
     """
-    samples = subsample(np.asarray(samples, dtype=np.float32), cfg.samples, cfg.seed)
-    refs = forward_float(graph, samples) if references is None else references
-    scales = {}
-    step_distances = {}
-
     def conv_op(layer, x):
         if not layer.quantize:
             return float_conv(layer, x)
@@ -372,11 +361,32 @@ def calibrate_network(graph, samples, granularity, cfg, references=None):
         cols, _ = lower_layer_input(layer, x)
         cal = calibrate_layer(layer.weight_matrix(), cols, target, granularity, cfg,
                               layer.bias, layer.activation, layer.slope)
+        if on_layer is not None:
+            on_layer(layer, cal)
+        return cal.output
+    return conv_op
+
+
+def calibrate_network(graph, samples, granularity, cfg, references=None):
+    """Calibrate every quantizable layer in topological order.
+
+    One executor walk with calibrating_conv: each quantized layer is
+    calibrated on its input from the already-quantized prefix against its
+    float reference, and its quantized output feeds the layers after it.
+    `references` may carry a precollected float forward map so that sweeps
+    across granularities reuse one reference run.
+    """
+    samples = subsample(np.asarray(samples, dtype=np.float32), cfg.samples, cfg.seed)
+    refs = forward_float(graph, samples) if references is None else references
+    scales = {}
+    step_distances = {}
+
+    def record(layer, cal):
         scales[layer.id] = QuantizedLayerInfo(
             cal.scales, cal.partition.rows_per_group, cal.partition.cols_per_group)
         step_distances[layer.id] = cal.step_distances
-        return cal.output
 
+    conv_op = calibrating_conv(refs, granularity, cfg, record)
     layer_distances = {
         layer.id: distance(out, refs[layer.id], cfg.metric)
         for layer, out in execute(graph.layers, {graph.input_id: samples}, conv_op)}

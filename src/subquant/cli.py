@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .model import (
     save_bundle,
     write_atomic,
 )
-from .quant import GranularityConfig
+from .quant import GranularityConfig, check_bits
 from .reorder import (
     ReorderConfig,
     check_segments,
@@ -74,11 +74,13 @@ def _int(what, value):
     return value
 
 
-def _int_list(what, value):
+def _count_list(what, value):
+    """A list of integers >= 1, such as a sweep axis."""
     if not isinstance(value, list):
         raise TypeError(f"{what} must be a list of integers, got {value!r}")
     for v in value:
-        _int(f"each entry of {what}", v)
+        if _int(f"each entry of {what}", v) < 1:
+            raise ValueError(f"each entry of {what} must be >= 1, got {v}")
     return value
 
 
@@ -89,12 +91,18 @@ def _granularity_from(entry):
     return GranularityConfig(mode=entry.get("mode", "channelwise"), **sizes)
 
 
+def _config_from(cls, section, entry):
+    """cls(**entry), once every integer field that `entry` sets is an integer."""
+    for f in fields(cls):
+        if f.type is int and f.name in entry:
+            _int(f"{section}.{f.name}", entry[f.name])
+    return cls(**entry)
+
+
 def _calib_from(entry):
-    calib = CalibConfig(**entry)
+    calib = _config_from(CalibConfig, "calib", entry)
     for what in ("weight_bits", "act_bits"):
-        bits = _int(f"calib.{what}", getattr(calib, what))
-        if not 2 <= bits <= 16:  # the rule load_bundle applies to a scale table
-            raise ValueError(f"calib.{what} {bits} outside [2, 16]")
+        check_bits(f"calib.{what}", getattr(calib, what))  # as load_bundle does
     return calib
 
 
@@ -109,7 +117,7 @@ def load_run_config(path, out=None, seed=None, jobs=None):
     try:
         if not isinstance(raw, dict):
             raise TypeError(f"the config must be a JSON object, got {raw!r}")
-        run_seed = int(seed if seed is not None else raw.get("seed", 0))
+        run_seed = _int("seed", seed if seed is not None else raw.get("seed", 0))
         calib_raw = dict(_section(raw, "calib"))
         calib_raw.setdefault("seed", run_seed)
         reorder_raw = dict(_section(raw, "reorder"))
@@ -127,13 +135,13 @@ def load_run_config(path, out=None, seed=None, jobs=None):
             calibration=_resolve_optional(path, raw.get("calibration")),
             granularity=_granularity_from(_section(raw, "granularity")),
             calib=_calib_from(calib_raw),
-            reorder=ReorderConfig(**reorder_raw),
+            reorder=_config_from(ReorderConfig, "reorder", reorder_raw),
             out=out_dir,
             seed=run_seed,
             jobs=run_jobs,
-            sweep_rows=_int_list("sweep.rows", sweep.get("rows", [])),
-            sweep_cols=_int_list("sweep.cols", sweep.get("cols", [])),
-            sweep_h=_int_list("sweep.h_groups", sweep.get("h_groups", [])),
+            sweep_rows=_count_list("sweep.rows", sweep.get("rows", [])),
+            sweep_cols=_count_list("sweep.cols", sweep.get("cols", [])),
+            sweep_h=_count_list("sweep.h_groups", sweep.get("h_groups", [])),
             eval_inputs=_resolve_optional(path, eval_raw.get("inputs")),
             eval_labels=_resolve_optional(path, eval_raw.get("labels")),
         )

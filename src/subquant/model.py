@@ -19,6 +19,7 @@ from .errors import BadInputError
 from .quant import (
     GranularityConfig,
     ScaleSet,
+    check_bits,
     check_exact_accumulation,
     make_partition,
     quantized_forward_layer,
@@ -404,8 +405,10 @@ def _load_scale_entry(lid, entry, layer):
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInputError(f"layer {lid}: malformed scale entry ({exc!r})") from exc
     for what, value in bits.items():
-        if not 2 <= value <= 16:
-            raise BadInputError(f"layer {lid}: {what} {value} outside [2, 16]")
+        try:
+            check_bits(f"layer {lid}: {what}", value)
+        except ValueError as exc:
+            raise BadInputError(str(exc)) from exc
     if rows < 1 or cols < 1:
         raise BadInputError(f"layer {lid}: group shape {rows}x{cols} is not positive")
     if not (np.all(weight_scales > 0) and np.all(np.isfinite(weight_scales))

@@ -57,6 +57,12 @@ def _quantize_block(x, scale, bits, q):
     return np.maximum(q, -(2 ** (bits - 1)), out=q)
 
 
+def check_bits(what, bits):
+    """Reject a weight or activation bit width outside the supported [2, 16]."""
+    if not 2 <= bits <= 16:
+        raise ValueError(f"{what} {bits} outside [2, 16]")
+
+
 def init_scale(values, bits):
     """Initial scale covering the largest magnitude; 1.0 for all-zero groups."""
     m = float(np.max(np.abs(values))) if np.size(values) else 0.0
@@ -170,13 +176,6 @@ class ScaleSet:
             raise ValueError("all scales must be strictly positive")
 
 
-@dataclass
-class OpCounters:
-    """Operation counters threaded through the quantized forward pass."""
-
-    rescale_macs: int = 0
-
-
 def finish_rows(acc, bias_rows, activation, slope):
     """Bias add and activation for a block of rows; float32 like stored tensors."""
     if bias_rows is not None:
@@ -255,7 +254,7 @@ def sum_terms(terms):
 
 
 def grouped_forward(codes, q_cols, partition, scales, bias=None,
-                    activation="identity", slope=0.01, counters=None):
+                    activation="identity", slope=0.01):
     """Sum the grouped terms in ascending h, then bias and activation.
 
     Accumulates in place, so only one term is alive beside the sum; the
@@ -266,13 +265,11 @@ def grouped_forward(codes, q_cols, partition, scales, bias=None,
     acc = next(terms)
     for term in terms:
         acc += term
-    if counters is not None:
-        counters.rescale_macs += partition.h_groups * acc.size
     return finish_rows(acc, bias, activation, slope)
 
 
 def quantized_forward_layer(weights, x, partition, scales, bias=None,
-                            activation="identity", slope=0.01, counters=None, lower=None):
+                            activation="identity", slope=0.01, lower=None):
     """Grouped integer conv: quantize every group (v, h) under its scale, run
     one integer matmul per column group, rescale each row group by its group
     scale times the input scale, and sum over h; bias and activation are
@@ -292,5 +289,4 @@ def quantized_forward_layer(weights, x, partition, scales, bias=None,
     check_layer_scales(weights, q_cols, partition, scales)
     codes = quantize_weight_groups(weights, partition, scales.weight_scales,
                                    scales.weight_bits)
-    return grouped_forward(codes, q_cols, partition, scales, bias, activation, slope,
-                           counters)
+    return grouped_forward(codes, q_cols, partition, scales, bias, activation, slope)

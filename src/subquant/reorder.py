@@ -11,9 +11,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calib import CalibConfig, calibrate_layer, distance
+from .calib import CalibConfig, calibrating_conv, distance
 from .errors import BadInputError
-from .model import execute, float_conv, lower_layer_input, reference_target, successors
+from .model import execute, float_conv, reference_target, successors
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,6 @@ def is_permutation(perm):
     return perm.ndim == 1 and np.array_equal(np.sort(perm), np.arange(perm.size))
 
 
-def invert_permutation(perm):
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    return inv
-
-
 def mutate(perm, max_pairs, rng):
     """Swap up to max_pairs random channel pairs (at least one)."""
     out = np.array(perm, copy=True)
@@ -60,12 +54,6 @@ def mutate(perm, max_pairs, rng):
         i, j = rng.choice(out.size, size=2, replace=False)
         out[i], out[j] = out[j], out[i]
     return out
-
-
-def expand_input_permutation(perm, kernel):
-    """Column indices moving whole K*K blocks of the lowered weight matrix."""
-    k2 = kernel * kernel
-    return (np.asarray(perm)[:, None] * k2 + np.arange(k2)[None, :]).reshape(-1)
 
 
 def apply_output_permutation(layer, perm):
@@ -120,22 +108,16 @@ def score_block(ctx, layers):
     quantized and float outputs of the block's last conv, after recalibrating
     every scale inside the block (quantized activations propagate within).
 
-    A float pass over the block gives every layer's target; a calibrating
-    pass then runs each layer on the quantized output of the one before.
+    A float pass over the block gives every layer's reference; a
+    calibrating_conv pass then runs each layer on the quantized output of
+    the one before, as calibrate_network does on the whole network.
     """
     feeds = {layers[0].predecessors[0]: ctx.block_input}
-    targets = {layer.id: reference_target(layer, out)
-               for layer, out in execute(layers, feeds, float_conv)}
-
-    def calibrate(layer, x):
-        cols, _ = lower_layer_input(layer, x)
-        cal = calibrate_layer(layer.weight_matrix(), cols, targets[layer.id],
-                              ctx.granularity, ctx.calib_cfg, layer.bias,
-                              layer.activation, layer.slope)
-        return cal.output
-
-    *_, (last, out) = execute(layers, feeds, calibrate)
-    return -distance(reference_target(last, out), targets[last.id], "euclidean")
+    refs = {layer.id: out for layer, out in execute(layers, feeds, float_conv)}
+    conv_op = calibrating_conv(refs, ctx.granularity, ctx.calib_cfg)
+    *_, (last, out) = execute(layers, feeds, conv_op)
+    return -distance(reference_target(last, out), reference_target(last, refs[last.id]),
+                     "euclidean")
 
 
 @dataclass

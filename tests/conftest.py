@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from subquant import quant
 from subquant.fixtures import (
     build_small_cnn,
     build_toy_segment_net,
@@ -30,3 +31,19 @@ def fixture_dir(tmp_path_factory):
 def write_config(path, **entries):
     path.write_text(json.dumps(entries, indent=2))
     return path
+
+
+@pytest.fixture
+def term_sizes(monkeypatch):
+    """Sizes of the terms quant.grouped_terms yields, appended as they are
+    yielded; their sum over one quantized forward is its rescale MAC count."""
+    sizes = []
+    real = quant.grouped_terms
+
+    def counting(*args):
+        for term in real(*args):
+            sizes.append(term.size)
+            yield term
+
+    monkeypatch.setattr(quant, "grouped_terms", counting)
+    return sizes

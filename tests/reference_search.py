@@ -108,7 +108,7 @@ def reference_search_weight_scales(weights, cols, partition, input_scale, target
 
 
 def reference_quantized_forward_layer(weights, cols, partition, scales, bias=None,
-                                      activation="identity", slope=0.01, counters=None):
+                                      activation="identity", slope=0.01):
     check_exact_accumulation(partition, scales.weight_bits, scales.act_bits)
     q_cols = quantize_values(cols, scales.input_scale, scales.act_bits)
     oc, p = weights.shape[0], cols.shape[1]
@@ -119,8 +119,6 @@ def reference_quantized_forward_layer(weights, cols, partition, scales, bias=Non
             qw = quantize_values(weights[r0:r1, c0:c1], scales.weight_scales[v, h],
                                  scales.weight_bits)
             tiles.append(qw @ q_cols[c0:c1])
-            if counters is not None:
-                counters.rescale_macs += (r1 - r0) * p
         out[r0:r1] = finish_row_group(tiles, scales.weight_scales[v], scales.input_scale,
                                       None if bias is None else bias[r0:r1],
                                       activation, slope)

@@ -30,7 +30,6 @@ from subquant.fixtures import (
 from subquant.model import forward_float, prepare_for_quantization
 from subquant.quant import (
     GranularityConfig,
-    OpCounters,
     ScaleSet,
     init_scale,
     make_partition,
@@ -255,7 +254,7 @@ def test_07_ea_never_loses_and_small_instance_top_decile():
         assert time.time() - start < 600.0
 
 
-def test_08_overhead_table_and_instrumentation():
+def test_08_overhead_table_and_instrumentation(term_sizes):
     with criterion(8, "ResNet-18 overhead table within 0.10pp; counters exact"):
         start = time.time()
         graph = resnet18_shape_graph()
@@ -263,7 +262,8 @@ def test_08_overhead_table_and_instrumentation():
         for cols, ref in expected.items():
             rep = network_overhead_report(graph, GranularityConfig("method1", 1, cols))
             assert 100 * rep.total_compute_overhead == pytest.approx(ref, abs=0.10)
-        # instrumented rescale counters equal #H * OC * P on every fixture layer
+        # the terms each forward yields add up to #H * OC * P rescale MACs on
+        # every fixture layer
         from subquant.fixtures import build_small_cnn
         from subquant.model import lower_layer_input
         net = prepare_for_quantization(build_small_cnn())
@@ -280,10 +280,9 @@ def test_08_overhead_table_and_instrumentation():
                 part = make_partition(layer.out_channels, layer.weights_per_channel, gran)
                 scales = ScaleSet(np.full((part.v_groups, part.h_groups), 0.05),
                                   init_scale(cols_mat, 8))
-                counters = OpCounters()
-                quantized_forward_layer(layer.weight_matrix(), cols_mat, part, scales,
-                                        counters=counters)
-                assert counters.rescale_macs == \
+                term_sizes.clear()
+                quantized_forward_layer(layer.weight_matrix(), cols_mat, part, scales)
+                assert sum(term_sizes) == \
                     part.h_groups * layer.out_channels * cols_mat.shape[1]
                 out = conv_ref(layer.weight_matrix(), cols_mat, layer.activation,
                                layer.bias, layer.slope)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import write_config
+from subquant import cli
 from subquant.cli import main, parallel_map
 from subquant.errors import BadInputError
 from subquant.fixtures import build_resnet20_style, build_small_cnn, random_inputs
@@ -164,12 +165,24 @@ class TestSweep:
         summary = json.loads((tmp_path / "qout" / "quantize_summary.json").read_text())
         assert sweep_distance == pytest.approx(summary["network_distance"])
 
-    def test_grid_shape_and_failed_cell(self, fixture_dir, tmp_path):
-        config = self.base_config(fixture_dir, tmp_path, {"rows": [0, 1], "cols": [36]})
+    @pytest.fixture
+    def rows_2_fails(self, monkeypatch):
+        """calibrate_network raises for rows_per_group 2 only."""
+        real = cli.calibrate_network
+
+        def calibrate(graph, samples, granularity, cfg, references=None):
+            if granularity.rows_per_group == 2:
+                raise ValueError("calibration failed")
+            return real(graph, samples, granularity, cfg, references=references)
+
+        monkeypatch.setattr(cli, "calibrate_network", calibrate)
+
+    def test_grid_shape_and_failed_cell(self, fixture_dir, tmp_path, rows_2_fails):
+        config = self.base_config(fixture_dir, tmp_path, {"rows": [2, 1], "cols": [36]})
         assert main(["sweep", "--config", str(config)]) == 0
         rows = read_csv(tmp_path / "out" / "sweep_distance.csv")
         assert rows[0] == ["rows\\cols", "36"]
-        assert rows[1][1] == "FAILED"  # rows_per_group=0 is rejected per cell
+        assert rows[1][1] == "FAILED"
         assert rows[2][1] != "FAILED"
         summary = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())
         assert "error" in summary["cells"][0]
@@ -183,8 +196,8 @@ class TestSweep:
         assert (tmp_path / "seq" / "sweep_distance.csv").read_bytes() == \
             (tmp_path / "par" / "sweep_distance.csv").read_bytes()
 
-    def test_failed_cell_in_a_worker(self, fixture_dir, tmp_path):
-        config = self.base_config(fixture_dir, tmp_path, {"rows": [0, 1], "cols": [36]})
+    def test_failed_cell_in_a_worker(self, fixture_dir, tmp_path, rows_2_fails):
+        config = self.base_config(fixture_dir, tmp_path, {"rows": [2, 1], "cols": [36]})
         for jobs in ("1", "2"):
             assert main(["sweep", "--config", str(config), "--jobs", jobs, "--out",
                          str(tmp_path / jobs)]) == 0
@@ -551,12 +564,29 @@ class TestMalformedInput:
                      "each entry of sweep.rows must be an integer, got True", id="rows-bool"),
         pytest.param({"sweep": {"rows": [1], "cols": [2.5]}},
                      "each entry of sweep.cols must be an integer, got 2.5", id="cols-float"),
+        pytest.param({"sweep": {"rows": [0, 1], "cols": [36]}},
+                     "each entry of sweep.rows must be >= 1, got 0", id="rows-0"),
+        pytest.param({"sweep": {"rows": [1], "h_groups": [0]}},
+                     "each entry of sweep.h_groups must be >= 1, got 0", id="h-0"),
         pytest.param({"sweep": [1]}, "sweep must be a JSON object", id="sweep-list"),
         pytest.param({"granularity": [1]}, "granularity must be a JSON object",
                      id="granularity-list"),
         pytest.param({"granularity": {"mode": "method1", "cols_per_group": 2.5}},
                      "granularity.cols_per_group must be an integer, got 2.5",
                      id="cols_per_group-float"),
+        pytest.param({"seed": 1.9}, "seed must be an integer, got 1.9", id="seed-float"),
+        pytest.param({"calib": quick_calib(grid_size=2.5)},
+                     "calib.grid_size must be an integer, got 2.5", id="grid_size-float"),
+        pytest.param({"calib": quick_calib(grid_size=True)},
+                     "calib.grid_size must be an integer, got True", id="grid_size-bool"),
+        pytest.param({"calib": quick_calib(iterations=1.5)},
+                     "calib.iterations must be an integer, got 1.5", id="iterations-float"),
+        pytest.param({"calib": quick_calib(samples=8.5)},
+                     "calib.samples must be an integer, got 8.5", id="samples-float"),
+        pytest.param({"reorder": {"population": 2.5}},
+                     "reorder.population must be an integer, got 2.5", id="population-float"),
+        pytest.param({"reorder": {"max_pairs": "3"}},
+                     "reorder.max_pairs must be an integer, got '3'", id="max_pairs-string"),
         pytest.param({"jobs": 0}, "jobs must be >= 1, got 0", id="jobs-0"),
         pytest.param({"jobs": "2"}, "jobs must be an integer, got '2'", id="jobs-string"),
     ])

@@ -1,5 +1,8 @@
 """Permutation mechanics, function preservation, and the evolutionary search."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,9 +29,7 @@ from subquant.reorder import (
     apply_output_permutation,
     commit_segment_reordering,
     ea_search,
-    expand_input_permutation,
     identity_permutation,
-    invert_permutation,
     is_permutation,
     joint_reorder,
     make_segment_context,
@@ -65,7 +66,7 @@ class TestPermutationOps:
         rng = np.random.default_rng(0)
         perm = rng.permutation(layer.out_channels)
         back = apply_output_permutation(apply_output_permutation(layer, perm),
-                                        invert_permutation(perm))
+                                        np.argsort(perm))
         np.testing.assert_array_equal(back.weight, layer.weight)
         np.testing.assert_array_equal(back.bias, layer.bias)
 
@@ -86,7 +87,8 @@ class TestPermutationOps:
         np.testing.assert_array_equal(w2p[:, 0:9], w2[:, 18:27])
         np.testing.assert_array_equal(w2p[:, 9:18], w2[:, 9:18])
         np.testing.assert_array_equal(w2p[:, 18:27], w2[:, 0:9])
-        cols = expand_input_permutation(perm, 3)
+        # input channel c owns the K*K = 9 columns 9c .. 9c+8
+        cols = np.concatenate([np.arange(18, 27), np.arange(9, 18), np.arange(0, 9)])
         np.testing.assert_array_equal(w2p, w2[:, cols])
 
     def test_size_mismatch_rejected(self):
@@ -236,6 +238,15 @@ class TestScoreBlock:
                 perm = rng.permutation(ctx.layers[0].out_channels)
                 layers = joint_reorder(ctx.layers, [perm])
                 assert score_block(ctx, layers) == reference_score_block(ctx, layers)
+
+
+    def test_unquantized_block_scores_zero(self):
+        """A conv with quantize false runs in float while the block is scored,
+        as it does in the network, so an all-float block equals its reference."""
+        ctx = toy_context()
+        layers = [replace(layer, quantize=False) for layer in ctx.layers]
+        score = score_block(ctx, layers)
+        assert score == 0.0 and math.copysign(1.0, score) == -1.0
 
 
 class TestSegmentChain:
