@@ -90,11 +90,15 @@ def distance(a, b, metric="euclidean"):
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    x = a.reshape(-1).astype(np.float64)
-    y = b.reshape(-1).astype(np.float64)
     if metric == "euclidean":
-        return float(np.sqrt(np.sum((x - y) ** 2)))
+        # one C-ordered float64 difference, squared in place: the same flat
+        # values, summed in the same pairwise order, as casting both first
+        d = np.subtract(a, b, dtype=np.float64, order="C").reshape(-1)
+        np.multiply(d, d, out=d)
+        return float(np.sqrt(np.sum(d)))
     if metric == "cosine":
+        x = a.reshape(-1).astype(np.float64)
+        y = b.reshape(-1).astype(np.float64)
         nx, ny = np.linalg.norm(x), np.linalg.norm(y)
         if nx == 0.0 and ny == 0.0:
             return 0.0

@@ -74,6 +74,12 @@ def _int(what, value):
     return value
 
 
+def _seed(what, value):
+    if _int(what, value) < 0:
+        raise ValueError(f"{what} must be >= 0, got {value}")
+    return value
+
+
 def _count_list(what, value):
     """A list of integers >= 1, such as a sweep axis."""
     if not isinstance(value, list):
@@ -92,10 +98,18 @@ def _granularity_from(entry):
 
 
 def _config_from(cls, section, entry):
-    """cls(**entry), once every integer field that `entry` sets is an integer."""
+    """cls(**entry), once every integer field that `entry` sets is an integer,
+    every float field a number and the seed non-negative."""
     for f in fields(cls):
-        if f.type is int and f.name in entry:
-            _int(f"{section}.{f.name}", entry[f.name])
+        if f.name not in entry:
+            continue
+        what, value = f"{section}.{f.name}", entry[f.name]
+        if f.name == "seed":
+            _seed(what, value)
+        elif f.type is int:
+            _int(what, value)
+        elif f.type is float and type(value) not in (int, float):
+            raise TypeError(f"{what} must be a number, got {value!r}")
     return cls(**entry)
 
 
@@ -117,7 +131,7 @@ def load_run_config(path, out=None, seed=None, jobs=None):
     try:
         if not isinstance(raw, dict):
             raise TypeError(f"the config must be a JSON object, got {raw!r}")
-        run_seed = _int("seed", seed if seed is not None else raw.get("seed", 0))
+        run_seed = _seed("seed", seed if seed is not None else raw.get("seed", 0))
         calib_raw = dict(_section(raw, "calib"))
         calib_raw.setdefault("seed", run_seed)
         reorder_raw = dict(_section(raw, "reorder"))

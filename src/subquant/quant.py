@@ -22,6 +22,11 @@ _EXACT_ACC_LIMIT = 2 ** 53
 # (256 KB of float64), so its in-place passes stay in cache.
 _QUANT_BLOCK = 1 << 15
 
+# quantized_forward_layer runs a lowering layer in blocks of samples whose
+# lowered float64 matrix takes about this many bytes (2 MB), so each block's
+# codes are still in cache when the integer matmuls read them.
+_FORWARD_BLOCK_BYTES = 1 << 21
+
 
 def quantize_values(x, scale, bits):
     """Map reals to integer codes: clamp(round(x / scale)).
@@ -281,12 +286,33 @@ def quantized_forward_layer(weights, x, partition, scales, bias=None,
     elements and pads with +0.0, whose code is +0.0, so the codes are the
     same bit for bit while a K*K conv quantizes each input element once
     instead of K*K times.
+
+    With `lower`, the weight codes are made once and the activation runs in
+    blocks of samples of about _FORWARD_BLOCK_BYTES lowered, each block's
+    [OC, p] columns going into one [OC, P] output; the first block is one
+    sample, whose lowered size sets the block length. The blocked output
+    equals the whole-matrix one bit for bit: the integer matmuls are exact
+    and every later float64 op (rescale, ascending-h sum, bias, activation)
+    is per column.
     """
     weights = np.asarray(weights)
-    q_cols = quantize_values(x, scales.input_scale, scales.act_bits)
-    if lower is not None:
-        q_cols = lower(q_cols)
+    if lower is None:
+        q_cols = quantize_values(x, scales.input_scale, scales.act_bits)
+    else:
+        x = np.asarray(x)
+        q_cols = lower(quantize_values(x[:1], scales.input_scale, scales.act_bits))
     check_layer_scales(weights, q_cols, partition, scales)
     codes = quantize_weight_groups(weights, partition, scales.weight_scales,
                                    scales.weight_bits)
-    return grouped_forward(codes, q_cols, partition, scales, bias, activation, slope)
+    first = grouped_forward(codes, q_cols, partition, scales, bias, activation, slope)
+    if lower is None or len(x) <= 1:
+        return first
+    width = first.shape[1]
+    step = max(1, _FORWARD_BLOCK_BYTES // q_cols.nbytes)
+    out = np.empty((first.shape[0], len(x) * width), dtype=np.float32)
+    out[:, :width] = first
+    for i in range(1, len(x), step):
+        q_cols = lower(quantize_values(x[i:i + step], scales.input_scale, scales.act_bits))
+        out[:, i * width:(i + step) * width] = grouped_forward(
+            codes, q_cols, partition, scales, bias, activation, slope)
+    return out

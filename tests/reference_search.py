@@ -1,8 +1,8 @@
 """Unbatched reference implementations of the weight search and the grouped
 forward, kept as oracles for the batched versions in `subquant`, plus the
 block fitness written as its own layer loop, an oracle for the executor-based
-`score_block`, and the earlier forms of the quantization formula and of
-im2col.
+`score_block`, and the earlier forms of the quantization formula, of
+im2col and of the euclidean distance.
 
 `reference_search_weight_scales` scores every grid candidate with
 `distance()` on the full layer output; `reference_quantized_forward_layer`
@@ -24,6 +24,14 @@ def reference_quantize_values(x, scale, bits):
     y = np.divide(x, scale, dtype=np.float64)
     q = np.copysign(np.floor(np.abs(y) + 0.5), y)
     return np.clip(q, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1)
+
+
+def reference_distance(a, b):
+    """The euclidean distance() before its single float64 difference: both
+    inputs cast to float64 copies, then (x - y) ** 2 summed."""
+    x = np.asarray(a).reshape(-1).astype(np.float64)
+    y = np.asarray(b).reshape(-1).astype(np.float64)
+    return float(np.sqrt(np.sum((x - y) ** 2)))
 
 
 def reference_im2col(x, kernel, stride=1, padding=0):

@@ -589,6 +589,19 @@ class TestMalformedInput:
                      "reorder.max_pairs must be an integer, got '3'", id="max_pairs-string"),
         pytest.param({"jobs": 0}, "jobs must be >= 1, got 0", id="jobs-0"),
         pytest.param({"jobs": "2"}, "jobs must be an integer, got '2'", id="jobs-string"),
+        pytest.param({"seed": -1}, "seed must be >= 0, got -1", id="seed-negative"),
+        pytest.param({"calib": quick_calib(seed=-1)}, "calib.seed must be >= 0, got -1",
+                     id="calib-seed-negative"),
+        pytest.param({"reorder": {"seed": -2}}, "reorder.seed must be >= 0, got -2",
+                     id="reorder-seed-negative"),
+        pytest.param({"reorder": {"seed": 1.5}}, "reorder.seed must be an integer, got 1.5",
+                     id="reorder-seed-float"),
+        pytest.param({"calib": quick_calib(alpha="x")}, "calib.alpha must be a number, got 'x'",
+                     id="alpha-string"),
+        pytest.param({"calib": quick_calib(beta=True)}, "calib.beta must be a number, got True",
+                     id="beta-bool"),
+        pytest.param({"reorder": {"selection": None}},
+                     "reorder.selection must be a number, got None", id="selection-null"),
     ])
     def test_malformed_run_config_exits_2(self, fixture_dir, tmp_path, entries, fault,
                                           capsys):
@@ -609,6 +622,14 @@ class TestMalformedInput:
         assert main(["sweep", "--config", str(config), "--jobs", jobs,
                      "--out", str(tmp_path / "out")]) == 2
         assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
+    def test_seed_flag_below_0_exits_2(self, fixture_dir, tmp_path, capsys):
+        config = write_config(tmp_path / "run.json", model=str(fixture_dir / "small_cnn"),
+                              calibration=str(fixture_dir / "small_cnn_calib.ptqc"),
+                              calib=quick_calib())
+        assert main(["quantize", "--config", str(config), "--seed", "-1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_predecessors_that_are_a_string_exit_2(self, fixture_dir, tmp_path, capsys):
         def edit(manifest):
@@ -768,6 +789,26 @@ class TestDeterminism:
         for out in ("a", "b"):
             assert main(["eval", "--config", str(config), "--out",
                          str(tmp_path / out)]) == 0
+        for name in ("eval_layer_distances.csv", "eval_summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
+
+    def test_eval_reports_identical_in_one_sample_blocks(self, fixture_dir, tmp_path,
+                                                         monkeypatch):
+        """The quantized walk in blocks of one sample writes the same bytes as
+        in blocks of the default size."""
+        config = write_config(
+            tmp_path / "run.json",
+            model=str(fixture_dir / "small_cnn"),
+            calibration=str(fixture_dir / "small_cnn_calib.ptqc"),
+            granularity={"mode": "method2", "rows_per_group": 1, "h_groups": 4},
+            calib=quick_calib(),
+            eval={"inputs": str(fixture_dir / "small_cnn_eval.ptqc"),
+                  "labels": str(fixture_dir / "small_cnn_eval_labels.json")},
+            seed=3)
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr("subquant.quant._FORWARD_BLOCK_BYTES", 1)
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
         for name in ("eval_layer_distances.csv", "eval_summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()

@@ -3,6 +3,8 @@
 import json
 import tracemalloc
 import weakref
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +34,14 @@ from subquant.model import (
     save_bundle,
     save_calibration_set,
 )
-from subquant.quant import ScaleSet, quantize_values
+from subquant import quant
+from subquant.quant import (
+    GranularityConfig,
+    ScaleSet,
+    make_partition,
+    quantize_values,
+    quantized_forward_layer,
+)
 
 
 class TestBundleIO:
@@ -288,11 +297,12 @@ class TestExecute:
         with pytest.raises(ValueError, match="layer conv2 has no weights loaded"):
             forward_float(graph, random_inputs(graph, 1, seed=0))
 
-    @pytest.mark.parametrize("kind,bound", [("float", 1.45), ("quantized", 1.75)])
+    @pytest.mark.parametrize("kind,bound", [("float", 1.45), ("quantized", 0.6)])
     def test_conv_step_peak_memory(self, kind, bound):
         """Traced peak of running conv3 on 256 samples, in units of its float64
-        [J, P] matrix: the float32 lowering plus its float64 copy, or codes of
-        the lowered matrix beside the lowered matrix, would exceed the bound."""
+        [J, P] matrix: the float32 lowering plus its float64 copy would exceed
+        the float bound, and the quantized path, which lowers sample blocks of
+        about 2 MB, would exceed its bound by lowering the whole matrix."""
         graph = prepare_for_quantization(build_small_cnn())
         layer = graph.layer("conv3")
         info = QuantizedLayerInfo(ScaleSet(np.full((12, 4), 0.02), 0.05), 1, 27)
@@ -314,11 +324,11 @@ class TestExecute:
 
 
 @st.composite
-def layer_and_activation(draw):
+def layer_and_activation(draw, samples=st.integers(1, 3)):
     """A conv (kernel 1 or 3, stride 1 or 2, padding 0 or 1) or a linear layer,
     with a float32 activation that may hold signed zeros, infinities and NaN."""
     kind = draw(st.sampled_from(["conv", "linear"]))
-    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n, c = draw(samples), draw(st.integers(1, 3))
     kernel, stride, padding = (draw(st.sampled_from([1, 3])), draw(st.sampled_from([1, 2])),
                                draw(st.sampled_from([0, 1])))
     low = max(1, kernel - 2 * padding) if kind == "conv" else 1
@@ -346,6 +356,56 @@ def test_quantizing_commutes_with_lowering(case, scale, bits):
     assert early.dtype == late.dtype == np.float64
     assert np.array_equal(early, late, equal_nan=True)
     assert np.array_equal(np.signbit(early), np.signbit(late))
+
+
+@pytest.mark.parametrize("block_samples", [1, 3, None])
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=layer_and_activation(samples=st.integers(1, 8)),
+       out_channels=st.integers(1, 4), rows=st.integers(1, 3), cols=st.integers(1, 10),
+       input_scale=st.floats(min_value=1e-3, max_value=1e3),
+       bits=st.tuples(st.integers(2, 8), st.integers(2, 8)),
+       activation=st.sampled_from(["identity", "relu", "leaky_relu"]),
+       with_bias=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_blocked_quantized_conv_matches_whole_matrix(block_samples, case, out_channels, rows,
+                                                     cols, input_scale, bits, activation,
+                                                     with_bias, seed):
+    """quantized_conv runs the activation in sample blocks (one sample each, three,
+    which leaves a short last block for most batch sizes, or all but the first
+    sample at once); its output equals the forward of the whole lowered matrix
+    bit for bit, signed zeros included. A NaN's sign bit is not compared: BLAS
+    picks which NaN operand to propagate by kernel (a one-column block runs a
+    matrix-vector kernel), as it already does between batch sizes."""
+    layer, x = case
+    rng = np.random.default_rng(seed)
+    shape = ((out_channels, layer.in_channels, layer.kernel, layer.kernel)
+             if layer.kind == "conv" else (out_channels, layer.in_channels))
+    layer = replace(layer, out_channels=out_channels, activation=activation, slope=0.1,
+                    quantize=True, weight=rng.normal(size=shape).astype(np.float32),
+                    bias=rng.normal(size=out_channels).astype(np.float32) if with_bias
+                    else None)
+    part = make_partition(out_channels, layer.weights_per_channel,
+                          GranularityConfig("method1", rows, cols))
+    info = QuantizedLayerInfo(ScaleSet(rng.uniform(0.01, 1.0, (part.v_groups, part.h_groups)),
+                                       input_scale, *bits), rows, cols)
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = quantized_forward_layer(layer.weight_matrix(), lower_layer_input(layer, x)[0],
+                                        part, info.scales, layer.bias, activation, 0.1)
+        sample_bytes = lower_layer_input(layer, x[:1])[0].nbytes
+        block_bytes = (1 << 40) if block_samples is None else block_samples * sample_bytes
+        with mock.patch.object(quant, "_FORWARD_BLOCK_BYTES", block_bytes):
+            got = quantized_conv({"l": info})(layer, x)
+    assert got.dtype == whole.dtype == np.float32
+    assert np.array_equal(got, whole, equal_nan=True)
+    numbers = ~np.isnan(whole)
+    assert np.array_equal(np.signbit(got[numbers]), np.signbit(whole[numbers]))
+
+
+def test_quantized_conv_of_an_empty_batch_is_empty():
+    layer = Layer(id="l", kind="conv", out_channels=2, in_channels=3, kernel=3, padding=1,
+                  weight=np.ones((2, 3, 3, 3), np.float32))
+    info = QuantizedLayerInfo(ScaleSet(np.ones((2, 1)), 0.1), 1, 27)
+    out = quantized_conv({"l": info})(layer, np.zeros((0, 3, 4, 4), np.float32))
+    assert out.shape == (2, 0) and out.dtype == np.float32
 
 
 class TestForward:

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_search import reference_quantize_values
 from subquant.quant import (
+    GRANULARITY_MODES,
     GranularityConfig,
     ScaleSet,
+    check_exact_accumulation,
     init_scale,
     make_partition,
     quantize_values,
@@ -179,6 +183,35 @@ class TestPartition:
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             make_partition(0, 4, GranularityConfig("layerwise"))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(mode=st.sampled_from(GRANULARITY_MODES), oc=st.integers(1, 40),
+           j=st.integers(1, 300), rows=st.integers(1, 50), cols=st.integers(1, 400),
+           h=st.integers(1, 40))
+    def test_every_mode_covers_the_matrix_once(self, mode, oc, j, rows, cols, h):
+        p = make_partition(oc, j, GranularityConfig(mode, rows, cols, h))
+        covered = np.zeros((oc, j), dtype=int)
+        for r0, r1 in p.row_ranges:
+            for c0, c1 in p.col_ranges:
+                covered[r0:r1, c0:c1] += 1
+        assert np.all(covered == 1)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(weight_bits=st.integers(2, 16), act_bits=st.integers(2, 16))
+def test_exact_accumulation_guard_fires_just_above_2_53(weight_bits, act_bits):
+    """The widest column group may reach a worst-case partial sum of exactly
+    2**53, the last integer float64 still counts exactly; one column more is
+    rejected. A narrower trailing group does not hide the widest one."""
+    width = 2 ** (55 - weight_bits - act_bits)
+    for cols, ok in ((width, True), (width + 1, False)):
+        part = make_partition(2, 2 * cols + 1, GranularityConfig("method1", 1, cols))
+        if ok:
+            check_exact_accumulation(part, weight_bits, act_bits)
+        else:
+            with pytest.raises(ValueError, match=f"group width {cols}, "
+                                                 f"bits {weight_bits}/{act_bits}"):
+                check_exact_accumulation(part, weight_bits, act_bits)
 
 
 def channelwise_oracle(weights, cols, row_scales, input_scale, wb, ab, bias, activation):

@@ -1,0 +1,111 @@
+"""Alternating parent/change runs of one perfbench workload, as one JSON file.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload eval-large \
+        --seeds 0 7 --pairs 10 --seconds 5 --out BENCH_eval-large.json
+
+Each DIR is a checkout of the revision to measure (a `git clone`, so that
+`perfbench/run.py` builds from its own sources). For every seed, pair i runs
+`perfbench/run.py --trace 0` once in each checkout, the parent first when i
+is even and the change first when it is odd, so drift in machine load falls
+on both sides alike. The file holds every pair's end-to-end metrics, and per
+seed and metric the two medians, the parent's and the change's interquartile
+range, the change/parent ratio of the medians and the pairs the change won;
+also the machine facts perfbench prints and both git revisions.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+LOWER_IS_BETTER = ("setup_s", "op_s_p50", "peak_rss_mb", "network_distance")
+
+
+def run_once(checkout, workload, seed, seconds):
+    """One perfbench run; returns (end-to-end metrics, machine facts)."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=checkout, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{checkout}: perfbench exit {proc.returncode}\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    metrics["correct"] = result["correct"]
+    machine = next(json.loads(line.split("machine ", 1)[1]) for line in lines
+                   if line.strip().startswith("machine "))
+    return metrics, machine
+
+
+def revision(checkout):
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
+                              check=True).stdout.strip()
+    return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
+
+
+def iqr(values):
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarize(pairs):
+    """Per metric: medians, IQRs, the change/parent ratio and the change's wins."""
+    summary = {}
+    for name in pairs[0]["parent"]:
+        if name == "correct":
+            continue
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        lower = name in LOWER_IS_BETTER
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        p50, c50 = statistics.median(parent), statistics.median(change)
+        summary[name] = {"parent_median": p50, "change_median": c50,
+                         "parent_iqr": iqr(parent), "change_iqr": iqr(change),
+                         "ratio": c50 / p50 if p50 else None, "change_wins": wins,
+                         "better": "lower" if lower else "higher"}
+    summary["all_ops_correct"] = all(p[side]["correct"] for p in pairs
+                                     for side in ("parent", "change"))
+    return summary
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 7])
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=5.0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seeds, machine = {}, None
+    for seed in args.seeds:
+        pairs = []
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side], machine = run_once(sides[side], args.workload, seed, args.seconds)
+            pairs.append(pair)
+            print(f"seed {seed} pair {i}: parent {pair['parent']['op_s_p50']:.3f} s, "
+                  f"change {pair['change']['op_s_p50']:.3f} s", file=sys.stderr)
+        seeds[str(seed)] = {"summary": summarize(pairs), "pairs": pairs}
+    record = {
+        "workload": args.workload,
+        "command": f"perfbench/run.py --workload {args.workload} --seed S "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "pairs_per_seed": args.pairs,
+        "machine": machine,
+        "revisions": {side: revision(path) for side, path in sides.items()},
+        "seeds": seeds,
+    }
+    args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
