@@ -131,6 +131,15 @@ class TestInitScale:
         assert np.all(quantize_values(g, 1.0, 4) == 0)
 
 
+def coverage(p):
+    """How many groups of partition p cover each entry of its [OC, J] matrix."""
+    covered = np.zeros((p.out_channels, p.weights_per_channel), dtype=int)
+    for r0, r1 in p.row_ranges:
+        for c0, c1 in p.col_ranges:
+            covered[r0:r1, c0:c1] += 1
+    return covered
+
+
 class TestPartition:
     def test_even_tiling(self):
         p = make_partition(4, 8, GranularityConfig("method1", 2, 4))
@@ -172,11 +181,7 @@ class TestPartition:
     ])
     def test_groups_tile_exactly(self, oc, j, rows, cols):
         p = make_partition(oc, j, GranularityConfig("method1", rows, cols))
-        covered = np.zeros((oc, j), dtype=int)
-        for r0, r1 in p.row_ranges:
-            for c0, c1 in p.col_ranges:
-                covered[r0:r1, c0:c1] += 1
-        assert np.all(covered == 1)
+        assert np.all(coverage(p) == 1)
         assert p.v_groups == -(-oc // rows)
         assert p.h_groups == -(-j // cols)
 
@@ -190,11 +195,7 @@ class TestPartition:
            h=st.integers(1, 40))
     def test_every_mode_covers_the_matrix_once(self, mode, oc, j, rows, cols, h):
         p = make_partition(oc, j, GranularityConfig(mode, rows, cols, h))
-        covered = np.zeros((oc, j), dtype=int)
-        for r0, r1 in p.row_ranges:
-            for c0, c1 in p.col_ranges:
-                covered[r0:r1, c0:c1] += 1
-        assert np.all(covered == 1)
+        assert np.all(coverage(p) == 1)
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -203,15 +204,14 @@ def test_exact_accumulation_guard_fires_just_above_2_53(weight_bits, act_bits):
     """The widest column group may reach a worst-case partial sum of exactly
     2**53, the last integer float64 still counts exactly; one column more is
     rejected. A narrower trailing group does not hide the widest one."""
+    def widest(cols):
+        return make_partition(2, 2 * cols + 1, GranularityConfig("method1", 1, cols))
+
     width = 2 ** (55 - weight_bits - act_bits)
-    for cols, ok in ((width, True), (width + 1, False)):
-        part = make_partition(2, 2 * cols + 1, GranularityConfig("method1", 1, cols))
-        if ok:
-            check_exact_accumulation(part, weight_bits, act_bits)
-        else:
-            with pytest.raises(ValueError, match=f"group width {cols}, "
-                                                 f"bits {weight_bits}/{act_bits}"):
-                check_exact_accumulation(part, weight_bits, act_bits)
+    check_exact_accumulation(widest(width), weight_bits, act_bits)
+    with pytest.raises(ValueError, match=f"group width {width + 1}, "
+                                         f"bits {weight_bits}/{act_bits}"):
+        check_exact_accumulation(widest(width + 1), weight_bits, act_bits)
 
 
 def channelwise_oracle(weights, cols, row_scales, input_scale, wb, ab, bias, activation):
