@@ -117,12 +117,61 @@ def subsample(samples, count, seed):
     return samples[idx]
 
 
+@dataclass(frozen=True)
+class LoweredInput:
+    """A lowered [J, P] layer input held as source values and a gather index.
+
+    `values` holds, in float64, every activation element the lowering reads,
+    once each, plus +0.0 if it reads padding; np.take(values, index) is the
+    lowered matrix. Quantizing and scaling act on each element alone and a
+    lowering only copies elements and pads with +0.0, so take(f(values),
+    index) equals f(lowered matrix) bit for bit, while a K*K conv runs f on
+    each element once instead of up to K*K times.
+    """
+
+    values: np.ndarray
+    index: np.ndarray
+
+    @property
+    def shape(self):
+        return self.index.shape
+
+
+def plan_layer_input(layer, x):
+    """The LoweredInput of lower_layer_input(layer, x).
+
+    Element i of x is named i + 1 and padding 0; lowering those names gives
+    the index, which is then renumbered over the names it holds, so the
+    values are exactly the entries of the lowered matrix.
+    """
+    x = np.asarray(x)
+    names = np.arange(1, x.size + 1, dtype=np.float64).reshape(x.shape)
+    index = lower_layer_input(layer, names)[0].astype(np.intp)
+    read = np.zeros(x.size + 1, dtype=bool)
+    read[index] = True
+    values = np.concatenate(([0.0], x.reshape(-1)))[read]
+    return LoweredInput(values, (np.cumsum(read) - 1)[index])
+
+
+def _split(cols):
+    """(values, index) of a LoweredInput; a dense matrix is its own values."""
+    if isinstance(cols, LoweredInput):
+        return cols.values, cols.index
+    return cols, None
+
+
+def _gather(q, index):
+    return q if index is None else np.take(q, index)
+
+
 def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales=None,
                        center=None, bias=None, activation="identity", slope=0.01):
     """Enumerate input-scale candidates and keep the one closest to target.
 
+    `cols` is the lowered [J, P] input, dense or a LoweredInput; each
+    candidate quantizes its values once and gathers the lowered codes.
     With `weight_scales` given, candidates are evaluated through the grouped
-    integer path; the weight codes are made once and only `cols` is
+    integer path; the weight codes are made once and only the input is
     re-quantized per candidate. Otherwise weights stay in float. The grid
     center is always part of the comparison set, like the evaluated
     incumbent of the weight search, so a scale that is already exact is
@@ -131,8 +180,9 @@ def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales
     """
     if cols.shape[1] == 0:
         raise ValueError("empty calibration set")
+    values, index = _split(cols)
     if center is None:
-        center = init_scale(cols, cfg.act_bits)
+        center = init_scale(values, cfg.act_bits)
     candidates = scale_space(cfg.alpha, cfg.beta, center, cfg.grid_size)
     # ascending; strict < keeps the smallest tie
     candidates = np.unique(np.append(candidates, center))
@@ -144,13 +194,14 @@ def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales
     best_scale, best_d, best_out = None, np.inf, None
     for cand in candidates:
         cand = float(cand)
+        q = quantize_values(values, cand, cfg.act_bits)
         if weight_scales is None:
-            deq = cand * quantize_values(cols, cand, cfg.act_bits)
-            out = conv_reference(weights, deq, activation, bias, slope)
+            q *= cand
+            out = conv_reference(weights, _gather(q, index), activation, bias, slope)
         else:
             scales = ScaleSet(weight_scales, cand, cfg.weight_bits, cfg.act_bits)
-            out = grouped_forward(codes, quantize_values(cols, cand, cfg.act_bits),
-                                  partition, scales, bias, activation, slope)
+            out = grouped_forward(codes, _gather(q, index), partition, scales, bias,
+                                  activation, slope)
         d = distance(out, target, cfg.metric)
         if d < best_d:
             best_scale, best_d, best_out = cand, d, out
@@ -251,12 +302,14 @@ def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
     with strict `<` from the exact entry distance; every other candidate is
     provably farther than the screened best, so the choice equals that of
     scoring every candidate with `distance()`.
+    `cols` is dense or a LoweredInput; its codes are gathered once.
     Returns the scale grid and the distance trace (initial value plus one
     entry per sweep).
     """
     p = cols.shape[1]
     check_exact_accumulation(partition, cfg.weight_bits, cfg.act_bits)
-    q_cols = quantize_values(cols, input_scale, cfg.act_bits)
+    values, index = _split(cols)
+    q_cols = _gather(quantize_values(values, input_scale, cfg.act_bits), index)
     scales = np.array([[init_scale(weights[r0:r1, c0:c1], cfg.weight_bits)
                         for c0, c1 in partition.col_ranges]
                        for r0, r1 in partition.row_ranges])
@@ -315,7 +368,8 @@ class LayerCalibration:
 
 def calibrate_layer(weights, cols, target, granularity, cfg, bias=None,
                     activation="identity", slope=0.01):
-    """Run the four calibration steps on one lowered layer.
+    """Run the four calibration steps on one lowered layer (`cols` dense or a
+    LoweredInput).
 
     Step 4 is no extra forward: the output is that of the winning step-3
     candidate, which ran the same codes under the final scales.
@@ -353,18 +407,18 @@ class NetworkCalibration:
 def calibrating_conv(refs, granularity, cfg, on_layer=None):
     """conv_op that calibrates each quantized layer as the walk reaches it.
 
-    A quantized layer is calibrated (calibrate_layer) on its lowered input
-    against its float reference refs[layer.id], and its quantized output
-    feeds the layers after it; a layer with quantize false runs in float.
+    A quantized layer is calibrated (calibrate_layer) on its lowered input,
+    held as a LoweredInput, against its float reference refs[layer.id], and
+    its quantized output feeds the layers after it; a layer with quantize
+    false runs in float.
     on_layer(layer, cal), when given, sees each LayerCalibration.
     """
     def conv_op(layer, x):
         if not layer.quantize:
             return float_conv(layer, x)
         target = reference_target(layer, refs[layer.id])
-        cols, _ = lower_layer_input(layer, x)
-        cal = calibrate_layer(layer.weight_matrix(), cols, target, granularity, cfg,
-                              layer.bias, layer.activation, layer.slope)
+        cal = calibrate_layer(layer.weight_matrix(), plan_layer_input(layer, x), target,
+                              granularity, cfg, layer.bias, layer.activation, layer.slope)
         if on_layer is not None:
             on_layer(layer, cal)
         return cal.output

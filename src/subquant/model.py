@@ -559,8 +559,10 @@ def lower_layer_input(layer, x):
     meta = _output_meta(layer, x.shape)
     if layer.kind == "conv":
         return im2col(x, layer.kernel, layer.stride, layer.padding), meta
-    # linear: flatten features per sample
-    return np.array(x.reshape(x.shape[0], -1).T, dtype=np.float64, order="C"), meta
+    # linear: flatten features per sample; the explicit feature count keeps an
+    # empty batch reshapeable
+    features = int(np.prod(x.shape[1:]))
+    return np.array(x.reshape(x.shape[0], features).T, dtype=np.float64, order="C"), meta
 
 
 def raise_layer_output(layer, out, meta):

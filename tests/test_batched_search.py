@@ -1,21 +1,29 @@
 """The batched weight search and the grouped forward against their unbatched
 references: every scale, trace value and output must match bit for bit."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from reference_search import (
+    reference_im2col,
+    reference_quantize_values,
     reference_quantized_forward_layer,
     reference_search_weight_scales,
 )
+from subquant import calib
 from subquant.calib import (
     CalibConfig,
     calibrate_layer,
     distance,
+    plan_layer_input,
     scale_space,
     search_input_scale,
     search_weight_scales,
 )
+from subquant.fixtures import build_resnet20_style, build_small_cnn, random_inputs
+from subquant.model import forward_float, prepare_for_quantization, reference_target
 from subquant.quant import (
     GranularityConfig,
     ScaleSet,
@@ -206,3 +214,41 @@ def test_exact_accumulation_guard_at_bound(width, ok):
                                                  cfg)):
             with pytest.raises(ValueError, match="exact float64 range"):
                 run()
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+@pytest.mark.parametrize("build,layer_id", [(build_small_cnn, "conv3"),
+                                            (build_resnet20_style, "s2b1.conv1"),
+                                            (build_resnet20_style, "s2b1.down")],
+                         ids=["small_cnn-conv3", "resnet20-s2b1.conv1", "resnet20-s2b1.down"])
+def test_searches_through_the_plan_match_the_dense_oracle(metric, build, layer_id):
+    """Steps 1, 2 and 3 on a layer's LoweredInput give the scales, distances
+    and outputs of the same steps on the dense float32 im2col matrix with the
+    reference quantization formula, at stride 1 (3x3) and stride 2 (3x3, and
+    1x1, whose lowering skips three of every four input elements)."""
+    graph = prepare_for_quantization(build())
+    refs = forward_float(graph, random_inputs(graph, 4, seed=5))
+    layer = graph.layer(layer_id)
+    x = refs[layer.predecessors[0]]
+    weights = layer.weight_matrix()
+    target = reference_target(layer, refs[layer.id])
+    cfg = CalibConfig(grid_size=12, iterations=1, metric=metric)
+    partition = make_partition(*weights.shape, GranularityConfig("method1", 4, 36))
+    layer_args = {"bias": layer.bias, "activation": layer.activation, "slope": layer.slope}
+
+    def steps(cols):
+        step1 = search_input_scale(weights, cols, target, cfg, **layer_args)
+        grid, trace = search_weight_scales(weights, cols, partition, step1[0], target, cfg,
+                                           **layer_args)
+        step3 = search_input_scale(weights, cols, target, cfg, partition=partition,
+                                   weight_scales=grid, center=step1[0], **layer_args)
+        return step1, grid, trace, step3
+
+    got = steps(plan_layer_input(layer, x))
+    with mock.patch.object(calib, "quantize_values", reference_quantize_values):
+        expect = steps(reference_im2col(x, layer.kernel, layer.stride, layer.padding))
+    for step in (0, 3):
+        assert got[step][:2] == expect[step][:2]
+        assert np.array_equal(got[step][2], expect[step][2])
+    assert np.array_equal(got[1], expect[1])
+    assert got[2] == expect[2]

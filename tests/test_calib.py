@@ -11,6 +11,7 @@ from subquant.calib import (
     calibrate_layer,
     calibrate_network,
     distance,
+    plan_layer_input,
     scale_space,
     search_input_scale,
     search_weight_scales,
@@ -158,6 +159,20 @@ class TestSearchInputScale:
             search_input_scale(np.ones((1, 1), np.float32),
                                np.ones((1, 0), np.float32),
                                np.ones((1, 0), np.float32), cfg)
+
+    @pytest.mark.parametrize("kind", ["conv", "linear"])
+    def test_empty_plan_rejected(self, kind):
+        """An empty batch plans to [J, 0] with no values; the search still
+        rejects it as an empty calibration set."""
+        layer = (Layer(id="l", kind="conv", out_channels=2, in_channels=3, kernel=3, padding=1)
+                 if kind == "conv" else Layer(id="l", kind="linear", out_channels=2,
+                                              in_channels=48))
+        plan = plan_layer_input(layer, np.zeros((0, 3, 4, 4), np.float32))
+        j = 27 if kind == "conv" else 48
+        assert plan.shape == (j, 0) and plan.values.size == 0
+        with pytest.raises(ValueError, match="empty calibration set"):
+            search_input_scale(np.ones((2, j), np.float32), plan,
+                               np.ones((2, 0), np.float32), CalibConfig())
 
 
 class TestSearchWeightScales:

@@ -1,5 +1,6 @@
 """Bundle round-trips, BN folding, and the float forward pass."""
 
+import itertools
 import json
 import tracemalloc
 import weakref
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from subquant.calib import plan_layer_input
 from subquant.errors import BadInputError
 from subquant.fixtures import build_resnet20_style, build_small_cnn, random_inputs
 from subquant.model import (
@@ -406,6 +408,58 @@ def test_quantized_conv_of_an_empty_batch_is_empty():
     info = QuantizedLayerInfo(ScaleSet(np.ones((2, 1)), 0.1), 1, 27)
     out = quantized_conv({"l": info})(layer, np.zeros((0, 3, 4, 4), np.float32))
     assert out.shape == (2, 0) and out.dtype == np.float32
+
+
+def test_an_empty_batch_runs_through_a_linear_layer():
+    """A linear layer lowers an empty batch to [features, 0] in the float walk
+    and in the quantized one, like a conv layer does."""
+    graph = prepare_for_quantization(build_small_cnn())
+    outs = forward_float(graph, np.zeros((0, 3, 8, 8), np.float32))
+    assert outs["fc"].shape == (0, 10) and outs["output"].shape == (0, 10)
+    fc = replace(graph.layer("fc"), quantize=True)
+    info = QuantizedLayerInfo(ScaleSet(np.ones((10, 1)), 0.1), 1, fc.in_channels)
+    out = quantized_conv({"fc": info})(fc, np.zeros((0, 16, 4, 4), np.float32))
+    assert out.shape == (10, 0) and out.dtype == np.float32
+
+
+def assert_plan_gathers_lowering(layer, x):
+    """take(values, index) is the lowered matrix bit for bit, signed zeros and
+    NaN payloads included, and every value is read by the index."""
+    plan = plan_layer_input(layer, x)
+    lowered = lower_layer_input(layer, x)[0]
+    got = np.take(plan.values, plan.index)
+    assert plan.values.dtype == np.float64 and plan.index.dtype == np.intp
+    assert plan.shape == lowered.shape
+    assert np.array_equal(got, lowered, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(lowered))
+    assert np.array_equal(np.unique(plan.index), np.arange(plan.values.size))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=layer_and_activation(), data=st.data())
+def test_plan_gathers_the_lowered_input(case, data):
+    layer, x = case
+    x = x.copy()
+    x[data.draw(hnp.arrays(np.bool_, x.shape))] = -0.0
+    assert_plan_gathers_lowering(layer, x)
+
+
+@pytest.mark.parametrize("geometry", [*itertools.product([1, 3], [1, 2], [0, 1]), "linear"],
+                         ids=str)
+@pytest.mark.parametrize("samples", [1, 2])
+def test_plan_of_every_geometry(geometry, samples):
+    """Each conv geometry of layer_and_activation, and a linear layer, on a
+    batch that holds -0.0 and +0.0 next to other values."""
+    if geometry == "linear":
+        layer = Layer(id="l", kind="linear", out_channels=1, in_channels=2 * 5 * 5)
+    else:
+        kernel, stride, padding = geometry
+        layer = Layer(id="l", kind="conv", out_channels=1, in_channels=2, kernel=kernel,
+                      stride=stride, padding=padding)
+    x = np.random.default_rng(samples).normal(size=(samples, 2, 5, 5)).astype(np.float32)
+    x[:, 0, ::2] = -0.0
+    x[:, 1, 1::2] = 0.0
+    assert_plan_gathers_lowering(layer, x)
 
 
 class TestForward:

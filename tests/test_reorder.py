@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_search import reference_score_block
 from subquant.calib import CalibConfig, distance
@@ -120,6 +122,26 @@ class TestJointReorder:
         out = forward_float(graph, x)["output"]
         scale = np.abs(baseline).max()
         assert np.abs(out - baseline).max() <= 1e-5 * scale
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(build=st.sampled_from([build_resnet20_style, build_toy_segment_net]),
+           data=st.data())
+    def test_joint_reordering_preserves_float_function(self, build, data):
+        """Any joint reordering of any subset of segments leaves the float
+        output unchanged up to summation order (an input-permuted conv sums
+        its terms in another order)."""
+        graph = prepare_for_quantization(build())
+        x = random_inputs(graph, 2, seed=data.draw(st.integers(0, 2 ** 16)))
+        baseline = forward_float(graph, x)["output"]
+        for seg in graph.segments:
+            if not data.draw(st.booleans()):
+                continue
+            layers = [graph.layer(lid) for lid in seg.layer_ids]
+            perms = [np.array(data.draw(st.permutations(range(layer.out_channels))))
+                     for layer in layers[:-1]]
+            commit_segment_reordering(graph, seg, perms)
+        out = forward_float(graph, x)["output"]
+        assert np.abs(out - baseline).max() <= 1e-5 * np.abs(baseline).max()
 
     def test_boundary_channels_untouched(self):
         # the block output is channel-aligned with the shortcut: reordering a
