@@ -6,10 +6,9 @@ overhead of a conv layer is #H / (K*K*IC). Memory overhead is the scale
 count #V*#H against OC*J stored weights, roughly 1/(rows*cols) per group.
 """
 
-import json
 from dataclasses import asdict, dataclass
 
-from .model import csv_text, propagate_shapes, write_atomic
+from .model import propagate_shapes, write_csv, write_json
 from .quant import make_partition
 
 
@@ -119,7 +118,7 @@ def write_overhead_csv(report, path):
                  report.total_extra_macs, repr(report.total_compute_overhead),
                  report.total_scale_count, report.total_weight_count,
                  repr(report.total_memory_overhead)])
-    return write_atomic(path, csv_text(rows))
+    return write_csv(path, rows)
 
 
 def write_overhead_json(report, path):
@@ -134,4 +133,4 @@ def write_overhead_json(report, path):
             "memory_overhead": report.total_memory_overhead,
         },
     }
-    return write_atomic(path, json.dumps(payload, indent=2) + "\n")
+    return write_json(path, payload)

@@ -153,23 +153,12 @@ def plan_layer_input(layer, x):
     return LoweredInput(values, (np.cumsum(read) - 1)[index])
 
 
-def _split(cols):
-    """(values, index) of a LoweredInput; a dense matrix is its own values."""
-    if isinstance(cols, LoweredInput):
-        return cols.values, cols.index
-    return cols, None
-
-
-def _gather(q, index):
-    return q if index is None else np.take(q, index)
-
-
 def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales=None,
                        center=None, bias=None, activation="identity", slope=0.01):
     """Enumerate input-scale candidates and keep the one closest to target.
 
-    `cols` is the lowered [J, P] input, dense or a LoweredInput; each
-    candidate quantizes its values once and gathers the lowered codes.
+    `cols` is the LoweredInput of the layer; each candidate quantizes its
+    values once and gathers the lowered codes.
     With `weight_scales` given, candidates are evaluated through the grouped
     integer path; the weight codes are made once and only the input is
     re-quantized per candidate. Otherwise weights stay in float. The grid
@@ -180,9 +169,8 @@ def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales
     """
     if cols.shape[1] == 0:
         raise ValueError("empty calibration set")
-    values, index = _split(cols)
     if center is None:
-        center = init_scale(values, cfg.act_bits)
+        center = init_scale(cols.values, cfg.act_bits)
     candidates = scale_space(cfg.alpha, cfg.beta, center, cfg.grid_size)
     # ascending; strict < keeps the smallest tie
     candidates = np.unique(np.append(candidates, center))
@@ -194,13 +182,13 @@ def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales
     best_scale, best_d, best_out = None, np.inf, None
     for cand in candidates:
         cand = float(cand)
-        q = quantize_values(values, cand, cfg.act_bits)
+        q = quantize_values(cols.values, cand, cfg.act_bits)
         if weight_scales is None:
             q *= cand
-            out = conv_reference(weights, _gather(q, index), activation, bias, slope)
+            out = conv_reference(weights, np.take(q, cols.index), activation, bias, slope)
         else:
             scales = ScaleSet(weight_scales, cand, cfg.weight_bits, cfg.act_bits)
-            out = grouped_forward(codes, _gather(q, index), partition, scales, bias,
+            out = grouped_forward(codes, np.take(q, cols.index), partition, scales, bias,
                                   activation, slope)
         d = distance(out, target, cfg.metric)
         if d < best_d:
@@ -302,14 +290,13 @@ def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
     with strict `<` from the exact entry distance; every other candidate is
     provably farther than the screened best, so the choice equals that of
     scoring every candidate with `distance()`.
-    `cols` is dense or a LoweredInput; its codes are gathered once.
+    `cols` is the LoweredInput of the layer; its codes are gathered once.
     Returns the scale grid and the distance trace (initial value plus one
     entry per sweep).
     """
     p = cols.shape[1]
     check_exact_accumulation(partition, cfg.weight_bits, cfg.act_bits)
-    values, index = _split(cols)
-    q_cols = _gather(quantize_values(values, input_scale, cfg.act_bits), index)
+    q_cols = np.take(quantize_values(cols.values, input_scale, cfg.act_bits), cols.index)
     scales = np.array([[init_scale(weights[r0:r1, c0:c1], cfg.weight_bits)
                         for c0, c1 in partition.col_ranges]
                        for r0, r1 in partition.row_ranges])
@@ -368,8 +355,8 @@ class LayerCalibration:
 
 def calibrate_layer(weights, cols, target, granularity, cfg, bias=None,
                     activation="identity", slope=0.01):
-    """Run the four calibration steps on one lowered layer (`cols` dense or a
-    LoweredInput).
+    """Run the four calibration steps on one layer, whose lowered input `cols`
+    is a LoweredInput.
 
     Step 4 is no extra forward: the output is that of the winning step-3
     candidate, which ran the same codes under the final scales.

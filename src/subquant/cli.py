@@ -19,7 +19,6 @@ from .calib import CalibConfig, calibrate_network, distance, subsample
 from .errors import BadInputError, SubquantError
 from .model import (
     check_shapes,
-    csv_text,
     execute,
     float_conv,
     forward_float,
@@ -28,8 +27,11 @@ from .model import (
     load_calibration_set,
     prepare_for_quantization,
     quantized_conv,
+    require_int,
+    require_number,
     save_bundle,
-    write_atomic,
+    write_csv,
+    write_json,
 )
 from .quant import GranularityConfig, check_bits
 from .reorder import (
@@ -68,30 +70,17 @@ def _section(raw, key):
     return entry
 
 
-def _int(what, value):
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _seed(what, value):
-    if _int(what, value) < 0:
-        raise ValueError(f"{what} must be >= 0, got {value}")
-    return value
-
-
 def _count_list(what, value):
     """A list of integers >= 1, such as a sweep axis."""
     if not isinstance(value, list):
         raise TypeError(f"{what} must be a list of integers, got {value!r}")
     for v in value:
-        if _int(f"each entry of {what}", v) < 1:
-            raise ValueError(f"each entry of {what} must be >= 1, got {v}")
+        require_int(f"each entry of {what}", v, 1)
     return value
 
 
 def _granularity_from(entry):
-    sizes = {key: _int(f"granularity.{key}", entry[key])
+    sizes = {key: require_int(f"granularity.{key}", entry[key])
              for key in ("rows_per_group", "cols_per_group", "h_groups")
              if entry.get(key) is not None}
     return GranularityConfig(mode=entry.get("mode", "channelwise"), **sizes)
@@ -104,12 +93,10 @@ def _config_from(cls, section, entry):
         if f.name not in entry:
             continue
         what, value = f"{section}.{f.name}", entry[f.name]
-        if f.name == "seed":
-            _seed(what, value)
-        elif f.type is int:
-            _int(what, value)
-        elif f.type is float and type(value) not in (int, float):
-            raise TypeError(f"{what} must be a number, got {value!r}")
+        if f.type is int:
+            require_int(what, value, 0 if f.name == "seed" else None)
+        elif f.type is float:
+            require_number(what, value)
     return cls(**entry)
 
 
@@ -131,7 +118,7 @@ def load_run_config(path, out=None, seed=None, jobs=None):
     try:
         if not isinstance(raw, dict):
             raise TypeError(f"the config must be a JSON object, got {raw!r}")
-        run_seed = _seed("seed", seed if seed is not None else raw.get("seed", 0))
+        run_seed = require_int("seed", seed if seed is not None else raw.get("seed", 0), 0)
         calib_raw = dict(_section(raw, "calib"))
         calib_raw.setdefault("seed", run_seed)
         reorder_raw = dict(_section(raw, "reorder"))
@@ -141,9 +128,7 @@ def load_run_config(path, out=None, seed=None, jobs=None):
         out_dir = Path(out if out is not None
                        else os.environ.get(OUT_ENV_VAR) or raw.get("out", "subquant-out"))
         model = raw["model"]
-        run_jobs = _int("jobs", jobs if jobs is not None else raw.get("jobs", 1))
-        if run_jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {run_jobs}")
+        run_jobs = require_int("jobs", jobs if jobs is not None else raw.get("jobs", 1), 1)
         cfg = RunConfig(
             model=(path.parent / model).resolve() if not Path(model).is_absolute() else Path(model),
             calibration=_resolve_optional(path, raw.get("calibration")),
@@ -173,14 +158,6 @@ def _resolve_optional(config_path, value):
         return None
     p = Path(value)
     return p if p.is_absolute() else (config_path.parent / p).resolve()
-
-
-def _write_csv_atomic(path, rows):
-    return write_atomic(path, csv_text(rows))
-
-
-def _write_json_atomic(path, payload):
-    return write_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _load_model(cfg):
@@ -218,7 +195,7 @@ def cmd_quantize(cfg):
     result = calibrate_network(graph, samples, cfg.granularity, cfg.calib)
     graph.scales = result.scales
     bundle_dir = save_bundle(graph, cfg.out / "quantized")
-    _write_csv_atomic(cfg.out / "layer_distances.csv", _layer_distance_rows(graph, result))
+    write_csv(cfg.out / "layer_distances.csv", _layer_distance_rows(graph, result))
     summary = {
         "granularity": cfg.granularity.describe(),
         "metric": cfg.calib.metric,
@@ -230,7 +207,7 @@ def cmd_quantize(cfg):
         "mean_quantized_layer_distance": result.mean_quantized_distance(),
         "quantized_layers": sorted(result.scales),
     }
-    _write_json_atomic(cfg.out / "quantize_summary.json", summary)
+    write_json(cfg.out / "quantize_summary.json", summary)
     print(f"quantized {len(result.scales)} layers; network distance "
           f"{result.network_distance:.6g}; bundle at {bundle_dir}")
     return 0
@@ -319,9 +296,9 @@ def cmd_sweep(cfg):
         return [header] + [[str(r)] + [_cell_text(grid[(r, v)], key) for v in col_values]
                            for r in cfg.sweep_rows]
 
-    _write_csv_atomic(cfg.out / "sweep_distance.csv", table("distance"))
+    write_csv(cfg.out / "sweep_distance.csv", table("distance"))
     if eval_data is not None:
-        _write_csv_atomic(cfg.out / "sweep_accuracy.csv", table("accuracy"))
+        write_csv(cfg.out / "sweep_accuracy.csv", table("accuracy"))
     summary = {
         "axis": axis,
         "rows": cfg.sweep_rows,
@@ -330,7 +307,7 @@ def cmd_sweep(cfg):
         "seed": cfg.seed,
         "cells": [{"rows": r, axis: v, **grid[(r, v)]} for r, v in cells],
     }
-    _write_json_atomic(cfg.out / "sweep_summary.json", summary)
+    write_json(cfg.out / "sweep_summary.json", summary)
     failed = sum(1 for o in outcomes if "error" in o)
     print(f"sweep finished: {len(cells) - failed}/{len(cells)} cells ok")
     return 0
@@ -361,7 +338,7 @@ def cmd_reorder(cfg):
                                  references=references)
     if not graph.segments:
         print("no segments declared in the bundle; nothing to reorder")
-        _write_json_atomic(cfg.out / "reorder_summary.json", {
+        write_json(cfg.out / "reorder_summary.json", {
             "segments": [], "baseline_network_distance": baseline.network_distance,
             "final_network_distance": baseline.network_distance, "seed": cfg.seed})
         return 0
@@ -392,8 +369,8 @@ def cmd_reorder(cfg):
     for r in results:
         rows.append([r.segment_id, repr(r.identity_score), repr(r.best_score),
                      repr(r.best_score - r.identity_score)])
-    _write_csv_atomic(cfg.out / "segment_scores.csv", rows)
-    _write_json_atomic(cfg.out / "reorder_summary.json", {
+    write_csv(cfg.out / "segment_scores.csv", rows)
+    write_json(cfg.out / "reorder_summary.json", {
         "granularity": cfg.granularity.describe(),
         "seed": cfg.seed,
         "segments": graph.reorderings,
@@ -459,8 +436,8 @@ def cmd_eval(cfg):
             network_distance = d
             float_top1 = float(np.mean(np.argmax(float_out, axis=1) == labels))
             quant_top1 = float(np.mean(np.argmax(quant_out, axis=1) == labels))
-    _write_csv_atomic(cfg.out / "eval_layer_distances.csv", rows)
-    _write_json_atomic(cfg.out / "eval_summary.json", {
+    write_csv(cfg.out / "eval_layer_distances.csv", rows)
+    write_json(cfg.out / "eval_summary.json", {
         "eval_samples": int(eval_x.shape[0]),
         "float_top1": float_top1,
         "quantized_top1": quant_top1,

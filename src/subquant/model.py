@@ -24,7 +24,7 @@ from .quant import (
     make_partition,
     quantized_forward_layer,
 )
-from .tensor import apply_activation, conv_output_hw, conv_reference, im2col
+from .tensor import ACTIVATIONS, apply_activation, conv_output_hw, conv_reference, im2col
 
 BUNDLE_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -171,11 +171,16 @@ def write_atomic(path, data):
     return path
 
 
-def csv_text(rows):
-    """Rows rendered by the csv module, CRLF line ends included."""
+def write_json(path, payload):
+    """`payload` as JSON indented by two, plus a final newline, via write_atomic."""
+    return write_atomic(path, json.dumps(payload, indent=2) + "\n")
+
+
+def write_csv(path, rows):
+    """Rows rendered by the csv module, CRLF line ends included, via write_atomic."""
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
-    return buf.getvalue()
+    return write_atomic(path, buf.getvalue())
 
 
 def _require_finite(arr, what):
@@ -251,7 +256,7 @@ def save_bundle(graph, path):
     if graph.reorderings:
         manifest["reorderings"] = graph.reorderings
     write_atomic(path / BLOB_NAME, b"".join(blobs.chunks))
-    write_atomic(path / MANIFEST_NAME, json.dumps(manifest, indent=2) + "\n")
+    write_json(path / MANIFEST_NAME, manifest)
     return path
 
 
@@ -335,6 +340,23 @@ def _check_manifest_types(manifest, path):
                             f"of integers")
 
 
+def require_int(what, value, minimum=None):
+    """`value`, once it is an integer (a bool is not) of at least `minimum`:
+    the rule for every integer a manifest or a run config gives."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
+def require_number(what, value):
+    """`value`, once it is an integer or a float (a bool is neither)."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return value
+
+
 def _id_list(value, owner, field):
     """A manifest list of layer ids; a bare string would split into characters."""
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
@@ -349,15 +371,20 @@ def _load_layer(entry, lid, kind, data):
                   predecessors=_id_list(entry.get("predecessors", []), f"layer {lid}",
                                         "predecessors"))
     if kind in ("conv", "linear"):
-        layer.out_channels = int(entry["out_channels"])
-        layer.in_channels = int(entry["in_channels"])
+        layer.out_channels = require_int("out_channels", entry["out_channels"], 1)
+        layer.in_channels = require_int("in_channels", entry["in_channels"], 1)
         if kind == "conv":
-            layer.kernel = int(entry["kernel"])
-            layer.stride = int(entry.get("stride", 1))
-            layer.padding = int(entry.get("padding", 0))
+            layer.kernel = require_int("kernel", entry["kernel"], 1)
+            layer.stride = require_int("stride", entry.get("stride", 1), 1)
+            layer.padding = require_int("padding", entry.get("padding", 0), 0)
         layer.activation = entry.get("activation", "identity")
-        layer.slope = float(entry.get("slope", 0.01))
-        layer.quantize = bool(entry.get("quantize", True))
+        if layer.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {', '.join(ACTIVATIONS)}, "
+                             f"got {layer.activation!r}")
+        layer.slope = float(require_number("slope", entry.get("slope", 0.01)))
+        layer.quantize = entry.get("quantize", True)
+        if type(layer.quantize) is not bool:
+            raise TypeError(f"quantize must be true or false, got {layer.quantize!r}")
         if "weight" in entry:
             flat = _read_blob(entry["weight"], data, lid, "weight")
             expect = layer.out_channels * layer.weights_per_channel
@@ -378,7 +405,8 @@ def _load_layer(entry, lid, kind, data):
                     f"expected {layer.out_channels}")
             layer.bias = bias
     elif kind == "batchnorm":
-        channels = int(entry["channels"])
+        channels = require_int("channels", entry["channels"], 1)
+        epsilon = float(require_number("epsilon", entry.get("epsilon", 1e-5)))
         parts = {}
         for what in ("gamma", "beta", "mean", "var"):
             arr = _read_blob(entry[what], data, lid, what)
@@ -386,10 +414,13 @@ def _load_layer(entry, lid, kind, data):
                 raise BadInputError(f"layer {lid}: {what} blob size {arr.size} != "
                                     f"declared channels {channels}")
             parts[what] = arr
+        if not np.all(parts["var"] + epsilon > 0):
+            raise BadInputError(f"layer {lid}: var + epsilon must be positive "
+                                f"(epsilon {epsilon})")
         layer.bn = BatchNormParams(parts["gamma"], parts["beta"], parts["mean"],
-                                   parts["var"], float(entry.get("epsilon", 1e-5)))
+                                   parts["var"], epsilon)
     elif kind == "leaky-relu":
-        layer.slope = float(entry.get("slope", 0.01))
+        layer.slope = float(require_number("slope", entry.get("slope", 0.01)))
     return layer
 
 
@@ -400,8 +431,9 @@ def _load_scale_entry(lid, entry, layer):
     try:
         weight_scales = np.array(entry["weight_scales"], dtype=np.float64)
         input_scale = float(entry["input_scale"])
-        bits = {what: int(entry[what]) for what in ("weight_bits", "act_bits")}
-        rows, cols = int(entry["rows_per_group"]), int(entry["cols_per_group"])
+        bits = {what: require_int(what, entry[what]) for what in ("weight_bits", "act_bits")}
+        rows = require_int("rows_per_group", entry["rows_per_group"], 1)
+        cols = require_int("cols_per_group", entry["cols_per_group"], 1)
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInputError(f"layer {lid}: malformed scale entry ({exc!r})") from exc
     for what, value in bits.items():
@@ -409,8 +441,6 @@ def _load_scale_entry(lid, entry, layer):
             check_bits(f"layer {lid}: {what}", value)
         except ValueError as exc:
             raise BadInputError(str(exc)) from exc
-    if rows < 1 or cols < 1:
-        raise BadInputError(f"layer {lid}: group shape {rows}x{cols} is not positive")
     if not (np.all(weight_scales > 0) and np.all(np.isfinite(weight_scales))
             and 0 < input_scale < np.inf):
         raise BadInputError(f"layer {lid}: scales must be finite and strictly positive")

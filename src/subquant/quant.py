@@ -274,38 +274,35 @@ def grouped_forward(codes, q_cols, partition, scales, bias=None,
 
 
 def quantized_forward_layer(weights, x, partition, scales, bias=None,
-                            activation="identity", slope=0.01, lower=None):
+                            activation="identity", slope=0.01, *, lower):
     """Grouped integer conv: quantize every group (v, h) under its scale, run
     one integer matmul per column group, rescale each row group by its group
     scale times the input scale, and sum over h; bias and activation are
     applied on the rescaled result.
 
-    `x` is the lowered [J, P] input, or, with `lower` given, the activation
-    that lower(x) turns into it. The activation is then quantized before it
-    is lowered: quantization is elementwise and lowering only copies
-    elements and pads with +0.0, whose code is +0.0, so the codes are the
-    same bit for bit while a K*K conv quantizes each input element once
-    instead of K*K times.
+    `x` is the layer's incoming activation, a batch of samples that
+    lower(x) turns into the lowered [J, P] input. The activation is
+    quantized before it is lowered: quantization is elementwise and
+    lowering only copies elements and pads with +0.0, whose code is +0.0,
+    so the codes are the same bit for bit while a K*K conv quantizes each
+    input element once instead of K*K times.
 
-    With `lower`, the weight codes are made once and the activation runs in
-    blocks of samples of about _FORWARD_BLOCK_BYTES lowered, each block's
-    [OC, p] columns going into one [OC, P] output; the first block is one
-    sample, whose lowered size sets the block length. The blocked output
-    equals the whole-matrix one bit for bit: the integer matmuls are exact
-    and every later float64 op (rescale, ascending-h sum, bias, activation)
-    is per column.
+    The weight codes are made once and the activation runs in blocks of
+    samples of about _FORWARD_BLOCK_BYTES lowered, each block's [OC, p]
+    columns going into one [OC, P] output; the first block is one sample,
+    whose lowered size sets the block length. The blocked output equals the
+    whole-matrix one bit for bit: the integer matmuls are exact and every
+    later float64 op (rescale, ascending-h sum, bias, activation) is per
+    column.
     """
     weights = np.asarray(weights)
-    if lower is None:
-        q_cols = quantize_values(x, scales.input_scale, scales.act_bits)
-    else:
-        x = np.asarray(x)
-        q_cols = lower(quantize_values(x[:1], scales.input_scale, scales.act_bits))
+    x = np.asarray(x)
+    q_cols = lower(quantize_values(x[:1], scales.input_scale, scales.act_bits))
     check_layer_scales(weights, q_cols, partition, scales)
     codes = quantize_weight_groups(weights, partition, scales.weight_scales,
                                    scales.weight_bits)
     first = grouped_forward(codes, q_cols, partition, scales, bias, activation, slope)
-    if lower is None or len(x) <= 1:
+    if len(x) <= 1:
         return first
     width = first.shape[1]
     step = max(1, _FORWARD_BLOCK_BYTES // q_cols.nbytes)

@@ -3,14 +3,19 @@ point: run `python tests/golden_helpers.py` ONLY after hand-verifying a
 change that legitimately alters the numerics. The goldens pin the calibrated
 scales, forward activations, and reordering outcome of the demo fixtures."""
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-from subquant.calib import CalibConfig, calibrate_layer
+from subquant.calib import CalibConfig, calibrate_layer, plan_layer_input
 from subquant.fixtures import build_small_cnn, build_toy_segment_net, random_inputs
-from subquant.model import forward_float, lower_layer_input, prepare_for_quantization, reference_target
+from subquant.model import (
+    forward_float,
+    lower_layer_input,
+    prepare_for_quantization,
+    raise_layer_output,
+    write_json,
+)
 from subquant.quant import GranularityConfig
 from subquant.reorder import ReorderConfig, ea_search, make_segment_context
 from subquant.tensor import conv_reference
@@ -39,15 +44,14 @@ def scales_payload():
     layer = graph.layer("conv2")
     conv1 = graph.layer("conv1")
     cols1, meta1 = lower_layer_input(conv1, x)
-    from subquant.model import raise_layer_output
     act1 = raise_layer_output(conv1, conv_reference(
         conv1.weight_matrix(), cols1, conv1.activation, conv1.bias), meta1)
     cols, _ = lower_layer_input(layer, act1)
     target = conv_reference(layer.weight_matrix(), cols, layer.activation,
                             layer.bias, layer.slope)
     cfg = CalibConfig(grid_size=15, iterations=2, samples=4)
-    cal = calibrate_layer(layer.weight_matrix(), cols, target,
-                          GranularityConfig("method1", 2, 36), cfg,
+    cal = calibrate_layer(layer.weight_matrix(), plan_layer_input(layer, act1),
+                          target, GranularityConfig("method1", 2, 36), cfg,
                           layer.bias, layer.activation, layer.slope)
     return {
         "layer": "conv2",
@@ -75,9 +79,7 @@ def reorder_payload():
 
 
 def write(name, payload):
-    path = GOLDEN_DIR / name
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {path}")
+    print(f"wrote {write_json(GOLDEN_DIR / name, payload)}")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 forward, kept as oracles for the batched versions in `subquant`, plus the
 block fitness written as its own layer loop, an oracle for the executor-based
 `score_block`, and the earlier forms of the quantization formula, of
-im2col and of the euclidean distance.
+im2col and of the euclidean distance; and two adapters that run a dense
+[J, P] matrix through the production input forms.
 
 `reference_search_weight_scales` scores every grid candidate with
 `distance()` on the full layer output; `reference_quantized_forward_layer`
@@ -12,10 +13,30 @@ results the library must reproduce bit for bit.
 
 import numpy as np
 
-from subquant.calib import calibrate_layer, distance, scale_space
+from subquant.calib import LoweredInput, calibrate_layer, distance, scale_space
 from subquant.model import lower_layer_input, raise_layer_output
-from subquant.quant import check_exact_accumulation, init_scale, quantize_values
+from subquant.quant import (
+    check_exact_accumulation,
+    init_scale,
+    quantize_values,
+    quantized_forward_layer,
+)
 from subquant.tensor import apply_activation, conv_output_hw, conv_reference
+
+
+def dense_plan(cols):
+    """The LoweredInput of a dense [J, P] matrix: every entry is its own
+    value, gathered once."""
+    return LoweredInput(np.asarray(cols, np.float64).reshape(-1),
+                        np.arange(cols.size).reshape(cols.shape))
+
+
+def dense_forward(weights, cols, partition, scales, bias=None, activation="identity",
+                  slope=0.01):
+    """quantized_forward_layer of a dense [J, P] matrix, run as a batch of P
+    one-column samples that np.transpose lowers back to the matrix."""
+    return quantized_forward_layer(weights, np.asarray(cols).T, partition, scales, bias,
+                                   activation, slope, lower=np.transpose)
 
 
 def reference_quantize_values(x, scale, bits):
@@ -143,9 +164,9 @@ def reference_score_block(ctx, layers):
         out_f = conv_reference(layer.weight_matrix(), cols_f, layer.activation,
                                layer.bias, layer.slope)
         cols_q, _ = lower_layer_input(layer, current_q)
-        out_q = calibrate_layer(layer.weight_matrix(), cols_q, out_f, ctx.granularity,
-                                ctx.calib_cfg, layer.bias, layer.activation,
-                                layer.slope).output
+        out_q = calibrate_layer(layer.weight_matrix(), dense_plan(cols_q), out_f,
+                                ctx.granularity, ctx.calib_cfg, layer.bias,
+                                layer.activation, layer.slope).output
         current_f = raise_layer_output(layer, out_f, meta)
         current_q = raise_layer_output(layer, out_q, meta)
     return -distance(out_q, out_f, "euclidean")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import write_config
+from reference_search import dense_forward, dense_plan
 from subquant.analysis import network_overhead_report
 from subquant.calib import (
     CalibConfig,
@@ -34,7 +35,6 @@ from subquant.quant import (
     init_scale,
     make_partition,
     quantize_values,
-    quantized_forward_layer,
 )
 from subquant.reorder import (
     ReorderConfig,
@@ -120,7 +120,7 @@ def test_03_iterative_search_vs_exhaustive_oracle():
             dx = init_scale(x, cfg.act_bits)
             part = make_partition(4, 4, gran)
             target = conv_reference(w, x)
-            scales, trace = search_weight_scales(w, x, part, dx, target, cfg)
+            scales, trace = search_weight_scales(w, dense_plan(x), part, dx, target, cfg)
             greedy = trace[-1]
             assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
             # single-move local optimality on the grids at the final scales
@@ -130,7 +130,7 @@ def test_03_iterative_search_vs_exhaustive_oracle():
                                             cfg.grid_size):
                         g2 = scales.copy()
                         g2[v, h] = cand
-                        out = quantized_forward_layer(
+                        out = dense_forward(
                             w, x, part, ScaleSet(g2, dx, cfg.weight_bits, cfg.act_bits))
                         assert distance(out, target) >= greedy - 1e-12
             # exhaustive joint optimum over the initial candidate grids
@@ -141,7 +141,7 @@ def test_03_iterative_search_vs_exhaustive_oracle():
             oracle = np.inf
             for combo in itertools.product(*grids):
                 grid = np.array(combo).reshape(part.v_groups, part.h_groups)
-                out = quantized_forward_layer(
+                out = dense_forward(
                     w, x, part, ScaleSet(grid, dx, cfg.weight_bits, cfg.act_bits))
                 oracle = min(oracle, distance(out, target))
             assert greedy <= 1.25 * oracle
@@ -162,8 +162,7 @@ def test_04_special_case_equivalences():
             # single group reproduces the layerwise form exactly
             part = make_partition(oc, j, GranularityConfig("method1", oc, j))
             dw = init_scale(w, 4)
-            got = quantized_forward_layer(w, x, part, ScaleSet(np.array([[dw]]), dx),
-                                          bias=b)
+            got = dense_forward(w, x, part, ScaleSet(np.array([[dw]]), dx), bias=b)
             qw = quantize_values(w, dw, 4)
             qx = quantize_values(x, dx, 8)
             want = ((dw * dx) * (qw @ qx) + b.astype(np.float64)[:, None]).astype(np.float32)
@@ -171,7 +170,7 @@ def test_04_special_case_equivalences():
             # one-row groups match an independently coded per-channel pass
             part = make_partition(oc, j, GranularityConfig("method1", 1, j))
             row_scales = np.array([[init_scale(w[c], 4)] for c in range(oc)])
-            got = quantized_forward_layer(w, x, part, ScaleSet(row_scales, dx), bias=b)
+            got = dense_forward(w, x, part, ScaleSet(row_scales, dx), bias=b)
             want = np.empty((oc, p))
             for c in range(oc):
                 s = row_scales[c, 0]
@@ -281,7 +280,7 @@ def test_08_overhead_table_and_instrumentation(term_sizes):
                 scales = ScaleSet(np.full((part.v_groups, part.h_groups), 0.05),
                                   init_scale(cols_mat, 8))
                 term_sizes.clear()
-                quantized_forward_layer(layer.weight_matrix(), cols_mat, part, scales)
+                dense_forward(layer.weight_matrix(), cols_mat, part, scales)
                 assert sum(term_sizes) == \
                     part.h_groups * layer.out_channels * cols_mat.shape[1]
                 out = conv_ref(layer.weight_matrix(), cols_mat, layer.activation,

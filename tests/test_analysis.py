@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from reference_search import dense_forward
 from subquant.analysis import (
     OVERHEAD_COLUMNS,
     computation_overhead,
@@ -22,7 +23,6 @@ from subquant.quant import (
     ScaleSet,
     init_scale,
     make_partition,
-    quantized_forward_layer,
 )
 
 
@@ -55,7 +55,7 @@ class TestComputationOverhead:
             part = make_partition(layer.out_channels, layer.weights_per_channel, gran)
             scales = ScaleSet(np.full((part.v_groups, part.h_groups), 0.1),
                               init_scale(cols, 8))
-            quantized_forward_layer(layer.weight_matrix(), cols, part, scales)
+            dense_forward(layer.weight_matrix(), cols, part, scales)
             assert sum(term_sizes) == part.h_groups * layer.out_channels * cols.shape[1]
             break
 

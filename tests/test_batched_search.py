@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from reference_search import (
+    dense_forward,
+    dense_plan,
     reference_im2col,
     reference_quantize_values,
     reference_quantized_forward_layer,
@@ -29,7 +31,6 @@ from subquant.quant import (
     ScaleSet,
     make_partition,
     quantize_values,
-    quantized_forward_layer,
 )
 from subquant.tensor import conv_reference
 
@@ -62,8 +63,8 @@ def assert_search_matches(weights, cols, partition, input_scale, target, cfg, bi
                           activation="identity", slope=0.01):
     expect = reference_search_weight_scales(weights, cols, partition, input_scale, target,
                                             cfg, bias, activation, slope)
-    got = search_weight_scales(weights, cols, partition, input_scale, target, cfg,
-                               bias, activation, slope)
+    got = search_weight_scales(weights, dense_plan(cols), partition, input_scale, target,
+                               cfg, bias, activation, slope)
     assert np.array_equal(got[0], expect[0])
     assert got[1] == expect[1]
     return got
@@ -137,7 +138,7 @@ def test_grouped_forward_matches_reference(granularity, activation, term_sizes):
     rng = np.random.default_rng(7)
     grid = rng.uniform(0.01, 0.05, size=(partition.v_groups, partition.h_groups))
     scales = ScaleSet(grid, 0.03)
-    got = quantized_forward_layer(weights, cols, partition, scales, bias, activation, 0.1)
+    got = dense_forward(weights, cols, partition, scales, bias, activation, 0.1)
     expect = reference_quantized_forward_layer(weights, cols, partition, scales, bias,
                                                activation, 0.1)
     assert got.dtype == np.float32
@@ -153,8 +154,9 @@ def test_input_research_matches_reference(metric):
     target = target_of(weights, cols, bias, "relu")
     partition = make_partition(*weights.shape, GranularityConfig("method2", 1, h_groups=4))
     cfg = CalibConfig(grid_size=25, metric=metric)
-    grid, _ = search_weight_scales(weights, cols, partition, 0.03, target, cfg, bias, "relu")
-    got = search_input_scale(weights, cols, target, cfg, partition=partition,
+    plan = dense_plan(cols)
+    grid, _ = search_weight_scales(weights, plan, partition, 0.03, target, cfg, bias, "relu")
+    got = search_input_scale(weights, plan, target, cfg, partition=partition,
                              weight_scales=grid, center=0.03, bias=bias, activation="relu")
     candidates = np.unique(np.append(scale_space(cfg.alpha, cfg.beta, 0.03, 25), 0.03))
     best = (None, np.inf, None)
@@ -176,9 +178,9 @@ def test_calibrated_output_is_the_final_forward(metric, granularity):
     weights, cols, bias = make_layer(9)
     target = target_of(weights, cols, bias, "leaky_relu", seed=2)
     cfg = CalibConfig(grid_size=15, iterations=1, metric=metric)
-    cal = calibrate_layer(weights, cols, target, granularity, cfg, bias, "leaky_relu", 0.1)
-    expect = quantized_forward_layer(weights, cols, cal.partition, cal.scales, bias,
-                                     "leaky_relu", 0.1)
+    cal = calibrate_layer(weights, dense_plan(cols), target, granularity, cfg, bias,
+                          "leaky_relu", 0.1)
+    expect = dense_forward(weights, cols, cal.partition, cal.scales, bias, "leaky_relu", 0.1)
     assert np.array_equal(cal.output, expect)
     assert cal.distance == distance(expect, target, metric)
     assert cal.step_distances["final"] == cal.distance
@@ -198,20 +200,20 @@ def test_exact_accumulation_guard_at_bound(width, ok):
     target = np.zeros((2, 3), dtype=np.float32)
 
     def step3():
-        return search_input_scale(weights, cols, target, cfg, partition=partition,
+        return search_input_scale(weights, dense_plan(cols), target, cfg, partition=partition,
                                   weight_scales=scales.weight_scales, center=1e-9)
 
     if ok:
-        out = quantized_forward_layer(weights, cols, partition, scales)
+        out = dense_forward(weights, cols, partition, scales)
         expect = reference_quantized_forward_layer(weights, cols, partition, scales)
         assert np.array_equal(out, expect)
         assert out[0, 0] == np.float32(2.0 ** 53 * 1e-9 * 1e-9)
         assert step3()[0] is not None
-        search_weight_scales(weights, cols, partition, 1e-9, target, cfg)
+        search_weight_scales(weights, dense_plan(cols), partition, 1e-9, target, cfg)
     else:
-        for run in (lambda: quantized_forward_layer(weights, cols, partition, scales), step3,
-                    lambda: search_weight_scales(weights, cols, partition, 1e-9, target,
-                                                 cfg)):
+        for run in (lambda: dense_forward(weights, cols, partition, scales), step3,
+                    lambda: search_weight_scales(weights, dense_plan(cols), partition, 1e-9,
+                                                 target, cfg)):
             with pytest.raises(ValueError, match="exact float64 range"):
                 run()
 
@@ -223,9 +225,10 @@ def test_exact_accumulation_guard_at_bound(width, ok):
                          ids=["small_cnn-conv3", "resnet20-s2b1.conv1", "resnet20-s2b1.down"])
 def test_searches_through_the_plan_match_the_dense_oracle(metric, build, layer_id):
     """Steps 1, 2 and 3 on a layer's LoweredInput give the scales, distances
-    and outputs of the same steps on the dense float32 im2col matrix with the
-    reference quantization formula, at stride 1 (3x3) and stride 2 (3x3, and
-    1x1, whose lowering skips three of every four input elements)."""
+    and outputs of the same steps on the float32 im2col matrix, each entry
+    its own value (dense_plan), with the reference quantization formula, at
+    stride 1 (3x3) and stride 2 (3x3, and 1x1, whose lowering skips three of
+    every four input elements)."""
     graph = prepare_for_quantization(build())
     refs = forward_float(graph, random_inputs(graph, 4, seed=5))
     layer = graph.layer(layer_id)
@@ -246,7 +249,8 @@ def test_searches_through_the_plan_match_the_dense_oracle(metric, build, layer_i
 
     got = steps(plan_layer_input(layer, x))
     with mock.patch.object(calib, "quantize_values", reference_quantize_values):
-        expect = steps(reference_im2col(x, layer.kernel, layer.stride, layer.padding))
+        expect = steps(dense_plan(reference_im2col(x, layer.kernel, layer.stride,
+                                                   layer.padding)))
     for step in (0, 3):
         assert got[step][:2] == expect[step][:2]
         assert np.array_equal(got[step][2], expect[step][2])

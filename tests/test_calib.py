@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from reference_search import reference_distance
+from reference_search import dense_forward, dense_plan, reference_distance
 from subquant.calib import (
     CalibConfig,
     calibrate_layer,
@@ -25,7 +25,6 @@ from subquant.quant import (
     init_scale,
     make_partition,
     quantize_values,
-    quantized_forward_layer,
 )
 from subquant.tensor import conv_reference
 
@@ -125,7 +124,7 @@ class TestSearchInputScale:
         w, x = lossless_layer()
         target = conv_reference(w, x)
         cfg = CalibConfig(grid_size=100)
-        scale, d, _ = search_input_scale(w, x, target, cfg)
+        scale, d, _ = search_input_scale(w, dense_plan(x), target, cfg)
         assert scale == 0.0625
         assert d == 0.0
 
@@ -136,7 +135,7 @@ class TestSearchInputScale:
         target = conv_reference(w, x)
         cfg = CalibConfig(grid_size=2)
         # the smallest grid the config allows; the init candidate joins it
-        scale, _, _ = search_input_scale(w, x, target, cfg)
+        scale, _, _ = search_input_scale(w, dense_plan(x), target, cfg)
         assert scale > 0
 
     def test_constant_input_matches_bruteforce(self):
@@ -144,7 +143,7 @@ class TestSearchInputScale:
         w = np.array([[1.0]], dtype=np.float32)
         x = np.full((1, 6), 1.27, dtype=np.float32)
         target = x.copy()
-        scale, _, _ = search_input_scale(w, x, target, cfg)
+        scale, _, _ = search_input_scale(w, dense_plan(x), target, cfg)
         center = init_scale(x, cfg.act_bits)
         cands = np.unique(np.append(scale_space(cfg.alpha, cfg.beta, center, 100), center))
         errs = []
@@ -157,7 +156,7 @@ class TestSearchInputScale:
         cfg = CalibConfig()
         with pytest.raises(ValueError):
             search_input_scale(np.ones((1, 1), np.float32),
-                               np.ones((1, 0), np.float32),
+                               dense_plan(np.ones((1, 0), np.float32)),
                                np.ones((1, 0), np.float32), cfg)
 
     @pytest.mark.parametrize("kind", ["conv", "linear"])
@@ -185,12 +184,12 @@ class TestSearchWeightScales:
             dx = init_scale(x, cfg.act_bits)
             part = make_partition(3, 5, GranularityConfig("layerwise"))
             target = conv_reference(w, x)
-            got, _ = search_weight_scales(w, x, part, dx, target, cfg)
+            got, _ = search_weight_scales(w, dense_plan(x), part, dx, target, cfg)
             # oracle: incumbent init first, then the grid, strict improvement
             init = init_scale(w, cfg.weight_bits)
             best_s, best_d = init, None
             for cand in [init] + list(scale_space(cfg.alpha, cfg.beta, init, cfg.grid_size)):
-                out = quantized_forward_layer(
+                out = dense_forward(
                     w, x, part, ScaleSet(np.array([[cand]]), dx,
                                          cfg.weight_bits, cfg.act_bits))
                 d = distance(out, target, cfg.metric)
@@ -205,7 +204,7 @@ class TestSearchWeightScales:
         cfg = CalibConfig(grid_size=97, iterations=1)
         part = make_partition(2, 2, GranularityConfig("channelwise"))
         target = conv_reference(w, x)
-        scales, trace = search_weight_scales(w, x, part, 1.0, target, cfg)
+        scales, trace = search_weight_scales(w, dense_plan(x), part, 1.0, target, cfg)
         assert trace[-1] == 0.0
         assert scales[0, 0] == pytest.approx(np.float32(0.8) / 8)
         assert scales[1, 0] == 0.25
@@ -225,7 +224,8 @@ class TestSearchWeightScales:
             x = rng.normal(size=(8, 10)).astype(np.float32)
             part = make_partition(6, 8, GranularityConfig("method1", 3, 4))
             target = conv_reference(w, x)
-            _, trace = search_weight_scales(w, x, part, init_scale(x, 8), target, cfg)
+            _, trace = search_weight_scales(w, dense_plan(x), part, init_scale(x, 8), target,
+                                            cfg)
             assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
     def test_all_zero_group_keeps_sentinel(self):
@@ -235,7 +235,7 @@ class TestSearchWeightScales:
         part = make_partition(2, 4, GranularityConfig("channelwise"))
         cfg = CalibConfig(grid_size=11, iterations=2)
         target = conv_reference(w, x)
-        scales, _ = search_weight_scales(w, x, part, init_scale(x, 8), target, cfg)
+        scales, _ = search_weight_scales(w, dense_plan(x), part, init_scale(x, 8), target, cfg)
         assert scales[0, 0] == 1.0
         assert scales[1, 0] > 0
 
@@ -246,8 +246,8 @@ class TestSearchWeightScales:
         part = make_partition(4, 6, GranularityConfig("method1", 2, 3))
         cfg = CalibConfig(grid_size=13)
         target = conv_reference(w, x)
-        a, _ = search_weight_scales(w, x, part, init_scale(x, 8), target, cfg)
-        b, _ = search_weight_scales(w, x, part, init_scale(x, 8), target, cfg)
+        a, _ = search_weight_scales(w, dense_plan(x), part, init_scale(x, 8), target, cfg)
+        b, _ = search_weight_scales(w, dense_plan(x), part, init_scale(x, 8), target, cfg)
         np.testing.assert_array_equal(a, b)
 
     def test_greedy_vs_exhaustive_joint_oracle(self):
@@ -262,7 +262,7 @@ class TestSearchWeightScales:
             dx = init_scale(x, cfg.act_bits)
             part = make_partition(4, 4, gran)
             target = conv_reference(w, x)
-            scales, trace = search_weight_scales(w, x, part, dx, target, cfg)
+            scales, trace = search_weight_scales(w, dense_plan(x), part, dx, target, cfg)
             greedy_d = trace[-1]
 
             grids = []
@@ -273,7 +273,7 @@ class TestSearchWeightScales:
             oracle_d = np.inf
             for combo in itertools.product(*grids):
                 grid = np.array(combo).reshape(part.v_groups, part.h_groups)
-                out = quantized_forward_layer(
+                out = dense_forward(
                     w, x, part, ScaleSet(grid, dx, cfg.weight_bits, cfg.act_bits))
                 oracle_d = min(oracle_d, distance(out, target, cfg.metric))
             assert greedy_d <= 1.25 * oracle_d
@@ -284,7 +284,8 @@ class TestCalibrateLayer:
         w, x = lossless_layer()
         target = conv_reference(w, x)
         cfg = CalibConfig(grid_size=101, iterations=2)
-        cal = calibrate_layer(w, x, target, GranularityConfig("channelwise"), cfg)
+        cal = calibrate_layer(w, dense_plan(x), target, GranularityConfig("channelwise"),
+                              cfg)
         assert cal.distance == 0.0
         np.testing.assert_array_equal(cal.output, target)
 
@@ -295,8 +296,8 @@ class TestCalibrateLayer:
             w = rng.normal(size=(5, 9)).astype(np.float32)
             x = rng.normal(size=(9, 11)).astype(np.float32)
             target = conv_reference(w, x, "relu")
-            cal = calibrate_layer(w, x, target, GranularityConfig("method1", 2, 3),
-                                  cfg, activation="relu")
+            cal = calibrate_layer(w, dense_plan(x), target,
+                                  GranularityConfig("method1", 2, 3), cfg, activation="relu")
             steps = cal.step_distances
             assert steps["input_research"] <= steps["weight_search"] + 1e-12
             assert steps["final"] == steps["input_research"]

@@ -437,7 +437,8 @@ class TestMalformedScaleTable:
         assert "conv3" in err and "scale grid" in err
 
     @pytest.mark.parametrize("key,value", [("weight_bits", 1), ("act_bits", 17),
-                                           ("rows_per_group", 0)])
+                                           ("rows_per_group", 0), ("weight_bits", 4.5),
+                                           ("rows_per_group", "1")])
     def test_bad_geometry_or_bits_exits_2(self, quantized_small_cnn, fixture_dir,
                                           tmp_path, key, value, capsys):
         def edit(entry):
@@ -502,6 +503,20 @@ class TestMalformedInput:
                         fixture_dir / "small_cnn_calib.ptqc") == 2
         err = capsys.readouterr().err
         assert "conv3" in err and "out_channels" in err
+
+    @pytest.mark.parametrize("lid,field,value", [
+        ("conv2", "stride", 0), ("conv2", "stride", 1.5), ("conv2", "padding", -1),
+        ("conv2", "kernel", "3"), ("conv2", "activation", "gelu"),
+        ("conv2", "quantize", "no"), ("conv1.bn", "epsilon", -5.0),
+        ("conv1.bn", "channels", 8.0)])
+    def test_bad_layer_field_exits_2(self, fixture_dir, tmp_path, capsys, lid, field, value):
+        def edit(manifest):
+            next(e for e in manifest["layers"] if e["id"] == lid)[field] = value
+        bundle = self.edited_bundle(fixture_dir, tmp_path, edit)
+        assert self.run("quantize", tmp_path, bundle,
+                        fixture_dir / "small_cnn_calib.ptqc") == 2
+        err = capsys.readouterr().err
+        assert f"layer {lid}" in err and field in err
 
     def test_truncated_ptqc_header_exits_2(self, fixture_dir, tmp_path, capsys):
         (tmp_path / "short.ptqc").write_bytes(b"PTQC" + struct.pack("<I", 4))

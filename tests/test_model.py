@@ -40,9 +40,10 @@ from subquant import quant
 from subquant.quant import (
     GranularityConfig,
     ScaleSet,
+    grouped_forward,
     make_partition,
     quantize_values,
-    quantized_forward_layer,
+    quantize_weight_groups,
 )
 
 
@@ -373,10 +374,11 @@ def test_blocked_quantized_conv_matches_whole_matrix(block_samples, case, out_ch
                                                      with_bias, seed):
     """quantized_conv runs the activation in sample blocks (one sample each, three,
     which leaves a short last block for most batch sizes, or all but the first
-    sample at once); its output equals the forward of the whole lowered matrix
-    bit for bit, signed zeros included. A NaN's sign bit is not compared: BLAS
-    picks which NaN operand to propagate by kernel (a one-column block runs a
-    matrix-vector kernel), as it already does between batch sizes."""
+    sample at once); its output equals grouped_forward on the codes of the
+    whole lowered matrix bit for bit, signed zeros included. A NaN's sign bit
+    is not compared: BLAS picks which NaN operand to propagate by kernel (a
+    one-column block runs a matrix-vector kernel), as it already does between
+    batch sizes."""
     layer, x = case
     rng = np.random.default_rng(seed)
     shape = ((out_channels, layer.in_channels, layer.kernel, layer.kernel)
@@ -389,9 +391,12 @@ def test_blocked_quantized_conv_matches_whole_matrix(block_samples, case, out_ch
                           GranularityConfig("method1", rows, cols))
     info = QuantizedLayerInfo(ScaleSet(rng.uniform(0.01, 1.0, (part.v_groups, part.h_groups)),
                                        input_scale, *bits), rows, cols)
+    scales = info.scales
     with np.errstate(over="ignore", invalid="ignore"):
-        whole = quantized_forward_layer(layer.weight_matrix(), lower_layer_input(layer, x)[0],
-                                        part, info.scales, layer.bias, activation, 0.1)
+        codes = quantize_weight_groups(layer.weight_matrix(), part, scales.weight_scales,
+                                       scales.weight_bits)
+        q_cols = quantize_values(lower_layer_input(layer, x)[0], input_scale, scales.act_bits)
+        whole = grouped_forward(codes, q_cols, part, scales, layer.bias, activation, 0.1)
         sample_bytes = lower_layer_input(layer, x[:1])[0].nbytes
         block_bytes = (1 << 40) if block_samples is None else block_samples * sample_bytes
         with mock.patch.object(quant, "_FORWARD_BLOCK_BYTES", block_bytes):

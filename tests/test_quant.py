@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_search import reference_quantize_values
+from reference_search import dense_forward, reference_quantize_values
 from subquant.quant import (
     GRANULARITY_MODES,
     GranularityConfig,
@@ -14,7 +14,6 @@ from subquant.quant import (
     init_scale,
     make_partition,
     quantize_values,
-    quantized_forward_layer,
 )
 from subquant.tensor import conv_reference
 
@@ -240,7 +239,7 @@ class TestQuantizedForward:
         x = (rng.integers(-128, 128, size=(6, 9)) * dx).astype(np.float32)
         part = make_partition(4, 6, GranularityConfig("method1", 2, 3))
         scales = ScaleSet(np.full((2, 2), dw), dx)
-        out = quantized_forward_layer(w, x, part, scales)
+        out = dense_forward(w, x, part, scales)
         ref = conv_reference(w, x)
         np.testing.assert_array_equal(out, ref)
 
@@ -251,7 +250,7 @@ class TestQuantizedForward:
         b = rng.normal(size=5).astype(np.float32)
         dw, dx = init_scale(w, 4), init_scale(x, 8)
         part = make_partition(5, 12, GranularityConfig("layerwise"))
-        out = quantized_forward_layer(w, x, part, ScaleSet(np.array([[dw]]), dx), bias=b)
+        out = dense_forward(w, x, part, ScaleSet(np.array([[dw]]), dx), bias=b)
         qw = quantize_values(w, dw, 4)
         qx = quantize_values(x, dx, 8)
         expected = (dw * dx) * (qw @ qx) + b.astype(np.float64)[:, None]
@@ -267,7 +266,7 @@ class TestQuantizedForward:
             part = make_partition(oc, j, GranularityConfig("channelwise"))
             row_scales = np.array([init_scale(w[c], 4) for c in range(oc)])
             dx = init_scale(x, 8)
-            out = quantized_forward_layer(
+            out = dense_forward(
                 w, x, part, ScaleSet(row_scales[:, None], dx), bias=b, activation="relu")
             want = channelwise_oracle(w, x, row_scales, dx, 4, 8, b, "relu")
             np.testing.assert_allclose(out, want, rtol=1e-6, atol=1e-7)
@@ -280,7 +279,7 @@ class TestQuantizedForward:
         x = rng.integers(-127, 128, size=(10, 8)).astype(np.float32)
         part = make_partition(6, 10, GranularityConfig("method1", 2, 4))
         scales = ScaleSet(np.ones((3, 3)), 1.0)
-        out = quantized_forward_layer(w, x, part, scales)
+        out = dense_forward(w, x, part, scales)
         np.testing.assert_array_equal(out, conv_reference(w, x))
 
     def test_codes_stay_in_range_everywhere(self):
@@ -300,7 +299,7 @@ class TestQuantizedForward:
         x = rng.normal(size=(j, p)).astype(np.float32)
         part = make_partition(oc, j, GranularityConfig("method1", 4, 6))
         scales = ScaleSet(np.ones((part.v_groups, part.h_groups)), 1.0)
-        quantized_forward_layer(w, x, part, scales)
+        dense_forward(w, x, part, scales)
         assert sum(term_sizes) == part.h_groups * oc * p
 
     def test_scale_grid_mismatch_rejected(self):
@@ -308,4 +307,4 @@ class TestQuantizedForward:
         x = np.ones((4, 2), dtype=np.float32)
         part = make_partition(4, 4, GranularityConfig("method1", 2, 2))
         with pytest.raises(ValueError):
-            quantized_forward_layer(w, x, part, ScaleSet(np.ones((1, 1)), 1.0))
+            dense_forward(w, x, part, ScaleSet(np.ones((1, 1)), 1.0))

@@ -9,8 +9,10 @@ Each DIR is a checkout of the revision to measure (a `git clone`, so that
 is even and the change first when it is odd, so drift in machine load falls
 on both sides alike. The file holds every pair's end-to-end metrics, and per
 seed and metric the two medians, the parent's and the change's interquartile
-range, the change/parent ratio of the medians and the pairs the change won;
-also the machine facts perfbench prints and both git revisions.
+range, the change/parent ratio of the medians and the pairs the change won
+(by each metric's `better` direction in the `end_to_end` list of
+BENCHMARK.json); also the machine facts perfbench prints and both git
+revisions.
 """
 
 import argparse
@@ -20,7 +22,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-LOWER_IS_BETTER = ("setup_s", "op_s_p50", "peak_rss_mb", "network_distance")
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def metric_directions():
+    """{metric name: "lower" or "higher"} of the benchmark's end-to-end metrics."""
+    return {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -54,18 +61,19 @@ def iqr(values):
 def summarize(pairs):
     """Per metric: medians, IQRs, the change/parent ratio and the change's wins."""
     summary = {}
+    directions = metric_directions()
     for name in pairs[0]["parent"]:
         if name == "correct":
             continue
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
-        lower = name in LOWER_IS_BETTER
+        lower = directions[name] == "lower"
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         p50, c50 = statistics.median(parent), statistics.median(change)
         summary[name] = {"parent_median": p50, "change_median": c50,
                          "parent_iqr": iqr(parent), "change_iqr": iqr(change),
                          "ratio": c50 / p50 if p50 else None, "change_wins": wins,
-                         "better": "lower" if lower else "higher"}
+                         "better": directions[name]}
     summary["all_ops_correct"] = all(p[side]["correct"] for p in pairs
                                      for side in ("parent", "change"))
     return summary
