@@ -25,6 +25,7 @@ from .model import (
     forward_quantized,
     load_bundle,
     load_calibration_set,
+    lowered_size,
     prepare_for_quantization,
     quantized_conv,
     require_int,
@@ -416,20 +417,46 @@ def _load_eval_set(cfg, graph):
     return eval_x, np.array(raw, dtype=np.int64)
 
 
+def _eval_walks(graph, eval_x):
+    """The float and the quantized walk of `eval_x`, zipped so that they run
+    in lockstep, one layer each in turn; only the live activations and the
+    network outputs stay in memory.
+
+    A layer run in float lowers into the prefix of one float64 buffer sized
+    for the largest lowered matrix, so its pages are faulted once per eval,
+    not once per layer. A layer that the quantized walk runs in float on the
+    very array that the float walk has just handed it (an unquantized first
+    conv, on the eval samples) takes the float walk's output: the same conv
+    of the same input.
+    """
+    scratch = np.empty(lowered_size(graph, eval_x.shape))
+    last = {}  # the float walk's latest conv: {layer id: (input, output)}
+
+    def float_op(layer, x):
+        last.clear()
+        out = float_conv(layer, x, scratch)
+        last[layer.id] = x, out
+        return out
+
+    def quantized_walk_float_op(layer, x):
+        seen, out = last.pop(layer.id, (None, None))
+        return out if seen is x else float_conv(layer, x, scratch)
+
+    feeds = {graph.input_id: eval_x}
+    return zip(execute(graph.layers, feeds, float_op),
+               execute(graph.layers, feeds,
+                       quantized_conv(graph.scales, quantized_walk_float_op)))
+
+
 def cmd_eval(cfg):
     graph = _load_model(cfg)
     eval_x, labels = _load_eval_set(cfg, graph)
     if not graph.scales:
         samples = _load_samples(cfg, graph)
         graph.scales = calibrate_network(graph, samples, cfg.granularity, cfg.calib).scales
-    # one float and one quantized walk in lockstep; only the live activations
-    # and the network outputs stay in memory
-    feeds = {graph.input_id: eval_x}
-    walks = zip(execute(graph.layers, feeds, float_conv),
-                execute(graph.layers, feeds, quantized_conv(graph.scales)))
     out_id = graph.output_id
     rows = [["layer", "kind", "quantized", "distance"]]
-    for (layer, float_out), (_, quant_out) in walks:
+    for (layer, float_out), (_, quant_out) in _eval_walks(graph, eval_x):
         d = distance(quant_out, float_out, cfg.calib.metric)
         rows.append([layer.id, layer.kind, int(layer.id in graph.scales), repr(d)])
         if layer.id == out_id:

@@ -130,6 +130,7 @@ class ModelGraph:
 
     def validate(self):
         seen = set()
+        inputs = 0
         ids = {l.id for l in self.layers}
         if len(ids) != len(self.layers):
             raise BadInputError("duplicate layer ids in graph")
@@ -143,6 +144,9 @@ class ModelGraph:
                         f"(graph must be topologically ordered)")
             if layer.kind == "residual-add" and len(layer.predecessors) != 2:
                 raise BadInputError(f"layer {layer.id}: residual-add needs 2 predecessors")
+            if layer.kind == "input" and (layer.predecessors or inputs):
+                raise BadInputError(f"layer {layer.id}: kind 'input' is for the graph's "
+                                    f"one input layer, which has no predecessors")
             if layer.kind in ("conv", "linear") and layer.weight is not None:
                 expect = layer.out_channels * layer.weights_per_channel
                 if layer.weight.size != expect:
@@ -150,6 +154,7 @@ class ModelGraph:
                         f"layer {layer.id}: weight blob has {layer.weight.size} "
                         f"elements, expected {expect}")
             seen.add(layer.id)
+            inputs += layer.kind == "input"
         for seg in self.segments:
             for lid in seg.layer_ids:
                 if lid not in ids:
@@ -493,13 +498,17 @@ def load_calibration_set(path):
 # ---------------------------------------------------------------------------
 # graph transforms
 
-def fold_batchnorm(conv, bn):
-    """Fold BN statistics into the preceding conv's weights and bias."""
+def fold_batchnorm(conv, bn_layer):
+    """Fold the statistics of the batchnorm layer `bn_layer` into the
+    preceding conv's weights and bias."""
+    bn = bn_layer.bn
     if bn.gamma.size != conv.out_channels:
-        raise ValueError(f"BN channels {bn.gamma.size} != conv {conv.id} "
-                         f"out_channels {conv.out_channels}")
+        raise BadInputError(f"cannot fold batchnorm {bn_layer.id} into {conv.id}: "
+                            f"{bn.gamma.size} BN channels, {conv.out_channels} conv "
+                            f"out_channels")
     if conv.activation != "identity":
-        raise ValueError(f"cannot fold BN through activation on {conv.id}")
+        raise BadInputError(f"cannot fold batchnorm {bn_layer.id} into {conv.id}: "
+                            f"{conv.id} applies activation {conv.activation!r} before it")
     factor = (bn.gamma / np.sqrt(bn.running_var + bn.epsilon)).astype(np.float64)
     weight = (conv.weight.astype(np.float64)
               * factor.reshape((-1,) + (1,) * (conv.weight.ndim - 1)))
@@ -526,12 +535,13 @@ def fold_all_batchnorms(graph):
         if layer.kind != "batchnorm":
             continue
         if len(layer.predecessors) != 1:
-            raise ValueError(f"batchnorm {layer.id} must have one predecessor")
+            raise BadInputError(f"cannot fold batchnorm {layer.id}: it needs one "
+                                f"predecessor conv, got {layer.predecessors}")
         conv = graph.layer(layer.predecessors[0])
         if conv.kind != "conv" or succ[conv.id] != [layer.id]:
-            raise ValueError(f"cannot fold batchnorm {layer.id}: predecessor is not "
-                             f"an exclusively-consumed conv")
-        folded[conv.id] = fold_batchnorm(conv, layer.bn)
+            raise BadInputError(f"cannot fold batchnorm {layer.id} into {conv.id}: "
+                                f"{conv.id} is not a conv that feeds only {layer.id}")
+        folded[conv.id] = fold_batchnorm(conv, layer)
         remap[layer.id] = conv.id
     return _rewire(graph, folded, remap)
 
@@ -583,16 +593,29 @@ def _output_meta(layer, x_shape):
     return (x_shape[0],)
 
 
-def lower_layer_input(layer, x):
+def lower_layer_input(layer, x, out=None):
     """Lower the incoming activation to the float64 [J, P] matrix plus reshape
-    info for raise_layer_output."""
+    info for raise_layer_output. `out`, if given, is the C-contiguous float64
+    [J, P] matrix to lower into."""
     meta = _output_meta(layer, x.shape)
     if layer.kind == "conv":
-        return im2col(x, layer.kernel, layer.stride, layer.padding), meta
+        return im2col(x, layer.kernel, layer.stride, layer.padding, out), meta
     # linear: flatten features per sample; the explicit feature count keeps an
     # empty batch reshapeable
     features = int(np.prod(x.shape[1:]))
-    return np.array(x.reshape(x.shape[0], features).T, dtype=np.float64, order="C"), meta
+    flat = x.reshape(x.shape[0], features).T
+    if out is None:
+        return np.array(flat, dtype=np.float64, order="C"), meta
+    np.copyto(out, flat)
+    return out, meta
+
+
+def lowered_size(graph, x_shape):
+    """Elements of the largest [J, P] matrix that a conv or linear layer of
+    `graph` lowers from an input batch of shape `x_shape`."""
+    shapes = propagate_shapes(replace(graph, input_shape=list(x_shape)), batch=x_shape[0])
+    return max((layer.weights_per_channel * int(np.prod(shapes[layer.id])) // layer.out_channels
+                for layer in graph.conv_like()), default=0)
 
 
 def raise_layer_output(layer, out, meta):
@@ -677,21 +700,30 @@ def execute(layers, feeds, conv_op):
         yield layer, out
 
 
-def float_conv(layer, x):
-    """conv_op of the float network: the reference conv of the lowered input."""
-    cols, _ = lower_layer_input(layer, x)
+def float_conv(layer, x, scratch=None):
+    """conv_op of the float network: the reference conv of the lowered input.
+
+    With `scratch`, a float64 buffer of at least J*P elements, the input is
+    lowered into a [J, P] view of its prefix instead of a new matrix. The
+    dgemm is the same whole-layer call either way.
+    """
+    out = None
+    if scratch is not None:
+        shape = (layer.weights_per_channel, int(np.prod(_output_meta(layer, x.shape))))
+        out = scratch[:shape[0] * shape[1]].reshape(shape)
+    cols, _ = lower_layer_input(layer, x, out)
     return conv_reference(layer.weight_matrix(), cols, layer.activation, layer.bias,
                           layer.slope)
 
 
-def quantized_conv(scales):
+def quantized_conv(scales, float_op=float_conv):
     """conv_op running every quantized layer with an entry in `scales` through
     the grouped integer path, which quantizes the activation before lowering
-    it; all other layers run in float."""
+    it; all other layers run through the float conv_op `float_op`."""
     def conv_op(layer, x):
         info = scales.get(layer.id) if layer.quantize else None
         if info is None:
-            return float_conv(layer, x)
+            return float_op(layer, x)
         return quantized_forward_layer(
             layer.weight_matrix(), x, info.partition(layer), info.scales, layer.bias,
             layer.activation, layer.slope, lower=lambda q: lower_layer_input(layer, q)[0])

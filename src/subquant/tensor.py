@@ -10,6 +10,10 @@ import numpy as np
 
 ACTIVATIONS = ("identity", "relu", "leaky_relu")
 
+# im2col pads and lowers the samples in blocks of about this many bytes of
+# padded input, so that the padded buffer stays in cache.
+_LOWER_BLOCK_BYTES = 1 << 20
+
 
 def apply_activation(y, activation="identity", slope=0.01):
     if activation == "identity":
@@ -33,7 +37,7 @@ def conv_output_hw(height, width, kernel, stride, padding):
     return out_h, out_w
 
 
-def im2col(x, kernel, stride=1, padding=0):
+def im2col(x, kernel, stride=1, padding=0, out=None):
     """Lower a [N, C, H, W] tensor to the float64 [J, P] patch matrix.
 
     Row layout is channel-major: rows [c*K*K, (c+1)*K*K) hold the K*K kernel
@@ -41,9 +45,12 @@ def im2col(x, kernel, stride=1, padding=0):
     K*K row blocks. Column p enumerates (sample, out_row, out_col) in
     row-major order. Borders are padded with +0.0.
 
-    The input is copied once, cast to float64, into a zero-padded
-    channel-major [C, N, H+2p, W+2p] buffer; each of the K*K kernel offsets
-    is then one strided slice copy of it, with no transpose.
+    The samples go in blocks of about _LOWER_BLOCK_BYTES padded, so the
+    padded buffer stays in cache: each block is copied once, cast to
+    float64, into a zero-padded channel-major [C, n, H+2p, W+2p] buffer, and
+    each of the K*K kernel offsets is then one strided slice copy of it into
+    the block's columns, with no transpose. `out`, if given, is the
+    C-contiguous float64 [J, P] matrix to fill; it is returned.
     """
     x = np.asarray(x)
     if x.ndim != 4:
@@ -52,14 +59,25 @@ def im2col(x, kernel, stride=1, padding=0):
         raise ValueError(f"invalid geometry kernel={kernel} stride={stride} padding={padding}")
     n, c, h, w = x.shape
     out_h, out_w = conv_output_hw(h, w, kernel, stride, padding)
-    padded = np.zeros((c, n, h + 2 * padding, w + 2 * padding))
-    padded[:, :, padding:padding + h, padding:padding + w] = x.transpose(1, 0, 2, 3)
-    cols = np.empty((c, kernel, kernel, n, out_h, out_w))
-    for ki in range(kernel):
-        for kj in range(kernel):
-            cols[:, ki, kj] = padded[:, :, ki:ki + stride * out_h:stride,
-                                     kj:kj + stride * out_w:stride]
-    return cols.reshape(c * kernel * kernel, n * out_h * out_w)
+    shape = (c * kernel * kernel, n * out_h * out_w)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}, "
+                         f"got {out.dtype} {out.shape}")
+    cols = out.reshape(c, kernel, kernel, n, out_h, out_w)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    step = max(1, _LOWER_BLOCK_BYTES // max(1, c * hp * wp * 8))
+    padded = np.zeros((c, min(step, n), hp, wp))
+    for i in range(0, n, step):
+        block = padded[:, :min(step, n - i)]
+        block[:, :, padding:padding + h, padding:padding + w] = \
+            x[i:i + step].transpose(1, 0, 2, 3)
+        for ki in range(kernel):
+            for kj in range(kernel):
+                cols[:, ki, kj, i:i + step] = block[:, :, ki:ki + stride * out_h:stride,
+                                                    kj:kj + stride * out_w:stride]
+    return out
 
 
 def conv_reference(weights, cols, activation="identity", bias=None, slope=0.01):
@@ -73,5 +91,9 @@ def conv_reference(weights, cols, activation="identity", bias=None, slope=0.01):
         raise ValueError(f"shape mismatch {weights.shape} @ {cols.shape}")
     acc = weights.astype(np.float64) @ cols
     if bias is not None:
-        acc = acc + np.asarray(bias, dtype=np.float64)[:, None]
-    return apply_activation(acc, activation, slope).astype(np.float32)
+        acc += np.asarray(bias, dtype=np.float64)[:, None]
+    if activation == "relu":
+        np.maximum(acc, 0.0, out=acc)
+    else:
+        acc = apply_activation(acc, activation, slope)
+    return acc.astype(np.float32)

@@ -7,16 +7,21 @@ import os
 import re
 import shutil
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import write_config
-from subquant import cli
+from subquant import cli, model
 from subquant.cli import main, parallel_map
 from subquant.errors import BadInputError
 from subquant.fixtures import build_resnet20_style, build_small_cnn, random_inputs
 from subquant.model import Layer, ModelGraph, load_bundle, save_bundle, save_calibration_set
+from subquant.tensor import ACTIVATIONS
 
 
 def read_csv(path):
@@ -508,7 +513,7 @@ class TestMalformedInput:
         ("conv2", "stride", 0), ("conv2", "stride", 1.5), ("conv2", "padding", -1),
         ("conv2", "kernel", "3"), ("conv2", "activation", "gelu"),
         ("conv2", "quantize", "no"), ("conv1.bn", "epsilon", -5.0),
-        ("conv1.bn", "channels", 8.0)])
+        ("conv1.bn", "channels", 8.0), ("fc", "kind", "input")])
     def test_bad_layer_field_exits_2(self, fixture_dir, tmp_path, capsys, lid, field, value):
         def edit(manifest):
             next(e for e in manifest["layers"] if e["id"] == lid)[field] = value
@@ -517,6 +522,35 @@ class TestMalformedInput:
                         fixture_dir / "small_cnn_calib.ptqc") == 2
         err = capsys.readouterr().err
         assert f"layer {lid}" in err and field in err
+
+    def test_unfoldable_batchnorm_exits_2(self, fixture_dir, tmp_path, capsys):
+        """A valid activation on a conv in front of its batchnorm cannot be
+        folded: bad input, named by the batchnorm and the conv."""
+        def edit(manifest):
+            next(e for e in manifest["layers"] if e["id"] == "conv2")["activation"] = "relu"
+        bundle = self.edited_bundle(fixture_dir, tmp_path, edit)
+        assert self.run("quantize", tmp_path, bundle,
+                        fixture_dir / "small_cnn_calib.ptqc") == 2
+        assert "batchnorm conv2.bn into conv2" in capsys.readouterr().err
+
+    FUZZ_FIELDS = ("id", "kind", "predecessors", "out_channels", "in_channels", "kernel",
+                   "stride", "padding", "activation", "slope", "quantize", "weight", "bias",
+                   "channels", "epsilon", "gamma", "beta", "mean", "var")
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(lid=st.sampled_from(("conv1", "conv2", "conv5", "fc", "conv2.bn")),
+           field=st.sampled_from(FUZZ_FIELDS),
+           value=st.one_of(st.integers(), st.floats(), st.text(max_size=8), st.booleans(),
+                           st.none(), st.sampled_from(ACTIVATIONS)))
+    def test_fuzzed_layer_field_never_exits_1(self, fixture_dir, lid, field, value):
+        """Any value in any field of a conv, linear or batchnorm layer is either
+        run or rejected as bad input, never an internal error."""
+        def edit(manifest):
+            next(e for e in manifest["layers"] if e["id"] == lid)[field] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = self.edited_bundle(fixture_dir, Path(tmp), edit)
+            assert self.run("quantize", Path(tmp), bundle,
+                            fixture_dir / "small_cnn_calib.ptqc") in (0, 2)
 
     def test_truncated_ptqc_header_exits_2(self, fixture_dir, tmp_path, capsys):
         (tmp_path / "short.ptqc").write_bytes(b"PTQC" + struct.pack("<I", 4))
@@ -808,11 +842,9 @@ class TestDeterminism:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
-    def test_eval_reports_identical_in_one_sample_blocks(self, fixture_dir, tmp_path,
-                                                         monkeypatch):
-        """The quantized walk in blocks of one sample writes the same bytes as
-        in blocks of the default size."""
-        config = write_config(
+    @staticmethod
+    def eval_config(fixture_dir, tmp_path):
+        return write_config(
             tmp_path / "run.json",
             model=str(fixture_dir / "small_cnn"),
             calibration=str(fixture_dir / "small_cnn_calib.ptqc"),
@@ -821,9 +853,46 @@ class TestDeterminism:
             eval={"inputs": str(fixture_dir / "small_cnn_eval.ptqc"),
                   "labels": str(fixture_dir / "small_cnn_eval_labels.json")},
             seed=3)
+
+    def test_eval_reports_identical_in_one_sample_blocks(self, fixture_dir, tmp_path,
+                                                         monkeypatch):
+        """The quantized walk in blocks of one sample writes the same bytes as
+        in blocks of the default size."""
+        config = self.eval_config(fixture_dir, tmp_path)
         assert main(["eval", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
         monkeypatch.setattr("subquant.quant._FORWARD_BLOCK_BYTES", 1)
         assert main(["eval", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
         for name in ("eval_layer_distances.csv", "eval_summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_eval_reports_identical_in_one_sample_lowering_blocks(self, fixture_dir,
+                                                                  tmp_path, monkeypatch):
+        """The float walk lowering one sample per block writes the same bytes
+        as in blocks of the default size."""
+        config = self.eval_config(fixture_dir, tmp_path)
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr("subquant.tensor._LOWER_BLOCK_BYTES", 1)
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
+        for name in ("eval_layer_distances.csv", "eval_summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
+
+    def test_eval_runs_the_shared_float_conv1_once(self, fixture_dir, tmp_path, monkeypatch):
+        """conv1 runs in float in both walks on the same eval samples, so it is
+        lowered once; fc runs in float too, but on inputs that differ between
+        the walks, so it is computed in each."""
+        config = self.eval_config(fixture_dir, tmp_path)
+        assert main(["quantize", "--config", str(config), "--out", str(tmp_path / "q")]) == 0
+        config = write_config(tmp_path / "eval.json",
+                              **{**json.loads(config.read_text()),
+                                 "model": str(tmp_path / "q" / "quantized")})
+        lowered = []
+        lower = model.lower_layer_input
+
+        def spy(layer, x, out=None):
+            lowered.append(layer.id)
+            return lower(layer, x, out)
+        monkeypatch.setattr(model, "lower_layer_input", spy)
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "e")]) == 0
+        assert lowered.count("conv1") == 1 and lowered.count("fc") == 2

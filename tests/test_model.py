@@ -24,6 +24,7 @@ from subquant.model import (
     QuantizedLayerInfo,
     execute,
     float_conv,
+    fold_all_batchnorms,
     fold_batchnorm,
     forward_float,
     fuse_activations,
@@ -190,6 +191,10 @@ class TestBatchNormFolding:
                      weight=rng.normal(size=(oc, ic, 1, 1)).astype(np.float32),
                      bias=rng.normal(size=oc).astype(np.float32) if bias else None)
 
+    @staticmethod
+    def _bn_layer(bn):
+        return Layer(id="c.bn", kind="batchnorm", predecessors=["c"], bn=bn)
+
     def test_identity_bn_is_a_noop(self):
         rng = np.random.default_rng(1)
         conv = self._conv1x1(rng)
@@ -197,7 +202,7 @@ class TestBatchNormFolding:
         bn = BatchNormParams(np.ones(4, np.float32), np.zeros(4, np.float32),
                              np.zeros(4, np.float32),
                              np.full(4, 1.0 - eps, np.float32), eps)
-        folded = fold_batchnorm(conv, bn)
+        folded = fold_batchnorm(conv, self._bn_layer(bn))
         np.testing.assert_allclose(folded.weight, conv.weight, rtol=1e-6)
         np.testing.assert_allclose(folded.bias, conv.bias, rtol=1e-6)
 
@@ -208,7 +213,7 @@ class TestBatchNormFolding:
         bn = BatchNormParams(np.full(4, 2.0, np.float32), np.ones(4, np.float32),
                              np.zeros(4, np.float32),
                              np.full(4, 1.0 - eps, np.float32), eps)
-        folded = fold_batchnorm(conv, bn)
+        folded = fold_batchnorm(conv, self._bn_layer(bn))
         np.testing.assert_allclose(folded.weight, 2.0 * conv.weight, rtol=1e-6)
         np.testing.assert_allclose(folded.bias, np.ones(4), rtol=1e-6)
 
@@ -216,8 +221,31 @@ class TestBatchNormFolding:
         rng = np.random.default_rng(3)
         conv = self._conv1x1(rng)
         bn = BatchNormParams(*(np.ones(5, np.float32),) * 4)
-        with pytest.raises(ValueError):
-            fold_batchnorm(conv, bn)
+        with pytest.raises(BadInputError, match=r"batchnorm c\.bn into c: 5 BN channels"):
+            fold_batchnorm(conv, self._bn_layer(bn))
+
+    def test_activation_before_bn(self):
+        conv = replace(self._conv1x1(np.random.default_rng(3)), activation="relu")
+        bn = BatchNormParams(*(np.ones(4, np.float32),) * 4)
+        with pytest.raises(BadInputError, match=r"batchnorm c\.bn into c: .*'relu'"):
+            fold_batchnorm(conv, self._bn_layer(bn))
+
+    @pytest.mark.parametrize("rewire,message", [
+        # a BN behind the residual add, which has two predecessors
+        (lambda g: g.layer("conv5.bn").predecessors.append("conv2.relu"),
+         r"batchnorm conv5\.bn: it needs one predecessor conv"),
+        # a BN behind a relu, not a conv
+        (lambda g: g.layer("conv2.bn").predecessors.__setitem__(0, "conv1.relu"),
+         r"batchnorm conv2\.bn into conv1\.relu: conv1\.relu is not a conv"),
+        # a BN behind a conv that also feeds another layer
+        (lambda g: g.layer("add1").predecessors.__setitem__(1, "conv2"),
+         r"batchnorm conv2\.bn into conv2: conv2 is not a conv that feeds only"),
+    ], ids=["two-predecessors", "behind-a-relu", "conv-feeds-another-layer"])
+    def test_unfoldable_graph_is_bad_input(self, rewire, message):
+        graph = build_small_cnn()
+        rewire(graph)
+        with pytest.raises(BadInputError, match=message):
+            fold_all_batchnorms(graph)
 
     def test_folded_network_matches_unfolded(self):
         graph = build_small_cnn()

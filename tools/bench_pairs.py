@@ -13,6 +13,9 @@ range, the change/parent ratio of the medians and the pairs the change won
 (by each metric's `better` direction in the `end_to_end` list of
 BENCHMARK.json); also the machine facts perfbench prints and both git
 revisions.
+
+The file is written in any case; the exit status is 1 if any run reported an
+incorrect op (each such seed, pair and side is named on stderr), else 0.
 """
 
 import argparse
@@ -112,7 +115,18 @@ def main(argv=None):
         "seeds": seeds,
     }
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return 0
+    incorrect = incorrect_runs(seeds)
+    for seed, i, side in incorrect:
+        print(f"seed {seed} pair {i}: the {side} side reported an incorrect op",
+              file=sys.stderr)
+    return 1 if incorrect else 0
+
+
+def incorrect_runs(seeds):
+    """(seed, pair index, side) of every run whose perfbench result was not correct."""
+    return [(seed, i, side) for seed, entry in seeds.items()
+            for i, pair in enumerate(entry["pairs"]) for side in ("parent", "change")
+            if not pair[side]["correct"]]
 
 
 if __name__ == "__main__":
