@@ -14,6 +14,7 @@ from functools import partial
 
 import numpy as np
 
+from .errors import BadInputError
 from .model import (
     QuantizedLayerInfo,
     execute,
@@ -36,7 +37,7 @@ from .quant import (
     quantize_weight_groups,
     sum_terms,
 )
-from .tensor import conv_reference
+from .tensor import apply_activation, conv_reference
 
 DISTANCE_METRICS = ("euclidean", "cosine")
 
@@ -136,6 +137,12 @@ class LoweredInput:
     def shape(self):
         return self.index.shape
 
+    def gather(self, values, out=None):
+        """np.take(values, index): the lowered matrix of per-element `values`,
+        into `out` if given. The index is always in range, so mode "wrap"
+        skips the bounds check and gives the same values."""
+        return np.take(values, self.index, out=out, mode="wrap")
+
 
 def plan_layer_input(layer, x):
     """The LoweredInput of lower_layer_input(layer, x).
@@ -154,18 +161,21 @@ def plan_layer_input(layer, x):
 
 
 def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales=None,
-                       center=None, bias=None, activation="identity", slope=0.01):
+                       center=None, bias=None, activation="identity", slope=0.01,
+                       center_result=None):
     """Enumerate input-scale candidates and keep the one closest to target.
 
     `cols` is the LoweredInput of the layer; each candidate quantizes its
-    values once and gathers the lowered codes.
+    values once and gathers the lowered codes into one buffer.
     With `weight_scales` given, candidates are evaluated through the grouped
     integer path; the weight codes are made once and only the input is
     re-quantized per candidate. Otherwise weights stay in float. The grid
     center is always part of the comparison set, like the evaluated
     incumbent of the weight search, so a scale that is already exact is
-    never displaced. Ties go to the smaller scale. Returns the winning
-    scale, its distance and its output.
+    never displaced. `center_result`, when given, is the center's
+    (distance, output), known to the caller, and is used in the center's
+    place in the comparison instead of evaluating it again. Ties go to the
+    smaller scale. Returns the winning scale, its distance and its output.
     """
     if cols.shape[1] == 0:
         raise ValueError("empty calibration set")
@@ -179,18 +189,23 @@ def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales
         check_layer_scales(weights, cols, partition, scales)
         codes = quantize_weight_groups(weights, partition, scales.weight_scales,
                                        cfg.weight_bits)
+    lowered = np.empty(cols.shape)  # each candidate's lowered input, in turn
     best_scale, best_d, best_out = None, np.inf, None
     for cand in candidates:
         cand = float(cand)
-        q = quantize_values(cols.values, cand, cfg.act_bits)
-        if weight_scales is None:
-            q *= cand
-            out = conv_reference(weights, np.take(q, cols.index), activation, bias, slope)
+        if cand == center and center_result is not None:
+            d, out = center_result
         else:
-            scales = ScaleSet(weight_scales, cand, cfg.weight_bits, cfg.act_bits)
-            out = grouped_forward(codes, np.take(q, cols.index), partition, scales, bias,
-                                  activation, slope)
-        d = distance(out, target, cfg.metric)
+            q = quantize_values(cols.values, cand, cfg.act_bits)
+            if weight_scales is None:
+                q *= cand
+                out = conv_reference(weights, cols.gather(q, lowered), activation, bias,
+                                     slope)
+            else:
+                scales = ScaleSet(weight_scales, cand, cfg.weight_bits, cfg.act_bits)
+                out = grouped_forward(codes, cols.gather(q, lowered), partition, scales,
+                                      bias, activation, slope)
+            d = distance(out, target, cfg.metric)
         if d < best_d:
             best_scale, best_d, best_out = cand, d, out
     return best_scale, best_d, best_out
@@ -215,9 +230,10 @@ class _Screen:
 
     def row_sums(self, block, target_rows):
         """Per-row sums of `block` ([..., rows, P]): (squared error,) or (dot, norm^2)."""
-        x = block.astype(np.float64)
         if self.metric == "euclidean":
-            return (np.sum((x - target_rows) ** 2, axis=-1),)
+            d = np.subtract(block, target_rows, dtype=np.float64)
+            return (np.sum(np.multiply(d, d, out=d), axis=-1),)
+        x = block.astype(np.float64)
         return np.sum(x * target_rows, axis=-1), np.sum(x * x, axis=-1)
 
     def update(self, r0, r1, rows_out):
@@ -250,19 +266,34 @@ class _Screen:
         return ~finite | (scores <= limit)
 
 
-def _candidate_blocks(group, col_block, row_terms, h, input_scale, bias_rows, cfg,
+def _candidate_blocks(group, col_block, prefix, later, input_scale, bias_rows, cfg,
                       activation, slope, cands):
     """Terms and finished row blocks of a row block's group h under each of `cands`.
 
     One stacked matmul serves every candidate, exact like the forward's.
-    The candidate terms replace term h of the row block's terms in sum_terms.
+    The candidate terms take the place of term h in sum_terms: `prefix` is
+    the sum of the row block's terms before h (None at h = 0) and `later`
+    the terms after it. Those and then the bias are added into one new
+    buffer in finish_rows' order (IEEE addition commutes exactly), which
+    then takes the activation in place.
     """
     codes = quantize_values(group[None], cands[:, None, None], cfg.weight_bits)
     n, rows, width = codes.shape
     terms = (codes.reshape(n * rows, width) @ col_block).reshape(n, rows, -1)
     terms *= (cands * input_scale)[:, None, None]
-    acc = sum_terms(row_terms[:h] + [terms] + row_terms[h + 1:])
-    return terms, finish_rows(acc, bias_rows, activation, slope)
+    rest = ([] if prefix is None else [prefix]) + later
+    if bias_rows is not None:
+        rest.append(np.asarray(bias_rows, dtype=np.float64)[:, None])
+    if not rest:
+        return terms, finish_rows(terms, None, activation, slope)
+    acc = np.add(terms, rest[0])
+    for addend in rest[1:]:
+        acc += addend
+    if activation == "relu":
+        np.maximum(acc, 0.0, out=acc)
+    else:
+        acc = apply_activation(acc, activation, slope)
+    return terms, acc.astype(np.float32)
 
 
 def _chunks(items, size):
@@ -271,7 +302,7 @@ def _chunks(items, size):
 
 
 def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
-                         bias=None, activation="identity", slope=0.01):
+                         bias=None, activation="identity", slope=0.01, out=None):
     """Greedy iterative grid search of the per-group weight scales.
 
     Every group scale starts at its covering initialization. Sweeps visit
@@ -292,17 +323,23 @@ def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
     scoring every candidate with `distance()`.
     `cols` is the LoweredInput of the layer; its codes are gathered once.
     Returns the scale grid and the distance trace (initial value plus one
-    entry per sweep).
+    entry per sweep). `out`, if given, is a float32 [OC, P] array that
+    receives the layer output under the returned scales, the grouped
+    forward's bit for bit; trace[-1] is its distance.
     """
     p = cols.shape[1]
     check_exact_accumulation(partition, cfg.weight_bits, cfg.act_bits)
-    q_cols = np.take(quantize_values(cols.values, input_scale, cfg.act_bits), cols.index)
+    q_cols = cols.gather(quantize_values(cols.values, input_scale, cfg.act_bits))
     scales = np.array([[init_scale(weights[r0:r1, c0:c1], cfg.weight_bits)
                         for c0, c1 in partition.col_ranges]
                        for r0, r1 in partition.row_ranges])
     codes = quantize_weight_groups(weights, partition, scales, cfg.weight_bits)
     terms = list(grouped_terms(codes, q_cols, partition, scales, input_scale))
-    out = finish_rows(sum_terms(terms), bias, activation, slope)
+    first = finish_rows(sum_terms(terms), bias, activation, slope)
+    if out is None:
+        out = first
+    else:
+        out[...] = first
 
     screen = _Screen(out, target, cfg.metric)
     d_entry = distance(out, target, cfg.metric)
@@ -315,9 +352,10 @@ def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
                 group = weights[r0:r1, c0:c1]
                 if not np.any(group):
                     continue  # all-zero group: any scale is exact
+                row_terms = [term[r0:r1] for term in terms]
                 build = partial(_candidate_blocks, group, q_cols[c0:c1],
-                                [term[r0:r1] for term in terms], h, input_scale,
-                                bias_rows, cfg, activation, slope)
+                                sum_terms(row_terms[:h]) if h else None, row_terms[h + 1:],
+                                input_scale, bias_rows, cfg, activation, slope)
 
                 cands = scale_space(cfg.alpha, cfg.beta, scales[v, h], cfg.grid_size)
                 scores = np.concatenate([screen.score(r0, r1, build(part)[1])
@@ -358,6 +396,8 @@ def calibrate_layer(weights, cols, target, granularity, cfg, bias=None,
     """Run the four calibration steps on one layer, whose lowered input `cols`
     is a LoweredInput.
 
+    Step 3's center candidate, the step-1 input scale, is not evaluated
+    again: its output and distance are those the weight search ends with.
     Step 4 is no extra forward: the output is that of the winning step-3
     candidate, which ran the same codes under the final scales.
     """
@@ -365,11 +405,14 @@ def calibrate_layer(weights, cols, target, granularity, cfg, bias=None,
     partition = make_partition(oc, j, granularity)
     input_scale, d1, _ = search_input_scale(weights, cols, target, cfg, bias=bias,
                                             activation=activation, slope=slope)
+    searched = np.empty((oc, cols.shape[1]), dtype=np.float32)
     weight_scales, trace = search_weight_scales(weights, cols, partition, input_scale,
-                                                target, cfg, bias, activation, slope)
+                                                target, cfg, bias, activation, slope,
+                                                out=searched)
     input_scale, d3, output = search_input_scale(
         weights, cols, target, cfg, partition=partition, weight_scales=weight_scales,
-        center=input_scale, bias=bias, activation=activation, slope=slope)
+        center=input_scale, bias=bias, activation=activation, slope=slope,
+        center_result=(trace[-1], searched))
     scales = ScaleSet(weight_scales, input_scale, cfg.weight_bits, cfg.act_bits)
     steps = {"input_search": d1, "weight_search": trace[-1],
              "input_research": d3, "final": d3, "weight_trace": trace}
@@ -412,17 +455,35 @@ def calibrating_conv(refs, granularity, cfg, on_layer=None):
     return conv_op
 
 
+def float_references(graph, samples):
+    """forward_float(graph, samples), once every layer's output is known to be
+    finite.
+
+    Finite samples can still overflow float32 in the float forward; its
+    inf and NaN outputs would leave calibration no target to match, so
+    they are bad input, reported at the first layer that produces one.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        refs = forward_float(graph, samples)
+    for layer in graph.layers:
+        if not np.all(np.isfinite(refs[layer.id])):
+            raise BadInputError(f"the float forward of the calibration samples is not "
+                                f"finite at layer {layer.id}: the samples are too large")
+    return refs
+
+
 def calibrate_network(graph, samples, granularity, cfg, references=None):
     """Calibrate every quantizable layer in topological order.
 
     One executor walk with calibrating_conv: each quantized layer is
     calibrated on its input from the already-quantized prefix against its
     float reference, and its quantized output feeds the layers after it.
-    `references` may carry a precollected float forward map so that sweeps
-    across granularities reuse one reference run.
+    `references` may carry a precollected float forward map
+    (float_references) so that sweeps across granularities reuse one
+    reference run.
     """
     samples = subsample(np.asarray(samples, dtype=np.float32), cfg.samples, cfg.seed)
-    refs = forward_float(graph, samples) if references is None else references
+    refs = float_references(graph, samples) if references is None else references
     scales = {}
     step_distances = {}
 

@@ -15,13 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import network_overhead_report, write_overhead_csv, write_overhead_json
-from .calib import CalibConfig, calibrate_network, distance, subsample
+from .calib import CalibConfig, calibrate_network, distance, float_references, subsample
 from .errors import BadInputError, SubquantError
 from .model import (
     check_shapes,
     execute,
     float_conv,
-    forward_float,
     forward_quantized,
     load_bundle,
     load_calibration_set,
@@ -34,7 +33,7 @@ from .model import (
     write_csv,
     write_json,
 )
-from .quant import GranularityConfig, check_bits
+from .quant import GranularityConfig, check_bits, make_partition
 from .reorder import (
     ReorderConfig,
     check_segments,
@@ -269,28 +268,32 @@ def cmd_sweep(cfg):
     axis, col_values = _sweep_axis(cfg)
     graph = _load_model(cfg)
     samples = subsample(_load_samples(cfg, graph), cfg.calib.samples, cfg.calib.seed)
-    references = forward_float(graph, samples)
+    references = float_references(graph, samples)
     eval_data = _load_eval_set(cfg, graph) if cfg.eval_inputs else None
 
-    def run_cell(rows_value):
-        rows, value = rows_value
+    def granularity(cell):
+        rows, value = cell
         if axis == "cols":
-            gran = GranularityConfig("method1", rows, value)
-        else:
-            gran = GranularityConfig("method2", rows, h_groups=value)
-        result = calibrate_network(graph, samples, gran, cfg.calib,
+            return GranularityConfig("method1", rows, value)
+        return GranularityConfig("method2", rows, h_groups=value)
+
+    def run_cell(cell):
+        result = calibrate_network(graph, samples, granularity(cell), cfg.calib,
                                    references=references)
-        cell = {"distance": result.network_distance}
+        outcome = {"distance": result.network_distance}
         if eval_data is not None:
             eval_x, labels = eval_data
             quant = forward_quantized(graph, eval_x, result.scales)[graph.output_id]
-            cell["accuracy"] = float(np.mean(np.argmax(quant, axis=1) == labels))
-        return cell
+            outcome["accuracy"] = float(np.mean(np.argmax(quant, axis=1) == labels))
+        return outcome
 
     cells = [(r, v) for r in cfg.sweep_rows for v in col_values]
-    outcomes = parallel_map(_guarded(run_cell), cells, cfg.jobs)
-
-    grid = dict(zip(cells, outcomes))
+    # Each distinct cell is calibrated once. The workers get the cells with the
+    # most weight-scale groups, which take longest, first (ties in grid order),
+    # so that no worker is left with a long cell at the end.
+    distinct = sorted(dict.fromkeys(cells),
+                      key=lambda cell: -_scale_groups(graph, granularity(cell)))
+    grid = dict(zip(distinct, parallel_map(_guarded(run_cell), distinct, cfg.jobs)))
     header = [f"rows\\{axis}"] + [str(v) for v in col_values]
 
     def table(key):
@@ -309,9 +312,20 @@ def cmd_sweep(cfg):
         "cells": [{"rows": r, axis: v, **grid[(r, v)]} for r, v in cells],
     }
     write_json(cfg.out / "sweep_summary.json", summary)
-    failed = sum(1 for o in outcomes if "error" in o)
+    failed = sum(1 for cell in cells if "error" in grid[cell])
     print(f"sweep finished: {len(cells) - failed}/{len(cells)} cells ok")
     return 0
+
+
+def _scale_groups(graph, granularity):
+    """Weight-scale groups of the quantized conv and linear layers of `graph`."""
+    total = 0
+    for layer in graph.conv_like():
+        if layer.quantize:
+            partition = make_partition(layer.out_channels, layer.weights_per_channel,
+                                       granularity)
+            total += partition.v_groups * partition.h_groups
+    return total
 
 
 def _guarded(fn):
@@ -334,7 +348,7 @@ def cmd_reorder(cfg):
     check_segments(graph)  # reject bad segments before any calibration
     samples = _load_samples(cfg, graph)
     calib_samples = subsample(samples, cfg.calib.samples, cfg.calib.seed)
-    references = forward_float(graph, calib_samples)
+    references = float_references(graph, calib_samples)
     baseline = calibrate_network(graph, calib_samples, cfg.granularity, cfg.calib,
                                  references=references)
     if not graph.segments:
@@ -400,8 +414,6 @@ def _load_eval_set(cfg, graph):
     if cfg.eval_inputs is None or cfg.eval_labels is None:
         raise BadInputError("eval requires eval.inputs and eval.labels in the config")
     eval_x = _load_sample_file(cfg.eval_inputs, graph)
-    if eval_x.shape[0] == 0:
-        raise BadInputError(f"eval set {cfg.eval_inputs} holds no samples")
     if not cfg.eval_labels.is_file():
         raise BadInputError(f"labels file not found: {cfg.eval_labels}")
     try:

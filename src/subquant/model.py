@@ -483,14 +483,17 @@ def load_calibration_set(path):
     if len(data) < 12 or len(data) < 12 + 4 * struct.unpack_from("<I", data, 8)[0]:
         raise BadInputError(f"{path}: truncated header ({len(data)} bytes)")
     count, rank = struct.unpack_from("<II", data, 4)
+    if count == 0:
+        raise BadInputError(f"{path} holds no samples")
     dims = struct.unpack_from(f"<{rank}I", data, 12)
     body = data[12 + 4 * rank:]
-    expect = count * int(np.prod(dims)) if rank else count
-    arr = np.frombuffer(body, dtype="<f4")
-    if arr.size != expect:
-        raise BadInputError(f"{path}: payload holds {arr.size} floats, header "
-                            f"declares {expect}")
-    arr = arr.reshape((count, *dims)).copy()
+    expect = count
+    for dim in dims:
+        expect *= dim
+    if len(body) != 4 * expect:
+        raise BadInputError(f"{path}: payload holds {len(body)} bytes, header "
+                            f"declares {expect} floats ({4 * expect} bytes)")
+    arr = np.frombuffer(body, dtype="<f4").reshape((count, *dims)).copy()
     _require_finite(arr, f"calibration set {path}")
     return arr
 

@@ -186,6 +186,43 @@ def test_calibrated_output_is_the_final_forward(metric, granularity):
     assert cal.step_distances["final"] == cal.distance
 
 
+def full_step3(weights, plan, target, granularity, cfg, bias, activation, slope):
+    """Steps 1 to 3 with every step-3 candidate evaluated, the center too."""
+    layer = {"bias": bias, "activation": activation, "slope": slope}
+    partition = make_partition(*weights.shape, granularity)
+    center = search_input_scale(weights, plan, target, cfg, **layer)[0]
+    grid, _ = search_weight_scales(weights, plan, partition, center, target, cfg, **layer)
+    return center, search_input_scale(weights, plan, target, cfg, partition=partition,
+                                      weight_scales=grid, center=center, **layer)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+@pytest.mark.parametrize("granularity", GRANULARITIES, ids=lambda g: g.describe())
+@pytest.mark.parametrize("tie", [False, True], ids=["plain", "all-tied"])
+def test_reused_center_equals_full_step3(metric, granularity, tie):
+    """calibrate_layer takes step 3's center result from the weight search
+    instead of evaluating it; scale, distance and output bytes must equal
+    those of evaluating every candidate. In the tied case a bias of -100
+    under ReLU zeroes every output, so every candidate ties with the center
+    and the smallest candidate, below the center, must still win."""
+    weights, cols, bias = make_layer(11)
+    if tie:
+        bias = np.full_like(bias, -100.0)
+    target = target_of(weights, cols, None, "relu", seed=3)
+    cfg = CalibConfig(grid_size=15, iterations=1, metric=metric)
+    plan = dense_plan(cols)
+    center, expect = full_step3(weights, plan, target, granularity, cfg, bias, "relu", 0.01)
+    with mock.patch.object(calib, "grouped_forward", wraps=calib.grouped_forward) as forward:
+        cal = calibrate_layer(weights, plan, target, granularity, cfg, bias, "relu")
+    candidates = np.unique(np.append(scale_space(cfg.alpha, cfg.beta, center, 15), center))
+    assert forward.call_count == len(candidates) - 1  # all but the center
+    assert (cal.scales.input_scale, cal.distance) == expect[:2]
+    assert cal.output.tobytes() == expect[2].tobytes()
+    if tie:
+        assert not np.any(cal.output)
+        assert cal.scales.input_scale == center * cfg.alpha < center
+
+
 @pytest.mark.parametrize("width,ok", [(2, True), (3, False)])
 def test_exact_accumulation_guard_at_bound(width, ok):
     """At 27-bit codes the worst case width * 2^26 * 2^26 is exactly 2^53 for

@@ -8,6 +8,7 @@ import re
 import shutil
 import struct
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,72 @@ class TestSweep:
     def test_empty_sweep_exits_2(self, fixture_dir, tmp_path):
         config = self.base_config(fixture_dir, tmp_path, {"rows": []})
         assert main(["sweep", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("sweep", [{"rows": [2, 1, 1], "cols": [36, 72, 36]},
+                                       {"rows": [1, 2, 1], "h_groups": [2, 1, 2]}],
+                             ids=["cols", "h_groups"])
+    def test_outputs_identical_for_any_jobs(self, fixture_dir, tmp_path, rows_2_fails, sweep):
+        """Repeated rows and axis values and a failing cell (rows 2) give the
+        same reports at 1, 2 and 3 workers."""
+        config = self.base_config(fixture_dir, tmp_path, sweep)
+        for jobs in ("1", "2", "3"):
+            assert main(["sweep", "--config", str(config), "--jobs", jobs, "--out",
+                         str(tmp_path / jobs)]) == 0
+        rows = read_csv(tmp_path / "1" / "sweep_distance.csv")
+        assert [row[0] for row in rows[1:]] == [str(r) for r in sweep["rows"]]
+        assert rows[1 + sweep["rows"].index(2)][1:] == ["FAILED"] * 3
+        assert rows[1 + sweep["rows"].index(1)][1] == rows[1 + sweep["rows"].index(1)][3]
+        for name in ("sweep_distance.csv", "sweep_summary.json"):
+            for jobs in ("2", "3"):
+                assert (tmp_path / "1" / name).read_bytes() == \
+                    (tmp_path / jobs / name).read_bytes()
+
+    @pytest.fixture
+    def calibrations(self, monkeypatch):
+        """Stub calibrate_network: records each granularity it gets (rows,
+        h_groups) and returns a distance that names the cell."""
+        seen = []
+
+        def calibrate(graph, samples, granularity, cfg, references=None):
+            cell = (granularity.rows_per_group, granularity.h_groups)
+            seen.append(cell)
+            return types.SimpleNamespace(network_distance=float(10 * cell[0] + cell[1]))
+
+        monkeypatch.setattr(cli, "calibrate_network", calibrate)
+        return seen
+
+    def test_cells_go_out_largest_first(self, fixture_dir, tmp_path, calibrations,
+                                        monkeypatch):
+        """The workers get each distinct cell once, by descending weight-scale
+        group count, ties in grid order. On small_cnn's quantized layers
+        (conv2 12x72, conv3 and conv4 12x108, conv5 16x108) rows 1 gives 52
+        groups at h 1 and 208 at h 4, rows 4 gives 13 and 52."""
+        dispatched = []
+
+        def spy(fn, items, jobs):
+            dispatched.append(list(items))
+            return parallel_map(fn, items, jobs)
+
+        monkeypatch.setattr(cli, "parallel_map", spy)
+        config = self.base_config(fixture_dir, tmp_path,
+                                  {"rows": [4, 1, 4], "h_groups": [1, 4, 1]})
+        assert main(["sweep", "--config", str(config)]) == 0
+        assert dispatched == [[(1, 4), (4, 4), (1, 1), (4, 1)]]
+        assert calibrations == [(1, 4), (4, 4), (1, 1), (4, 1)]
+        assert read_csv(tmp_path / "out" / "sweep_distance.csv") == [
+            ["rows\\h_groups", "1", "4", "1"],
+            ["4", "41.0", "44.0", "41.0"],
+            ["1", "11.0", "14.0", "11.0"],
+            ["4", "41.0", "44.0", "41.0"]]
+
+    def test_repeated_cell_is_calibrated_once(self, fixture_dir, tmp_path, calibrations):
+        config = self.base_config(fixture_dir, tmp_path, {"rows": [1, 1], "h_groups": [2, 2]})
+        assert main(["sweep", "--config", str(config), "--jobs", "2"]) == 0
+        assert calibrations == [(1, 2)]
+        assert read_csv(tmp_path / "out" / "sweep_distance.csv") == [
+            ["rows\\h_groups", "2", "2"], ["1", "12.0", "12.0"], ["1", "12.0", "12.0"]]
+        cells = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())["cells"]
+        assert cells == [{"rows": 1, "h_groups": 2, "distance": 12.0}] * 4
 
 
 class TestReorder:
@@ -472,6 +539,20 @@ class TestMalformedScaleTable:
             with pytest.raises(BadInputError, match="layer fc: .*exact float64 range"):
                 load_bundle(tmp_path)
 
+# A two-sample small_cnn PTQC file: a 24-byte header (magic, count, rank and
+# the 3 dims), then 2 * 3 * 8 * 8 float32 values.
+PTQC_HEADER, PTQC_SIZE = 24, 24 + 2 * 3 * 8 * 8 * 4
+
+
+@pytest.fixture(scope="module")
+def small_ptqc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ptqc") / "small.ptqc"
+    save_calibration_set(path, random_inputs(build_small_cnn(), 2, seed=4))
+    data = path.read_bytes()
+    assert len(data) == PTQC_SIZE
+    return data
+
+
 class TestMalformedInput:
     """Malformed manifests and sample files exit 2 with a message naming the
     fault, never 1 with an internal error."""
@@ -557,6 +638,53 @@ class TestMalformedInput:
         assert self.run("quantize", tmp_path, fixture_dir / "small_cnn",
                         tmp_path / "short.ptqc") == 2
         assert "truncated header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["quantize", "sweep"])
+    def test_empty_calibration_set_exits_2(self, fixture_dir, tmp_path, command, capsys):
+        save_calibration_set(tmp_path / "empty.ptqc", np.zeros((0, 3, 8, 8), np.float32))
+        assert self.run(command, tmp_path, fixture_dir / "small_cnn",
+                        tmp_path / "empty.ptqc") == 2
+        assert "empty.ptqc holds no samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["quantize", "sweep"])
+    def test_trailing_ptqc_byte_exits_2(self, fixture_dir, tmp_path, command, capsys):
+        data = (fixture_dir / "small_cnn_calib.ptqc").read_bytes()
+        (tmp_path / "long.ptqc").write_bytes(data + b"\0")
+        assert self.run(command, tmp_path, fixture_dir / "small_cnn",
+                        tmp_path / "long.ptqc") == 2
+        err = capsys.readouterr().err
+        assert "long.ptqc" in err and f"payload holds {len(data) - 23} bytes" in err
+
+    @pytest.mark.parametrize("command", ["quantize", "sweep", "reorder"])
+    def test_float_forward_overflow_exits_2(self, fixture_dir, tmp_path, command, capsys):
+        """Finite samples of 3e38 overflow conv1's float32 output to inf."""
+        save_calibration_set(tmp_path / "huge.ptqc", np.full((4, 3, 8, 8), 3e38, np.float32))
+        assert self.run(command, tmp_path, fixture_dir / "small_cnn",
+                        tmp_path / "huge.ptqc") == 2
+        err = capsys.readouterr().err
+        assert "not finite at layer conv1" in err and "internal error" not in err
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(edit=st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, PTQC_SIZE - 1), st.just(b"")),
+        st.tuples(st.just("extend"), st.just(PTQC_SIZE), st.binary(min_size=1, max_size=8)),
+        st.tuples(st.just("overwrite"),
+                  st.one_of(st.integers(0, PTQC_HEADER - 1), st.integers(0, PTQC_SIZE - 1)),
+                  st.binary(min_size=1, max_size=4))))
+    def test_fuzzed_ptqc_bytes_never_exit_1(self, fixture_dir, small_ptqc, edit):
+        """A PTQC file truncated, extended, or with bytes overwritten (the
+        header's as often as the rest) is either run or rejected as bad
+        input, never an internal error."""
+        kind, at, patch = edit
+        data = bytearray(small_ptqc)
+        if kind == "truncate":
+            del data[at:]
+        else:
+            data[at:at + len(patch)] = patch
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "fuzzed.ptqc").write_bytes(bytes(data))
+            assert self.run("quantize", Path(tmp), fixture_dir / "small_cnn",
+                            Path(tmp) / "fuzzed.ptqc") in (0, 2)
 
     @pytest.mark.parametrize("command", ["quantize", "sweep", "reorder", "eval"])
     def test_calibration_shape_mismatch_exits_2(self, fixture_dir, tmp_path, command,
