@@ -539,6 +539,7 @@ class TestMalformedScaleTable:
             with pytest.raises(BadInputError, match="layer fc: .*exact float64 range"):
                 load_bundle(tmp_path)
 
+
 # A two-sample small_cnn PTQC file: a 24-byte header (magic, count, rank and
 # the 3 dims), then 2 * 3 * 8 * 8 float32 values.
 PTQC_HEADER, PTQC_SIZE = 24, 24 + 2 * 3 * 8 * 8 * 4
@@ -653,7 +654,8 @@ class TestMalformedInput:
         assert self.run(command, tmp_path, fixture_dir / "small_cnn",
                         tmp_path / "long.ptqc") == 2
         err = capsys.readouterr().err
-        assert "long.ptqc" in err and f"payload holds {len(data) - 23} bytes" in err
+        payload = len(data) + 1 - PTQC_HEADER
+        assert "long.ptqc" in err and f"payload holds {payload} bytes" in err
 
     @pytest.mark.parametrize("command", ["quantize", "sweep", "reorder"])
     def test_float_forward_overflow_exits_2(self, fixture_dir, tmp_path, command, capsys):
