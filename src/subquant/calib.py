@@ -28,7 +28,6 @@ from .quant import (
     ScaleSet,
     check_exact_accumulation,
     check_layer_scales,
-    finish_rows,
     grouped_forward,
     grouped_terms,
     init_scale,
@@ -37,7 +36,7 @@ from .quant import (
     quantize_weight_groups,
     sum_terms,
 )
-from .tensor import apply_activation, conv_reference
+from .tensor import conv_reference, finish
 
 DISTANCE_METRICS = ("euclidean", "cosine")
 
@@ -66,6 +65,10 @@ class CalibConfig:
     act_bits: int = 8
 
     def __post_init__(self):
+        for name in ("alpha", "beta"):  # a float or an int that fits a finite float64
+            value = getattr(self, name)
+            if not abs(value) <= float(np.finfo(np.float64).max):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0 < self.alpha <= 1 <= self.beta:
             raise ValueError(f"need 0 < alpha <= 1 <= beta, got ({self.alpha}, {self.beta})")
         if self.grid_size < 2:
@@ -79,10 +82,12 @@ class CalibConfig:
 
 
 def scale_space(alpha, beta, center, n):
-    """n candidates evenly spaced over [alpha*center, beta*center]."""
+    """n candidates evenly spaced over [alpha*center, beta*center], less those
+    that underflow to 0 under a tiny alpha: a scale must be positive."""
     if center <= 0:
         raise ValueError(f"center scale must be positive, got {center}")
-    return np.linspace(alpha * center, beta * center, n, dtype=np.float64)
+    grid = np.linspace(alpha * center, beta * center, n, dtype=np.float64)
+    return grid[grid > 0]
 
 
 def distance(a, b, metric="euclidean"):
@@ -153,7 +158,7 @@ def plan_layer_input(layer, x):
     """
     x = np.asarray(x)
     names = np.arange(1, x.size + 1, dtype=np.float64).reshape(x.shape)
-    index = lower_layer_input(layer, names)[0].astype(np.intp)
+    index = lower_layer_input(layer, names).astype(np.intp)
     read = np.zeros(x.size + 1, dtype=bool)
     read[index] = True
     values = np.concatenate(([0.0], x.reshape(-1)))[read]
@@ -266,34 +271,21 @@ class _Screen:
         return ~finite | (scores <= limit)
 
 
-def _candidate_blocks(group, col_block, prefix, later, input_scale, bias_rows, cfg,
+def _candidate_blocks(group, col_block, others, input_scale, bias_rows, cfg,
                       activation, slope, cands):
     """Terms and finished row blocks of a row block's group h under each of `cands`.
 
     One stacked matmul serves every candidate, exact like the forward's.
-    The candidate terms take the place of term h in sum_terms: `prefix` is
-    the sum of the row block's terms before h (None at h = 0) and `later`
-    the terms after it. Those and then the bias are added into one new
-    buffer in finish_rows' order (IEEE addition commutes exactly), which
-    then takes the activation in place.
+    The candidate terms take the place of term h in sum_terms: `others` are
+    the sum of the row block's terms before h, if h > 0, and then the terms
+    after it. The stack goes first, so that the others broadcast into it;
+    IEEE addition commutes exactly, so the sum is the forward's bit for bit.
     """
     codes = quantize_values(group[None], cands[:, None, None], cfg.weight_bits)
     n, rows, width = codes.shape
     terms = (codes.reshape(n * rows, width) @ col_block).reshape(n, rows, -1)
     terms *= (cands * input_scale)[:, None, None]
-    rest = ([] if prefix is None else [prefix]) + later
-    if bias_rows is not None:
-        rest.append(np.asarray(bias_rows, dtype=np.float64)[:, None])
-    if not rest:
-        return terms, finish_rows(terms, None, activation, slope)
-    acc = np.add(terms, rest[0])
-    for addend in rest[1:]:
-        acc += addend
-    if activation == "relu":
-        np.maximum(acc, 0.0, out=acc)
-    else:
-        acc = apply_activation(acc, activation, slope)
-    return terms, acc.astype(np.float32)
+    return terms, finish(sum_terms([terms, *others]), bias_rows, activation, slope)
 
 
 def _chunks(items, size):
@@ -313,9 +305,10 @@ def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
 
     The state is the layer's grouped terms (quant.grouped_terms). A chunk of
     candidates costs one stacked integer matmul, and its terms take the
-    place of the group's term in sum_terms, so every candidate row block
-    equals a fresh forward bit for bit. Each block is first screened with
-    running per-row sums in O(rows*P) (see _Screen). Only the candidates
+    place of the group's term in sum_terms, and finish ends the sum as it
+    ends the forward's, so every candidate row block equals a fresh forward
+    bit for bit. Each block is first screened with running per-row sums in
+    O(rows*P) (see _Screen). Only the candidates
     within the summation-error tolerance of the screened minimum are
     confirmed with `distance()` on the full layer output, in candidate order
     with strict `<` from the exact entry distance; every other candidate is
@@ -335,7 +328,7 @@ def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
                        for r0, r1 in partition.row_ranges])
     codes = quantize_weight_groups(weights, partition, scales, cfg.weight_bits)
     terms = list(grouped_terms(codes, q_cols, partition, scales, input_scale))
-    first = finish_rows(sum_terms(terms), bias, activation, slope)
+    first = finish(sum_terms(terms), bias, activation, slope)
     if out is None:
         out = first
     else:
@@ -353,8 +346,8 @@ def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
                 if not np.any(group):
                     continue  # all-zero group: any scale is exact
                 row_terms = [term[r0:r1] for term in terms]
-                build = partial(_candidate_blocks, group, q_cols[c0:c1],
-                                sum_terms(row_terms[:h]) if h else None, row_terms[h + 1:],
+                others = ([sum_terms(row_terms[:h])] if h else []) + row_terms[h + 1:]
+                build = partial(_candidate_blocks, group, q_cols[c0:c1], others,
                                 input_scale, bias_rows, cfg, activation, slope)
 
                 cands = scale_space(cfg.alpha, cfg.beta, scales[v, h], cfg.grid_size)

@@ -597,20 +597,18 @@ def _output_meta(layer, x_shape):
 
 
 def lower_layer_input(layer, x, out=None):
-    """Lower the incoming activation to the float64 [J, P] matrix plus reshape
-    info for raise_layer_output. `out`, if given, is the C-contiguous float64
-    [J, P] matrix to lower into."""
-    meta = _output_meta(layer, x.shape)
+    """Lower the incoming activation to the float64 [J, P] matrix. `out`, if
+    given, is the C-contiguous float64 [J, P] matrix to lower into."""
     if layer.kind == "conv":
-        return im2col(x, layer.kernel, layer.stride, layer.padding, out), meta
+        return im2col(x, layer.kernel, layer.stride, layer.padding, out)
     # linear: flatten features per sample; the explicit feature count keeps an
     # empty batch reshapeable
     features = int(np.prod(x.shape[1:]))
     flat = x.reshape(x.shape[0], features).T
     if out is None:
-        return np.array(flat, dtype=np.float64, order="C"), meta
+        return np.array(flat, dtype=np.float64, order="C")
     np.copyto(out, flat)
-    return out, meta
+    return out
 
 
 def lowered_size(graph, x_shape):
@@ -621,10 +619,11 @@ def lowered_size(graph, x_shape):
                 for layer in graph.conv_like()), default=0)
 
 
-def raise_layer_output(layer, out, meta):
-    """Inverse of lower_layer_input on the [OC, P] output matrix."""
+def raise_layer_output(layer, out, x_shape):
+    """Inverse of lower_layer_input on the [OC, P] output matrix of an input
+    of shape `x_shape`."""
     if layer.kind == "conv":
-        n, out_h, out_w = meta
+        n, out_h, out_w = _output_meta(layer, x_shape)
         return out.reshape(layer.out_channels, n, out_h, out_w).transpose(1, 0, 2, 3)
     return np.ascontiguousarray(out.T)
 
@@ -670,7 +669,7 @@ def _run_weighted(layer, x, conv_op):
     if got != layer.in_channels:
         raise ValueError(f"layer {layer.id}: expected {layer.in_channels} input "
                          f"channels, got an activation of shape {x.shape}")
-    return raise_layer_output(layer, conv_op(layer, x), _output_meta(layer, x.shape))
+    return raise_layer_output(layer, conv_op(layer, x), x.shape)
 
 
 def execute(layers, feeds, conv_op):
@@ -714,9 +713,8 @@ def float_conv(layer, x, scratch=None):
     if scratch is not None:
         shape = (layer.weights_per_channel, int(np.prod(_output_meta(layer, x.shape))))
         out = scratch[:shape[0] * shape[1]].reshape(shape)
-    cols, _ = lower_layer_input(layer, x, out)
-    return conv_reference(layer.weight_matrix(), cols, layer.activation, layer.bias,
-                          layer.slope)
+    return conv_reference(layer.weight_matrix(), lower_layer_input(layer, x, out),
+                          layer.activation, layer.bias, layer.slope)
 
 
 def quantized_conv(scales, float_op=float_conv):
@@ -729,7 +727,7 @@ def quantized_conv(scales, float_op=float_conv):
             return float_op(layer, x)
         return quantized_forward_layer(
             layer.weight_matrix(), x, info.partition(layer), info.scales, layer.bias,
-            layer.activation, layer.slope, lower=lambda q: lower_layer_input(layer, q)[0])
+            layer.activation, layer.slope, lower=lambda q: lower_layer_input(layer, q))
     return conv_op
 
 

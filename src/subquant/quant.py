@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import apply_activation
+from .tensor import finish
 
 GRANULARITY_MODES = ("layerwise", "channelwise", "method1", "method2")
 
@@ -181,13 +181,6 @@ class ScaleSet:
             raise ValueError("all scales must be strictly positive")
 
 
-def finish_rows(acc, bias_rows, activation, slope):
-    """Bias add and activation for a block of rows; float32 like stored tensors."""
-    if bias_rows is not None:
-        acc = acc + np.asarray(bias_rows, dtype=np.float64)[:, None]
-    return apply_activation(acc, activation, slope).astype(np.float32)
-
-
 def check_exact_accumulation(partition, weight_bits, act_bits):
     width = max(c1 - c0 for c0, c1 in partition.col_ranges)
     worst = width * (2 ** (weight_bits - 1)) * (2 ** (act_bits - 1))
@@ -246,31 +239,32 @@ def grouped_terms(codes, q_cols, partition, weight_scales, input_scale):
 
 
 def sum_terms(terms):
-    """Sum a layer's terms in ascending h without mutating any of them.
+    """Sum a layer's terms, a list or an iterator, in ascending h into a new
+    array; no term is changed.
 
-    Terms broadcast, so one of them may be a stack of candidate terms. Every
-    quantized layer output is this sum, which keeps batched calibration
-    results equal to a fresh forward bit for bit.
+    The first term may be a stack of candidate terms that the others
+    broadcast into. Every quantized layer output is finish(sum_terms(...)),
+    which keeps batched calibration results equal to a fresh forward bit
+    for bit.
     """
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = acc + term
+    terms = iter(terms)
+    acc = next(terms)
+    second = next(terms, None)
+    if second is None:
+        return acc.copy()
+    acc = acc + second
+    del second  # so each term a generator yields is freed once it is added
+    for term in terms:
+        acc += term
     return acc
 
 
 def grouped_forward(codes, q_cols, partition, scales, bias=None,
                     activation="identity", slope=0.01):
-    """Sum the grouped terms in ascending h, then bias and activation.
-
-    Accumulates in place, so only one term is alive beside the sum; the
-    float64 additions are those of sum_terms.
-    """
-    terms = grouped_terms(codes, q_cols, partition, scales.weight_scales,
-                          scales.input_scale)
-    acc = next(terms)
-    for term in terms:
-        acc += term
-    return finish_rows(acc, bias, activation, slope)
+    """finish(sum_terms(grouped_terms(...))): the grouped terms summed in
+    ascending h, then bias and activation."""
+    return finish(sum_terms(grouped_terms(codes, q_cols, partition, scales.weight_scales,
+                                          scales.input_scale)), bias, activation, slope)
 
 
 def quantized_forward_layer(weights, x, partition, scales, bias=None,

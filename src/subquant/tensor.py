@@ -1,4 +1,5 @@
-"""Dense tensor helpers: im2col lowering and the reference float convolution.
+"""Dense tensor helpers: im2col lowering, the epilogue of every conv and
+linear output, and the reference float convolution.
 
 Feature maps are [N, C, H, W] float32 arrays. Lowered weight matrices are
 [OC, J] with J = K*K*IC, lowered inputs are float64 [J, P] matrices with
@@ -80,6 +81,22 @@ def im2col(x, kernel, stride=1, padding=0, out=None):
     return out
 
 
+def finish(acc, bias=None, activation="identity", slope=0.01):
+    """The epilogue of every conv and linear output: f(acc + b) as float32.
+
+    `acc` is a float64 [..., OC, P] accumulator that the caller owns; the
+    bias add and a ReLU act on it in place. Every layer output, float or
+    quantized, ends here.
+    """
+    if bias is not None:
+        acc += np.asarray(bias, dtype=np.float64)[:, None]
+    if activation == "relu":
+        np.maximum(acc, 0.0, out=acc)
+    else:
+        acc = apply_activation(acc, activation, slope)
+    return acc.astype(np.float32)
+
+
 def conv_reference(weights, cols, activation="identity", bias=None, slope=0.01):
     """Float conv on lowered matrices: f(W @ X + b), accumulated in float64.
 
@@ -89,11 +106,4 @@ def conv_reference(weights, cols, activation="identity", bias=None, slope=0.01):
     cols = np.asarray(cols, dtype=np.float64)
     if weights.ndim != 2 or cols.ndim != 2 or weights.shape[1] != cols.shape[0]:
         raise ValueError(f"shape mismatch {weights.shape} @ {cols.shape}")
-    acc = weights.astype(np.float64) @ cols
-    if bias is not None:
-        acc += np.asarray(bias, dtype=np.float64)[:, None]
-    if activation == "relu":
-        np.maximum(acc, 0.0, out=acc)
-    else:
-        acc = apply_activation(acc, activation, slope)
-    return acc.astype(np.float32)
+    return finish(weights.astype(np.float64) @ cols, bias, activation, slope)

@@ -43,10 +43,10 @@ def scales_payload():
     x = random_inputs(graph, 4, seed=42)
     layer = graph.layer("conv2")
     conv1 = graph.layer("conv1")
-    cols1, meta1 = lower_layer_input(conv1, x)
+    cols1 = lower_layer_input(conv1, x)
     act1 = raise_layer_output(conv1, conv_reference(
-        conv1.weight_matrix(), cols1, conv1.activation, conv1.bias), meta1)
-    cols, _ = lower_layer_input(layer, act1)
+        conv1.weight_matrix(), cols1, conv1.activation, conv1.bias), x.shape)
+    cols = lower_layer_input(layer, act1)
     target = conv_reference(layer.weight_matrix(), cols, layer.activation,
                             layer.bias, layer.slope)
     cfg = CalibConfig(grid_size=15, iterations=2, samples=4)

@@ -160,13 +160,13 @@ def reference_score_block(ctx, layers):
     output in the lowered [OC, P] layout."""
     current_f = current_q = ctx.block_input
     for layer in layers:
-        cols_f, meta = lower_layer_input(layer, current_f)
+        cols_f = lower_layer_input(layer, current_f)
         out_f = conv_reference(layer.weight_matrix(), cols_f, layer.activation,
                                layer.bias, layer.slope)
-        cols_q, _ = lower_layer_input(layer, current_q)
+        cols_q = lower_layer_input(layer, current_q)
         out_q = calibrate_layer(layer.weight_matrix(), dense_plan(cols_q), out_f,
                                 ctx.granularity, ctx.calib_cfg, layer.bias,
                                 layer.activation, layer.slope).output
-        current_f = raise_layer_output(layer, out_f, meta)
-        current_q = raise_layer_output(layer, out_q, meta)
+        current_f = raise_layer_output(layer, out_f, current_f.shape)
+        current_q = raise_layer_output(layer, out_q, current_q.shape)
     return -distance(out_q, out_f, "euclidean")

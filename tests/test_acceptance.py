@@ -275,7 +275,8 @@ def test_08_overhead_table_and_instrumentation(term_sizes):
             if layer.kind == "input":
                 continue
             if layer.kind in ("conv", "linear"):
-                cols_mat, meta = lower_layer_input(layer, current[layer.predecessors[0]])
+                x_in = current[layer.predecessors[0]]
+                cols_mat = lower_layer_input(layer, x_in)
                 part = make_partition(layer.out_channels, layer.weights_per_channel, gran)
                 scales = ScaleSet(np.full((part.v_groups, part.h_groups), 0.05),
                                   init_scale(cols_mat, 8))
@@ -285,7 +286,7 @@ def test_08_overhead_table_and_instrumentation(term_sizes):
                     part.h_groups * layer.out_channels * cols_mat.shape[1]
                 out = conv_ref(layer.weight_matrix(), cols_mat, layer.activation,
                                layer.bias, layer.slope)
-                current[layer.id] = raise_layer_output(layer, out, meta)
+                current[layer.id] = raise_layer_output(layer, out, x_in.shape)
             else:
                 current[layer.id] = run_simple_layer(layer, current)
         assert time.time() - start < 10.0

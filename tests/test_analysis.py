@@ -48,7 +48,7 @@ class TestComputationOverhead:
         for layer in graph.layers:
             if layer.kind not in ("conv", "linear"):
                 continue
-            cols, _ = lower_layer_input(layer, x if layer.kind == "conv" else
+            cols = lower_layer_input(layer, x if layer.kind == "conv" else
                                         rng.normal(size=(2, layer.in_channels)).astype(np.float32))
             if layer.kind == "conv" and cols.shape[0] != layer.weights_per_channel:
                 continue  # only check layers fed directly by the input shape

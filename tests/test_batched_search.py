@@ -61,12 +61,19 @@ def target_of(weights, cols, bias, activation, seed=0):
 
 def assert_search_matches(weights, cols, partition, input_scale, target, cfg, bias=None,
                           activation="identity", slope=0.01):
+    """Scales and trace equal the reference's, and the output left in `out`
+    is the reference forward's under those scales, byte for byte."""
     expect = reference_search_weight_scales(weights, cols, partition, input_scale, target,
                                             cfg, bias, activation, slope)
+    out = np.empty((weights.shape[0], cols.shape[1]), dtype=np.float32)
     got = search_weight_scales(weights, dense_plan(cols), partition, input_scale, target,
-                               cfg, bias, activation, slope)
+                               cfg, bias, activation, slope, out=out)
     assert np.array_equal(got[0], expect[0])
     assert got[1] == expect[1]
+    forward = reference_quantized_forward_layer(
+        weights, cols, partition, ScaleSet(got[0], input_scale, cfg.weight_bits, cfg.act_bits),
+        bias, activation, slope)
+    assert out.tobytes() == forward.tobytes()
     return got
 
 
@@ -81,13 +88,19 @@ def test_weight_search_matches_reference(metric, granularity):
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
-@pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
-@pytest.mark.parametrize("rows", [1, 4])
-def test_bias_and_activation(metric, activation, rows):
+@pytest.mark.parametrize("activation", ["identity", "relu", "leaky_relu"])
+@pytest.mark.parametrize("rows,h_groups,with_bias", [
+    pytest.param(rows, h_groups, with_bias, id=f"{rows}" + ("-h1" if h_groups == 1 else "")
+                 + ("" if with_bias else "-no-bias"))
+    for rows in (1, 4) for h_groups in (4, 1) for with_bias in (True, False)])
+def test_bias_and_activation(metric, activation, rows, h_groups, with_bias):
+    """h_groups 1 runs the candidate path whose stack is the whole sum: no
+    earlier terms, no later ones."""
     weights, cols, bias = make_layer(2)
+    bias = bias if with_bias else None
     target = target_of(weights, cols, bias, activation, seed=1)
-    partition = make_partition(*weights.shape,
-                               GranularityConfig("method2", rows_per_group=rows, h_groups=4))
+    partition = make_partition(*weights.shape, GranularityConfig(
+        "method2", rows_per_group=rows, h_groups=h_groups))
     cfg = CalibConfig(grid_size=15, iterations=2, metric=metric)
     assert_search_matches(weights, cols, partition, 0.03, target, cfg, bias, activation, 0.1)
 

@@ -48,3 +48,22 @@ def test_incorrect_run_is_recorded_and_fails(bench_pairs, monkeypatch, tmp_path,
         assert named == [f"seed {seed} pair {pair}: the {side} side reported an incorrect op"]
         assert not seeds[seed]["summary"]["all_ops_correct"]
         assert seeds[seed]["pairs"][pair][side]["correct"] is False
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_fewer_than_two_pairs_rejected_before_any_run(bench_pairs, monkeypatch, tmp_path,
+                                                     capsys, pairs):
+    """An IQR needs two values, so --pairs below 2 is a usage error (exit
+    status 2) raised before any perfbench run, and no file is written."""
+    def run_once(*args):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                          str(tmp_path / "change"), "--workload", "eval-large",
+                          "--pairs", pairs, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"must be at least 2, got {pairs}" in capsys.readouterr().err
+    assert not out.exists()

@@ -46,6 +46,12 @@ class TestScaleSpace:
             grid = scale_space(0.5, 1.5, c, 7)
             assert grid[0] <= c <= grid[-1]
 
+    def test_drops_candidates_that_underflow(self):
+        """A tiny alpha times a small center rounds to 0, which is no scale."""
+        grid = scale_space(5e-324, 1.5, 0.03, 5)
+        assert len(grid) == 4 and np.all(grid > 0)
+        assert grid[-1] == 1.5 * 0.03
+
     def test_rejects_nonpositive_center(self):
         with pytest.raises(ValueError):
             scale_space(0.5, 1.5, 0.0, 5)

@@ -566,8 +566,10 @@ class TestMalformedInput:
         (broken / "manifest.json").write_text(json.dumps(manifest))
         return broken
 
-    def run(self, command, tmp_path, model, calibration, eval_inputs=None, labels=8):
-        """`labels` is a label count, or the labels file's text."""
+    def run(self, command, tmp_path, model, calibration, eval_inputs=None, labels=8,
+            calib=None):
+        """`labels` is a label count, or the labels file's text; `calib`
+        overrides quick_calib's entries."""
         extra = {}
         if eval_inputs is not None:
             (tmp_path / "labels.json").write_text(
@@ -576,7 +578,7 @@ class TestMalformedInput:
                              "labels": str(tmp_path / "labels.json")}
         config = write_config(
             tmp_path / "run.json", model=str(model), calibration=str(calibration),
-            granularity={"mode": "channelwise"}, calib=quick_calib(),
+            granularity={"mode": "channelwise"}, calib=quick_calib(**(calib or {})),
             reorder={"population": 2, "iterations": 1},
             sweep={"rows": [1], "h_groups": [1]}, out=str(tmp_path / "out"), **extra)
         return main([command, "--config", str(config)])
@@ -779,6 +781,14 @@ class TestMalformedInput:
                      id="alpha-string"),
         pytest.param({"calib": quick_calib(beta=True)}, "calib.beta must be a number, got True",
                      id="beta-bool"),
+        pytest.param({"calib": quick_calib(beta=math.inf)}, "beta must be finite, got inf",
+                     id="beta-inf"),
+        pytest.param({"calib": quick_calib(alpha=-math.inf)}, "alpha must be finite, got -inf",
+                     id="alpha-minus-inf"),
+        pytest.param({"calib": quick_calib(beta=math.nan)}, "beta must be finite, got nan",
+                     id="beta-nan"),
+        pytest.param({"calib": quick_calib(beta=10 ** 400)},
+                     f"beta must be finite, got {10 ** 400}", id="beta-beyond-float64"),
         pytest.param({"reorder": {"selection": None}},
                      "reorder.selection must be a number, got None", id="selection-null"),
     ])
@@ -792,6 +802,59 @@ class TestMalformedInput:
         assert main(["sweep", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "run.json" in err and fault in err
+
+    def test_subnormal_alpha_runs(self, fixture_dir, tmp_path):
+        """alpha * center underflows to 0 for the smallest alpha; that
+        candidate is dropped, not run as a zero scale."""
+        assert self.run("quantize", tmp_path, fixture_dir / "small_cnn",
+                        fixture_dir / "small_cnn_calib.ptqc", calib={"alpha": 5e-324}) == 0
+
+    # Every run-config field a quantize run reads, one unknown field per
+    # section, and the sections themselves.
+    CONFIG_FIELDS = tuple(
+        [f"calib.{key}" for key in ("alpha", "beta", "grid_size", "iterations", "metric",
+                                    "samples", "seed", "weight_bits", "act_bits", "unknown")]
+        + [f"reorder.{key}" for key in ("population", "iterations", "max_pairs", "selection",
+                                        "seed", "unknown")]
+        + [f"granularity.{key}" for key in ("mode", "rows_per_group", "cols_per_group",
+                                            "h_groups", "unknown")]
+        + ["sweep.rows", "sweep.cols", "sweep.h_groups", "seed", "jobs", "calib", "reorder",
+           "granularity", "sweep"])
+    # Small integers only, so no count (grid_size, samples, population, ...)
+    # makes a run slow; floats include the Infinity and NaN that json reads.
+    CONFIG_VALUES = st.one_of(
+        st.integers(-3, 8), st.floats(), st.sampled_from((math.inf, -math.inf, math.nan)),
+        st.text(max_size=4), st.booleans(), st.none(), st.lists(st.integers(-2, 4), max_size=3),
+        st.sampled_from(("euclidean", "cosine", "layerwise", "channelwise", "method1",
+                         "method2")))
+    CONFIG_MUTATION = st.tuples(st.sampled_from(CONFIG_FIELDS),
+                                st.one_of(st.just("delete"), CONFIG_VALUES))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(mutations=st.lists(CONFIG_MUTATION, min_size=1, max_size=3))
+    def test_fuzzed_run_config_never_exits_1(self, fixture_dir, mutations):
+        """A run config with fields or whole sections deleted or set to a value
+        of any type or range is either run or rejected as bad input, never an
+        internal error. The toy segment net keeps even default search
+        settings fast."""
+        raw = {"model": str(fixture_dir / "toy_segment"),
+               "calibration": str(fixture_dir / "toy_segment_calib.ptqc"),
+               "granularity": {"mode": "method2", "rows_per_group": 2, "h_groups": 2},
+               "calib": quick_calib(), "reorder": {"population": 2, "iterations": 1},
+               "sweep": {"rows": [1], "h_groups": [1]}, "seed": 0, "jobs": 1}
+        for field, value in mutations:
+            section, _, key = field.rpartition(".")
+            entry = raw.get(section) if section else raw
+            if not isinstance(entry, dict):
+                continue  # the section itself was deleted or replaced
+            if value == "delete":
+                entry.pop(key, None)
+            else:
+                entry[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            config = write_config(Path(tmp) / "run.json", **raw)
+            assert main(["quantize", "--config", str(config),
+                         "--out", str(Path(tmp) / "out")]) in (0, 2)
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_flag_below_1_exits_2(self, fixture_dir, tmp_path, jobs, capsys):

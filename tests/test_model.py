@@ -303,7 +303,7 @@ class TestExecute:
 
         def conv_op(layer, x):
             seen[layer.id] = x.shape
-            cols, _ = lower_layer_input(layer, x)
+            cols = lower_layer_input(layer, x)
             lowered[layer.id] = (cols.shape, cols.dtype)
             return float_conv(layer, x)
 
@@ -382,8 +382,8 @@ def test_quantizing_commutes_with_lowering(case, scale, bits):
     quantize-then-lower equals lower-then-quantize bit for bit."""
     layer, x = case
     with np.errstate(over="ignore"):
-        early, _ = lower_layer_input(layer, quantize_values(x, scale, bits))
-        late = quantize_values(lower_layer_input(layer, x)[0], scale, bits)
+        early = lower_layer_input(layer, quantize_values(x, scale, bits))
+        late = quantize_values(lower_layer_input(layer, x), scale, bits)
     assert early.dtype == late.dtype == np.float64
     assert np.array_equal(early, late, equal_nan=True)
     assert np.array_equal(np.signbit(early), np.signbit(late))
@@ -423,9 +423,9 @@ def test_blocked_quantized_conv_matches_whole_matrix(block_samples, case, out_ch
     with np.errstate(over="ignore", invalid="ignore"):
         codes = quantize_weight_groups(layer.weight_matrix(), part, scales.weight_scales,
                                        scales.weight_bits)
-        q_cols = quantize_values(lower_layer_input(layer, x)[0], input_scale, scales.act_bits)
+        q_cols = quantize_values(lower_layer_input(layer, x), input_scale, scales.act_bits)
         whole = grouped_forward(codes, q_cols, part, scales, layer.bias, activation, 0.1)
-        sample_bytes = lower_layer_input(layer, x[:1])[0].nbytes
+        sample_bytes = lower_layer_input(layer, x[:1]).nbytes
         block_bytes = (1 << 40) if block_samples is None else block_samples * sample_bytes
         with mock.patch.object(quant, "_FORWARD_BLOCK_BYTES", block_bytes):
             got = quantized_conv({"l": info})(layer, x)
@@ -459,7 +459,7 @@ def assert_plan_gathers_lowering(layer, x):
     """take(values, index) is the lowered matrix bit for bit, signed zeros and
     NaN payloads included, and every value is read by the index."""
     plan = plan_layer_input(layer, x)
-    lowered = lower_layer_input(layer, x)[0]
+    lowered = lower_layer_input(layer, x)
     got = np.take(plan.values, plan.index)
     assert plan.values.dtype == np.float64 and plan.index.dtype == np.intp
     assert plan.shape == lowered.shape

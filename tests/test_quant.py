@@ -14,6 +14,7 @@ from subquant.quant import (
     init_scale,
     make_partition,
     quantize_values,
+    sum_terms,
 )
 from subquant.tensor import conv_reference
 
@@ -228,6 +229,27 @@ def channelwise_oracle(weights, cols, row_scales, input_scale, wb, ab, bias, act
         if bias is not None:
             out[c] += bias[c]
     return apply_activation(out, activation).astype(np.float32)
+
+
+class TestSumTerms:
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("stack", [False, True], ids=["terms", "stack-first"])
+    @pytest.mark.parametrize("as_iterator", [False, True], ids=["list", "iterator"])
+    def test_new_array_and_inputs_unchanged(self, count, stack, as_iterator):
+        """The sum shares no memory with any term and changes none of them,
+        whether the first term is a [candidates, rows, P] stack that the
+        others broadcast into or a term like the others."""
+        rng = np.random.default_rng(count)
+        terms = [rng.normal(size=(3, 4, 5) if stack and i == 0 else (4, 5))
+                 for i in range(count)]
+        before = [t.copy() for t in terms]
+        expect = terms[0]
+        for t in terms[1:]:
+            expect = expect + t
+        got = sum_terms(iter(terms) if as_iterator else terms)
+        assert got.tobytes() == expect.tobytes() and got.shape == expect.shape
+        assert not any(np.shares_memory(got, t) for t in terms)
+        assert all(t.tobytes() == b.tobytes() for t, b in zip(terms, before))
 
 
 class TestQuantizedForward:

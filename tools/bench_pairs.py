@@ -82,13 +82,22 @@ def summarize(pairs):
     return summary
 
 
+def at_least_two(text):
+    """--pairs: an integer of at least 2, the fewest values an IQR is taken of."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 7])
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=at_least_two, default=10,
+                        help="pairs per seed, at least 2 for the interquartile ranges")
     parser.add_argument("--seconds", type=float, default=5.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
