@@ -24,7 +24,6 @@ from .model import (
     forward_quantized,
     load_bundle,
     load_calibration_set,
-    lowered_size,
     prepare_for_quantization,
     quantized_conv,
     require_int,
@@ -434,25 +433,21 @@ def _eval_walks(graph, eval_x):
     in lockstep, one layer each in turn; only the live activations and the
     network outputs stay in memory.
 
-    A layer run in float lowers into the prefix of one float64 buffer sized
-    for the largest lowered matrix, so its pages are faulted once per eval,
-    not once per layer. A layer that the quantized walk runs in float on the
-    very array that the float walk has just handed it (an unquantized first
-    conv, on the eval samples) takes the float walk's output: the same conv
-    of the same input.
+    A layer that the quantized walk runs in float on the very array that the
+    float walk has just handed it (an unquantized first conv, on the eval
+    samples) takes the float walk's output: the same conv of the same input.
     """
-    scratch = np.empty(lowered_size(graph, eval_x.shape))
     last = {}  # the float walk's latest conv: {layer id: (input, output)}
 
     def float_op(layer, x):
         last.clear()
-        out = float_conv(layer, x, scratch)
+        out = float_conv(layer, x)
         last[layer.id] = x, out
         return out
 
     def quantized_walk_float_op(layer, x):
         seen, out = last.pop(layer.id, (None, None))
-        return out if seen is x else float_conv(layer, x, scratch)
+        return out if seen is x else float_conv(layer, x)
 
     feeds = {graph.input_id: eval_x}
     return zip(execute(graph.layers, feeds, float_op),

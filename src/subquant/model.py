@@ -24,7 +24,8 @@ from .quant import (
     make_partition,
     quantized_forward_layer,
 )
-from .tensor import ACTIVATIONS, apply_activation, conv_output_hw, conv_reference, im2col
+from .tensor import (ACTIVATIONS, apply_activation, conv_output_hw, conv_reference, im2col,
+                     in_sample_blocks)
 
 BUNDLE_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -268,7 +269,7 @@ def save_bundle(graph, path):
 def _read_blob(ref, data, layer_id, what):
     try:
         offset, count = int(ref["offset"]), int(ref["count"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadInputError(f"layer {layer_id}: malformed {what} blob reference") from exc
     end = offset + 4 * count
     if offset < 0 or end > len(data):
@@ -303,7 +304,7 @@ def load_bundle(path):
             raise BadInputError(f"manifest layer entry missing {exc}") from exc
         try:
             layer = _load_layer(entry, lid, kind, data)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BadInputError(f"layer {lid}: malformed manifest entry ({exc!r})") from exc
         if kind in ("conv", "linear") and "quantize" not in entry:
             implicit_quantize.append(layer)
@@ -434,12 +435,15 @@ def _load_scale_entry(lid, entry, layer):
     if layer is None or layer.kind not in ("conv", "linear"):
         raise BadInputError(f"scales given for {lid!r}, which is not a conv or linear layer")
     try:
-        weight_scales = np.array(entry["weight_scales"], dtype=np.float64)
-        input_scale = float(entry["input_scale"])
+        grid = np.array(entry["weight_scales"], dtype=object)
+        for value in grid.flat:
+            require_number("each entry of weight_scales", value)
+        weight_scales = grid.astype(np.float64)
+        input_scale = float(require_number("input_scale", entry["input_scale"]))
         bits = {what: require_int(what, entry[what]) for what in ("weight_bits", "act_bits")}
         rows = require_int("rows_per_group", entry["rows_per_group"], 1)
         cols = require_int("cols_per_group", entry["cols_per_group"], 1)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadInputError(f"layer {lid}: malformed scale entry ({exc!r})") from exc
     for what, value in bits.items():
         try:
@@ -596,27 +600,19 @@ def _output_meta(layer, x_shape):
     return (x_shape[0],)
 
 
-def lower_layer_input(layer, x, out=None):
-    """Lower the incoming activation to the float64 [J, P] matrix. `out`, if
-    given, is the C-contiguous float64 [J, P] matrix to lower into."""
+def lower_layer_input(layer, x):
+    """Lower the incoming activation to the float64 [J, P] matrix."""
     if layer.kind == "conv":
-        return im2col(x, layer.kernel, layer.stride, layer.padding, out)
+        return im2col(x, layer.kernel, layer.stride, layer.padding)
     # linear: flatten features per sample; the explicit feature count keeps an
     # empty batch reshapeable
     features = int(np.prod(x.shape[1:]))
-    flat = x.reshape(x.shape[0], features).T
-    if out is None:
-        return np.array(flat, dtype=np.float64, order="C")
-    np.copyto(out, flat)
-    return out
+    return np.array(x.reshape(x.shape[0], features).T, dtype=np.float64, order="C")
 
 
-def lowered_size(graph, x_shape):
-    """Elements of the largest [J, P] matrix that a conv or linear layer of
-    `graph` lowers from an input batch of shape `x_shape`."""
-    shapes = propagate_shapes(replace(graph, input_shape=list(x_shape)), batch=x_shape[0])
-    return max((layer.weights_per_channel * int(np.prod(shapes[layer.id])) // layer.out_channels
-                for layer in graph.conv_like()), default=0)
+def _sample_columns(layer, x_shape):
+    """Columns of the lowered [J, P] matrix per sample of an input of shape `x_shape`."""
+    return int(np.prod(_output_meta(layer, x_shape)[1:]))
 
 
 def raise_layer_output(layer, out, x_shape):
@@ -702,19 +698,16 @@ def execute(layers, feeds, conv_op):
         yield layer, out
 
 
-def float_conv(layer, x, scratch=None):
-    """conv_op of the float network: the reference conv of the lowered input.
+def float_conv(layer, x):
+    """conv_op of the float network: the reference conv of the lowered input,
+    one dgemm per sample block (in_sample_blocks), so the block schedule
+    defines the output. README says when it is the whole-layer dgemm's."""
+    weights = layer.weight_matrix()
 
-    With `scratch`, a float64 buffer of at least J*P elements, the input is
-    lowered into a [J, P] view of its prefix instead of a new matrix. The
-    dgemm is the same whole-layer call either way.
-    """
-    out = None
-    if scratch is not None:
-        shape = (layer.weights_per_channel, int(np.prod(_output_meta(layer, x.shape))))
-        out = scratch[:shape[0] * shape[1]].reshape(shape)
-    return conv_reference(layer.weight_matrix(), lower_layer_input(layer, x, out),
-                          layer.activation, layer.bias, layer.slope)
+    def conv(block):
+        return conv_reference(weights, lower_layer_input(layer, block), layer.activation,
+                              layer.bias, layer.slope)
+    return in_sample_blocks(conv, x, layer.weights_per_channel * _sample_columns(layer, x.shape))
 
 
 def quantized_conv(scales, float_op=float_conv):
@@ -727,7 +720,8 @@ def quantized_conv(scales, float_op=float_conv):
             return float_op(layer, x)
         return quantized_forward_layer(
             layer.weight_matrix(), x, info.partition(layer), info.scales, layer.bias,
-            layer.activation, layer.slope, lower=lambda q: lower_layer_input(layer, q))
+            layer.activation, layer.slope, lower=lambda q: lower_layer_input(layer, q),
+            sample_columns=_sample_columns(layer, x.shape))
     return conv_op
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import finish
+from .tensor import finish, in_sample_blocks
 
 GRANULARITY_MODES = ("layerwise", "channelwise", "method1", "method2")
 
@@ -21,11 +21,6 @@ _EXACT_ACC_LIMIT = 2 ** 53
 # quantize_values works through large inputs in blocks of this many elements
 # (256 KB of float64), so its in-place passes stay in cache.
 _QUANT_BLOCK = 1 << 15
-
-# quantized_forward_layer runs a lowering layer in blocks of samples whose
-# lowered float64 matrix takes about this many bytes (2 MB), so each block's
-# codes are still in cache when the integer matmuls read them.
-_FORWARD_BLOCK_BYTES = 1 << 21
 
 
 def quantize_values(x, scale, bits):
@@ -268,42 +263,31 @@ def grouped_forward(codes, q_cols, partition, scales, bias=None,
 
 
 def quantized_forward_layer(weights, x, partition, scales, bias=None,
-                            activation="identity", slope=0.01, *, lower):
+                            activation="identity", slope=0.01, *, lower, sample_columns):
     """Grouped integer conv: quantize every group (v, h) under its scale, run
     one integer matmul per column group, rescale each row group by its group
     scale times the input scale, and sum over h; bias and activation are
     applied on the rescaled result.
 
     `x` is the layer's incoming activation, a batch of samples that
-    lower(x) turns into the lowered [J, P] input. The activation is
-    quantized before it is lowered: quantization is elementwise and
-    lowering only copies elements and pads with +0.0, whose code is +0.0,
-    so the codes are the same bit for bit while a K*K conv quantizes each
-    input element once instead of K*K times.
+    lower(x) turns into the lowered [J, P] input, `sample_columns` columns
+    per sample. The activation is quantized before it is lowered:
+    quantization is elementwise and lowering only copies elements and pads
+    with +0.0, whose code is +0.0, so the codes are the same bit for bit
+    while a K*K conv quantizes each input element once instead of K*K times.
 
-    The weight codes are made once and the activation runs in blocks of
-    samples of about _FORWARD_BLOCK_BYTES lowered, each block's [OC, p]
-    columns going into one [OC, P] output; the first block is one sample,
-    whose lowered size sets the block length. The blocked output equals the
-    whole-matrix one bit for bit: the integer matmuls are exact and every
-    later float64 op (rescale, ascending-h sum, bias, activation) is per
-    column.
+    The weight codes are made once and the activation runs in sample blocks
+    (in_sample_blocks). Any blocking gives the whole-matrix output bit for
+    bit: the integer matmuls are exact and every later float64 op (rescale,
+    ascending-h sum, bias, activation) is per column.
     """
     weights = np.asarray(weights)
     x = np.asarray(x)
-    q_cols = lower(quantize_values(x[:1], scales.input_scale, scales.act_bits))
-    check_layer_scales(weights, q_cols, partition, scales)
+    check_layer_scales(weights, lower(x[:0]), partition, scales)  # an empty [J, 0]
     codes = quantize_weight_groups(weights, partition, scales.weight_scales,
                                    scales.weight_bits)
-    first = grouped_forward(codes, q_cols, partition, scales, bias, activation, slope)
-    if len(x) <= 1:
-        return first
-    width = first.shape[1]
-    step = max(1, _FORWARD_BLOCK_BYTES // q_cols.nbytes)
-    out = np.empty((first.shape[0], len(x) * width), dtype=np.float32)
-    out[:, :width] = first
-    for i in range(1, len(x), step):
-        q_cols = lower(quantize_values(x[i:i + step], scales.input_scale, scales.act_bits))
-        out[:, i * width:(i + step) * width] = grouped_forward(
-            codes, q_cols, partition, scales, bias, activation, slope)
-    return out
+
+    def conv(block):
+        q_cols = lower(quantize_values(block, scales.input_scale, scales.act_bits))
+        return grouped_forward(codes, q_cols, partition, scales, bias, activation, slope)
+    return in_sample_blocks(conv, x, weights.shape[1] * sample_columns)

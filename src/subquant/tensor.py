@@ -1,5 +1,6 @@
-"""Dense tensor helpers: im2col lowering, the epilogue of every conv and
-linear output, and the reference float convolution.
+"""Dense tensor helpers: im2col lowering, the sample-block loop of every
+layer forward, the epilogue of every conv and linear output, and the
+reference float convolution.
 
 Feature maps are [N, C, H, W] float32 arrays. Lowered weight matrices are
 [OC, J] with J = K*K*IC, lowered inputs are float64 [J, P] matrices with
@@ -14,6 +15,10 @@ ACTIVATIONS = ("identity", "relu", "leaky_relu")
 # im2col pads and lowers the samples in blocks of about this many bytes of
 # padded input, so that the padded buffer stays in cache.
 _LOWER_BLOCK_BYTES = 1 << 20
+
+# in_sample_blocks runs a layer in blocks of samples whose lowered float64
+# matrix takes about this many bytes (2 MB), so that it stays in cache.
+_FORWARD_BLOCK_BYTES = 1 << 21
 
 
 def apply_activation(y, activation="identity", slope=0.01):
@@ -78,6 +83,26 @@ def im2col(x, kernel, stride=1, padding=0, out=None):
             for kj in range(kernel):
                 cols[:, ki, kj, i:i + step] = block[:, :, ki:ki + stride * out_h:stride,
                                                     kj:kj + stride * out_w:stride]
+    return out
+
+
+def in_sample_blocks(conv, x, sample_size):
+    """conv(x), run on blocks of the samples of `x` into one [OC, P] float32
+    output. `conv` maps a batch to its [OC, p] output; one sample lowers to
+    `sample_size` elements (J times its columns). A block holds a multiple
+    of 8 samples, at least 8, that lower to about _FORWARD_BLOCK_BYTES, and
+    the last block the rest, so every block's columns start at a multiple of 8.
+    """
+    group_bytes = 8 * sample_size * 8  # 8 samples of float64 elements
+    step = 8 * max(1, _FORWARD_BLOCK_BYTES // group_bytes)
+    if len(x) <= step:
+        return conv(x)
+    first = conv(x[:step])
+    width = first.shape[1] // step
+    out = np.empty((first.shape[0], len(x) * width), dtype=np.float32)
+    out[:, :first.shape[1]] = first
+    for i in range(step, len(x), step):
+        out[:, i * width:(i + step) * width] = conv(x[i:i + step])
     return out
 
 

@@ -36,7 +36,7 @@ def dense_forward(weights, cols, partition, scales, bias=None, activation="ident
     """quantized_forward_layer of a dense [J, P] matrix, run as a batch of P
     one-column samples that np.transpose lowers back to the matrix."""
     return quantized_forward_layer(weights, np.asarray(cols).T, partition, scales, bias,
-                                   activation, slope, lower=np.transpose)
+                                   activation, slope, lower=np.transpose, sample_columns=1)
 
 
 def reference_quantize_values(x, scale, bits):

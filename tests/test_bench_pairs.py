@@ -29,7 +29,8 @@ def test_incorrect_run_is_recorded_and_fails(bench_pairs, monkeypatch, tmp_path,
         side = checkout.name
         pair = calls[seed, side]
         calls[seed, side] += 1
-        return {"op_s_p50": 1.0, "correct": (str(seed), pair, side) != broken}, {"cores": 2}
+        return ({"op_s_p50": 1.0, "peak_rss_mb": 80.0,
+                 "correct": (str(seed), pair, side) != broken}, {"cores": 2})
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs, "revision", lambda path: {"commit": path.name})
@@ -67,3 +68,51 @@ def test_fewer_than_two_pairs_rejected_before_any_run(bench_pairs, monkeypatch, 
     assert exit_info.value.code == 2
     assert f"must be at least 2, got {pairs}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def fake_pairs(name, parent, change):
+    return [{"parent": {name: p, "correct": True}, "change": {name: c, "correct": True}}
+            for p, c in zip(parent, change)]
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.00]  # IQR 0.015
+
+
+@pytest.mark.parametrize("name,change,gain_shown,regressed", [
+    # op_s_p50: lower is better, bound 0.25
+    ("op_s_p50", [0.5] * 10, True, False),
+    ("op_s_p50", [0.5] * 8 + [1.1] * 2, False, False),   # 8/10 wins
+    ("op_s_p50", [0.99] * 10, False, False),             # 10/10 wins, within the IQR
+    ("op_s_p50", [1.2] * 10, False, False),              # 1.2x: worse, within the bound
+    ("op_s_p50", [1.3] * 10, False, True),
+    # items_per_s: higher is better, bound 0.25
+    ("items_per_s", [2.0] * 10, True, False),
+    ("items_per_s", [0.8] * 10, False, False),
+    ("items_per_s", [0.7] * 10, False, True),
+    # peak_rss_mb: bound 0.1
+    ("peak_rss_mb", [1.09] * 10, False, False),
+    ("peak_rss_mb", [1.11] * 10, False, True),
+])
+def test_gain_shown_and_regressed(bench_pairs, name, change, gain_shown, regressed):
+    """gain_shown needs 9/10 wins and a median gain beyond the parent's IQR;
+    regressed needs a median worse by more than the metric's relative bound."""
+    entry = bench_pairs.summarize(fake_pairs(name, PARENT, change))[name]
+    assert entry["parent_iqr"] == pytest.approx(0.015)
+    assert (entry["gain_shown"], entry["regressed"]) == (gain_shown, regressed)
+
+
+def test_pair_line_prints_time_and_peak_rss(bench_pairs, monkeypatch, tmp_path, capsys):
+    """Each pair's stderr line gives both sides' op_s_p50 and peak_rss_mb."""
+    def run_once(checkout, workload, seed, seconds):
+        rss = 188.8 if checkout.name == "parent" else 80.9
+        return {"op_s_p50": 0.5, "peak_rss_mb": rss, "correct": True}, {}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "revision", lambda path: {"commit": path.name})
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--workload", "eval-large",
+                             "--seeds", "0", "--pairs", "2",
+                             "--out", str(tmp_path / "bench.json")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "seed 0 pair 0: parent 0.500 s 188.8 MB, change 0.500 s 80.9 MB",
+        "seed 0 pair 1: parent 0.500 s 188.8 MB, change 0.500 s 80.9 MB"]

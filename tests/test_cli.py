@@ -508,6 +508,60 @@ class TestMalformedScaleTable:
         err = capsys.readouterr().err
         assert "conv3" in err and "scale grid" in err
 
+    @pytest.mark.parametrize("key,value", [("input_scale", "0.0603"), ("input_scale", True),
+                                           ("weight_scales", "strings")])
+    def test_scale_that_is_not_a_number_exits_2(self, quantized_small_cnn, fixture_dir,
+                                                tmp_path, key, value, capsys):
+        """A scale given as a string or a bool is rejected, not coerced."""
+        def edit(entry):
+            entry[key] = ([[str(v) for v in row] for row in entry[key]]
+                          if value == "strings" else value)
+        assert self.eval_with_manifest_edit(quantized_small_cnn, fixture_dir, tmp_path,
+                                            edit) == 2
+        err = capsys.readouterr().err
+        assert "layer conv3" in err and f"{key} must be a number" in err
+
+    @pytest.mark.parametrize("key", ["input_scale", "weight_scales"])
+    def test_scale_beyond_float64_exits_2(self, quantized_small_cnn, fixture_dir, tmp_path,
+                                          key, capsys):
+        """An integer scale too large for a float64, 10**400, is bad input
+        (it exited 1 with an OverflowError)."""
+        def edit(entry):
+            if key == "input_scale":
+                entry[key] = 10 ** 400
+            else:
+                entry[key][0][0] = 10 ** 400
+        assert self.eval_with_manifest_edit(quantized_small_cnn, fixture_dir, tmp_path,
+                                            edit) == 2
+        err = capsys.readouterr().err
+        assert "layer conv3: malformed scale entry" in err and "too large" in err
+
+    SCALE_FIELDS = ("weight_scales", "input_scale", "weight_bits", "act_bits",
+                    "rows_per_group", "cols_per_group")
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(field=st.sampled_from(SCALE_FIELDS + ("weight_scales[0][0]",)),
+           value=st.one_of(st.just("delete"), st.integers(), st.floats(), st.text(max_size=8),
+                           st.booleans(), st.none(),
+                           st.lists(st.one_of(st.floats(), st.integers()), max_size=3),
+                           st.lists(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4),
+                                    max_size=12)))
+    def test_fuzzed_scale_field_never_exits_1(self, quantized_small_cnn, fixture_dir, field,
+                                              value):
+        """Any value in any field of a scale entry, or in one cell of its
+        grid, is either run or rejected as bad input, never an internal
+        error."""
+        def edit(entry):
+            if field == "weight_scales[0][0]":
+                entry["weight_scales"][0][0] = value
+            elif value == "delete":
+                del entry[field]
+            else:
+                entry[field] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            assert self.eval_with_manifest_edit(quantized_small_cnn, fixture_dir, Path(tmp),
+                                                edit) in (0, 2)
+
     @pytest.mark.parametrize("key,value", [("weight_bits", 1), ("act_bits", 17),
                                            ("rows_per_group", 0), ("weight_bits", 4.5),
                                            ("rows_per_group", "1")])
@@ -606,6 +660,23 @@ class TestMalformedInput:
                         fixture_dir / "small_cnn_calib.ptqc") == 2
         err = capsys.readouterr().err
         assert f"layer {lid}" in err and field in err
+
+    @pytest.mark.parametrize("lid,field", [("conv2", "slope"), ("conv1.bn", "epsilon"),
+                                           ("conv2", "weight")])
+    def test_number_beyond_float64_exits_2(self, fixture_dir, tmp_path, capsys, lid, field):
+        """A number no float64 or integer conversion can take, an integer of
+        10**400 or a blob offset of 1e400 (JSON gives inf), is bad input named
+        by the layer; each exited 1 with an OverflowError."""
+        def edit(manifest):
+            entry = next(e for e in manifest["layers"] if e["id"] == lid)
+            if field == "weight":
+                entry[field]["offset"] = math.inf
+            else:
+                entry[field] = 10 ** 400
+        bundle = self.edited_bundle(fixture_dir, tmp_path, edit)
+        assert self.run("quantize", tmp_path, bundle,
+                        fixture_dir / "small_cnn_calib.ptqc") == 2
+        assert f"layer {lid}: malformed" in capsys.readouterr().err
 
     def test_unfoldable_batchnorm_exits_2(self, fixture_dir, tmp_path, capsys):
         """A valid activation on a conv in front of its batchnorm cannot be
@@ -1018,6 +1089,54 @@ class TestDeterminism:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    @settings(max_examples=3, deadline=None, database=None)
+    @given(granularity=st.one_of(
+               st.fixed_dictionaries({"mode": st.just("method1"),
+                                      "rows_per_group": st.sampled_from([2, 4]),
+                                      "cols_per_group": st.sampled_from([36, 72])}),
+               st.fixed_dictionaries({"mode": st.just("method2"),
+                                      "rows_per_group": st.sampled_from([2, 4]),
+                                      "h_groups": st.integers(1, 2)})),
+           calib=st.fixed_dictionaries({"grid_size": st.integers(2, 4),
+                                        "iterations": st.just(1),
+                                        "samples": st.integers(2, 6),
+                                        "metric": st.sampled_from(["euclidean", "cosine"])}),
+           reorder=st.fixed_dictionaries({"population": st.integers(2, 3),
+                                          "iterations": st.integers(1, 2),
+                                          "max_pairs": st.integers(1, 8)}),
+           sweep=st.fixed_dictionaries({"rows": st.lists(st.integers(1, 4), min_size=1,
+                                                         max_size=2),
+                                        "h_groups": st.lists(st.integers(1, 4), min_size=1,
+                                                             max_size=2)}),
+           seed=st.integers(0, 2 ** 16))
+    def test_random_run_configs_identical_at_jobs_1_and_2(self, fixture_dir, resnet20_config,
+                                                          granularity, calib, reorder, sweep,
+                                                          seed):
+        """sweep on small_cnn and reorder on resnet20_style's 9 segments write
+        the same bytes at --jobs 1 and 2 for random small run configs. The
+        granularities keep at least 2 rows and 36 columns per group, so that
+        three examples take 3-4 s."""
+        base = json.loads(resnet20_config.read_text())
+        runs = {"sweep": {"model": str(fixture_dir / "small_cnn"),
+                          "calibration": str(fixture_dir / "small_cnn_calib.ptqc"),
+                          "sweep": sweep},
+                "reorder": {"model": base["model"], "calibration": base["calibration"],
+                            "granularity": granularity, "reorder": reorder}}
+        outputs = {"sweep": ("sweep_distance.csv", "sweep_summary.json"),
+                   "reorder": ("segment_scores.csv", "reorder_summary.json",
+                               "reordered/manifest.json", "reordered/tensors.bin")}
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for command, entries in runs.items():
+                config = write_config(tmp / f"{command}.json", calib=calib, seed=seed,
+                                      **entries)
+                for jobs in ("1", "2"):
+                    assert main([command, "--config", str(config), "--jobs", jobs,
+                                 "--out", str(tmp / command / jobs)]) == 0
+                for name in outputs[command]:
+                    assert (tmp / command / "1" / name).read_bytes() == \
+                        (tmp / command / "2" / name).read_bytes()
+
     def test_eval_reports_byte_identical(self, fixture_dir, tmp_path):
         config = write_config(
             tmp_path / "run.json",
@@ -1047,13 +1166,18 @@ class TestDeterminism:
                   "labels": str(fixture_dir / "small_cnn_eval_labels.json")},
             seed=3)
 
-    def test_eval_reports_identical_in_one_sample_blocks(self, fixture_dir, tmp_path,
-                                                         monkeypatch):
-        """The quantized walk in blocks of one sample writes the same bytes as
-        in blocks of the default size."""
-        config = self.eval_config(fixture_dir, tmp_path)
+    def test_eval_reports_identical_in_8_sample_blocks(self, fixture_dir, tmp_path,
+                                                       monkeypatch):
+        """Both walks in the smallest blocks, 8 samples, write the same bytes
+        as in blocks of the default size, which hold all 40 eval samples."""
+        save_calibration_set(tmp_path / "eval.ptqc", random_inputs(build_small_cnn(), 40, 5))
+        (tmp_path / "labels.json").write_text(json.dumps(list(range(10)) * 4))
+        config = write_config(tmp_path / "run.json", **{
+            **json.loads(self.eval_config(fixture_dir, tmp_path).read_text()),
+            "eval": {"inputs": str(tmp_path / "eval.ptqc"),
+                     "labels": str(tmp_path / "labels.json")}})
         assert main(["eval", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
-        monkeypatch.setattr("subquant.quant._FORWARD_BLOCK_BYTES", 1)
+        monkeypatch.setattr("subquant.tensor._FORWARD_BLOCK_BYTES", 1)
         assert main(["eval", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
         for name in ("eval_layer_distances.csv", "eval_summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
@@ -1083,9 +1207,9 @@ class TestDeterminism:
         lowered = []
         lower = model.lower_layer_input
 
-        def spy(layer, x, out=None):
+        def spy(layer, x):
             lowered.append(layer.id)
-            return lower(layer, x, out)
+            return lower(layer, x)
         monkeypatch.setattr(model, "lower_layer_input", spy)
         assert main(["eval", "--config", str(config), "--out", str(tmp_path / "e")]) == 0
         assert lowered.count("conv1") == 1 and lowered.count("fc") == 2

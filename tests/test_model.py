@@ -37,7 +37,8 @@ from subquant.model import (
     save_bundle,
     save_calibration_set,
 )
-from subquant import quant
+from subquant import model, tensor
+from subquant.tensor import conv_reference
 from subquant.quant import (
     GranularityConfig,
     ScaleSet,
@@ -389,24 +390,23 @@ def test_quantizing_commutes_with_lowering(case, scale, bits):
     assert np.array_equal(np.signbit(early), np.signbit(late))
 
 
-@pytest.mark.parametrize("block_samples", [1, 3, None])
+@pytest.mark.parametrize("block_eights", [1, 3, None])
 @settings(max_examples=60, deadline=None, database=None)
-@given(case=layer_and_activation(samples=st.integers(1, 8)),
+@given(case=layer_and_activation(samples=st.integers(1, 30)),
        out_channels=st.integers(1, 4), rows=st.integers(1, 3), cols=st.integers(1, 10),
        input_scale=st.floats(min_value=1e-3, max_value=1e3),
        bits=st.tuples(st.integers(2, 8), st.integers(2, 8)),
        activation=st.sampled_from(["identity", "relu", "leaky_relu"]),
        with_bias=st.booleans(), seed=st.integers(0, 2 ** 16))
-def test_blocked_quantized_conv_matches_whole_matrix(block_samples, case, out_channels, rows,
+def test_blocked_quantized_conv_matches_whole_matrix(block_eights, case, out_channels, rows,
                                                      cols, input_scale, bits, activation,
                                                      with_bias, seed):
-    """quantized_conv runs the activation in sample blocks (one sample each, three,
-    which leaves a short last block for most batch sizes, or all but the first
-    sample at once); its output equals grouped_forward on the codes of the
-    whole lowered matrix bit for bit, signed zeros included. A NaN's sign bit
-    is not compared: BLAS picks which NaN operand to propagate by kernel (a
-    one-column block runs a matrix-vector kernel), as it already does between
-    batch sizes."""
+    """quantized_conv runs the activation in sample blocks (8 samples each, 24,
+    or all at once), which leaves a short last block for most batch sizes; its
+    output equals grouped_forward on the codes of the whole lowered matrix bit
+    for bit, signed zeros included. A NaN's sign bit is not compared: BLAS
+    picks which NaN operand to propagate by kernel (a one-column block runs a
+    matrix-vector kernel), as it already does between batch sizes."""
     layer, x = case
     rng = np.random.default_rng(seed)
     shape = ((out_channels, layer.in_channels, layer.kernel, layer.kernel)
@@ -426,13 +426,73 @@ def test_blocked_quantized_conv_matches_whole_matrix(block_samples, case, out_ch
         q_cols = quantize_values(lower_layer_input(layer, x), input_scale, scales.act_bits)
         whole = grouped_forward(codes, q_cols, part, scales, layer.bias, activation, 0.1)
         sample_bytes = lower_layer_input(layer, x[:1]).nbytes
-        block_bytes = (1 << 40) if block_samples is None else block_samples * sample_bytes
-        with mock.patch.object(quant, "_FORWARD_BLOCK_BYTES", block_bytes):
+        block_bytes = (1 << 40) if block_eights is None else 8 * block_eights * sample_bytes
+        with mock.patch.object(tensor, "_FORWARD_BLOCK_BYTES", block_bytes):
             got = quantized_conv({"l": info})(layer, x)
     assert got.dtype == whole.dtype == np.float32
     assert np.array_equal(got, whole, equal_nan=True)
     numbers = ~np.isnan(whole)
     assert np.array_equal(np.signbit(got[numbers]), np.signbit(whole[numbers]))
+
+
+@pytest.mark.parametrize("samples", [40, 37])
+@pytest.mark.parametrize("size,stride", [(7, 1), (14, 2), (8, 1), (16, 2)])
+def test_blocked_float_conv_matches_whole_layer_dgemm(size, stride, samples):
+    """float_conv in blocks of 16 samples (two full blocks and a short last
+    one) against conv_reference on the whole lowered matrix, for 7x7 and 8x8
+    outputs at strides 1 and 2. The whole-layer dgemm runs at 2.1-3.0 M
+    multiply-adds and the blocks at 0.28-1.2 M, on both sides of the 10^6
+    below which OpenBLAS switches to its small-matrix kernel. Where P is a
+    multiple of 8 the float64 accumulators are equal bit for bit, and so are
+    the float32 outputs; where it is not (37 samples of 49 columns), all
+    columns but the last P mod 8 are, and those outputs are within one ulp."""
+    rng = np.random.default_rng(size + samples)
+    layer = Layer(id="l", kind="conv", out_channels=16, in_channels=8, kernel=3,
+                  stride=stride, padding=1, activation="relu",
+                  weight=rng.normal(size=(16, 8, 3, 3)).astype(np.float32),
+                  bias=rng.normal(size=16).astype(np.float32))
+    x = rng.normal(size=(samples, 8, size, size)).astype(np.float32)
+    weights = layer.weight_matrix()
+    cols = lower_layer_input(layer, x)
+    whole = conv_reference(weights, cols, layer.activation, layer.bias)
+    blocks = []
+
+    def recording(weights, cols, *args):
+        blocks.append(weights.astype(np.float64) @ cols)  # conv_reference's dgemm
+        return conv_reference(weights, cols, *args)
+    with mock.patch.object(tensor, "_FORWARD_BLOCK_BYTES", 16 * cols.nbytes // samples), \
+            mock.patch.object(model, "conv_reference", recording):
+        got = float_conv(layer, x)
+    assert [b.shape[1] for b in blocks] == [c * cols.shape[1] // samples
+                                            for c in (16, 16, samples - 32)]
+    acc, whole_acc = np.concatenate(blocks, axis=1), weights.astype(np.float64) @ cols
+    aligned = cols.shape[1] - cols.shape[1] % 8
+    assert (aligned < cols.shape[1]) == (samples == 37 and size // stride == 7)
+    assert acc[:, :aligned].tobytes() == whole_acc[:, :aligned].tobytes()
+    assert got.dtype == np.float32 and got[:, :aligned].tobytes() == whole[:, :aligned].tobytes()
+    np.testing.assert_array_max_ulp(got[:, aligned:], whole[:, aligned:], maxulp=1)
+
+
+@pytest.mark.parametrize("kind", ["float", "quantized"])
+def test_conv_peak_memory_does_not_grow_with_the_batch(kind):
+    """A 3x3 conv of 768 samples, whose whole lowered matrix would take 56.6 MB,
+    peaks under tracemalloc below its float32 output plus four sample blocks
+    of about 2 MB each."""
+    rng = np.random.default_rng(0)
+    layer = Layer(id="l", kind="conv", out_channels=16, in_channels=16, kernel=3,
+                  padding=1, quantize=True,
+                  weight=rng.normal(size=(16, 16, 3, 3)).astype(np.float32))
+    x = rng.normal(size=(768, 16, 8, 8)).astype(np.float32)
+    assert layer.weights_per_channel * x.shape[0] * 64 * 8 >= 50 * 2 ** 20
+    info = QuantizedLayerInfo(ScaleSet(np.full((16, 4), 0.05), 0.05), 1, 36)
+    conv_op = float_conv if kind == "float" else quantized_conv({"l": info})
+    tracemalloc.start()
+    try:
+        out = conv_op(layer, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 4 * tensor._FORWARD_BLOCK_BYTES
 
 
 def test_quantized_conv_of_an_empty_batch_is_empty():

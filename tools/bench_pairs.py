@@ -12,7 +12,10 @@ seed and metric the two medians, the parent's and the change's interquartile
 range, the change/parent ratio of the medians and the pairs the change won
 (by each metric's `better` direction in the `end_to_end` list of
 BENCHMARK.json); also the machine facts perfbench prints and both git
-revisions.
+revisions. Per metric, `gain_shown` says that the change won at least 9/10
+of the pairs and that its median is better than the parent's by more than
+the parent's interquartile range; `regressed` says that the change's median
+is worse than the parent's by more than the metric's relative `bound`.
 
 The file is written in any case; the exit status is 1 if any run reported an
 incorrect op (each such seed, pair and side is named on stderr), else 0.
@@ -28,9 +31,10 @@ from pathlib import Path
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
-def metric_directions():
-    """{metric name: "lower" or "higher"} of the benchmark's end-to-end metrics."""
-    return {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+def end_to_end_metrics():
+    """{metric name: its entry} of the benchmark's end-to-end metrics, each with
+    its `better` direction ("lower" or "higher") and relative `bound`."""
+    return {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -62,21 +66,26 @@ def iqr(values):
 
 
 def summarize(pairs):
-    """Per metric: medians, IQRs, the change/parent ratio and the change's wins."""
+    """Per metric: medians, IQRs, the change/parent ratio, the change's wins,
+    and whether they show a gain or a regression."""
     summary = {}
-    directions = metric_directions()
+    metrics = end_to_end_metrics()
     for name in pairs[0]["parent"]:
         if name == "correct":
             continue
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
-        lower = directions[name] == "lower"
+        lower = metrics[name]["better"] == "lower"
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         p50, c50 = statistics.median(parent), statistics.median(change)
+        gain = (p50 - c50) if lower else (c50 - p50)  # > 0: the change is better
+        parent_iqr = iqr(parent)
         summary[name] = {"parent_median": p50, "change_median": c50,
-                         "parent_iqr": iqr(parent), "change_iqr": iqr(change),
+                         "parent_iqr": parent_iqr, "change_iqr": iqr(change),
                          "ratio": c50 / p50 if p50 else None, "change_wins": wins,
-                         "better": directions[name]}
+                         "better": metrics[name]["better"],
+                         "gain_shown": 10 * wins >= 9 * len(pairs) and gain > parent_iqr,
+                         "regressed": -gain > metrics[name]["bound"] * abs(p50)}
     summary["all_ops_correct"] = all(p[side]["correct"] for p in pairs
                                      for side in ("parent", "change"))
     return summary
@@ -111,8 +120,9 @@ def main(argv=None):
             for side in order:
                 pair[side], machine = run_once(sides[side], args.workload, seed, args.seconds)
             pairs.append(pair)
-            print(f"seed {seed} pair {i}: parent {pair['parent']['op_s_p50']:.3f} s, "
-                  f"change {pair['change']['op_s_p50']:.3f} s", file=sys.stderr)
+            print(f"seed {seed} pair {i}: " + ", ".join(
+                f"{side} {pair[side]['op_s_p50']:.3f} s {pair[side]['peak_rss_mb']:.1f} MB"
+                for side in ("parent", "change")), file=sys.stderr)
         seeds[str(seed)] = {"summary": summarize(pairs), "pairs": pairs}
     record = {
         "workload": args.workload,
