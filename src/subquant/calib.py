@@ -9,7 +9,7 @@ activations, while layer inputs come from the already-quantized prefix of
 the network, so quantization error accumulates forward.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -294,7 +294,7 @@ def _chunks(items, size):
 
 
 def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
-                         bias=None, activation="identity", slope=0.01, out=None):
+                         bias=None, activation="identity", slope=0.01):
     """Greedy iterative grid search of the per-group weight scales.
 
     Every group scale starts at its covering initialization. Sweeps visit
@@ -315,10 +315,9 @@ def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
     provably farther than the screened best, so the choice equals that of
     scoring every candidate with `distance()`.
     `cols` is the LoweredInput of the layer; its codes are gathered once.
-    Returns the scale grid and the distance trace (initial value plus one
-    entry per sweep). `out`, if given, is a float32 [OC, P] array that
-    receives the layer output under the returned scales, the grouped
-    forward's bit for bit; trace[-1] is its distance.
+    Returns the scale grid, the distance trace (initial value plus one
+    entry per sweep) and the float32 [OC, P] layer output under the returned
+    scales, the grouped forward's bit for bit; trace[-1] is its distance.
     """
     p = cols.shape[1]
     check_exact_accumulation(partition, cfg.weight_bits, cfg.act_bits)
@@ -328,12 +327,7 @@ def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
                        for r0, r1 in partition.row_ranges])
     codes = quantize_weight_groups(weights, partition, scales, cfg.weight_bits)
     terms = list(grouped_terms(codes, q_cols, partition, scales, input_scale))
-    first = finish(sum_terms(terms), bias, activation, slope)
-    if out is None:
-        out = first
-    else:
-        out[...] = first
-
+    out = finish(sum_terms(terms), bias, activation, slope)
     screen = _Screen(out, target, cfg.metric)
     d_entry = distance(out, target, cfg.metric)
     trace = [d_entry]
@@ -370,7 +364,7 @@ def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
                     scales[v, h], terms[h][r0:r1], out[r0:r1] = best
                     screen.update(r0, r1, out[r0:r1])
         trace.append(distance(out, target, cfg.metric))
-    return scales, trace
+    return scales, trace, out
 
 
 @dataclass
@@ -398,10 +392,8 @@ def calibrate_layer(weights, cols, target, granularity, cfg, bias=None,
     partition = make_partition(oc, j, granularity)
     input_scale, d1, _ = search_input_scale(weights, cols, target, cfg, bias=bias,
                                             activation=activation, slope=slope)
-    searched = np.empty((oc, cols.shape[1]), dtype=np.float32)
-    weight_scales, trace = search_weight_scales(weights, cols, partition, input_scale,
-                                                target, cfg, bias, activation, slope,
-                                                out=searched)
+    weight_scales, trace, searched = search_weight_scales(
+        weights, cols, partition, input_scale, target, cfg, bias, activation, slope)
     input_scale, d3, output = search_input_scale(
         weights, cols, target, cfg, partition=partition, weight_scales=weight_scales,
         center=input_scale, bias=bias, activation=activation, slope=slope,
@@ -420,7 +412,6 @@ class NetworkCalibration:
     scales: dict
     layer_distances: dict
     network_distance: float
-    step_distances: dict = field(default_factory=dict)
 
     def mean_quantized_distance(self):
         keys = list(self.scales)
@@ -478,17 +469,14 @@ def calibrate_network(graph, samples, granularity, cfg, references=None):
     samples = subsample(np.asarray(samples, dtype=np.float32), cfg.samples, cfg.seed)
     refs = float_references(graph, samples) if references is None else references
     scales = {}
-    step_distances = {}
 
     def record(layer, cal):
         scales[layer.id] = QuantizedLayerInfo(
             cal.scales, cal.partition.rows_per_group, cal.partition.cols_per_group)
-        step_distances[layer.id] = cal.step_distances
 
     conv_op = calibrating_conv(refs, granularity, cfg, record)
     layer_distances = {
         layer.id: distance(out, refs[layer.id], cfg.metric)
         for layer, out in execute(graph.layers, {graph.input_id: samples}, conv_op)}
     return NetworkCalibration(scales=scales, layer_distances=layer_distances,
-                              network_distance=layer_distances[graph.output_id],
-                              step_distances=step_distances)
+                              network_distance=layer_distances[graph.output_id])

@@ -400,7 +400,10 @@ def cmd_reorder(cfg):
 
 def cmd_overhead(cfg):
     graph = load_bundle(cfg.model)
-    report = network_overhead_report(graph, cfg.granularity)
+    try:
+        report = network_overhead_report(graph, cfg.granularity)
+    except ValueError as exc:
+        raise BadInputError(f"no overhead report for {cfg.model}: {exc}") from exc
     write_overhead_csv(report, cfg.out / "overhead.csv")
     write_overhead_json(report, cfg.out / "overhead.json")
     print(f"compute overhead {100 * report.total_compute_overhead:.4f}%, "

@@ -12,10 +12,6 @@ import numpy as np
 
 ACTIVATIONS = ("identity", "relu", "leaky_relu")
 
-# im2col pads and lowers the samples in blocks of about this many bytes of
-# padded input, so that the padded buffer stays in cache.
-_LOWER_BLOCK_BYTES = 1 << 20
-
 # in_sample_blocks runs a layer in blocks of samples whose lowered float64
 # matrix takes about this many bytes (2 MB), so that it stays in cache.
 _FORWARD_BLOCK_BYTES = 1 << 21
@@ -43,7 +39,7 @@ def conv_output_hw(height, width, kernel, stride, padding):
     return out_h, out_w
 
 
-def im2col(x, kernel, stride=1, padding=0, out=None):
+def im2col(x, kernel, stride=1, padding=0):
     """Lower a [N, C, H, W] tensor to the float64 [J, P] patch matrix.
 
     Row layout is channel-major: rows [c*K*K, (c+1)*K*K) hold the K*K kernel
@@ -51,12 +47,11 @@ def im2col(x, kernel, stride=1, padding=0, out=None):
     K*K row blocks. Column p enumerates (sample, out_row, out_col) in
     row-major order. Borders are padded with +0.0.
 
-    The samples go in blocks of about _LOWER_BLOCK_BYTES padded, so the
-    padded buffer stays in cache: each block is copied once, cast to
-    float64, into a zero-padded channel-major [C, n, H+2p, W+2p] buffer, and
-    each of the K*K kernel offsets is then one strided slice copy of it into
-    the block's columns, with no transpose. `out`, if given, is the
-    C-contiguous float64 [J, P] matrix to fill; it is returned.
+    The input is copied once, cast to float64, into a zero-padded
+    channel-major [C, N, H+2p, W+2p] buffer, and each of the K*K kernel
+    offsets is then one strided slice copy of it into the matrix, with no
+    transpose. The forward walks lower one sample block at a time
+    (in_sample_blocks), which bounds N.
     """
     x = np.asarray(x)
     if x.ndim != 4:
@@ -65,24 +60,14 @@ def im2col(x, kernel, stride=1, padding=0, out=None):
         raise ValueError(f"invalid geometry kernel={kernel} stride={stride} padding={padding}")
     n, c, h, w = x.shape
     out_h, out_w = conv_output_hw(h, w, kernel, stride, padding)
-    shape = (c * kernel * kernel, n * out_h * out_w)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}, "
-                         f"got {out.dtype} {out.shape}")
+    padded = np.zeros((c, n, h + 2 * padding, w + 2 * padding))
+    padded[:, :, padding:padding + h, padding:padding + w] = x.transpose(1, 0, 2, 3)
+    out = np.empty((c * kernel * kernel, n * out_h * out_w))
     cols = out.reshape(c, kernel, kernel, n, out_h, out_w)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    step = max(1, _LOWER_BLOCK_BYTES // max(1, c * hp * wp * 8))
-    padded = np.zeros((c, min(step, n), hp, wp))
-    for i in range(0, n, step):
-        block = padded[:, :min(step, n - i)]
-        block[:, :, padding:padding + h, padding:padding + w] = \
-            x[i:i + step].transpose(1, 0, 2, 3)
-        for ki in range(kernel):
-            for kj in range(kernel):
-                cols[:, ki, kj, i:i + step] = block[:, :, ki:ki + stride * out_h:stride,
-                                                    kj:kj + stride * out_w:stride]
+    for ki in range(kernel):
+        for kj in range(kernel):
+            cols[:, ki, kj] = padded[:, :, ki:ki + stride * out_h:stride,
+                                     kj:kj + stride * out_w:stride]
     return out
 
 

@@ -133,7 +133,7 @@ def reference_search_weight_scales(weights, cols, partition, input_scale, target
                         best = (cand, tile, block)
                 scales[v, h], tiles[v][h], out[r0:r1] = best
         trace.append(distance(out, target, cfg.metric))
-    return scales, trace
+    return scales, trace, out
 
 
 def reference_quantized_forward_layer(weights, cols, partition, scales, bias=None,

@@ -120,7 +120,7 @@ def test_03_iterative_search_vs_exhaustive_oracle():
             dx = init_scale(x, cfg.act_bits)
             part = make_partition(4, 4, gran)
             target = conv_reference(w, x)
-            scales, trace = search_weight_scales(w, dense_plan(x), part, dx, target, cfg)
+            scales, trace, _ = search_weight_scales(w, dense_plan(x), part, dx, target, cfg)
             greedy = trace[-1]
             assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
             # single-move local optimality on the grids at the final scales

@@ -61,19 +61,19 @@ def target_of(weights, cols, bias, activation, seed=0):
 
 def assert_search_matches(weights, cols, partition, input_scale, target, cfg, bias=None,
                           activation="identity", slope=0.01):
-    """Scales and trace equal the reference's, and the output left in `out`
-    is the reference forward's under those scales, byte for byte."""
+    """Scales and trace equal the reference's, and the returned output is
+    the reference's and the reference forward's under those scales, byte
+    for byte."""
     expect = reference_search_weight_scales(weights, cols, partition, input_scale, target,
                                             cfg, bias, activation, slope)
-    out = np.empty((weights.shape[0], cols.shape[1]), dtype=np.float32)
     got = search_weight_scales(weights, dense_plan(cols), partition, input_scale, target,
-                               cfg, bias, activation, slope, out=out)
+                               cfg, bias, activation, slope)
     assert np.array_equal(got[0], expect[0])
     assert got[1] == expect[1]
     forward = reference_quantized_forward_layer(
         weights, cols, partition, ScaleSet(got[0], input_scale, cfg.weight_bits, cfg.act_bits),
         bias, activation, slope)
-    assert out.tobytes() == forward.tobytes()
+    assert got[2].tobytes() == forward.tobytes() == expect[2].tobytes()
     return got
 
 
@@ -114,8 +114,8 @@ def test_all_zero_group(metric):
                                GranularityConfig("method1", rows_per_group=4,
                                                  cols_per_group=10))
     cfg = CalibConfig(grid_size=12, iterations=2, metric=metric)
-    scales, _ = assert_search_matches(weights, cols, partition, 0.03, target, cfg, bias,
-                                      "relu")
+    scales, _, _ = assert_search_matches(weights, cols, partition, 0.03, target, cfg, bias,
+                                         "relu")
     assert scales[0, 0] == 1.0
 
 
@@ -168,7 +168,7 @@ def test_input_research_matches_reference(metric):
     partition = make_partition(*weights.shape, GranularityConfig("method2", 1, h_groups=4))
     cfg = CalibConfig(grid_size=25, metric=metric)
     plan = dense_plan(cols)
-    grid, _ = search_weight_scales(weights, plan, partition, 0.03, target, cfg, bias, "relu")
+    grid, _, _ = search_weight_scales(weights, plan, partition, 0.03, target, cfg, bias, "relu")
     got = search_input_scale(weights, plan, target, cfg, partition=partition,
                              weight_scales=grid, center=0.03, bias=bias, activation="relu")
     candidates = np.unique(np.append(scale_space(cfg.alpha, cfg.beta, 0.03, 25), 0.03))
@@ -204,7 +204,7 @@ def full_step3(weights, plan, target, granularity, cfg, bias, activation, slope)
     layer = {"bias": bias, "activation": activation, "slope": slope}
     partition = make_partition(*weights.shape, granularity)
     center = search_input_scale(weights, plan, target, cfg, **layer)[0]
-    grid, _ = search_weight_scales(weights, plan, partition, center, target, cfg, **layer)
+    grid, _, _ = search_weight_scales(weights, plan, partition, center, target, cfg, **layer)
     return center, search_input_scale(weights, plan, target, cfg, partition=partition,
                                       weight_scales=grid, center=center, **layer)
 
@@ -291,11 +291,11 @@ def test_searches_through_the_plan_match_the_dense_oracle(metric, build, layer_i
 
     def steps(cols):
         step1 = search_input_scale(weights, cols, target, cfg, **layer_args)
-        grid, trace = search_weight_scales(weights, cols, partition, step1[0], target, cfg,
-                                           **layer_args)
+        grid, trace, out = search_weight_scales(weights, cols, partition, step1[0], target,
+                                                cfg, **layer_args)
         step3 = search_input_scale(weights, cols, target, cfg, partition=partition,
                                    weight_scales=grid, center=step1[0], **layer_args)
-        return step1, grid, trace, step3
+        return step1, grid, trace, step3, out
 
     got = steps(plan_layer_input(layer, x))
     with mock.patch.object(calib, "quantize_values", reference_quantize_values):
@@ -306,3 +306,4 @@ def test_searches_through_the_plan_match_the_dense_oracle(metric, build, layer_i
         assert np.array_equal(got[step][2], expect[step][2])
     assert np.array_equal(got[1], expect[1])
     assert got[2] == expect[2]
+    assert got[4].tobytes() == expect[4].tobytes()

@@ -99,6 +99,31 @@ def test_gain_shown_and_regressed(bench_pairs, name, change, gain_shown, regress
     entry = bench_pairs.summarize(fake_pairs(name, PARENT, change))[name]
     assert entry["parent_iqr"] == pytest.approx(0.015)
     assert (entry["gain_shown"], entry["regressed"]) == (gain_shown, regressed)
+    assert not entry["unresolved"]
+
+
+WIDE = [0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 1.0, 1.0, 0.9, 1.1]  # IQR 0.35
+MID = [0.85, 1.15, 0.9, 1.1, 0.95, 1.05, 1.0, 1.0, 0.92, 1.08]  # IQR 0.145
+
+
+@pytest.mark.parametrize("name,parent,change,unresolved", [
+    # op_s_p50: lower is better, bound 0.25
+    ("op_s_p50", WIDE, [1.0] * 10, True),
+    ("op_s_p50", WIDE, [0.59] * 10, False),        # every change run beats every parent run
+    ("op_s_p50", WIDE, [0.59] * 9 + [0.61], True),
+    ("op_s_p50", MID, [1.0] * 10, False),          # IQR within the bound
+    # items_per_s: higher is better, bound 0.25
+    ("items_per_s", WIDE, [1.39] * 10, True),
+    ("items_per_s", WIDE, [1.41] * 10, False),
+    # peak_rss_mb: bound 0.1
+    ("peak_rss_mb", MID, [1.0] * 10, True),
+    ("peak_rss_mb", MID, [0.84] * 10, False),
+])
+def test_unresolved(bench_pairs, name, parent, change, unresolved):
+    """unresolved needs a parent IQR wider than the metric's relative bound
+    and a change run that is not better than every parent run."""
+    entry = bench_pairs.summarize(fake_pairs(name, parent, change))[name]
+    assert entry["unresolved"] == unresolved
 
 
 def test_pair_line_prints_time_and_peak_rss(bench_pairs, monkeypatch, tmp_path, capsys):

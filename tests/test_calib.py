@@ -190,7 +190,7 @@ class TestSearchWeightScales:
             dx = init_scale(x, cfg.act_bits)
             part = make_partition(3, 5, GranularityConfig("layerwise"))
             target = conv_reference(w, x)
-            got, _ = search_weight_scales(w, dense_plan(x), part, dx, target, cfg)
+            got, _, _ = search_weight_scales(w, dense_plan(x), part, dx, target, cfg)
             # oracle: incumbent init first, then the grid, strict improvement
             init = init_scale(w, cfg.weight_bits)
             best_s, best_d = init, None
@@ -210,7 +210,7 @@ class TestSearchWeightScales:
         cfg = CalibConfig(grid_size=97, iterations=1)
         part = make_partition(2, 2, GranularityConfig("channelwise"))
         target = conv_reference(w, x)
-        scales, trace = search_weight_scales(w, dense_plan(x), part, 1.0, target, cfg)
+        scales, trace, _ = search_weight_scales(w, dense_plan(x), part, 1.0, target, cfg)
         assert trace[-1] == 0.0
         assert scales[0, 0] == pytest.approx(np.float32(0.8) / 8)
         assert scales[1, 0] == 0.25
@@ -230,8 +230,8 @@ class TestSearchWeightScales:
             x = rng.normal(size=(8, 10)).astype(np.float32)
             part = make_partition(6, 8, GranularityConfig("method1", 3, 4))
             target = conv_reference(w, x)
-            _, trace = search_weight_scales(w, dense_plan(x), part, init_scale(x, 8), target,
-                                            cfg)
+            _, trace, _ = search_weight_scales(w, dense_plan(x), part, init_scale(x, 8),
+                                               target, cfg)
             assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
     def test_all_zero_group_keeps_sentinel(self):
@@ -241,7 +241,7 @@ class TestSearchWeightScales:
         part = make_partition(2, 4, GranularityConfig("channelwise"))
         cfg = CalibConfig(grid_size=11, iterations=2)
         target = conv_reference(w, x)
-        scales, _ = search_weight_scales(w, dense_plan(x), part, init_scale(x, 8), target, cfg)
+        scales, _, _ = search_weight_scales(w, dense_plan(x), part, init_scale(x, 8), target, cfg)
         assert scales[0, 0] == 1.0
         assert scales[1, 0] > 0
 
@@ -252,8 +252,8 @@ class TestSearchWeightScales:
         part = make_partition(4, 6, GranularityConfig("method1", 2, 3))
         cfg = CalibConfig(grid_size=13)
         target = conv_reference(w, x)
-        a, _ = search_weight_scales(w, dense_plan(x), part, init_scale(x, 8), target, cfg)
-        b, _ = search_weight_scales(w, dense_plan(x), part, init_scale(x, 8), target, cfg)
+        a, _, _ = search_weight_scales(w, dense_plan(x), part, init_scale(x, 8), target, cfg)
+        b, _, _ = search_weight_scales(w, dense_plan(x), part, init_scale(x, 8), target, cfg)
         np.testing.assert_array_equal(a, b)
 
     def test_greedy_vs_exhaustive_joint_oracle(self):
@@ -268,7 +268,7 @@ class TestSearchWeightScales:
             dx = init_scale(x, cfg.act_bits)
             part = make_partition(4, 4, gran)
             target = conv_reference(w, x)
-            scales, trace = search_weight_scales(w, dense_plan(x), part, dx, target, cfg)
+            scales, trace, _ = search_weight_scales(w, dense_plan(x), part, dx, target, cfg)
             greedy_d = trace[-1]
 
             grids = []

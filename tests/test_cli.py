@@ -688,6 +688,22 @@ class TestMalformedInput:
                         fixture_dir / "small_cnn_calib.ptqc") == 2
         assert "batchnorm conv2.bn into conv2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,fault", [
+        (lambda m: m.pop("input_shape"), "layer conv1"),
+        (lambda m: m.update(input_shape=[1]), "layer conv1"),
+        (lambda m: m.update(input_shape=[1, 3, 0, 0]), "non-positive conv output"),
+        (lambda m: [e.update(quantize=False) for e in m["layers"]
+                    if e["kind"] in ("conv", "linear")],
+         "no quantized conv or linear layers")],
+        ids=["no-input-shape", "1-d-input-shape", "empty-input", "nothing-quantized"])
+    def test_overhead_of_bad_bundle_exits_2(self, fixture_dir, tmp_path, capsys, edit, fault):
+        """A bundle whose shapes cannot be propagated, or that quantizes no
+        layer, has no overhead report; each exited 1 with a ValueError."""
+        bundle = self.edited_bundle(fixture_dir, tmp_path, edit)
+        assert self.run("overhead", tmp_path, bundle,
+                        fixture_dir / "small_cnn_calib.ptqc") == 2
+        assert fault in capsys.readouterr().err
+
     FUZZ_FIELDS = ("id", "kind", "predecessors", "out_channels", "in_channels", "kernel",
                    "stride", "padding", "activation", "slope", "quantize", "weight", "bias",
                    "channels", "epsilon", "gamma", "beta", "mean", "var")
@@ -1178,18 +1194,6 @@ class TestDeterminism:
                      "labels": str(tmp_path / "labels.json")}})
         assert main(["eval", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
         monkeypatch.setattr("subquant.tensor._FORWARD_BLOCK_BYTES", 1)
-        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
-        for name in ("eval_layer_distances.csv", "eval_summary.json"):
-            assert (tmp_path / "a" / name).read_bytes() == \
-                (tmp_path / "b" / name).read_bytes()
-
-    def test_eval_reports_identical_in_one_sample_lowering_blocks(self, fixture_dir,
-                                                                  tmp_path, monkeypatch):
-        """The float walk lowering one sample per block writes the same bytes
-        as in blocks of the default size."""
-        config = self.eval_config(fixture_dir, tmp_path)
-        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
-        monkeypatch.setattr("subquant.tensor._LOWER_BLOCK_BYTES", 1)
         assert main(["eval", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
         for name in ("eval_layer_distances.csv", "eval_summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == \

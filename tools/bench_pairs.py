@@ -15,7 +15,10 @@ BENCHMARK.json); also the machine facts perfbench prints and both git
 revisions. Per metric, `gain_shown` says that the change won at least 9/10
 of the pairs and that its median is better than the parent's by more than
 the parent's interquartile range; `regressed` says that the change's median
-is worse than the parent's by more than the metric's relative `bound`.
+is worse than the parent's by more than the metric's relative `bound`;
+`unresolved` says that the parent's interquartile range is wider than that
+bound, so the pairs cannot show the metric unchanged, and that not every run
+of the change is better than every run of the parent.
 
 The file is written in any case; the exit status is 1 if any run reported an
 incorrect op (each such seed, pair and side is named on stderr), else 0.
@@ -67,7 +70,7 @@ def iqr(values):
 
 def summarize(pairs):
     """Per metric: medians, IQRs, the change/parent ratio, the change's wins,
-    and whether they show a gain or a regression."""
+    and whether they show a gain, a regression or too wide a spread to tell."""
     summary = {}
     metrics = end_to_end_metrics()
     for name in pairs[0]["parent"]:
@@ -80,12 +83,15 @@ def summarize(pairs):
         p50, c50 = statistics.median(parent), statistics.median(change)
         gain = (p50 - c50) if lower else (c50 - p50)  # > 0: the change is better
         parent_iqr = iqr(parent)
+        bound = metrics[name]["bound"] * abs(p50)
+        all_better = max(change) < min(parent) if lower else min(change) > max(parent)
         summary[name] = {"parent_median": p50, "change_median": c50,
                          "parent_iqr": parent_iqr, "change_iqr": iqr(change),
                          "ratio": c50 / p50 if p50 else None, "change_wins": wins,
                          "better": metrics[name]["better"],
                          "gain_shown": 10 * wins >= 9 * len(pairs) and gain > parent_iqr,
-                         "regressed": -gain > metrics[name]["bound"] * abs(p50)}
+                         "regressed": -gain > bound,
+                         "unresolved": parent_iqr > bound and not all_better}
     summary["all_ops_correct"] = all(p[side]["correct"] for p in pairs
                                      for side in ("parent", "change"))
     return summary
