@@ -44,6 +44,14 @@ DISTANCE_METRICS = ("euclidean", "cosine")
 # bytes per [candidates, rows, P] float64 array.
 _CHUNK_BYTES = 256 * 1024
 
+# distance() computes its float64 terms for at most _DISTANCE_PIECE elements
+# at a time (512 KB each); an array of one piece is one np.sum per term, as
+# is every calibration output. Streamed, the terms go through PairwiseSum,
+# one np.sum per leaf of at most _SUM_LEAF terms (64 KB), the most that it
+# holds back between two runs.
+_DISTANCE_PIECE = 1 << 16
+_SUM_LEAF = 1 << 13
+
 # A screened distance and distance() both stay within N*eps of the exact
 # value (N = OC*P); a candidate is confirmed if it lies within this many
 # N*eps of the screened minimum, which covers both errors with a wide margin.
@@ -90,28 +98,164 @@ def scale_space(alpha, beta, center, n):
     return grid[grid > 0]
 
 
+def _pairwise_half(n):
+    """Where np.sum splits n > 128 float64 terms: its pairwise summation adds
+    the sum of the first n//2 - (n//2) % 8 terms to the sum of the rest."""
+    half = n // 2
+    return half - half % 8
+
+
+def _pairwise_tree(n):
+    """np.sum's tree over n terms, split down to leaves of at most _SUM_LEAF
+    terms: a generator that yields each leaf's size in order, is sent the
+    leaf's sum, and returns the sum of all n terms, adding along the tree."""
+    if n <= _SUM_LEAF:
+        return (yield n)
+    half = _pairwise_half(n)
+    left = yield from _pairwise_tree(half)
+    right = yield from _pairwise_tree(n - half)
+    return left + right
+
+
+class PairwiseSum:
+    """np.sum of n float64 terms that arrive in consecutive runs, bit for bit.
+
+    numpy sums a contiguous float64 array pairwise: it splits more than 128
+    terms in two (_pairwise_half) and adds the two halves' sums, down to
+    blocks that it sums in an 8-way unrolled loop. The split depends on the
+    count alone, so every node of that tree is np.sum of its own terms:
+    np.sum of each leaf of at most _SUM_LEAF terms, added along the tree
+    (_pairwise_tree), is np.sum of all n. A leaf that spans two runs is
+    gathered in a buffer, so at most one leaf's terms are held back.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self._tree = _pairwise_tree(n)
+        self._size = next(self._tree)  # of the current leaf
+        self._total = None
+        self._buffer = None
+        self._filled = 0
+        if n == 0:
+            self._leaf_done(np.float64(0.0))  # np.sum of no terms
+
+    def _leaf_done(self, leaf_sum):
+        try:
+            self._size = self._tree.send(leaf_sum)
+        except StopIteration as done:
+            self._total, self._buffer = done.value, None
+
+    def add(self, terms):
+        """The next run of terms, a contiguous 1-D float64 array."""
+        start = 0
+        while start < len(terms):
+            if self._total is not None:
+                raise ValueError(f"more than {self.n} terms")
+            size = self._size
+            take = min(size - self._filled, len(terms) - start)
+            run = terms[start:start + take]
+            start += take
+            if take == size:  # a whole leaf in this run
+                self._leaf_done(np.sum(run))
+                continue
+            if self._buffer is None:
+                self._buffer = np.empty(min(self.n, _SUM_LEAF))
+            self._buffer[self._filled:self._filled + take] = run
+            self._filled += take
+            if self._filled == size:
+                self._filled = 0
+                self._leaf_done(np.sum(self._buffer[:size]))
+
+    def total(self):
+        """np.sum of the n terms, once all of them have arrived."""
+        if self._total is None:
+            raise ValueError(f"fewer than {self.n} terms")
+        return self._total
+
+
+def _c_order_pieces(a, b):
+    """a and b, of one shape, in consecutive pieces along C order of at most
+    _DISTANCE_PIECE elements each (a single element when it is larger)."""
+    if a.size <= _DISTANCE_PIECE:
+        yield a, b
+        return
+    row = a.size // len(a)
+    if row > _DISTANCE_PIECE:
+        for i in range(len(a)):
+            yield from _c_order_pieces(a[i], b[i])
+        return
+    step = _DISTANCE_PIECE // row
+    for i in range(0, len(a), step):
+        yield a[i:i + step], b[i:i + step]
+
+
+def _distance_terms(a, b, metric):
+    """The float64 terms distance() sums over a and b, each flat in C order:
+    (a - b)**2 for euclidean; a*b, a*a and b*b for cosine."""
+    if metric == "euclidean":
+        # one C-ordered float64 difference, squared in place
+        d = np.subtract(a, b, dtype=np.float64, order="C").reshape(-1)
+        return (np.multiply(d, d, out=d),)
+    x = np.asarray(a, dtype=np.float64, order="C").reshape(-1)
+    y = np.asarray(b, dtype=np.float64, order="C").reshape(-1)
+    return x * y, x * x, y * y
+
+
+class StreamingDistance:
+    """distance(a, b, metric) of two arrays of `size` elements each that
+    arrive in pieces, such as a layer's outputs one chunk of samples at a
+    time; the value is distance() of the whole arrays bit for bit.
+
+    The pieces follow each other in C order, as add(a[i:j], b[i:j]) does for
+    consecutive chunks of the first axis. Each term is summed in float64 in
+    np.sum's pairwise order (PairwiseSum), so no whole-array float64 copy is
+    made, whatever the size.
+    """
+
+    def __init__(self, size, metric="euclidean"):
+        if metric not in DISTANCE_METRICS:
+            raise ValueError(f"unknown metric {metric!r}")
+        self.metric = metric
+        self._sums = [PairwiseSum(size) for _ in range(1 if metric == "euclidean" else 3)]
+
+    def add(self, a, b):
+        """The next pieces of both arrays, of one shape."""
+        a = np.asarray(a)
+        b = np.asarray(b)
+        if a.shape != b.shape:
+            raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+        for piece_a, piece_b in _c_order_pieces(a, b):
+            for acc, terms in zip(self._sums, _distance_terms(piece_a, piece_b, self.metric)):
+                acc.add(terms)
+
+    def value(self):
+        return _distance_value(self.metric, [acc.total() for acc in self._sums])
+
+
+def _distance_value(metric, totals):
+    """The distance from the sums of its terms (_distance_terms)."""
+    if metric == "euclidean":
+        return float(np.sqrt(totals[0]))
+    sxy, sxx, syy = totals
+    nx, ny = np.sqrt(sxx), np.sqrt(syy)
+    if nx == 0.0 and ny == 0.0:
+        return 0.0
+    if nx == 0.0 or ny == 0.0:
+        return 1.0
+    return float(1.0 - sxy / (nx * ny))
+
+
 def distance(a, b, metric="euclidean"):
-    """Quantization error between tensors of identical shape."""
+    """Quantization error between tensors of identical shape: the one-piece
+    StreamingDistance, which for at most _DISTANCE_PIECE elements is one
+    np.sum per term."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    if metric == "euclidean":
-        # one C-ordered float64 difference, squared in place: the same flat
-        # values, summed in the same pairwise order, as casting both first
-        d = np.subtract(a, b, dtype=np.float64, order="C").reshape(-1)
-        np.multiply(d, d, out=d)
-        return float(np.sqrt(np.sum(d)))
-    if metric == "cosine":
-        x = a.reshape(-1).astype(np.float64)
-        y = b.reshape(-1).astype(np.float64)
-        nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-        if nx == 0.0 and ny == 0.0:
-            return 0.0
-        if nx == 0.0 or ny == 0.0:
-            return 1.0
-        return float(1.0 - np.dot(x, y) / (nx * ny))
-    raise ValueError(f"unknown metric {metric!r}")
+    if a.size <= _DISTANCE_PIECE and a.shape == b.shape and metric in DISTANCE_METRICS:
+        return _distance_value(metric, [np.sum(t) for t in _distance_terms(a, b, metric)])
+    acc = StreamingDistance(a.size, metric)
+    acc.add(a, b)
+    return acc.value()
 
 
 def subsample(samples, count, seed):

@@ -15,7 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import network_overhead_report, write_overhead_csv, write_overhead_json
-from .calib import CalibConfig, calibrate_network, distance, float_references, subsample
+from .calib import (
+    CalibConfig,
+    StreamingDistance,
+    calibrate_network,
+    float_references,
+    subsample,
+)
 from .errors import BadInputError, SubquantError
 from .model import (
     check_shapes,
@@ -25,6 +31,7 @@ from .model import (
     load_bundle,
     load_calibration_set,
     prepare_for_quantization,
+    propagate_shapes,
     quantized_conv,
     require_int,
     require_number,
@@ -42,6 +49,11 @@ from .reorder import (
 )
 
 OUT_ENV_VAR = "SUBQUANT_OUT"
+
+# eval runs both walks on chunks of samples whose largest layer output takes
+# about this many bytes in float32. A chunk holds a multiple of 8 samples, so
+# every float dgemm block in it starts at a multiple of 8 samples.
+_EVAL_CHUNK_BYTES = 3 << 19  # 1.5 MB
 
 
 @dataclass
@@ -464,25 +476,35 @@ def cmd_eval(cfg):
     if not graph.scales:
         samples = _load_samples(cfg, graph)
         graph.scales = calibrate_network(graph, samples, cfg.granularity, cfg.calib).scales
-    out_id = graph.output_id
+    # Both walks run one chunk of samples at a time; each layer's distance
+    # and the top-1 hits add up over the chunks, as over the whole set.
+    n = eval_x.shape[0]
+    sizes = {lid: int(np.prod(shape[1:])) for lid, shape in propagate_shapes(graph).items()}
+    step = 8 * max(1, _EVAL_CHUNK_BYTES // (8 * 4 * max(sizes.values())))
+    distances = {lid: StreamingDistance(n * size, cfg.calib.metric)
+                 for lid, size in sizes.items()}
+    float_hits = quant_hits = 0
+    for i in range(0, n, step):
+        for (layer, float_out), (_, quant_out) in _eval_walks(graph, eval_x[i:i + step]):
+            distances[layer.id].add(quant_out, float_out)
+            if layer.id == graph.output_id:
+                chunk_labels = labels[i:i + step]
+                float_hits += int(np.count_nonzero(np.argmax(float_out, axis=1) == chunk_labels))
+                quant_hits += int(np.count_nonzero(np.argmax(quant_out, axis=1) == chunk_labels))
     rows = [["layer", "kind", "quantized", "distance"]]
-    for (layer, float_out), (_, quant_out) in _eval_walks(graph, eval_x):
-        d = distance(quant_out, float_out, cfg.calib.metric)
-        rows.append([layer.id, layer.kind, int(layer.id in graph.scales), repr(d)])
-        if layer.id == out_id:
-            network_distance = d
-            float_top1 = float(np.mean(np.argmax(float_out, axis=1) == labels))
-            quant_top1 = float(np.mean(np.argmax(quant_out, axis=1) == labels))
+    rows += [[layer.id, layer.kind, int(layer.id in graph.scales),
+              repr(distances[layer.id].value())] for layer in graph.layers]
+    float_top1, quant_top1 = float_hits / n, quant_hits / n
     write_csv(cfg.out / "eval_layer_distances.csv", rows)
     write_json(cfg.out / "eval_summary.json", {
-        "eval_samples": int(eval_x.shape[0]),
+        "eval_samples": n,
         "float_top1": float_top1,
         "quantized_top1": quant_top1,
-        "network_distance": network_distance,
+        "network_distance": distances[graph.output_id].value(),
         "seed": cfg.seed,
     })
     print(f"top-1 float {float_top1:.4f} vs quantized {quant_top1:.4f} on "
-          f"{eval_x.shape[0]} samples")
+          f"{n} samples")
     return 0
 
 

@@ -490,14 +490,15 @@ def load_calibration_set(path):
     if count == 0:
         raise BadInputError(f"{path} holds no samples")
     dims = struct.unpack_from(f"<{rank}I", data, 12)
-    body = data[12 + 4 * rank:]
+    header = 12 + 4 * rank
     expect = count
     for dim in dims:
         expect *= dim
-    if len(body) != 4 * expect:
-        raise BadInputError(f"{path}: payload holds {len(body)} bytes, header "
+    if len(data) - header != 4 * expect:
+        raise BadInputError(f"{path}: payload holds {len(data) - header} bytes, header "
                             f"declares {expect} floats ({4 * expect} bytes)")
-    arr = np.frombuffer(body, dtype="<f4").reshape((count, *dims)).copy()
+    # one copy of the payload, read in place from the file's bytes
+    arr = np.frombuffer(data, dtype="<f4", offset=header).reshape((count, *dims)).copy()
     _require_finite(arr, f"calibration set {path}")
     return arr
 
@@ -745,15 +746,22 @@ def forward_quantized(graph, x, scales=None):
 def propagate_shapes(graph, batch=1):
     """Per-layer output shapes at the given batch size, from graph metadata.
 
-    Raises ValueError naming the layer whose input a conv cannot take.
+    Raises ValueError when the graph has no input_shape, and naming the
+    layer whose input a conv cannot take.
     """
+    if not graph.input_shape:
+        raise ValueError("the graph has no input_shape")
     shapes = {}
     for layer in graph.layers:
         if layer.kind == "input":
             shapes[layer.id] = (batch, *graph.input_shape[1:])
         elif layer.kind == "conv":
+            x_shape = shapes[layer.predecessors[0]]
+            if len(x_shape) != 4:
+                raise ValueError(f"layer {layer.id}: a conv needs [N, C, H, W] input, got "
+                                 f"{list(x_shape)}; input_shape is {graph.input_shape}")
+            n, _, h, w = x_shape
             try:
-                n, _, h, w = shapes[layer.predecessors[0]]
                 out_h, out_w = conv_output_hw(h, w, layer.kernel, layer.stride,
                                               layer.padding)
             except ValueError as exc:
@@ -772,11 +780,10 @@ def check_shapes(graph):
 
     A conv or linear layer must declare the channels (features) its
     predecessor produces, both inputs of a residual-add must match, and
-    every conv window must fit. Not part of validate(): shape-only graphs
-    such as yolov3_320_shape wire head convs to a stand-in predecessor.
+    every conv window must fit, from the graph's input_shape, which must be
+    set. Not part of validate(): shape-only graphs such as yolov3_320_shape
+    wire head convs to a stand-in predecessor.
     """
-    if not graph.input_shape:
-        return graph
     try:
         shapes = propagate_shapes(graph)
     except ValueError as exc:

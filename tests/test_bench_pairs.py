@@ -138,6 +138,38 @@ def test_pair_line_prints_time_and_peak_rss(bench_pairs, monkeypatch, tmp_path, 
                              str(tmp_path / "change"), "--workload", "eval-large",
                              "--seeds", "0", "--pairs", "2",
                              "--out", str(tmp_path / "bench.json")]) == 0
-    assert capsys.readouterr().err.splitlines() == [
+    assert [line for line in capsys.readouterr().err.splitlines() if " pair " in line] == [
         "seed 0 pair 0: parent 0.500 s 188.8 MB, change 0.500 s 80.9 MB",
         "seed 0 pair 1: parent 0.500 s 188.8 MB, change 0.500 s 80.9 MB"]
+
+
+def test_verdict_line_per_seed_and_metric(bench_pairs, monkeypatch, tmp_path, capsys):
+    """After each seed's pairs comes one line per metric naming the verdicts
+    that hold: here a clear time gain, a memory regression, a set-up time
+    whose parent runs spread too widely to tell, and an unchanged distance."""
+    calls = collections.Counter()
+    runs = {"parent": {"op_s_p50": [1.0, 1.02, 0.98, 1.0], "peak_rss_mb": [80.0] * 4,
+                       "setup_s": [1.0, 2.0, 1.0, 2.0], "network_distance": [3.0] * 4},
+            "change": {"op_s_p50": [0.5] * 4, "peak_rss_mb": [100.0] * 4,
+                       "setup_s": [1.5] * 4, "network_distance": [3.0] * 4}}
+
+    def run_once(checkout, workload, seed, seconds):
+        side = checkout.name
+        i = calls[seed, side]
+        calls[seed, side] += 1
+        return {**{name: values[i] for name, values in runs[side].items()},
+                "correct": True}, {}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "revision", lambda path: {"commit": path.name})
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--workload", "eval-large",
+                             "--seeds", "0", "7", "--pairs", "4",
+                             "--out", str(tmp_path / "bench.json")]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if " pair " not in line]
+    for seed in (0, 7):
+        assert [line for line in lines if line.startswith(f"seed {seed} ")] == [
+            f"seed {seed} op_s_p50: parent 1, change 0.5 (0.500x, 4/4 wins): gain_shown",
+            f"seed {seed} peak_rss_mb: parent 80, change 100 (1.250x, 0/4 wins): regressed",
+            f"seed {seed} setup_s: parent 1.5, change 1.5 (1.000x, 2/4 wins): unresolved",
+            f"seed {seed} network_distance: parent 3, change 3 (1.000x, 0/4 wins): unchanged"]

@@ -7,7 +7,10 @@ import pytest
 
 from reference_search import dense_forward, dense_plan, reference_distance
 from subquant.calib import (
+    _SUM_LEAF,
     CalibConfig,
+    PairwiseSum,
+    StreamingDistance,
     calibrate_layer,
     calibrate_network,
     distance,
@@ -111,6 +114,111 @@ class TestDistance:
             assert np.isinf(got) == (case == "inf")
             assert np.isnan(got) == (case in ("inf-inf", "nan"))
             assert (got == 0.0) == (case == "zeros")
+
+
+def summed_in_runs(terms, run):
+    """PairwiseSum of `terms` fed in consecutive runs of `run` terms (None: one run)."""
+    acc = PairwiseSum(len(terms))
+    step = run or max(len(terms), 1)
+    for i in range(0, len(terms), step):
+        acc.add(terms[i:i + step])
+    return acc.total()
+
+
+def layer_outputs(samples, seed=0, zeros=""):
+    """A quantized and a float [N, 12, 8, 8] output as a walk yields them:
+    transposed views of [OC, P] float32 matrices. `zeros` names the ones
+    that are all zero."""
+    rng = np.random.default_rng(seed)
+    float_out = rng.normal(size=(12, samples, 8, 8)).astype(np.float32)
+    quant_out = (float_out + rng.normal(0.0, 0.05, float_out.shape)).astype(np.float32)
+    for name, out in (("quant", quant_out), ("float", float_out)):
+        if name in zeros:
+            out[...] = 0.0
+    return quant_out.transpose(1, 0, 2, 3), float_out.transpose(1, 0, 2, 3)
+
+
+class TestStreamingDistance:
+    @pytest.mark.parametrize("run", [1, 7, 8, 1000, _SUM_LEAF, None])
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 127, 128, 129, _SUM_LEAF - 1, _SUM_LEAF,
+                                   _SUM_LEAF + 1, 3 * _SUM_LEAF + 5, 2048 * 768])
+    def test_pairwise_sum_is_np_sum(self, n, run):
+        """Fed in runs of any length, the sum is np.sum of the whole array bit
+        for bit. The terms span 20 orders of magnitude, so that another
+        order of the additions would change the last bits."""
+        rng = np.random.default_rng(n)
+        terms = rng.normal(size=n) * np.exp(rng.normal(0.0, 8.0, n))
+        got = summed_in_runs(terms, run)
+        assert np.float64(got).tobytes() == np.sum(terms).tobytes()
+
+    def test_pairwise_sum_needs_exactly_n_terms(self):
+        acc = PairwiseSum(3 * _SUM_LEAF)
+        acc.add(np.ones(_SUM_LEAF))
+        with pytest.raises(ValueError, match="fewer than"):
+            acc.total()
+        with pytest.raises(ValueError, match="more than"):
+            acc.add(np.ones(2 * _SUM_LEAF + 1))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("samples,chunk", [(40, 8), (40, 40), (96, 8), (1096, 8),
+                                               (1096, 512), (1096, 1096)])
+    def test_streamed_distance_is_one_shot(self, metric, samples, chunk):
+        """A layer's outputs added one chunk of samples at a time give
+        distance() of the whole outputs bit for bit, below one leaf (40
+        samples), just above it (96) and across many leaves (1096); a
+        euclidean distance is also the old formula's, np.sum of one float64
+        copy of the squared differences."""
+        quant_out, float_out = layer_outputs(samples)
+        acc = StreamingDistance(quant_out.size, metric)
+        for i in range(0, samples, chunk):
+            acc.add(quant_out[i:i + chunk], float_out[i:i + chunk])
+        assert acc.value() == distance(quant_out, float_out, metric)
+        if metric == "euclidean":
+            assert acc.value() == reference_distance(quant_out, float_out)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_samples_larger_than_a_piece(self, metric):
+        """Samples of 80,000 elements each, more than one piece of terms,
+        streamed one sample at a time or in one piece give distance() of
+        the whole arrays, which is the old formula's for euclidean."""
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(3, 2, 200, 200)).astype(np.float32)
+        b = (a + rng.normal(0.0, 0.1, a.shape)).astype(np.float32)
+        acc = StreamingDistance(a.size, metric)
+        for i in range(3):
+            acc.add(a[i:i + 1], b[i:i + 1])
+        assert acc.value() == distance(a, b, metric)
+        if metric == "euclidean":
+            assert acc.value() == reference_distance(a, b)
+
+    @pytest.mark.parametrize("zeros,expect", [("quant float", 0.0), ("quant", 1.0),
+                                              ("float", 1.0)])
+    @pytest.mark.parametrize("samples", [8, 1096])
+    def test_streamed_cosine_of_zero_norms(self, zeros, expect, samples):
+        """Two zero outputs are 0 apart and one zero output is 1 away, in one
+        piece or streamed in chunks of 8 samples, as distance() had it."""
+        quant_out, float_out = layer_outputs(samples, zeros=zeros)
+        acc = StreamingDistance(quant_out.size, "cosine")
+        for i in range(0, samples, 8):
+            acc.add(quant_out[i:i + 8], float_out[i:i + 8])
+        assert acc.value() == distance(quant_out, float_out, "cosine") == expect
+
+    def test_cosine_is_the_blas_formula_to_rounding(self):
+        """Cosine sums its dot product and norms pairwise instead of through
+        BLAS, which moves the value in its last bits only."""
+        quant_out, float_out = layer_outputs(1096)
+        x = quant_out.reshape(-1).astype(np.float64)
+        y = float_out.reshape(-1).astype(np.float64)
+        blas = 1.0 - np.dot(x, y) / (np.linalg.norm(x) * np.linalg.norm(y))
+        assert distance(quant_out, float_out, "cosine") == pytest.approx(blas, rel=1e-9)
+
+    def test_streaming_rejects_bad_pieces(self):
+        with pytest.raises(ValueError, match="unknown metric"):
+            StreamingDistance(4, "manhattan")
+        with pytest.raises(ValueError, match="shape mismatch"):
+            StreamingDistance(4).add(np.zeros(2), np.zeros(3))
+        with pytest.raises(ValueError, match="unknown metric"):
+            distance(np.zeros(2), np.zeros(2), "manhattan")
 
 
 def lossless_layer(dw=0.25, dx=0.0625, oc=3, j=4, p=16, seed=0):

@@ -8,6 +8,7 @@ import re
 import shutil
 import struct
 import tempfile
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -689,8 +690,8 @@ class TestMalformedInput:
         assert "batchnorm conv2.bn into conv2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit,fault", [
-        (lambda m: m.pop("input_shape"), "layer conv1"),
-        (lambda m: m.update(input_shape=[1]), "layer conv1"),
+        (lambda m: m.pop("input_shape"), "input_shape"),
+        (lambda m: m.update(input_shape=[1]), "input_shape"),
         (lambda m: m.update(input_shape=[1, 3, 0, 0]), "non-positive conv output"),
         (lambda m: [e.update(quantize=False) for e in m["layers"]
                     if e["kind"] in ("conv", "linear")],
@@ -703,6 +704,20 @@ class TestMalformedInput:
         assert self.run("overhead", tmp_path, bundle,
                         fixture_dir / "small_cnn_calib.ptqc") == 2
         assert fault in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["overhead", "quantize"])
+    @pytest.mark.parametrize("edit", [lambda m: m.pop("input_shape"),
+                                      lambda m: m.update(input_shape=[1])],
+                             ids=["no-input-shape", "1-d-input-shape"])
+    def test_input_shape_that_is_not_nchw_exits_2(self, fixture_dir, tmp_path, capsys,
+                                                   command, edit):
+        """Without input_shape, or with one that is not [N, C, H, W], the
+        shapes of a conv net cannot be propagated: the message names
+        input_shape. quantize ran without one, and with [1] named only
+        "not enough values to unpack"."""
+        bundle = self.edited_bundle(fixture_dir, tmp_path, edit)
+        assert self.run(command, tmp_path, bundle, fixture_dir / "small_cnn_calib.ptqc") == 2
+        assert "input_shape" in capsys.readouterr().err
 
     FUZZ_FIELDS = ("id", "kind", "predecessors", "out_channels", "in_channels", "kernel",
                    "stride", "padding", "activation", "slope", "quantize", "weight", "bias",
@@ -1199,6 +1214,40 @@ class TestDeterminism:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_eval_reports_identical_in_sample_chunks(self, fixture_dir, tmp_path,
+                                                     monkeypatch, metric):
+        """eval walks 1096 samples in chunks of 512 by default, the last one
+        72; in chunks of 8 samples, and in one chunk of all 1096, it writes
+        the same bytes."""
+        save_calibration_set(tmp_path / "eval.ptqc",
+                             random_inputs(build_small_cnn(), 1096, 5))
+        labels = np.random.default_rng(3).integers(0, 10, 1096).tolist()
+        (tmp_path / "labels.json").write_text(json.dumps(labels))
+        config = write_config(tmp_path / "run.json", **{
+            **json.loads(self.eval_config(fixture_dir, tmp_path).read_text()),
+            "calib": quick_calib(metric=metric),
+            "eval": {"inputs": str(tmp_path / "eval.ptqc"),
+                     "labels": str(tmp_path / "labels.json")}})
+        chunks = []
+        walks = cli._eval_walks
+
+        def spy(graph, eval_x):
+            chunks.append(len(eval_x))
+            return walks(graph, eval_x)
+        monkeypatch.setattr(cli, "_eval_walks", spy)
+        reports = []
+        for chunk_bytes, expect in ((cli._EVAL_CHUNK_BYTES, [512, 512, 72]), (1, [8] * 137),
+                                    (1 << 40, [1096])):
+            monkeypatch.setattr(cli, "_EVAL_CHUNK_BYTES", chunk_bytes)
+            out = tmp_path / str(chunk_bytes)
+            chunks.clear()
+            assert main(["eval", "--config", str(config), "--out", str(out)]) == 0
+            assert chunks == expect
+            reports.append([(out / name).read_bytes() for name in
+                            ("eval_layer_distances.csv", "eval_summary.json")])
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
     def test_eval_runs_the_shared_float_conv1_once(self, fixture_dir, tmp_path, monkeypatch):
         """conv1 runs in float in both walks on the same eval samples, so it is
         lowered once; fc runs in float too, but on inputs that differ between
@@ -1217,3 +1266,31 @@ class TestDeterminism:
         monkeypatch.setattr(model, "lower_layer_input", spy)
         assert main(["eval", "--config", str(config), "--out", str(tmp_path / "e")]) == 0
         assert lowered.count("conv1") == 1 and lowered.count("fc") == 2
+
+
+def test_eval_peak_memory_grows_only_with_the_input(fixture_dir, tmp_path):
+    """Under tracemalloc, eval of a quantized small_cnn bundle on 4096
+    samples (eight chunks of 512) peaks at most the 2.6 MB of extra input
+    and 1 MB above eval on 512 samples (one chunk); the 1 MB covers the
+    labels and the terms each streamed distance holds back, up to 64 KB per
+    layer. Before eval ran in chunks, every layer's whole-set outputs made
+    its peak grow by about 20 kB per sample."""
+    config = TestDeterminism.eval_config(fixture_dir, tmp_path)
+    assert main(["quantize", "--config", str(config), "--out", str(tmp_path / "q")]) == 0
+    peaks, input_bytes = {}, {}
+    for samples in (512, 4096):
+        inputs = random_inputs(build_small_cnn(), samples, 1)
+        save_calibration_set(tmp_path / f"eval{samples}.ptqc", inputs)
+        (tmp_path / f"labels{samples}.json").write_text(json.dumps([0] * samples))
+        run = write_config(tmp_path / f"eval{samples}.json", **{
+            **json.loads(config.read_text()), "model": str(tmp_path / "q" / "quantized"),
+            "eval": {"inputs": str(tmp_path / f"eval{samples}.ptqc"),
+                     "labels": str(tmp_path / f"labels{samples}.json")}})
+        tracemalloc.start()
+        try:
+            assert main(["eval", "--config", str(run), "--out", str(tmp_path / "e")]) == 0
+            peaks[samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        input_bytes[samples] = inputs.nbytes
+    assert peaks[4096] - peaks[512] <= input_bytes[4096] - input_bytes[512] + 2 ** 20

@@ -20,6 +20,8 @@ is worse than the parent's by more than the metric's relative `bound`;
 bound, so the pairs cannot show the metric unchanged, and that not every run
 of the change is better than every run of the parent.
 
+After each seed's pairs, stderr gets one line per metric with both medians,
+the ratio, the wins and the verdicts that hold (`unchanged` if none does).
 The file is written in any case; the exit status is 1 if any run reported an
 incorrect op (each such seed, pair and side is named on stderr), else 0.
 """
@@ -97,6 +99,22 @@ def summarize(pairs):
     return summary
 
 
+VERDICTS = ("gain_shown", "regressed", "unresolved")
+
+
+def verdict_lines(seed, summary, pairs):
+    """One line per metric of a seed's summary: its medians, ratio and wins,
+    then the verdicts that hold, or `unchanged` when none does."""
+    for name, entry in summary.items():
+        if name == "all_ops_correct":
+            continue
+        ratio = f"{entry['ratio']:.3f}x" if entry["ratio"] is not None else "no ratio"
+        verdicts = [v for v in VERDICTS if entry[v]] or ["unchanged"]
+        yield (f"seed {seed} {name}: parent {entry['parent_median']:.4g}, change "
+               f"{entry['change_median']:.4g} ({ratio}, {entry['change_wins']}/{pairs} wins): "
+               + ", ".join(verdicts))
+
+
 def at_least_two(text):
     """--pairs: an integer of at least 2, the fewest values an IQR is taken of."""
     value = int(text)
@@ -130,6 +148,8 @@ def main(argv=None):
                 f"{side} {pair[side]['op_s_p50']:.3f} s {pair[side]['peak_rss_mb']:.1f} MB"
                 for side in ("parent", "change")), file=sys.stderr)
         seeds[str(seed)] = {"summary": summarize(pairs), "pairs": pairs}
+        for line in verdict_lines(seed, seeds[str(seed)]["summary"], len(pairs)):
+            print(line, file=sys.stderr)
     record = {
         "workload": args.workload,
         "command": f"perfbench/run.py --workload {args.workload} --seed S "
