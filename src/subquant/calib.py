@@ -44,11 +44,10 @@ DISTANCE_METRICS = ("euclidean", "cosine")
 # bytes per [candidates, rows, P] float64 array.
 _CHUNK_BYTES = 256 * 1024
 
-# distance() computes its float64 terms for at most _DISTANCE_PIECE elements
-# at a time (512 KB each); an array of one piece is one np.sum per term, as
-# is every calibration output. Streamed, the terms go through PairwiseSum,
-# one np.sum per leaf of at most _SUM_LEAF terms (64 KB), the most that it
-# holds back between two runs.
+# StreamingDistance computes its float64 terms for at most _DISTANCE_PIECE
+# elements at a time (512 KB each) and sums them through _PairwiseSum, one
+# np.sum per leaf of at most _SUM_LEAF terms (64 KB), the most that it holds
+# back between two runs.
 _DISTANCE_PIECE = 1 << 16
 _SUM_LEAF = 1 << 13
 
@@ -117,7 +116,7 @@ def _pairwise_tree(n):
     return left + right
 
 
-class PairwiseSum:
+class _PairwiseSum:
     """np.sum of n float64 terms that arrive in consecutive runs, bit for bit.
 
     numpy sums a contiguous float64 array pairwise: it splits more than 128
@@ -191,14 +190,22 @@ def _c_order_pieces(a, b):
 
 def _distance_terms(a, b, metric):
     """The float64 terms distance() sums over a and b, each flat in C order:
-    (a - b)**2 for euclidean; a*b, a*a and b*b for cosine."""
+    (a - b)**2 for euclidean; a*b, a*a and b*b for cosine. They are yielded
+    one at a time in place over float64 copies of a and b (two buffers, as
+    many as BLAS dot and norm needed), so each must be summed before the next
+    is asked for."""
     if metric == "euclidean":
         # one C-ordered float64 difference, squared in place
         d = np.subtract(a, b, dtype=np.float64, order="C").reshape(-1)
-        return (np.multiply(d, d, out=d),)
-    x = np.asarray(a, dtype=np.float64, order="C").reshape(-1)
-    y = np.asarray(b, dtype=np.float64, order="C").reshape(-1)
-    return x * y, x * x, y * y
+        yield np.multiply(d, d, out=d)
+        return
+    x = np.array(a, dtype=np.float64, order="C")
+    y = np.array(b, dtype=np.float64, order="C").reshape(-1)
+    flat = x.reshape(-1)
+    yield np.multiply(flat, y, out=flat)
+    np.copyto(x, a)
+    yield np.multiply(flat, flat, out=flat)
+    yield np.multiply(y, y, out=y)
 
 
 class StreamingDistance:
@@ -208,7 +215,7 @@ class StreamingDistance:
 
     The pieces follow each other in C order, as add(a[i:j], b[i:j]) does for
     consecutive chunks of the first axis. Each term is summed in float64 in
-    np.sum's pairwise order (PairwiseSum), so no whole-array float64 copy is
+    np.sum's pairwise order (_PairwiseSum), so no whole-array float64 copy is
     made, whatever the size.
     """
 
@@ -216,7 +223,7 @@ class StreamingDistance:
         if metric not in DISTANCE_METRICS:
             raise ValueError(f"unknown metric {metric!r}")
         self.metric = metric
-        self._sums = [PairwiseSum(size) for _ in range(1 if metric == "euclidean" else 3)]
+        self._sums = [_PairwiseSum(size) for _ in range(1 if metric == "euclidean" else 3)]
 
     def add(self, a, b):
         """The next pieces of both arrays, of one shape."""
@@ -246,16 +253,17 @@ def _distance_value(metric, totals):
 
 
 def distance(a, b, metric="euclidean"):
-    """Quantization error between tensors of identical shape: the one-piece
-    StreamingDistance, which for at most _DISTANCE_PIECE elements is one
-    np.sum per term."""
+    """Quantization error between tensors of identical shape: one np.sum per
+    term (_distance_terms), the value StreamingDistance gives in pieces.
+    np.add.reduce is np.sum of a 1-D array without np.sum's Python wrapper,
+    which calibration would pay on each of its thousands of calls."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.size <= _DISTANCE_PIECE and a.shape == b.shape and metric in DISTANCE_METRICS:
-        return _distance_value(metric, [np.sum(t) for t in _distance_terms(a, b, metric)])
-    acc = StreamingDistance(a.size, metric)
-    acc.add(a, b)
-    return acc.value()
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    if metric not in DISTANCE_METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    return _distance_value(metric, [np.add.reduce(t) for t in _distance_terms(a, b, metric)])
 
 
 def subsample(samples, count, seed):

@@ -70,6 +70,25 @@ def test_fewer_than_two_pairs_rejected_before_any_run(bench_pairs, monkeypatch, 
     assert not out.exists()
 
 
+def test_checkout_without_git_rejected_before_any_run(bench_pairs, monkeypatch, tmp_path,
+                                                      capsys):
+    """The revisions are read before the pairs, so a plain directory (or a
+    missing one) is a usage error raised before any perfbench run."""
+    def run_once(*args):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    (tmp_path / "parent").mkdir()
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                          str(tmp_path / "change"), "--workload", "eval-large",
+                          "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "must be git checkouts" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def fake_pairs(name, parent, change):
     return [{"parent": {name: p, "correct": True}, "change": {name: c, "correct": True}}
             for p, c in zip(parent, change)]

@@ -8,8 +8,8 @@ import pytest
 from reference_search import dense_forward, dense_plan, reference_distance
 from subquant.calib import (
     _SUM_LEAF,
+    _PairwiseSum,
     CalibConfig,
-    PairwiseSum,
     StreamingDistance,
     calibrate_layer,
     calibrate_network,
@@ -117,8 +117,8 @@ class TestDistance:
 
 
 def summed_in_runs(terms, run):
-    """PairwiseSum of `terms` fed in consecutive runs of `run` terms (None: one run)."""
-    acc = PairwiseSum(len(terms))
+    """_PairwiseSum of `terms` fed in consecutive runs of `run` terms (None: one run)."""
+    acc = _PairwiseSum(len(terms))
     step = run or max(len(terms), 1)
     for i in range(0, len(terms), step):
         acc.add(terms[i:i + step])
@@ -152,7 +152,7 @@ class TestStreamingDistance:
         assert np.float64(got).tobytes() == np.sum(terms).tobytes()
 
     def test_pairwise_sum_needs_exactly_n_terms(self):
-        acc = PairwiseSum(3 * _SUM_LEAF)
+        acc = _PairwiseSum(3 * _SUM_LEAF)
         acc.add(np.ones(_SUM_LEAF))
         with pytest.raises(ValueError, match="fewer than"):
             acc.total()
@@ -211,6 +211,18 @@ class TestStreamingDistance:
         y = float_out.reshape(-1).astype(np.float64)
         blas = 1.0 - np.dot(x, y) / (np.linalg.norm(x) * np.linalg.norm(y))
         assert distance(quant_out, float_out, "cosine") == pytest.approx(blas, rel=1e-9)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_distance_leaves_float64_inputs_unchanged(self, metric):
+        """The terms are squared in place over copies, never over the
+        caller's arrays, even when those are float64 and C-ordered."""
+        rng = np.random.default_rng(6)
+        a, b = rng.normal(size=(2, 16, 300))
+        a_bytes, b_bytes = a.tobytes(), b.tobytes()
+        acc = StreamingDistance(a.size, metric)
+        acc.add(a, b)
+        assert acc.value() == distance(a, b, metric)
+        assert a.tobytes() == a_bytes and b.tobytes() == b_bytes
 
     def test_streaming_rejects_bad_pieces(self):
         with pytest.raises(ValueError, match="unknown metric"):

@@ -135,6 +135,10 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    try:  # before the pairs, so that a checkout without git fails at once
+        revisions = {side: revision(path) for side, path in sides.items()}
+    except (OSError, subprocess.CalledProcessError):
+        parser.error("--parent and --change must be git checkouts, to record their revisions")
     seeds, machine = {}, None
     for seed in args.seeds:
         pairs = []
@@ -156,7 +160,7 @@ def main(argv=None):
                    f"--seconds {args.seconds:g} --trace 0",
         "pairs_per_seed": args.pairs,
         "machine": machine,
-        "revisions": {side: revision(path) for side, path in sides.items()},
+        "revisions": revisions,
         "seeds": seeds,
     }
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
