@@ -7,6 +7,7 @@ written atomically. Exit codes: 0 success, 1 internal error, 2 bad input.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -27,7 +28,6 @@ from .model import (
     check_shapes,
     execute,
     float_conv,
-    forward_quantized,
     load_bundle,
     load_calibration_set,
     prepare_for_quantization,
@@ -47,13 +47,9 @@ from .reorder import (
     ea_search,
     make_segment_context,
 )
+from .tensor import block_samples
 
 OUT_ENV_VAR = "SUBQUANT_OUT"
-
-# eval runs both walks on chunks of samples whose largest layer output takes
-# about this many bytes in float32. A chunk holds a multiple of 8 samples, so
-# every float dgemm block in it starts at a multiple of 8 samples.
-_EVAL_CHUNK_BYTES = 3 << 19  # 1.5 MB
 
 
 @dataclass
@@ -279,8 +275,9 @@ def cmd_sweep(cfg):
     axis, col_values = _sweep_axis(cfg)
     graph = _load_model(cfg)
     samples = subsample(_load_samples(cfg, graph), cfg.calib.samples, cfg.calib.seed)
-    references = float_references(graph, samples)
     eval_data = _load_eval_set(cfg, graph) if cfg.eval_inputs else None
+    references = float_references(graph, samples)
+    output_id = graph.output_id
 
     def granularity(cell):
         rows, value = cell
@@ -294,8 +291,11 @@ def cmd_sweep(cfg):
         outcome = {"distance": result.network_distance}
         if eval_data is not None:
             eval_x, labels = eval_data
-            quant = forward_quantized(graph, eval_x, result.scales)[graph.output_id]
-            outcome["accuracy"] = float(np.mean(np.argmax(quant, axis=1) == labels))
+            walk = _walk(graph, quantized_conv(result.scales))
+            hits = sum(_top1_hits(out, labels[i:i + len(x)])
+                       for i, x in _eval_chunks(graph, eval_x)
+                       for layer, out in walk(x) if layer.id == output_id)
+            outcome["accuracy"] = hits / len(eval_x)
         return outcome
 
     cells = [(r, v) for r in cfg.sweep_rows for v in col_values]
@@ -425,6 +425,8 @@ def cmd_overhead(cfg):
 
 
 def _load_eval_set(cfg, graph):
+    """The eval samples and their labels, once the graph's output gives one
+    score per class and every label names one of those classes."""
     if cfg.eval_inputs is None or cfg.eval_labels is None:
         raise BadInputError("eval requires eval.inputs and eval.labels in the config")
     eval_x = _load_sample_file(cfg.eval_inputs, graph)
@@ -440,13 +442,53 @@ def _load_eval_set(cfg, graph):
     if len(raw) != eval_x.shape[0]:
         raise BadInputError(f"{len(raw)} labels in {cfg.eval_labels} for "
                             f"{eval_x.shape[0]} eval samples")
+    output_id = graph.output_id
+    shape = propagate_shapes(graph)[output_id]
+    if len(shape) != 2:
+        raise BadInputError(f"output layer {output_id} gives [N, "
+                            f"{', '.join(map(str, shape[1:]))}] scores; eval needs "
+                            f"[N, classes]")
+    classes = shape[1]
+    bad = next((i for i, v in enumerate(raw) if not 0 <= v < classes), None)
+    if bad is not None:
+        raise BadInputError(f"label {bad} in {cfg.eval_labels} is {raw[bad]}, outside "
+                            f"[0, {classes}) for the {classes} classes of output layer "
+                            f"{output_id}")
     return eval_x, np.array(raw, dtype=np.int64)
 
 
-def _eval_walks(graph, eval_x):
-    """The float and the quantized walk of `eval_x`, zipped so that they run
-    in lockstep, one layer each in turn; only the live activations and the
-    network outputs stay in memory.
+def _eval_chunks(graph, eval_x):
+    """(start, chunk) over `eval_x` in the chunks that eval walks depth-first.
+
+    A chunk holds as many samples as the smallest forward block
+    (tensor.block_samples) of any conv or linear layer, so each layer runs
+    a chunk in one block and only a few blocks' activations are live at
+    once. Each chunk starts at a multiple of 8 samples of the whole set, so
+    every float dgemm block does too.
+    """
+    shapes = propagate_shapes(graph)
+    step = min((block_samples(layer.weights_per_channel * math.prod(shapes[layer.id][2:]))
+                for layer in graph.conv_like()), default=len(eval_x))
+    for i in range(0, len(eval_x), step):
+        yield i, eval_x[i:i + step]
+
+
+def _walk(graph, conv_op):
+    """walk(x): the executor over the graph's layers on the batch `x`."""
+    input_id = graph.input_id
+    return lambda x: execute(graph.layers, {input_id: x}, conv_op)
+
+
+def _top1_hits(scores, labels):
+    return int(np.count_nonzero(np.argmax(scores, axis=1) == labels))
+
+
+def _eval_walks(graph):
+    """walks(x): the float and the quantized walk of the batch `x`, zipped so
+    that they run in lockstep, one layer each in turn; only the live
+    activations and the network outputs stay in memory. Both conv ops are
+    made here, once, so each quantized layer's weight codes are made once
+    for every batch that `walks` runs.
 
     A layer that the quantized walk runs in float on the very array that the
     float walk has just handed it (an unquantized first conv, on the eval
@@ -464,10 +506,9 @@ def _eval_walks(graph, eval_x):
         seen, out = last.pop(layer.id, (None, None))
         return out if seen is x else float_conv(layer, x)
 
-    feeds = {graph.input_id: eval_x}
-    return zip(execute(graph.layers, feeds, float_op),
-               execute(graph.layers, feeds,
-                       quantized_conv(graph.scales, quantized_walk_float_op)))
+    float_walk = _walk(graph, float_op)
+    quant_walk = _walk(graph, quantized_conv(graph.scales, quantized_walk_float_op))
+    return lambda x: zip(float_walk(x), quant_walk(x))
 
 
 def cmd_eval(cfg):
@@ -476,21 +517,21 @@ def cmd_eval(cfg):
     if not graph.scales:
         samples = _load_samples(cfg, graph)
         graph.scales = calibrate_network(graph, samples, cfg.granularity, cfg.calib).scales
-    # Both walks run one chunk of samples at a time; each layer's distance
-    # and the top-1 hits add up over the chunks, as over the whole set.
+    # Both walks run one chunk of samples at a time through the whole
+    # network; each layer's distance and the top-1 hits add up over the
+    # chunks, as over the whole set.
     n = eval_x.shape[0]
-    sizes = {lid: int(np.prod(shape[1:])) for lid, shape in propagate_shapes(graph).items()}
-    step = 8 * max(1, _EVAL_CHUNK_BYTES // (8 * 4 * max(sizes.values())))
-    distances = {lid: StreamingDistance(n * size, cfg.calib.metric)
-                 for lid, size in sizes.items()}
+    distances = {lid: StreamingDistance(n * math.prod(shape[1:]), cfg.calib.metric)
+                 for lid, shape in propagate_shapes(graph).items()}
+    walks, output_id = _eval_walks(graph), graph.output_id
     float_hits = quant_hits = 0
-    for i in range(0, n, step):
-        for (layer, float_out), (_, quant_out) in _eval_walks(graph, eval_x[i:i + step]):
+    for i, x in _eval_chunks(graph, eval_x):
+        chunk_labels = labels[i:i + len(x)]
+        for (layer, float_out), (_, quant_out) in walks(x):
             distances[layer.id].add(quant_out, float_out)
-            if layer.id == graph.output_id:
-                chunk_labels = labels[i:i + step]
-                float_hits += int(np.count_nonzero(np.argmax(float_out, axis=1) == chunk_labels))
-                quant_hits += int(np.count_nonzero(np.argmax(quant_out, axis=1) == chunk_labels))
+            if layer.id == output_id:
+                float_hits += _top1_hits(float_out, chunk_labels)
+                quant_hits += _top1_hits(quant_out, chunk_labels)
     rows = [["layer", "kind", "quantized", "distance"]]
     rows += [[layer.id, layer.kind, int(layer.id in graph.scales),
               repr(distances[layer.id].value())] for layer in graph.layers]
@@ -500,7 +541,7 @@ def cmd_eval(cfg):
         "eval_samples": n,
         "float_top1": float_top1,
         "quantized_top1": quant_top1,
-        "network_distance": distances[graph.output_id].value(),
+        "network_distance": distances[output_id].value(),
         "seed": cfg.seed,
     })
     print(f"top-1 float {float_top1:.4f} vs quantized {quant_top1:.4f} on "

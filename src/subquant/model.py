@@ -9,6 +9,7 @@ u32 per-sample dims, then the float32 samples.
 import csv
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,8 +22,9 @@ from .quant import (
     ScaleSet,
     check_bits,
     check_exact_accumulation,
+    check_layer_scales,
     make_partition,
-    quantized_forward_layer,
+    quantized_layer,
 )
 from .tensor import (ACTIVATIONS, apply_activation, conv_output_hw, conv_reference, im2col,
                      in_sample_blocks)
@@ -613,7 +615,7 @@ def lower_layer_input(layer, x):
 
 def _sample_columns(layer, x_shape):
     """Columns of the lowered [J, P] matrix per sample of an input of shape `x_shape`."""
-    return int(np.prod(_output_meta(layer, x_shape)[1:]))
+    return math.prod(_output_meta(layer, x_shape)[1:])
 
 
 def raise_layer_output(layer, out, x_shape):
@@ -714,16 +716,34 @@ def float_conv(layer, x):
 def quantized_conv(scales, float_op=float_conv):
     """conv_op running every quantized layer with an entry in `scales` through
     the grouped integer path, which quantizes the activation before lowering
-    it; all other layers run through the float conv_op `float_op`."""
+    it; all other layers run through the float conv_op `float_op`.
+
+    A quantized layer's scales are checked and its weight codes made on its
+    first call (quant.quantized_layer), and every later batch reuses them,
+    so one conv_op serves one graph whose weights and scales do not change.
+    """
+    prepared = {}
+
     def conv_op(layer, x):
-        info = scales.get(layer.id) if layer.quantize else None
-        if info is None:
-            return float_op(layer, x)
-        return quantized_forward_layer(
-            layer.weight_matrix(), x, info.partition(layer), info.scales, layer.bias,
-            layer.activation, layer.slope, lower=lambda q: lower_layer_input(layer, q),
-            sample_columns=_sample_columns(layer, x.shape))
+        run = prepared.get(layer.id)
+        if run is None:
+            info = scales.get(layer.id) if layer.quantize else None
+            if info is None:
+                return float_op(layer, x)
+            run = prepared[layer.id] = _quantized_layer(layer, info, x)
+        return run(x, _sample_columns(layer, x.shape))
     return conv_op
+
+
+def _quantized_layer(layer, info, x):
+    """quant.quantized_layer of a quantized layer, checked on the batch `x`."""
+    weights, partition = layer.weight_matrix(), info.partition(layer)
+
+    def lower(q):
+        return lower_layer_input(layer, q)
+    check_layer_scales(weights, lower(x[:0]), partition, info.scales)  # an empty [J, 0]
+    return quantized_layer(weights, partition, info.scales, layer.bias, layer.activation,
+                           layer.slope, lower=lower)
 
 
 def forward_float(graph, x):

@@ -276,18 +276,37 @@ def quantized_forward_layer(weights, x, partition, scales, bias=None,
     with +0.0, whose code is +0.0, so the codes are the same bit for bit
     while a K*K conv quantizes each input element once instead of K*K times.
 
-    The weight codes are made once and the activation runs in sample blocks
-    (in_sample_blocks). Any blocking gives the whole-matrix output bit for
-    bit: the integer matmuls are exact and every later float64 op (rescale,
-    ascending-h sum, bias, activation) is per column.
+    The shapes and scales are checked, and the layer then runs as
+    quantized_layer(...)(x, sample_columns).
     """
     weights = np.asarray(weights)
     x = np.asarray(x)
     check_layer_scales(weights, lower(x[:0]), partition, scales)  # an empty [J, 0]
+    return quantized_layer(weights, partition, scales, bias, activation, slope,
+                           lower=lower)(x, sample_columns)
+
+
+def quantized_layer(weights, partition, scales, bias=None, activation="identity",
+                    slope=0.01, *, lower):
+    """The grouped integer conv of quantized_forward_layer as a function
+    run(x, sample_columns) of the incoming activation, for a layer that runs
+    many batches: its weight codes are made once, here. The caller has
+    checked the scales against the weights and the lowered rows
+    (check_layer_scales).
+
+    Each batch runs in sample blocks (in_sample_blocks). Any blocking gives
+    the whole-matrix output bit for bit: the integer matmuls are exact and
+    every later float64 op (rescale, ascending-h sum, bias, activation) is
+    per column.
+    """
     codes = quantize_weight_groups(weights, partition, scales.weight_scales,
                                    scales.weight_bits)
+    sample_size = np.shape(weights)[1]
 
     def conv(block):
         q_cols = lower(quantize_values(block, scales.input_scale, scales.act_bits))
         return grouped_forward(codes, q_cols, partition, scales, bias, activation, slope)
-    return in_sample_blocks(conv, x, weights.shape[1] * sample_columns)
+
+    def run(x, sample_columns):
+        return in_sample_blocks(conv, x, sample_size * sample_columns)
+    return run

@@ -71,15 +71,22 @@ def im2col(x, kernel, stride=1, padding=0):
     return out
 
 
+def block_samples(sample_size):
+    """Samples per block of a layer one of whose samples lowers to
+    `sample_size` elements (J times its columns): a multiple of 8, at least
+    8, whose lowered float64 matrix takes about _FORWARD_BLOCK_BYTES."""
+    group_bytes = 8 * sample_size * 8  # 8 samples of float64 elements
+    return 8 * max(1, _FORWARD_BLOCK_BYTES // group_bytes)
+
+
 def in_sample_blocks(conv, x, sample_size):
     """conv(x), run on blocks of the samples of `x` into one [OC, P] float32
     output. `conv` maps a batch to its [OC, p] output; one sample lowers to
-    `sample_size` elements (J times its columns). A block holds a multiple
-    of 8 samples, at least 8, that lower to about _FORWARD_BLOCK_BYTES, and
-    the last block the rest, so every block's columns start at a multiple of 8.
+    `sample_size` elements. Each block holds block_samples(sample_size)
+    samples and the last block the rest, so every block's columns start at
+    a multiple of 8 samples.
     """
-    group_bytes = 8 * sample_size * 8  # 8 samples of float64 elements
-    step = 8 * max(1, _FORWARD_BLOCK_BYTES // group_bytes)
+    step = block_samples(sample_size)
     if len(x) <= step:
         return conv(x)
     first = conv(x[:step])

@@ -89,6 +89,50 @@ def test_checkout_without_git_rejected_before_any_run(bench_pairs, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit,named", [
+    (lambda root: (root / "BENCHMARK.json").write_text("{}"), "BENCHMARK.json"),
+    (lambda root: (root / "perfbench" / "run.py").write_text("# edited\n"), "perfbench/run.py"),
+    (lambda root: (root / "perfbench" / "extra.py").write_text(""), "perfbench/extra.py"),
+    (lambda root: (root / "perfbench" / "workloads.py").unlink(), "perfbench/workloads.py"),
+])
+def test_differing_benchmark_code_rejected_before_any_run(bench_pairs, monkeypatch, tmp_path,
+                                                          capsys, edit, named):
+    """Pairs compare only runs of the same benchmark code: a BENCHMARK.json or
+    perfbench/ file that differs between the checkouts, or is missing from
+    one, is a usage error naming the first such file, raised before any
+    perfbench run. Bytecode caches are not benchmark code."""
+    def run_once(*args):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "revision", lambda path: {"commit": path.name})
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        (root / "perfbench" / "__pycache__").mkdir(parents=True)
+        (root / "BENCHMARK.json").write_text('{"workloads": []}')
+        for name in ("run.py", "workloads.py"):
+            (root / "perfbench" / name).write_text(f"# {name}\n")
+        (root / "perfbench" / "__pycache__" / "run.pyc").write_text(side)
+    edit(tmp_path / "change")
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                          str(tmp_path / "change"), "--workload", "eval-large",
+                          "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"benchmark code differs, first in {named}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_matching_benchmark_code_ignores_bytecode_caches(bench_pairs, tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench" / "__pycache__").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("# run\n")
+        (tmp_path / side / "perfbench" / "__pycache__" / "run.pyc").write_text(side)
+    assert bench_pairs.first_benchmark_difference(tmp_path / "parent",
+                                                  tmp_path / "change") is None
+
+
 def fake_pairs(name, parent, change):
     return [{"parent": {name: p, "correct": True}, "change": {name: c, "correct": True}}
             for p, c in zip(parent, change)]

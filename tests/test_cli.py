@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import write_config
-from subquant import cli, model
+from subquant import cli, model, quant, tensor
 from subquant.cli import main, parallel_map
 from subquant.errors import BadInputError
 from subquant.fixtures import build_resnet20_style, build_small_cnn, random_inputs
@@ -810,6 +810,38 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "small.ptqc" in err and "[3, 7, 7]" in err
 
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_output_without_class_scores_exits_2(self, fixture_dir, tmp_path, command,
+                                                 capsys, monkeypatch):
+        """toy_segment's output is a [N, 4, 6, 6] feature map, not [N, classes]
+        scores, so no label can be scored against it: eval and sweep name the
+        output layer and its shape before any calibration."""
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibration ran before the eval set check")
+        monkeypatch.setattr("subquant.cli.calibrate_network", no_calibration)
+        calib = fixture_dir / "toy_segment_calib.ptqc"
+        assert self.run(command, tmp_path, fixture_dir / "toy_segment", calib,
+                        eval_inputs=calib) == 2
+        assert ("output layer output gives [N, 4, 6, 6] scores; eval needs [N, classes]"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize("labels,index,value", [
+        ([0, 1, 2, 12, 0, -3, 0, 0], 3, 12), ([0, -3, 9, 12, 0, 0, 0, 0], 1, -3)])
+    def test_label_outside_the_classes_exits_2(self, fixture_dir, tmp_path, command, capsys,
+                                               monkeypatch, labels, index, value):
+        """small_cnn scores 10 classes, so a label outside [0, 10) names none
+        of them: the first such label is named by index and value."""
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibration ran before the labels check")
+        monkeypatch.setattr("subquant.cli.calibrate_network", no_calibration)
+        assert self.run(command, tmp_path, fixture_dir / "small_cnn",
+                        fixture_dir / "small_cnn_calib.ptqc",
+                        eval_inputs=fixture_dir / "small_cnn_eval.ptqc",
+                        labels=json.dumps(labels)) == 2
+        assert (f"label {index} in {tmp_path / 'labels.json'} is {value}, outside [0, 10) "
+                f"for the 10 classes of output layer output" in capsys.readouterr().err)
+
     def test_segment_that_is_not_a_conv_chain_exits_2(self, fixture_dir, tmp_path, capsys,
                                                       monkeypatch):
         def edit(manifest):
@@ -1217,9 +1249,11 @@ class TestDeterminism:
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_eval_reports_identical_in_sample_chunks(self, fixture_dir, tmp_path,
                                                      monkeypatch, metric):
-        """eval walks 1096 samples in chunks of 512 by default, the last one
-        72; in chunks of 8 samples, and in one chunk of all 1096, it writes
-        the same bytes."""
+        """eval walks 1096 samples in chunks of 32 by default, small_cnn's
+        smallest forward block (conv3's and conv4's), the last one 8; with
+        the forward block bytes set so that every block, and so every
+        chunk, holds 8 samples, and so that one chunk holds all 1096, it
+        writes the same bytes."""
         save_calibration_set(tmp_path / "eval.ptqc",
                              random_inputs(build_small_cnn(), 1096, 5))
         labels = np.random.default_rng(3).integers(0, 10, 1096).tolist()
@@ -1230,17 +1264,21 @@ class TestDeterminism:
             "eval": {"inputs": str(tmp_path / "eval.ptqc"),
                      "labels": str(tmp_path / "labels.json")}})
         chunks = []
-        walks = cli._eval_walks
+        eval_walks = cli._eval_walks
 
-        def spy(graph, eval_x):
-            chunks.append(len(eval_x))
-            return walks(graph, eval_x)
+        def spy(graph):
+            walks = eval_walks(graph)
+
+            def counted(x):
+                chunks.append(len(x))
+                return walks(x)
+            return counted
         monkeypatch.setattr(cli, "_eval_walks", spy)
         reports = []
-        for chunk_bytes, expect in ((cli._EVAL_CHUNK_BYTES, [512, 512, 72]), (1, [8] * 137),
-                                    (1 << 40, [1096])):
-            monkeypatch.setattr(cli, "_EVAL_CHUNK_BYTES", chunk_bytes)
-            out = tmp_path / str(chunk_bytes)
+        for block_bytes, expect in ((tensor._FORWARD_BLOCK_BYTES, [32] * 34 + [8]),
+                                    (1, [8] * 137), (1 << 40, [1096])):
+            monkeypatch.setattr(tensor, "_FORWARD_BLOCK_BYTES", block_bytes)
+            out = tmp_path / str(block_bytes)
             chunks.clear()
             assert main(["eval", "--config", str(config), "--out", str(out)]) == 0
             assert chunks == expect
@@ -1270,8 +1308,8 @@ class TestDeterminism:
 
 def test_eval_peak_memory_grows_only_with_the_input(fixture_dir, tmp_path):
     """Under tracemalloc, eval of a quantized small_cnn bundle on 4096
-    samples (eight chunks of 512) peaks at most the 2.6 MB of extra input
-    and 1 MB above eval on 512 samples (one chunk); the 1 MB covers the
+    samples (128 chunks of 32) peaks at most the 2.6 MB of extra input
+    and 1 MB above eval on 512 samples (16 chunks); the 1 MB covers the
     labels and the terms each streamed distance holds back, up to 64 KB per
     layer. Before eval ran in chunks, every layer's whole-set outputs made
     its peak grow by about 20 kB per sample."""
@@ -1294,3 +1332,97 @@ def test_eval_peak_memory_grows_only_with_the_input(fixture_dir, tmp_path):
             tracemalloc.stop()
         input_bytes[samples] = inputs.nbytes
     assert peaks[4096] - peaks[512] <= input_bytes[4096] - input_bytes[512] + 2 ** 20
+
+
+def quantized_eval_run(bundle, tmp_path, samples):
+    """A run config that evaluates `bundle` on `samples` random small_cnn
+    inputs, labelled 0, and the inputs' bytes."""
+    inputs = random_inputs(build_small_cnn(), samples, 1)
+    save_calibration_set(tmp_path / "eval.ptqc", inputs)
+    (tmp_path / "labels.json").write_text(json.dumps([0] * samples))
+    config = write_config(tmp_path / "eval.json", model=str(bundle), calib=quick_calib(),
+                          eval={"inputs": str(tmp_path / "eval.ptqc"),
+                                "labels": str(tmp_path / "labels.json")},
+                          out=str(tmp_path / "e"))
+    return config, inputs.nbytes
+
+
+def test_eval_runs_each_chunk_through_every_layer_in_one_block(quantized_small_cnn,
+                                                                tmp_path, monkeypatch):
+    """eval walks 1040 samples depth-first in chunks of 32, the last one 16:
+    each conv and linear layer lowers every chunk once in each walk, and
+    conv1, which runs in float on the same samples in both walks, once for
+    both. Chunks of 512 samples ran conv2 in blocks of 56."""
+    config, _ = quantized_eval_run(quantized_small_cnn, tmp_path, 1040)
+    lowered = []
+    lower = model.lower_layer_input
+
+    def spy(layer, x):
+        if len(x):  # not the empty batch that checks a quantized layer's rows
+            lowered.append((layer.id, len(x)))
+        return lower(layer, x)
+    monkeypatch.setattr(model, "lower_layer_input", spy)
+    assert main(["eval", "--config", str(config)]) == 0
+    per_chunk = ["conv1"] + [lid for lid in ("conv2", "conv3", "conv4", "conv5", "fc")
+                             for _walk in ("float", "quantized")]
+    assert lowered == [(lid, size) for size in [32] * 32 + [16] for lid in per_chunk]
+
+
+def test_eval_makes_each_layers_weight_codes_once(quantized_small_cnn, tmp_path,
+                                                  monkeypatch):
+    """eval quantizes each quantized layer's weights once for all of its 33
+    chunks, in layer order."""
+    config, _ = quantized_eval_run(quantized_small_cnn, tmp_path, 1040)
+    made = []
+    quantize_weight_groups = quant.quantize_weight_groups
+
+    def spy(weights, *args):
+        made.append(np.shape(weights))
+        return quantize_weight_groups(weights, *args)
+    monkeypatch.setattr(quant, "quantize_weight_groups", spy)
+    assert main(["eval", "--config", str(config)]) == 0
+    assert made == [(12, 72), (12, 108), (12, 108), (16, 108)]  # conv2 to conv5
+
+
+def test_eval_peaks_within_two_forward_blocks_of_its_input(quantized_small_cnn, tmp_path):
+    """Under tracemalloc, eval on 2048 samples peaks at most two forward
+    blocks (4 MB) above the 1.5 MB eval set: a chunk's activations in both
+    walks, each layer's lowered block and the bundle. Chunks of 512 samples
+    peaked about 12 MB above it."""
+    config, input_bytes = quantized_eval_run(quantized_small_cnn, tmp_path, 2048)
+    tracemalloc.start()
+    try:
+        assert main(["eval", "--config", str(config)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= input_bytes + 2 * tensor._FORWARD_BLOCK_BYTES
+
+
+def test_sweep_accuracy_peak_memory_grows_only_with_the_input(fixture_dir, tmp_path):
+    """Under tracemalloc, a one-cell sweep of small_cnn with 4096 eval samples
+    peaks at most 9/4 of the 2.6 MB of extra input and 1 MB above the same
+    sweep with 512: its accuracy pass runs the quantized walk in eval's
+    chunks. The 9/4 is the loader's peak, which holds the file's bytes, the
+    samples and their finite mask at once. On the whole eval set at once,
+    every layer's outputs made the peak grow by about 20 kB per sample."""
+    peaks, input_bytes = {}, {}
+    for samples in (512, 4096):
+        inputs = random_inputs(build_small_cnn(), samples, 1)
+        save_calibration_set(tmp_path / f"eval{samples}.ptqc", inputs)
+        (tmp_path / f"labels{samples}.json").write_text(json.dumps([0] * samples))
+        config = write_config(
+            tmp_path / f"sweep{samples}.json", model=str(fixture_dir / "small_cnn"),
+            calibration=str(fixture_dir / "small_cnn_calib.ptqc"), calib=quick_calib(),
+            sweep={"rows": [1], "h_groups": [2]}, out=str(tmp_path / "s"),
+            eval={"inputs": str(tmp_path / f"eval{samples}.ptqc"),
+                  "labels": str(tmp_path / f"labels{samples}.json")})
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--config", str(config)]) == 0
+            peaks[samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read_csv(tmp_path / "s" / "sweep_accuracy.csv")[1][1] != "FAILED"
+        input_bytes[samples] = inputs.nbytes
+    assert peaks[4096] - peaks[512] <= 9 * (input_bytes[4096] - input_bytes[512]) // 4 + 2 ** 20

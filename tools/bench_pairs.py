@@ -20,6 +20,11 @@ is worse than the parent's by more than the metric's relative `bound`;
 bound, so the pairs cannot show the metric unchanged, and that not every run
 of the change is better than every run of the parent.
 
+Pairs compare only runs of the same benchmark code, so the two checkouts'
+`BENCHMARK.json` and `perfbench/` files (bytecode caches aside) must match
+byte for byte; the first file that differs is named in a usage error (exit
+status 2) before any run, as is a directory that is not a git checkout.
+
 After each seed's pairs, stderr gets one line per metric with both medians,
 the ratio, the wins and the verdicts that hold (`unchanged` if none does).
 The file is written in any case; the exit status is 1 if any run reported an
@@ -56,6 +61,22 @@ def run_once(checkout, workload, seed, seconds):
     machine = next(json.loads(line.split("machine ", 1)[1]) for line in lines
                    if line.strip().startswith("machine "))
     return metrics, machine
+
+
+def benchmark_files(checkout):
+    """{path relative to `checkout`: bytes} of its BENCHMARK.json and of every
+    file under its perfbench/, bytecode caches aside."""
+    paths = [checkout / "BENCHMARK.json", *(checkout / "perfbench").rglob("*")]
+    return {path.relative_to(checkout).as_posix(): path.read_bytes() for path in paths
+            if path.is_file() and "__pycache__" not in path.parts}
+
+
+def first_benchmark_difference(parent, change):
+    """The first path, in sorted order, whose benchmark file is missing from one
+    checkout or differs between them; None when all of them match."""
+    ours, theirs = benchmark_files(parent), benchmark_files(change)
+    return next((path for path in sorted(ours.keys() | theirs.keys())
+                 if ours.get(path) != theirs.get(path)), None)
 
 
 def revision(checkout):
@@ -139,6 +160,10 @@ def main(argv=None):
         revisions = {side: revision(path) for side, path in sides.items()}
     except (OSError, subprocess.CalledProcessError):
         parser.error("--parent and --change must be git checkouts, to record their revisions")
+    differs = first_benchmark_difference(sides["parent"], sides["change"])
+    if differs is not None:
+        parser.error(f"the checkouts' benchmark code differs, first in {differs}: pairs "
+                     f"compare only runs of identical BENCHMARK.json and perfbench/ files")
     seeds, machine = {}, None
     for seed in args.seeds:
         pairs = []
