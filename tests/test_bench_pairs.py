@@ -94,7 +94,7 @@ def test_checkout_without_git_rejected_before_any_run(bench_pairs, monkeypatch, 
     (lambda root: (root / "perfbench" / "run.py").write_text("# edited\n"), "perfbench/run.py"),
     (lambda root: (root / "perfbench" / "extra.py").write_text(""), "perfbench/extra.py"),
     (lambda root: (root / "perfbench" / "workloads.py").unlink(), "perfbench/workloads.py"),
-])
+], ids=["edited-benchmark-json", "edited-file", "extra-file", "missing-file"])
 def test_differing_benchmark_code_rejected_before_any_run(bench_pairs, monkeypatch, tmp_path,
                                                           capsys, edit, named):
     """Pairs compare only runs of the same benchmark code: a BENCHMARK.json or
