@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .calib import CalibConfig, calibrate_layer, calibrate_network, distance
 from .errors import BadInputError, SubquantError
-from .model import ModelGraph, forward_float, forward_quantized, load_bundle, save_bundle
+from .model import ModelGraph, forward_float, load_bundle, save_bundle
 from .quant import GranularityConfig, ScaleSet, make_partition
 from .reorder import ReorderConfig, ea_search
 
@@ -21,7 +21,6 @@ __all__ = [
     "distance",
     "ea_search",
     "forward_float",
-    "forward_quantized",
     "load_bundle",
     "make_partition",
     "save_bundle",

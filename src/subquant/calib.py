@@ -343,7 +343,7 @@ def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales
     candidates = np.unique(np.append(candidates, center))
     if weight_scales is not None:
         scales = ScaleSet(weight_scales, center, cfg.weight_bits, cfg.act_bits)
-        check_layer_scales(weights, cols, partition, scales)
+        check_layer_scales(partition, scales)
         codes = quantize_weight_groups(weights, partition, scales.weight_scales,
                                        cfg.weight_bits)
     lowered = np.empty(cols.shape)  # each candidate's lowered input, in turn

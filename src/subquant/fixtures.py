@@ -6,12 +6,14 @@ builders carry conv geometry only and exist for the overhead reports. Run
 `python -m subquant.fixtures OUTDIR` to materialize everything on disk.
 """
 
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .model import BatchNormParams, Layer, ModelGraph, Segment, save_bundle, save_calibration_set
+from .model import (BatchNormParams, Layer, ModelGraph, Segment, save_bundle, save_calibration_set,
+                    write_atomic)
 
 
 def _conv(rng, lid, ic, oc, k, stride, padding, pred, quantize=True):
@@ -269,7 +271,6 @@ def write_all(out_dir, calib_count=64, eval_count=32, seed=0):
     """Materialize the demo bundles, calibration sets, and shape manifests."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    import json
 
     small = build_small_cnn()
     save_bundle(small, out / "small_cnn")
@@ -279,7 +280,7 @@ def write_all(out_dir, calib_count=64, eval_count=32, seed=0):
                          random_inputs(small, eval_count, seed + 1))
     rng = np.random.default_rng(seed + 2)
     labels = rng.integers(0, 10, eval_count).tolist()
-    (out / "small_cnn_eval_labels.json").write_text(json.dumps(labels) + "\n")
+    write_atomic(out / "small_cnn_eval_labels.json", json.dumps(labels) + "\n")
 
     resnet = build_resnet20_style()
     save_bundle(resnet, out / "resnet20_style")

@@ -12,6 +12,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ from .quant import (
     GranularityConfig,
     ScaleSet,
     check_bits,
-    check_exact_accumulation,
     check_layer_scales,
     make_partition,
     quantized_layer,
@@ -447,24 +447,11 @@ def _load_scale_entry(lid, entry, layer):
         cols = require_int("cols_per_group", entry["cols_per_group"], 1)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadInputError(f"layer {lid}: malformed scale entry ({exc!r})") from exc
-    for what, value in bits.items():
-        try:
-            check_bits(f"layer {lid}: {what}", value)
-        except ValueError as exc:
-            raise BadInputError(str(exc)) from exc
-    if not (np.all(weight_scales > 0) and np.all(np.isfinite(weight_scales))
-            and 0 < input_scale < np.inf):
-        raise BadInputError(f"layer {lid}: scales must be finite and strictly positive")
-    info = QuantizedLayerInfo(ScaleSet(weight_scales, input_scale, **bits), rows, cols)
-    partition = info.partition(layer)
-    if weight_scales.shape != (partition.v_groups, partition.h_groups):
-        raise BadInputError(
-            f"layer {lid}: scale grid {weight_scales.shape} does not match the "
-            f"{partition.v_groups}x{partition.h_groups} partition of its "
-            f"{layer.out_channels}x{layer.weights_per_channel} weights into "
-            f"{rows}x{cols} groups")
     try:
-        check_exact_accumulation(partition, bits["weight_bits"], bits["act_bits"])
+        for what, value in bits.items():
+            check_bits(what, value)
+        info = QuantizedLayerInfo(ScaleSet(weight_scales, input_scale, **bits), rows, cols)
+        check_layer_scales(info.partition(layer), info.scales)
     except ValueError as exc:
         raise BadInputError(f"layer {lid}: {exc}") from exc
     return info
@@ -480,27 +467,30 @@ def save_calibration_set(path, samples):
 
 
 def load_calibration_set(path):
+    """The samples [N, dims...] of a PTQC file, read straight from the file
+    into their one array."""
     path = Path(path)
     if not path.is_file():
         raise BadInputError(f"calibration set not found: {path}")
-    data = path.read_bytes()
-    if data[:4] != CALIB_MAGIC:
-        raise BadInputError(f"{path} is not a calibration set (bad magic)")
-    if len(data) < 12 or len(data) < 12 + 4 * struct.unpack_from("<I", data, 8)[0]:
-        raise BadInputError(f"{path}: truncated header ({len(data)} bytes)")
-    count, rank = struct.unpack_from("<II", data, 4)
-    if count == 0:
-        raise BadInputError(f"{path} holds no samples")
-    dims = struct.unpack_from(f"<{rank}I", data, 12)
+    size = path.stat().st_size
+    with path.open("rb") as f:
+        head = f.read(12)
+        if head[:4] != CALIB_MAGIC:
+            raise BadInputError(f"{path} is not a calibration set (bad magic)")
+        if size < 12 or size < 12 + 4 * struct.unpack_from("<I", head, 8)[0]:
+            raise BadInputError(f"{path}: truncated header ({size} bytes)")
+        count, rank = struct.unpack_from("<II", head, 4)
+        if count == 0:
+            raise BadInputError(f"{path} holds no samples")
+        dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
     header = 12 + 4 * rank
     expect = count
     for dim in dims:
         expect *= dim
-    if len(data) - header != 4 * expect:
-        raise BadInputError(f"{path}: payload holds {len(data) - header} bytes, header "
+    if size - header != 4 * expect:
+        raise BadInputError(f"{path}: payload holds {size - header} bytes, header "
                             f"declares {expect} floats ({4 * expect} bytes)")
-    # one copy of the payload, read in place from the file's bytes
-    arr = np.frombuffer(data, dtype="<f4", offset=header).reshape((count, *dims)).copy()
+    arr = np.fromfile(path, dtype="<f4", count=expect, offset=header).reshape((count, *dims))
     _require_finite(arr, f"calibration set {path}")
     return arr
 
@@ -730,37 +720,17 @@ def quantized_conv(scales, float_op=float_conv):
             info = scales.get(layer.id) if layer.quantize else None
             if info is None:
                 return float_op(layer, x)
-            run = prepared[layer.id] = _quantized_layer(layer, info, x)
+            run = prepared[layer.id] = quantized_layer(
+                layer.weight_matrix(), info.partition(layer), info.scales, layer.bias,
+                layer.activation, layer.slope, lower=partial(lower_layer_input, layer))
         return run(x, _sample_columns(layer, x.shape))
     return conv_op
-
-
-def _quantized_layer(layer, info, x):
-    """quant.quantized_layer of a quantized layer, checked on the batch `x`."""
-    weights, partition = layer.weight_matrix(), info.partition(layer)
-
-    def lower(q):
-        return lower_layer_input(layer, q)
-    check_layer_scales(weights, lower(x[:0]), partition, info.scales)  # an empty [J, 0]
-    return quantized_layer(weights, partition, info.scales, layer.bias, layer.activation,
-                           layer.slope, lower=lower)
 
 
 def forward_float(graph, x):
     """Run the float network; returns every layer's output keyed by id."""
     return {layer.id: out
             for layer, out in execute(graph.layers, {graph.input_id: x}, float_conv)}
-
-
-def forward_quantized(graph, x, scales=None):
-    """Run the network with quantized conv/linear layers.
-
-    Layers present in `scales` (default: the graph's own scale table) run the
-    grouped integer path; everything else runs in float.
-    """
-    conv_op = quantized_conv(graph.scales if scales is None else scales)
-    return {layer.id: out
-            for layer, out in execute(graph.layers, {graph.input_id: x}, conv_op)}
 
 
 def propagate_shapes(graph, batch=1):

@@ -172,8 +172,9 @@ class ScaleSet:
 
     def __post_init__(self):
         self.weight_scales = np.asarray(self.weight_scales, dtype=np.float64)
-        if np.any(self.weight_scales <= 0) or not self.input_scale > 0:
-            raise ValueError("all scales must be strictly positive")
+        if not (np.all(self.weight_scales > 0) and np.all(np.isfinite(self.weight_scales))
+                and 0 < self.input_scale < np.inf):
+            raise ValueError("all scales must be finite and strictly positive")
 
 
 def check_exact_accumulation(partition, weight_bits, act_bits):
@@ -186,18 +187,16 @@ def check_exact_accumulation(partition, weight_bits, act_bits):
         )
 
 
-def check_layer_scales(weights, cols, partition, scales):
-    """Reject shapes, scale grids and bit widths the grouped forward cannot
-    run exactly; positivity is checked by ScaleSet itself."""
-    oc, j = weights.shape
-    if oc != partition.out_channels or j != partition.weights_per_channel:
-        raise ValueError(f"weights {weights.shape} do not match partition "
-                         f"{partition.out_channels}x{partition.weights_per_channel}")
-    if cols.shape[0] != j:
-        raise ValueError(f"input rows {cols.shape[0]} != weights per channel {j}")
+def check_layer_scales(partition, scales):
+    """Reject a scale grid that does not tile `partition`, and bit widths whose
+    integer accumulation would be inexact; positivity and finiteness are
+    checked by ScaleSet itself."""
     if scales.weight_scales.shape != (partition.v_groups, partition.h_groups):
-        raise ValueError(f"scale grid {scales.weight_scales.shape} does not match "
-                         f"partition {partition.v_groups}x{partition.h_groups}")
+        raise ValueError(
+            f"scale grid {scales.weight_scales.shape} does not match the "
+            f"{partition.v_groups}x{partition.h_groups} partition of its "
+            f"{partition.out_channels}x{partition.weights_per_channel} weights into "
+            f"{partition.rows_per_group}x{partition.cols_per_group} groups")
     check_exact_accumulation(partition, scales.weight_bits, scales.act_bits)
 
 
@@ -214,6 +213,9 @@ def quantize_weight_groups(weights, partition, weight_scales, weight_bits):
     scale weight_scales[v, h].
     """
     weights = np.asarray(weights)
+    if weights.shape != (partition.out_channels, partition.weights_per_channel):
+        raise ValueError(f"weights {weights.shape} do not match partition "
+                         f"{partition.out_channels}x{partition.weights_per_channel}")
     return [quantize_values(weights[:, c0:c1],
                             _row_values(partition, weight_scales[:, h]), weight_bits)
             for h, (c0, c1) in enumerate(partition.col_ranges)]
@@ -227,6 +229,9 @@ def grouped_terms(codes, q_cols, partition, weight_scales, input_scale):
     #H rescales of a sub-layerwise layer. The matmul is exact while
     check_exact_accumulation holds.
     """
+    if q_cols.shape[0] != partition.weights_per_channel:
+        raise ValueError(f"input rows {q_cols.shape[0]} != weights per channel "
+                         f"{partition.weights_per_channel}")
     for h, (c0, c1) in enumerate(partition.col_ranges):
         term = codes[h] @ q_cols[c0:c1]
         term *= _row_values(partition, weight_scales[:, h] * input_scale)
@@ -262,43 +267,29 @@ def grouped_forward(codes, q_cols, partition, scales, bias=None,
                                           scales.input_scale)), bias, activation, slope)
 
 
-def quantized_forward_layer(weights, x, partition, scales, bias=None,
-                            activation="identity", slope=0.01, *, lower, sample_columns):
-    """Grouped integer conv: quantize every group (v, h) under its scale, run
-    one integer matmul per column group, rescale each row group by its group
-    scale times the input scale, and sum over h; bias and activation are
-    applied on the rescaled result.
-
-    `x` is the layer's incoming activation, a batch of samples that
-    lower(x) turns into the lowered [J, P] input, `sample_columns` columns
-    per sample. The activation is quantized before it is lowered:
-    quantization is elementwise and lowering only copies elements and pads
-    with +0.0, whose code is +0.0, so the codes are the same bit for bit
-    while a K*K conv quantizes each input element once instead of K*K times.
-
-    The shapes and scales are checked, and the layer then runs as
-    quantized_layer(...)(x, sample_columns).
-    """
-    weights = np.asarray(weights)
-    x = np.asarray(x)
-    check_layer_scales(weights, lower(x[:0]), partition, scales)  # an empty [J, 0]
-    return quantized_layer(weights, partition, scales, bias, activation, slope,
-                           lower=lower)(x, sample_columns)
-
-
 def quantized_layer(weights, partition, scales, bias=None, activation="identity",
                     slope=0.01, *, lower):
-    """The grouped integer conv of quantized_forward_layer as a function
-    run(x, sample_columns) of the incoming activation, for a layer that runs
-    many batches: its weight codes are made once, here. The caller has
-    checked the scales against the weights and the lowered rows
-    (check_layer_scales).
+    """The grouped integer conv of one layer as a function run(x,
+    sample_columns) of its incoming activation: quantize every group (v, h)
+    under its scale, run one integer matmul per column group, rescale each
+    row group by its group scale times the input scale, and sum over h; bias
+    and activation are applied on the rescaled result.
+
+    The scales are checked against the partition (check_layer_scales) and
+    the weight codes are made once, here, for every batch the layer runs.
+    `x` is a batch of samples that lower(x) turns into the lowered [J, P]
+    input, `sample_columns` columns per sample. The activation is quantized
+    before it is lowered: quantization is elementwise and lowering only
+    copies elements and pads with +0.0, whose code is +0.0, so the codes are
+    the same bit for bit while a K*K conv quantizes each input element once
+    instead of K*K times.
 
     Each batch runs in sample blocks (in_sample_blocks). Any blocking gives
     the whole-matrix output bit for bit: the integer matmuls are exact and
     every later float64 op (rescale, ascending-h sum, bias, activation) is
     per column.
     """
+    check_layer_scales(partition, scales)
     codes = quantize_weight_groups(weights, partition, scales.weight_scales,
                                    scales.weight_bits)
     sample_size = np.shape(weights)[1]

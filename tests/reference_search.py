@@ -19,7 +19,7 @@ from subquant.quant import (
     check_exact_accumulation,
     init_scale,
     quantize_values,
-    quantized_forward_layer,
+    quantized_layer,
 )
 from subquant.tensor import apply_activation, conv_output_hw, conv_reference
 
@@ -33,10 +33,10 @@ def dense_plan(cols):
 
 def dense_forward(weights, cols, partition, scales, bias=None, activation="identity",
                   slope=0.01):
-    """quantized_forward_layer of a dense [J, P] matrix, run as a batch of P
+    """quantized_layer of a dense [J, P] matrix, run as a batch of P
     one-column samples that np.transpose lowers back to the matrix."""
-    return quantized_forward_layer(weights, np.asarray(cols).T, partition, scales, bias,
-                                   activation, slope, lower=np.transpose, sample_columns=1)
+    return quantized_layer(weights, partition, scales, bias, activation, slope,
+                           lower=np.transpose)(np.asarray(cols).T, 1)
 
 
 def reference_quantize_values(x, scale, bits):

@@ -307,3 +307,15 @@ def test_searches_through_the_plan_match_the_dense_oracle(metric, build, layer_i
     assert np.array_equal(got[1], expect[1])
     assert got[2] == expect[2]
     assert got[4].tobytes() == expect[4].tobytes()
+
+
+def test_weight_search_rejects_a_plan_with_an_extra_row():
+    """A lowered input of J + 1 rows is an error, not J rows read and the
+    last ignored."""
+    rng = np.random.default_rng(0)
+    weights = rng.normal(size=(4, 6))
+    partition = make_partition(4, 6, GranularityConfig("method1", 2, 3))
+    cols = rng.normal(size=(7, 5))
+    with pytest.raises(ValueError, match="input rows 7"):
+        search_weight_scales(weights, dense_plan(cols), partition, 0.05,
+                             np.zeros((4, 5), np.float32), CalibConfig(grid_size=3))

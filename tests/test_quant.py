@@ -14,6 +14,8 @@ from subquant.quant import (
     init_scale,
     make_partition,
     quantize_values,
+    quantize_weight_groups,
+    quantized_layer,
     sum_terms,
 )
 from subquant.tensor import conv_reference
@@ -330,3 +332,31 @@ class TestQuantizedForward:
         part = make_partition(4, 4, GranularityConfig("method1", 2, 2))
         with pytest.raises(ValueError):
             dense_forward(w, x, part, ScaleSet(np.ones((1, 1)), 1.0))
+
+
+class TestScaleAndShapeChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_scale_grid_entry_that_is_not_finite_rejected(self, bad):
+        grid = np.full((12, 4), 0.05)
+        grid[3, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ScaleSet(grid, 0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_input_scale_that_is_not_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ScaleSet(np.full((12, 4), 0.05), bad)
+
+    def test_lowered_input_with_an_extra_row_rejected(self):
+        """A lowering that gives J + 1 rows is an error, not J rows read and
+        the last ignored."""
+        part = make_partition(4, 6, GranularityConfig("method1", 2, 3))
+        run = quantized_layer(np.ones((4, 6)), part, ScaleSet(np.ones((2, 2)), 1.0),
+                              lower=np.transpose)
+        with pytest.raises(ValueError, match="input rows 7"):
+            run(np.ones((5, 7)), 1)
+
+    def test_weights_with_an_extra_column_rejected(self):
+        part = make_partition(4, 6, GranularityConfig("method1", 2, 3))
+        with pytest.raises(ValueError, match="do not match partition 4x6"):
+            quantize_weight_groups(np.ones((4, 7)), part, np.ones((2, 2)), 4)
