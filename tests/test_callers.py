@@ -19,7 +19,7 @@ def _names_used(tree):
 
 def test_every_function_and_class_has_a_caller():
     """A definition counts as used when its name is read in code outside its
-    own body, in any module but __init__.py, whose exports are no use."""
+    own body, in any module but __init__.py: a re-export is not a use."""
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted(SOURCE.glob("*.py")) if path.name != "__init__.py"}
     used = sum((_names_used(tree) for tree in modules.values()), Counter())
