@@ -6,6 +6,7 @@ written atomically. Exit codes: 0 success, 1 internal error, 2 bad input.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from .calib import (
 )
 from .errors import BadInputError, SubquantError
 from .model import (
+    CalibrationSetReader,
     check_shapes,
     execute,
     float_conv,
@@ -171,20 +173,20 @@ def _load_model(cfg):
     return check_shapes(prepare_for_quantization(load_bundle(cfg.model)))
 
 
-def _load_sample_file(path, graph):
-    """A PTQC file whose per-sample shape matches the graph input."""
-    samples = load_calibration_set(path)
+def _check_sample_shape(path, dims, graph):
+    """Samples of shape `dims`, from the PTQC file `path`, fit the graph input."""
     expect = list(graph.input_shape[1:])
-    if expect and list(samples.shape[1:]) != expect:
-        raise BadInputError(f"{path}: samples of shape {list(samples.shape[1:])} do not "
+    if expect and list(dims) != expect:
+        raise BadInputError(f"{path}: samples of shape {list(dims)} do not "
                             f"match the model input {expect}")
-    return samples
 
 
 def _load_samples(cfg, graph):
     if cfg.calibration is None:
         raise BadInputError("config has no calibration set path")
-    return _load_sample_file(cfg.calibration, graph)
+    samples = load_calibration_set(cfg.calibration)
+    _check_sample_shape(cfg.calibration, samples.shape[1:], graph)
+    return samples
 
 
 def _layer_distance_rows(graph, result):
@@ -275,36 +277,38 @@ def cmd_sweep(cfg):
     axis, col_values = _sweep_axis(cfg)
     graph = _load_model(cfg)
     samples = subsample(_load_samples(cfg, graph), cfg.calib.samples, cfg.calib.seed)
-    eval_data = _load_eval_set(cfg, graph) if cfg.eval_inputs else None
-    references = float_references(graph, samples)
-    output_id = graph.output_id
+    eval_x, labels = _load_eval_set(cfg, graph) if cfg.eval_inputs else (None, None)
+    with eval_x or contextlib.nullcontext():
+        references = float_references(graph, samples)
+        output_id = graph.output_id
 
-    def granularity(cell):
-        rows, value = cell
-        if axis == "cols":
-            return GranularityConfig("method1", rows, value)
-        return GranularityConfig("method2", rows, h_groups=value)
+        def granularity(cell):
+            rows, value = cell
+            if axis == "cols":
+                return GranularityConfig("method1", rows, value)
+            return GranularityConfig("method2", rows, h_groups=value)
 
-    def run_cell(cell):
-        result = calibrate_network(graph, samples, granularity(cell), cfg.calib,
-                                   references=references)
-        outcome = {"distance": result.network_distance}
-        if eval_data is not None:
-            eval_x, labels = eval_data
-            walk = _walk(graph, quantized_conv(result.scales))
-            hits = sum(_top1_hits(out, labels[i:i + len(x)])
-                       for i, x in _eval_chunks(graph, eval_x)
-                       for layer, out in walk(x) if layer.id == output_id)
-            outcome["accuracy"] = hits / len(eval_x)
-        return outcome
+        def run_cell(cell):
+            result = calibrate_network(graph, samples, granularity(cell), cfg.calib,
+                                       references=references)
+            outcome = {"distance": result.network_distance}
+            if eval_x is not None:
+                # A forked worker reads its chunks at their own offsets, so the
+                # workers never move a file offset that they share.
+                walk = _walk(graph, quantized_conv(result.scales))
+                hits = sum(_top1_hits(out, labels[i:i + len(x)])
+                           for i, x in _eval_chunks(graph, eval_x)
+                           for layer, out in walk(x) if layer.id == output_id)
+                outcome["accuracy"] = hits / eval_x.count
+            return outcome
 
-    cells = [(r, v) for r in cfg.sweep_rows for v in col_values]
-    # Each distinct cell is calibrated once. The workers get the cells with the
-    # most weight-scale groups, which take longest, first (ties in grid order),
-    # so that no worker is left with a long cell at the end.
-    distinct = sorted(dict.fromkeys(cells),
-                      key=lambda cell: -_scale_groups(graph, granularity(cell)))
-    grid = dict(zip(distinct, parallel_map(_guarded(run_cell), distinct, cfg.jobs)))
+        cells = [(r, v) for r in cfg.sweep_rows for v in col_values]
+        # Each distinct cell is calibrated once. The workers get the cells with the
+        # most weight-scale groups, which take longest, first (ties in grid order),
+        # so that no worker is left with a long cell at the end.
+        distinct = sorted(dict.fromkeys(cells),
+                          key=lambda cell: -_scale_groups(graph, granularity(cell)))
+        grid = dict(zip(distinct, parallel_map(_guarded(run_cell), distinct, cfg.jobs)))
     header = [f"rows\\{axis}"] + [str(v) for v in col_values]
 
     def table(key):
@@ -312,7 +316,7 @@ def cmd_sweep(cfg):
                            for r in cfg.sweep_rows]
 
     write_csv(cfg.out / "sweep_distance.csv", table("distance"))
-    if eval_data is not None:
+    if eval_x is not None:
         write_csv(cfg.out / "sweep_accuracy.csv", table("accuracy"))
     summary = {
         "axis": axis,
@@ -425,11 +429,24 @@ def cmd_overhead(cfg):
 
 
 def _load_eval_set(cfg, graph):
-    """The eval samples and their labels, once the graph's output gives one
-    score per class and every label names one of those classes."""
+    """The eval samples, as an open CalibrationSetReader for the caller to
+    close, and their labels, once every sample has been read, one chunk at a
+    time, and found finite, the graph's output gives one score per class and
+    every label names one of those classes."""
     if cfg.eval_inputs is None or cfg.eval_labels is None:
         raise BadInputError("eval requires eval.inputs and eval.labels in the config")
-    eval_x = _load_sample_file(cfg.eval_inputs, graph)
+    with contextlib.ExitStack() as stack:
+        eval_x = stack.enter_context(CalibrationSetReader(cfg.eval_inputs))
+        for _ in _eval_chunks(graph, eval_x):  # each chunk's read checks its values
+            pass
+        _check_sample_shape(cfg.eval_inputs, eval_x.dims, graph)
+        labels = _load_labels(cfg, graph, eval_x.count)
+        stack.pop_all()
+    return eval_x, labels
+
+
+def _load_labels(cfg, graph, count):
+    """The `count` labels of the eval set, checked against the graph's output."""
     if not cfg.eval_labels.is_file():
         raise BadInputError(f"labels file not found: {cfg.eval_labels}")
     try:
@@ -439,9 +456,9 @@ def _load_eval_set(cfg, graph):
     if not (isinstance(raw, list) and all(type(v) is int and abs(v) < 2 ** 63 for v in raw)):
         raise BadInputError(f"labels file {cfg.eval_labels} must hold a JSON list of "
                             f"64-bit integers")
-    if len(raw) != eval_x.shape[0]:
+    if len(raw) != count:
         raise BadInputError(f"{len(raw)} labels in {cfg.eval_labels} for "
-                            f"{eval_x.shape[0]} eval samples")
+                            f"{count} eval samples")
     output_id = graph.output_id
     shape = propagate_shapes(graph)[output_id]
     if len(shape) != 2:
@@ -454,11 +471,13 @@ def _load_eval_set(cfg, graph):
         raise BadInputError(f"label {bad} in {cfg.eval_labels} is {raw[bad]}, outside "
                             f"[0, {classes}) for the {classes} classes of output layer "
                             f"{output_id}")
-    return eval_x, np.array(raw, dtype=np.int64)
+    return np.array(raw, dtype=np.int64)
 
 
 def _eval_chunks(graph, eval_x):
-    """(start, chunk) over `eval_x` in the chunks that eval walks depth-first.
+    """(start, chunk) over the samples of the reader `eval_x`, each chunk read
+    from the file as the walk reaches it, in the chunks that eval walks
+    depth-first.
 
     A chunk holds as many samples as the smallest forward block
     (tensor.block_samples) of any conv or linear layer, so each layer runs
@@ -468,9 +487,9 @@ def _eval_chunks(graph, eval_x):
     """
     shapes = propagate_shapes(graph)
     step = min((block_samples(layer.weights_per_channel * math.prod(shapes[layer.id][2:]))
-                for layer in graph.conv_like()), default=len(eval_x))
-    for i in range(0, len(eval_x), step):
-        yield i, eval_x[i:i + step]
+                for layer in graph.conv_like()), default=eval_x.count)
+    for i in range(0, eval_x.count, step):
+        yield i, eval_x.read(i, i + step)
 
 
 def _walk(graph, conv_op):
@@ -514,24 +533,26 @@ def _eval_walks(graph):
 def cmd_eval(cfg):
     graph = _load_model(cfg)
     eval_x, labels = _load_eval_set(cfg, graph)
-    if not graph.scales:
-        samples = _load_samples(cfg, graph)
-        graph.scales = calibrate_network(graph, samples, cfg.granularity, cfg.calib).scales
-    # Both walks run one chunk of samples at a time through the whole
-    # network; each layer's distance and the top-1 hits add up over the
-    # chunks, as over the whole set.
-    n = eval_x.shape[0]
-    distances = {lid: StreamingDistance(n * math.prod(shape[1:]), cfg.calib.metric)
-                 for lid, shape in propagate_shapes(graph).items()}
-    walks, output_id = _eval_walks(graph), graph.output_id
-    float_hits = quant_hits = 0
-    for i, x in _eval_chunks(graph, eval_x):
-        chunk_labels = labels[i:i + len(x)]
-        for (layer, float_out), (_, quant_out) in walks(x):
-            distances[layer.id].add(quant_out, float_out)
-            if layer.id == output_id:
-                float_hits += _top1_hits(float_out, chunk_labels)
-                quant_hits += _top1_hits(quant_out, chunk_labels)
+    with eval_x:
+        if not graph.scales:
+            samples = _load_samples(cfg, graph)
+            graph.scales = calibrate_network(graph, samples, cfg.granularity,
+                                             cfg.calib).scales
+        # Both walks run one chunk of samples at a time through the whole
+        # network; each layer's distance and the top-1 hits add up over the
+        # chunks, as over the whole set.
+        n = eval_x.count
+        distances = {lid: StreamingDistance(n * math.prod(shape[1:]), cfg.calib.metric)
+                     for lid, shape in propagate_shapes(graph).items()}
+        walks, output_id = _eval_walks(graph), graph.output_id
+        float_hits = quant_hits = 0
+        for i, x in _eval_chunks(graph, eval_x):
+            chunk_labels = labels[i:i + len(x)]
+            for (layer, float_out), (_, quant_out) in walks(x):
+                distances[layer.id].add(quant_out, float_out)
+                if layer.id == output_id:
+                    float_hits += _top1_hits(float_out, chunk_labels)
+                    quant_hits += _top1_hits(quant_out, chunk_labels)
     rows = [["layer", "kind", "quantized", "distance"]]
     rows += [[layer.id, layer.kind, int(layer.id in graph.scales),
               repr(distances[layer.id].value())] for layer in graph.layers]

@@ -3,13 +3,15 @@
 A model bundle is a directory holding `manifest.json` plus `tensors.bin`
 (concatenated little-endian float32 blobs, row-major, offsets as declared).
 Calibration sets are single files: magic `PTQC`, u32 sample count, u32 rank,
-u32 per-sample dims, then the float32 samples.
+u32 per-sample dims, then the float32 samples; `CalibrationSetReader` reads
+them in place, any range of samples at a time.
 """
 
 import csv
 import io
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -191,9 +193,14 @@ def write_csv(path, rows):
     return write_atomic(path, buf.getvalue())
 
 
+_FINITE_SLICE = 1 << 16  # values per finiteness check: a 64 KB mask, whatever the array
+
+
 def _require_finite(arr, what):
-    if not np.all(np.isfinite(arr)):
-        raise BadInputError(f"{what} contains non-finite values")
+    flat = arr.reshape(-1)
+    for i in range(0, flat.size, _FINITE_SLICE):
+        if not np.isfinite(flat[i:i + _FINITE_SLICE]).all():
+            raise BadInputError(f"{what} contains non-finite values")
 
 
 class _BlobWriter:
@@ -466,14 +473,31 @@ def save_calibration_set(path, samples):
     return write_atomic(path, header + np.ascontiguousarray(samples).tobytes())
 
 
-def load_calibration_set(path):
-    """The samples [N, dims...] of a PTQC file, read straight from the file
-    into their one array."""
-    path = Path(path)
-    if not path.is_file():
-        raise BadInputError(f"calibration set not found: {path}")
-    size = path.stat().st_size
-    with path.open("rb") as f:
+class CalibrationSetReader:
+    """A PTQC file opened for reading in place: its header is parsed and
+    checked once, here, and `read(start, stop)` reads a range of samples.
+
+    `count` is the number of samples and `dims` the shape of one. Reads are
+    positional (`os.preadv` at the range's own offset), never through the
+    file's shared offset, so processes forked while the reader is open can
+    all read from it at once. Use it in a `with` block, or `close` it.
+    """
+
+    def __init__(self, path):
+        self.path = path = Path(path)
+        if not path.is_file():
+            raise BadInputError(f"calibration set not found: {path}")
+        self._file = path.open("rb", buffering=0)
+        try:
+            self.count, self.dims, self._offset = self._read_header()
+        except BaseException:
+            self._file.close()
+            raise
+        self._sample_bytes = 4 * math.prod(self.dims)
+
+    def _read_header(self):
+        path, f = self.path, self._file
+        size = os.fstat(f.fileno()).st_size
         head = f.read(12)
         if head[:4] != CALIB_MAGIC:
             raise BadInputError(f"{path} is not a calibration set (bad magic)")
@@ -483,16 +507,46 @@ def load_calibration_set(path):
         if count == 0:
             raise BadInputError(f"{path} holds no samples")
         dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
-    header = 12 + 4 * rank
-    expect = count
-    for dim in dims:
-        expect *= dim
-    if size - header != 4 * expect:
-        raise BadInputError(f"{path}: payload holds {size - header} bytes, header "
-                            f"declares {expect} floats ({4 * expect} bytes)")
-    arr = np.fromfile(path, dtype="<f4", count=expect, offset=header).reshape((count, *dims))
-    _require_finite(arr, f"calibration set {path}")
-    return arr
+        header = 12 + 4 * rank
+        expect = count * math.prod(dims)
+        if size - header != 4 * expect:
+            raise BadInputError(f"{path}: payload holds {size - header} bytes, header "
+                                f"declares {expect} floats ({4 * expect} bytes)")
+        return count, dims, header
+
+    def read(self, start, stop):
+        """Samples [start, stop), clipped to the set as a slice is, as one
+        float32 array [n, dims...] read straight from the file, once every
+        byte of the range has been read and every value found finite."""
+        start, stop, _ = slice(start, stop).indices(self.count)
+        arr = np.empty((max(stop - start, 0), *self.dims), dtype="<f4")
+        buf = arr.reshape(-1).view(np.uint8)
+        offset, done = self._offset + start * self._sample_bytes, 0
+        while done < len(buf):
+            got = os.preadv(self._file.fileno(), [buf[done:]], offset + done)
+            if got == 0:
+                raise BadInputError(f"{self.path}: the file ends at byte {offset + done}, "
+                                    f"inside samples [{start}, {stop}): it was truncated "
+                                    f"after its header was read")
+            done += got
+        _require_finite(arr, f"calibration set {self.path}")
+        return arr
+
+    def close(self):
+        self._file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+def load_calibration_set(path):
+    """The samples [N, dims...] of a PTQC file, read straight from the file
+    into their one array."""
+    with CalibrationSetReader(path) as reader:
+        return reader.read(0, reader.count)
 
 
 # ---------------------------------------------------------------------------

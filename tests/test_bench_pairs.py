@@ -3,6 +3,7 @@
 import collections
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ def test_incorrect_run_is_recorded_and_fails(bench_pairs, monkeypatch, tmp_path,
     makes the exit status 1."""
     calls = collections.Counter()
 
-    def run_once(checkout, workload, seed, seconds):
+    def run_once(checkout, workload, seed, seconds, core):
         side = checkout.name
         pair = calls[seed, side]
         calls[seed, side] += 1
@@ -191,7 +192,7 @@ def test_unresolved(bench_pairs, name, parent, change, unresolved):
 
 def test_pair_line_prints_time_and_peak_rss(bench_pairs, monkeypatch, tmp_path, capsys):
     """Each pair's stderr line gives both sides' op_s_p50 and peak_rss_mb."""
-    def run_once(checkout, workload, seed, seconds):
+    def run_once(checkout, workload, seed, seconds, core):
         rss = 188.8 if checkout.name == "parent" else 80.9
         return {"op_s_p50": 0.5, "peak_rss_mb": rss, "correct": True}, {}
 
@@ -216,7 +217,7 @@ def test_verdict_line_per_seed_and_metric(bench_pairs, monkeypatch, tmp_path, ca
             "change": {"op_s_p50": [0.5] * 4, "peak_rss_mb": [100.0] * 4,
                        "setup_s": [1.5] * 4, "network_distance": [3.0] * 4}}
 
-    def run_once(checkout, workload, seed, seconds):
+    def run_once(checkout, workload, seed, seconds, core):
         side = checkout.name
         i = calls[seed, side]
         calls[seed, side] += 1
@@ -236,3 +237,65 @@ def test_verdict_line_per_seed_and_metric(bench_pairs, monkeypatch, tmp_path, ca
             f"seed {seed} peak_rss_mb: parent 80, change 100 (1.250x, 0/4 wins): regressed",
             f"seed {seed} setup_s: parent 1.5, change 1.5 (1.000x, 2/4 wins): unresolved",
             f"seed {seed} network_distance: parent 3, change 3 (1.000x, 0/4 wins): unchanged"]
+
+
+@pytest.mark.parametrize("workload,pinned", [("eval-large", True), ("reorder-ea", True),
+                                             ("sweep-grid", False)])
+def test_jobs_1_pairs_run_pinned_to_one_core_in_turn(bench_pairs, monkeypatch, tmp_path,
+                                                     workload, pinned):
+    """A workload that perfbench runs at --jobs 1 runs both sides of a pair
+    on one core, and the core moves to the next one this process may use at
+    each pair; sweep-grid, at --jobs 2, runs unpinned. Each pair records its
+    core."""
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds, core):
+        runs.append((seed, checkout.name, core))
+        return {"op_s_p50": 1.0, "peak_rss_mb": 30.0, "correct": True}, {}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "revision", lambda path: {"commit": path.name})
+    monkeypatch.setattr(bench_pairs.os, "sched_getaffinity", lambda pid: {3, 1})
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--workload", workload,
+                             "--seeds", "0", "7", "--pairs", "3", "--out", str(out)]) == 0
+    cores = [1, 3, 1] if pinned else [None] * 3
+    sides = [("parent", "change"), ("change", "parent"), ("parent", "change")]
+    assert runs == [(seed, side, core) for seed in (0, 7)
+                    for core, order in zip(cores, sides) for side in order]
+    seeds = json.loads(out.read_text())["seeds"]
+    assert [pair["core"] for seed in ("0", "7") for pair in seeds[seed]["pairs"]] == cores * 2
+
+
+def test_unknown_workload_rejected_before_any_run(bench_pairs, monkeypatch, tmp_path,
+                                                  capsys):
+    def run_once(*args):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "revision", lambda path: {"commit": path.name})
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                          str(tmp_path / "change"), "--workload", "eval-huge",
+                          "--out", str(tmp_path / "bench.json")])
+    assert exit_info.value.code == 2
+    assert ("unknown workload 'eval-huge'; perfbench has eval-large, reorder-ea, sweep-grid"
+            in capsys.readouterr().err)
+
+
+def test_run_once_pins_only_its_child(bench_pairs, tmp_path):
+    """run_once sets the affinity of the perfbench process it starts, not its
+    own: a stand-in perfbench/run.py reports the cores it may use as its
+    machine facts."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, os\n"
+        "print('machine ' + json.dumps({'cores': sorted(os.sched_getaffinity(0))}))\n"
+        "print(json.dumps({'correct': True, 'metrics': {'op_s_p50': {'value': 0.5}}}))\n")
+    own = sorted(os.sched_getaffinity(0))
+    metrics, machine = bench_pairs.run_once(tmp_path, "eval-large", 0, 1, own[-1])
+    assert metrics == {"op_s_p50": 0.5, "correct": True}
+    assert machine == {"cores": [own[-1]]}
+    assert sorted(os.sched_getaffinity(0)) == own
+    assert bench_pairs.run_once(tmp_path, "sweep-grid", 0, 1, None)[1] == {"cores": own}

@@ -802,6 +802,52 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "small.ptqc" in err and "[3, 7, 7]" in err and "[3, 8, 8]" in err
 
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_non_finite_last_sample_exits_2_before_any_work(self, fixture_dir, tmp_path,
+                                                            command, capsys, monkeypatch):
+        """eval and sweep read the eval set one chunk at a time, but a NaN in
+        its last sample still exits 2 naming the file before any calibration
+        (or float reference) and before any report is written."""
+        samples = random_inputs(build_small_cnn(), 70, 5)
+        samples[-1, 2, 7, 7] = np.nan
+        save_calibration_set(tmp_path / "nan.ptqc", samples)
+
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibration ran before the eval set check")
+        monkeypatch.setattr(cli, "calibrate_network", no_calibration)
+        monkeypatch.setattr(cli, "float_references", no_calibration)
+        assert self.run(command, tmp_path, fixture_dir / "small_cnn",
+                        fixture_dir / "small_cnn_calib.ptqc",
+                        eval_inputs=tmp_path / "nan.ptqc", labels=70) == 2
+        assert "nan.ptqc contains non-finite values" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_eval_set_truncated_after_it_was_opened(self, fixture_dir, tmp_path, command,
+                                                    capsys, monkeypatch):
+        """An eval set of 70 samples that passes every check, then is cut to
+        40 samples as calibration starts, cannot be read past its first
+        chunk: eval exits 2 naming the file, and sweep reports that fault
+        for its cell instead of an accuracy. Neither exits 1."""
+        path = tmp_path / "eval.ptqc"
+        save_calibration_set(path, random_inputs(build_small_cnn(), 70, 5))
+        calibrate_network = cli.calibrate_network
+
+        def truncating(*args, **kwargs):
+            os.truncate(path, PTQC_HEADER + 40 * 3 * 8 * 8 * 4)
+            return calibrate_network(*args, **kwargs)
+        monkeypatch.setattr(cli, "calibrate_network", truncating)
+        code = self.run(command, tmp_path, fixture_dir / "small_cnn",
+                        fixture_dir / "small_cnn_calib.ptqc", eval_inputs=path, labels=70)
+        fault = f"{path}: the file ends at byte {PTQC_HEADER + 40 * 768}, inside samples [32, 64)"
+        if command == "eval":
+            assert code == 2 and fault in capsys.readouterr().err
+        else:
+            assert code == 0
+            cells = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())["cells"]
+            assert [cell.keys() for cell in cells] == [{"rows", "h_groups", "error"}]
+            assert cells[0]["error"].startswith(f"BadInputError: {fault}")
+
     def test_eval_set_shape_mismatch_exits_2(self, fixture_dir, tmp_path, capsys):
         save_calibration_set(tmp_path / "small.ptqc", np.zeros((4, 3, 7, 7), np.float32))
         assert self.run("eval", tmp_path, fixture_dir / "small_cnn",
@@ -1175,21 +1221,25 @@ class TestDeterminism:
     def test_random_run_configs_identical_at_jobs_1_and_2(self, fixture_dir, resnet20_config,
                                                           granularity, calib, reorder, sweep,
                                                           seed):
-        """sweep on small_cnn and reorder on resnet20_style's 9 segments write
-        the same bytes at --jobs 1 and 2 for random small run configs. The
+        """sweep on small_cnn, with a 70-sample eval set that its workers read
+        in three chunks, and reorder on resnet20_style's 9 segments write the
+        same bytes at --jobs 1 and 2 for random small run configs. The
         granularities keep at least 2 rows and 36 columns per group, so that
         three examples take 3-4 s."""
         base = json.loads(resnet20_config.read_text())
-        runs = {"sweep": {"model": str(fixture_dir / "small_cnn"),
-                          "calibration": str(fixture_dir / "small_cnn_calib.ptqc"),
-                          "sweep": sweep},
-                "reorder": {"model": base["model"], "calibration": base["calibration"],
-                            "granularity": granularity, "reorder": reorder}}
-        outputs = {"sweep": ("sweep_distance.csv", "sweep_summary.json"),
+        outputs = {"sweep": ("sweep_distance.csv", "sweep_accuracy.csv", "sweep_summary.json"),
                    "reorder": ("segment_scores.csv", "reorder_summary.json",
                                "reordered/manifest.json", "reordered/tensors.bin")}
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
+            save_calibration_set(tmp / "eval.ptqc", random_inputs(build_small_cnn(), 70, seed))
+            (tmp / "labels.json").write_text(json.dumps([i % 10 for i in range(70)]))
+            runs = {"sweep": {"model": str(fixture_dir / "small_cnn"),
+                              "calibration": str(fixture_dir / "small_cnn_calib.ptqc"),
+                              "sweep": sweep, "eval": {"inputs": str(tmp / "eval.ptqc"),
+                                                       "labels": str(tmp / "labels.json")}},
+                    "reorder": {"model": base["model"], "calibration": base["calibration"],
+                                "granularity": granularity, "reorder": reorder}}
             for command, entries in runs.items():
                 config = write_config(tmp / f"{command}.json", calib=calib, seed=seed,
                                       **entries)
@@ -1306,16 +1356,27 @@ class TestDeterminism:
         assert lowered.count("conv1") == 1 and lowered.count("fc") == 2
 
 
-def test_eval_peak_memory_grows_only_with_the_input(fixture_dir, tmp_path):
+# Under tracemalloc, what 4096 eval samples may add to the peak of 512: the
+# labels' int64 array, 8 bytes a sample; one 24 KB chunk of small_cnn
+# samples; and two 64 KB leaves of float64 terms (calib._SUM_LEAF each).
+# Each streamed distance holds back at most one leaf, and which of them
+# hold one when the peak is reached depends on where the chunks fall in
+# each layer's pairwise tree, not on how many chunks there are. Measured:
+# 119 KB more for eval and 27 KB for a one-cell sweep; a loader that held
+# the whole set added 2.8 MB to either.
+EXTRA_EVAL_PEAK = 8 * (4096 - 512) + 32 * 3 * 8 * 8 * 4 + 2 * 2 ** 16
+
+
+def test_eval_peak_memory_does_not_grow_with_the_eval_set(fixture_dir, tmp_path):
     """Under tracemalloc, eval of a quantized small_cnn bundle on 4096
-    samples (128 chunks of 32) peaks at most the 2.6 MB of extra input
-    and 1 MB above eval on 512 samples (16 chunks); the 1 MB covers the
-    labels and the terms each streamed distance holds back, up to 64 KB per
-    layer. Before eval ran in chunks, every layer's whole-set outputs made
-    its peak grow by about 20 kB per sample."""
+    samples (128 chunks of 32) peaks at most EXTRA_EVAL_PEAK above eval on
+    512 samples (16 chunks): the samples are read one chunk at a time.
+    Holding the whole set made the peak grow by 3/4 KB a sample, and
+    before eval ran in chunks, every layer's whole-set outputs by about
+    20 kB a sample."""
     config = TestDeterminism.eval_config(fixture_dir, tmp_path)
     assert main(["quantize", "--config", str(config), "--out", str(tmp_path / "q")]) == 0
-    peaks, input_bytes = {}, {}
+    peaks = {}
     for samples in (512, 4096):
         inputs = random_inputs(build_small_cnn(), samples, 1)
         save_calibration_set(tmp_path / f"eval{samples}.ptqc", inputs)
@@ -1330,8 +1391,7 @@ def test_eval_peak_memory_grows_only_with_the_input(fixture_dir, tmp_path):
             peaks[samples] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        input_bytes[samples] = inputs.nbytes
-    assert peaks[4096] - peaks[512] <= input_bytes[4096] - input_bytes[512] + 2 ** 20
+    assert peaks[4096] - peaks[512] <= EXTRA_EVAL_PEAK
 
 
 def quantized_eval_run(bundle, tmp_path, samples):
@@ -1345,6 +1405,37 @@ def quantized_eval_run(bundle, tmp_path, samples):
                                 "labels": str(tmp_path / "labels.json")},
                           out=str(tmp_path / "e"))
     return config, inputs.nbytes
+
+
+class WholeEvalSet:
+    """A reader's `count` and `read` over the whole set, loaded into memory
+    at once, as eval held it before it read one chunk at a time."""
+
+    def __init__(self, reader):
+        self.samples = model.load_calibration_set(reader.path)
+        self.count = len(self.samples)
+
+    def read(self, start, stop):
+        return self.samples[start:stop]
+
+
+@pytest.mark.parametrize("samples", [20, 2048 + 13])
+def test_eval_reports_match_the_whole_set_in_memory(quantized_small_cnn, tmp_path,
+                                                    monkeypatch, samples):
+    """eval on fewer samples than one 32-sample chunk, or on a number of
+    samples that is no multiple of 32, writes the same bytes as when each
+    chunk is sliced from the whole set held in memory."""
+    config, _ = quantized_eval_run(quantized_small_cnn, tmp_path, samples)
+    assert main(["eval", "--config", str(config), "--out", str(tmp_path / "read")]) == 0
+    eval_chunks = cli._eval_chunks
+    monkeypatch.setattr(cli, "_eval_chunks",
+                        lambda graph, eval_x: eval_chunks(graph, WholeEvalSet(eval_x)))
+    assert main(["eval", "--config", str(config), "--out", str(tmp_path / "whole")]) == 0
+    for name in ("eval_layer_distances.csv", "eval_summary.json"):
+        assert (tmp_path / "read" / name).read_bytes() == \
+            (tmp_path / "whole" / name).read_bytes()
+    summary = json.loads((tmp_path / "read" / "eval_summary.json").read_text())
+    assert summary["eval_samples"] == samples
 
 
 def test_eval_runs_each_chunk_through_every_layer_in_one_block(quantized_small_cnn,
@@ -1399,15 +1490,14 @@ def test_eval_peaks_within_two_forward_blocks_of_its_input(quantized_small_cnn, 
     assert peak <= input_bytes + 2 * tensor._FORWARD_BLOCK_BYTES
 
 
-def test_sweep_accuracy_peak_memory_grows_only_with_the_input(fixture_dir, tmp_path):
+def test_sweep_accuracy_peak_memory_does_not_grow_with_the_eval_set(fixture_dir, tmp_path):
     """Under tracemalloc, a one-cell sweep of small_cnn with 4096 eval samples
-    peaks at most 5/4 of the 2.6 MB of extra input and 1 MB above the same
-    sweep with 512: its accuracy pass runs the quantized walk in eval's
-    chunks. The 5/4 is the loader's peak, which holds the samples and their
-    finite mask at once; a loader that also held the file's bytes peaked at
-    9/4. On the whole eval set at once, every layer's outputs made the peak
-    grow by about 20 kB per sample."""
-    peaks, input_bytes = {}, {}
+    peaks at most EXTRA_EVAL_PEAK above the same sweep with 512: its
+    accuracy pass reads the samples one chunk at a time, as eval does. A
+    loader that held the whole set and its finite mask made the peak grow
+    by 1.7 MB here, and on the whole eval set at once, every layer's
+    outputs made it grow by about 20 kB a sample."""
+    peaks = {}
     for samples in (512, 4096):
         inputs = random_inputs(build_small_cnn(), samples, 1)
         save_calibration_set(tmp_path / f"eval{samples}.ptqc", inputs)
@@ -1425,5 +1515,4 @@ def test_sweep_accuracy_peak_memory_grows_only_with_the_input(fixture_dir, tmp_p
         finally:
             tracemalloc.stop()
         assert read_csv(tmp_path / "s" / "sweep_accuracy.csv")[1][1] != "FAILED"
-        input_bytes[samples] = inputs.nbytes
-    assert peaks[4096] - peaks[512] <= 5 * (input_bytes[4096] - input_bytes[512]) // 4 + 2 ** 20
+    assert peaks[4096] - peaks[512] <= EXTRA_EVAL_PEAK

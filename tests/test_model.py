@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -19,6 +20,7 @@ from subquant.fixtures import build_resnet20_style, build_small_cnn, random_inpu
 from subquant.model import (
     check_shapes,
     BatchNormParams,
+    CalibrationSetReader,
     Layer,
     ModelGraph,
     QuantizedLayerInfo,
@@ -184,10 +186,12 @@ class TestCalibrationSetIO:
         with pytest.raises(BadInputError, match="missing.ptqc"):
             load_calibration_set(tmp_path / "missing.ptqc")
 
-    def test_load_peaks_at_the_samples_and_their_finite_mask(self, tmp_path):
-        """Under tracemalloc, loading 3 MB of samples peaks at 5/4 of them:
-        the samples and their finite mask, one byte per float. Reading the
-        file's bytes first, then copying the samples out, peaked at 9/4."""
+    def test_load_peaks_at_the_samples_and_one_slice_mask(self, tmp_path):
+        """Under tracemalloc, loading 3 MB of samples peaks at the samples
+        plus one 64 KB slice's finite mask (and 4 KB for the reader): the
+        values are checked a slice at a time. A mask of the whole set peaked
+        at 5/4 of the samples, and reading the file's bytes first, then
+        copying the samples out, at 9/4."""
         samples = np.random.default_rng(0).normal(size=(4096, 3, 8, 8)).astype(np.float32)
         save_calibration_set(tmp_path / "c.ptqc", samples)
         tracemalloc.start()
@@ -197,7 +201,49 @@ class TestCalibrationSetIO:
         finally:
             tracemalloc.stop()
         assert loaded.tobytes() == samples.tobytes()
-        assert peak <= 5 * samples.nbytes // 4 + 2 ** 16
+        assert peak <= samples.nbytes + model._FINITE_SLICE + 2 ** 12
+
+    def test_reader_reads_any_range_of_samples(self, tmp_path):
+        """read(start, stop) gives the samples of that range, clipped to the
+        set as a slice is, and each reader's reads are independent of any
+        other's."""
+        samples = np.random.default_rng(1).normal(size=(13, 2, 3)).astype(np.float32)
+        save_calibration_set(tmp_path / "c.ptqc", samples)
+        with CalibrationSetReader(tmp_path / "c.ptqc") as reader, \
+                CalibrationSetReader(tmp_path / "c.ptqc") as other:
+            assert (reader.count, reader.dims) == (13, (2, 3))
+            for start, stop in ((0, 13), (0, 5), (5, 12), (12, 13), (8, 40), (13, 20),
+                                (4, 4)):
+                np.testing.assert_array_equal(reader.read(start, stop),
+                                              samples[start:stop])
+                np.testing.assert_array_equal(other.read(stop, start), samples[stop:start])
+            assert reader.read(3, 5).dtype == np.float32
+
+    def test_non_finite_value_is_named_by_the_file(self, tmp_path):
+        """A NaN in the last sample fails the read of any range that holds it,
+        naming the file, and no other."""
+        samples = np.zeros((70, 3, 4), np.float32)
+        samples[-1, 2, 3] = np.nan
+        save_calibration_set(tmp_path / "nan.ptqc", samples)
+        with CalibrationSetReader(tmp_path / "nan.ptqc") as reader:
+            assert not reader.read(0, 69).any()
+            with pytest.raises(BadInputError, match="nan.ptqc contains non-finite values"):
+                reader.read(64, 70)
+        with pytest.raises(BadInputError, match="nan.ptqc contains non-finite values"):
+            load_calibration_set(tmp_path / "nan.ptqc")
+
+    def test_file_truncated_after_open_is_bad_input(self, tmp_path):
+        """The header is checked once, when the reader opens the file; a read
+        that reaches past the end of a file truncated since then names the
+        file and the samples it could not read."""
+        samples = np.ones((10, 4), np.float32)
+        save_calibration_set(tmp_path / "c.ptqc", samples)
+        with CalibrationSetReader(tmp_path / "c.ptqc") as reader:
+            os.truncate(tmp_path / "c.ptqc", 16 + 6 * 16 + 8)
+            np.testing.assert_array_equal(reader.read(0, 6), samples[:6])
+            with pytest.raises(BadInputError, match=r"c\.ptqc: the file ends at byte 120, "
+                                                    r"inside samples \[4, 10\)"):
+                reader.read(4, 10)
 
 
 class TestBatchNormFolding:

@@ -7,11 +7,17 @@ Each DIR is a checkout of the revision to measure (a `git clone`, so that
 `perfbench/run.py` builds from its own sources). For every seed, pair i runs
 `perfbench/run.py --trace 0` once in each checkout, the parent first when i
 is even and the change first when it is odd, so drift in machine load falls
-on both sides alike. The file holds every pair's end-to-end metrics, and per
+on both sides alike. A workload whose op runs at `--jobs 1` (as
+perfbench/workloads.py sets it) runs both sides of a pair pinned to one
+core, through `os.sched_setaffinity` on each perfbench child process, and
+the core alternates between pairs over the cores this process may use: op
+times differ by core on a small machine, and a pair then compares the two
+sides on one core. A workload at more jobs runs unpinned. The file holds every pair's end-to-end metrics, and per
 seed and metric the two medians, the parent's and the change's interquartile
 range, the change/parent ratio of the medians and the pairs the change won
 (by each metric's `better` direction in the `end_to_end` list of
-BENCHMARK.json); also the machine facts perfbench prints and both git
+BENCHMARK.json); also each pair's core (null when unpinned), the machine
+facts perfbench prints (a pinned run sees one core) and both git
 revisions. Per metric, `gain_shown` says that the change won at least 9/10
 of the pairs and that its median is better than the parent's by more than
 the parent's interquartile range; `regressed` says that the change's median
@@ -32,13 +38,16 @@ incorrect op (each such seed, pair and side is named on stderr), else 0.
 """
 
 import argparse
+import importlib.util
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+WORKLOADS = BENCHMARK.parent / "perfbench" / "workloads.py"
 
 
 def end_to_end_metrics():
@@ -47,11 +56,23 @@ def end_to_end_metrics():
     return {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
 
 
-def run_once(checkout, workload, seed, seconds):
-    """One perfbench run; returns (end-to-end metrics, machine facts)."""
+def workload_jobs():
+    """{workload name: the --jobs value perfbench passes to its op}, read from
+    perfbench/workloads.py, which imports nothing beyond the standard library."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: workload.jobs for name, workload in module.WORKLOADS.items()}
+
+
+def run_once(checkout, workload, seed, seconds, core):
+    """One perfbench run, pinned with everything it starts to the one CPU
+    `core` unless that is None; returns (end-to-end metrics, machine facts)."""
+    pin = None if core is None else (lambda: os.sched_setaffinity(0, {core}))
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=checkout, capture_output=True, text=True, check=False)
+                          cwd=checkout, capture_output=True, text=True, check=False,
+                          preexec_fn=pin)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: perfbench exit {proc.returncode}\n{proc.stderr}")
@@ -164,14 +185,20 @@ def main(argv=None):
     if differs is not None:
         parser.error(f"the checkouts' benchmark code differs, first in {differs}: pairs "
                      f"compare only runs of identical BENCHMARK.json and perfbench/ files")
+    jobs = workload_jobs()
+    if args.workload not in jobs:
+        parser.error(f"unknown workload {args.workload!r}; perfbench has "
+                     f"{', '.join(sorted(jobs))}")
+    cores = sorted(os.sched_getaffinity(0)) if jobs[args.workload] == 1 else [None]
     seeds, machine = {}, None
     for seed in args.seeds:
         pairs = []
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"first": order[0]}
+            pair = {"first": order[0], "core": cores[i % len(cores)]}
             for side in order:
-                pair[side], machine = run_once(sides[side], args.workload, seed, args.seconds)
+                pair[side], machine = run_once(sides[side], args.workload, seed, args.seconds,
+                                               pair["core"])
             pairs.append(pair)
             print(f"seed {seed} pair {i}: " + ", ".join(
                 f"{side} {pair[side]['op_s_p50']:.3f} s {pair[side]['peak_rss_mb']:.1f} MB"
