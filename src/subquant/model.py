@@ -487,7 +487,7 @@ class CalibrationSetReader:
         self.path = path = Path(path)
         if not path.is_file():
             raise BadInputError(f"calibration set not found: {path}")
-        self._file = path.open("rb", buffering=0)
+        self._file = path.open("rb")
         try:
             self.count, self.dims, self._offset = self._read_header()
         except BaseException:
