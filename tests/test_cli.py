@@ -834,7 +834,7 @@ class TestMalformedInput:
         calibrate_network = cli.calibrate_network
 
         def truncating(*args, **kwargs):
-            os.truncate(path, PTQC_HEADER + 40 * 3 * 8 * 8 * 4)
+            os.truncate(path, PTQC_HEADER + 40 * 768)  # 768 bytes a small_cnn sample
             return calibrate_network(*args, **kwargs)
         monkeypatch.setattr(cli, "calibrate_network", truncating)
         code = self.run(command, tmp_path, fixture_dir / "small_cnn",
