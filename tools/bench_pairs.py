@@ -7,29 +7,31 @@ Each DIR is a checkout of the revision to measure (a `git clone`, so that
 `perfbench/run.py` builds from its own sources). For every seed, pair i runs
 `perfbench/run.py --trace 0` once in each checkout, the parent first when i
 is even and the change first when it is odd, so drift in machine load falls
-on both sides alike. A workload whose op runs at `--jobs 1` (as
+on both sides alike. A workload whose op runs at `--jobs 1` (as this tool's
 perfbench/workloads.py sets it) runs both sides of a pair pinned to one
 core, through `os.sched_setaffinity` on each perfbench child process, and
 the core alternates between pairs over the cores this process may use: op
 times differ by core on a small machine, and a pair then compares the two
-sides on one core. A workload at more jobs runs unpinned. The file holds every pair's end-to-end metrics, and per
-seed and metric the two medians, the parent's and the change's interquartile
-range, the change/parent ratio of the medians and the pairs the change won
-(by each metric's `better` direction in the `end_to_end` list of
-BENCHMARK.json); also each pair's core (null when unpinned), the machine
-facts perfbench prints (a pinned run sees one core) and both git
-revisions. Per metric, `gain_shown` says that the change won at least 9/10
-of the pairs and that its median is better than the parent's by more than
-the parent's interquartile range; `regressed` says that the change's median
-is worse than the parent's by more than the metric's relative `bound`;
-`unresolved` says that the parent's interquartile range is wider than that
-bound, so the pairs cannot show the metric unchanged, and that not every run
-of the change is better than every run of the parent.
+sides on one core. A workload at more jobs runs unpinned. The file holds
+every pair's end-to-end metrics, and per seed and metric the two medians,
+the parent's and the change's interquartile range, the change/parent ratio
+of the medians and the pairs the change won (by each metric's `better`
+direction in the `end_to_end` list of BENCHMARK.json); also each pair's core
+(null when unpinned), the machine facts perfbench prints (a pinned run sees
+one core) and both git revisions. Per metric, `gain_shown` says that the
+change won at least 9/10 of the pairs and that its median is better than the
+parent's by more than the parent's interquartile range; `regressed` says
+that the change's median is worse than the parent's by more than the
+metric's relative `bound`; `unresolved` says that the parent's interquartile
+range is wider than that bound, so the pairs cannot show the metric
+unchanged, and that not every run of the change is better than every run of
+the parent.
 
 Pairs compare only runs of the same benchmark code, so the two checkouts'
 `BENCHMARK.json` and `perfbench/` files (bytecode caches aside) must match
 byte for byte; the first file that differs is named in a usage error (exit
-status 2) before any run, as is a directory that is not a git checkout.
+status 2) before any run, as is a directory that is not a git checkout or
+a workload that perfbench/workloads.py does not define.
 
 After each seed's pairs, stderr gets one line per metric with both medians,
 the ratio, the wins and the verdicts that hold (`unchanged` if none does).
