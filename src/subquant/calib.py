@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import BadInputError
 from .model import (
-    QuantizedLayerInfo,
     execute,
     float_conv,
     forward_float,
@@ -27,7 +26,6 @@ from .quant import (
     GranularityConfig,
     ScaleSet,
     check_exact_accumulation,
-    check_layer_scales,
     grouped_forward,
     grouped_terms,
     init_scale,
@@ -342,8 +340,7 @@ def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales
     # ascending; strict < keeps the smallest tie
     candidates = np.unique(np.append(candidates, center))
     if weight_scales is not None:
-        scales = ScaleSet(weight_scales, center, cfg.weight_bits, cfg.act_bits)
-        check_layer_scales(partition, scales)
+        scales = ScaleSet(partition, weight_scales, center, cfg.weight_bits, cfg.act_bits)
         codes = quantize_weight_groups(weights, partition, scales.weight_scales,
                                        cfg.weight_bits)
     lowered = np.empty(cols.shape)  # each candidate's lowered input, in turn
@@ -359,9 +356,10 @@ def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales
                 out = conv_reference(weights, cols.gather(q, lowered), activation, bias,
                                      slope)
             else:
-                scales = ScaleSet(weight_scales, cand, cfg.weight_bits, cfg.act_bits)
-                out = grouped_forward(codes, cols.gather(q, lowered), partition, scales,
-                                      bias, activation, slope)
+                scales = ScaleSet(partition, weight_scales, cand, cfg.weight_bits,
+                                  cfg.act_bits)
+                out = grouped_forward(codes, cols.gather(q, lowered), scales, bias,
+                                      activation, slope)
             d = distance(out, target, cfg.metric)
         if d < best_d:
             best_scale, best_d, best_out = cand, d, out
@@ -524,7 +522,6 @@ class LayerCalibration:
     """Result of the four-step procedure for one layer."""
 
     scales: ScaleSet
-    partition: object
     output: np.ndarray
     distance: float
     step_distances: dict
@@ -550,16 +547,16 @@ def calibrate_layer(weights, cols, target, granularity, cfg, bias=None,
         weights, cols, target, cfg, partition=partition, weight_scales=weight_scales,
         center=input_scale, bias=bias, activation=activation, slope=slope,
         center_result=(trace[-1], searched))
-    scales = ScaleSet(weight_scales, input_scale, cfg.weight_bits, cfg.act_bits)
+    scales = ScaleSet(partition, weight_scales, input_scale, cfg.weight_bits, cfg.act_bits)
     steps = {"input_search": d1, "weight_search": trace[-1],
              "input_research": d3, "final": d3, "weight_trace": trace}
-    return LayerCalibration(scales=scales, partition=partition, output=output,
-                            distance=d3, step_distances=steps)
+    return LayerCalibration(scales=scales, output=output, distance=d3,
+                            step_distances=steps)
 
 
 @dataclass
 class NetworkCalibration:
-    """Scales and distances from calibrating a whole graph."""
+    """Per-layer ScaleSets and distances from calibrating a whole graph."""
 
     scales: dict
     layer_distances: dict
@@ -623,8 +620,7 @@ def calibrate_network(graph, samples, granularity, cfg, references=None):
     scales = {}
 
     def record(layer, cal):
-        scales[layer.id] = QuantizedLayerInfo(
-            cal.scales, cal.partition.rows_per_group, cal.partition.cols_per_group)
+        scales[layer.id] = cal.scales
 
     conv_op = calibrating_conv(refs, granularity, cfg, record)
     layer_distances = {

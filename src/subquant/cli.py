@@ -288,18 +288,21 @@ def cmd_sweep(cfg):
                 return GranularityConfig("method1", rows, value)
             return GranularityConfig("method2", rows, h_groups=value)
 
+        def accuracy(scales):
+            # A forked worker reads its chunks at their own offsets, so the
+            # workers never move a file offset that they share.
+            walk = _walk(graph, quantized_conv(scales))
+            hits = sum(_top1_hits(out, labels[i:i + len(x)])
+                       for i, x in _eval_chunks(graph, eval_x)
+                       for layer, out in walk(x) if layer.id == output_id)
+            return {"accuracy": hits / eval_x.count}
+
         def run_cell(cell):
             result = calibrate_network(graph, samples, granularity(cell), cfg.calib,
                                        references=references)
             outcome = {"distance": result.network_distance}
-            if eval_x is not None:
-                # A forked worker reads its chunks at their own offsets, so the
-                # workers never move a file offset that they share.
-                walk = _walk(graph, quantized_conv(result.scales))
-                hits = sum(_top1_hits(out, labels[i:i + len(x)])
-                           for i, x in _eval_chunks(graph, eval_x)
-                           for layer, out in walk(x) if layer.id == output_id)
-                outcome["accuracy"] = hits / eval_x.count
+            if eval_x is not None:  # a failed accuracy pass keeps the distance
+                outcome.update(_guarded(accuracy)(result.scales))
             return outcome
 
         cells = [(r, v) for r in cfg.sweep_rows for v in col_values]
@@ -353,9 +356,7 @@ def _guarded(fn):
 
 
 def _cell_text(cell, key):
-    if "error" in cell:
-        return "FAILED"
-    return repr(cell[key])
+    return repr(cell[key]) if key in cell else "FAILED"
 
 
 def cmd_reorder(cfg):

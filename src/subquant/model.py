@@ -24,7 +24,6 @@ from .quant import (
     GranularityConfig,
     ScaleSet,
     check_bits,
-    check_layer_scales,
     make_partition,
     quantized_layer,
 )
@@ -87,19 +86,6 @@ class Segment:
 
     id: str
     layer_ids: list
-
-
-@dataclass
-class QuantizedLayerInfo:
-    """Calibrated scales plus the tile geometry they were searched under."""
-
-    scales: ScaleSet
-    rows_per_group: int
-    cols_per_group: int
-
-    def partition(self, layer):
-        cfg = GranularityConfig("method1", self.rows_per_group, self.cols_per_group)
-        return make_partition(layer.out_channels, layer.weights_per_channel, cfg)
 
 
 @dataclass
@@ -216,14 +202,14 @@ class _BlobWriter:
         return ref
 
 
-def _scale_entry(info):
+def _scale_entry(scales):
     return {
-        "weight_scales": [[float(s) for s in row] for row in info.scales.weight_scales],
-        "input_scale": float(info.scales.input_scale),
-        "weight_bits": info.scales.weight_bits,
-        "act_bits": info.scales.act_bits,
-        "rows_per_group": info.rows_per_group,
-        "cols_per_group": info.cols_per_group,
+        "weight_scales": [[float(s) for s in row] for row in scales.weight_scales],
+        "input_scale": float(scales.input_scale),
+        "weight_bits": scales.weight_bits,
+        "act_bits": scales.act_bits,
+        "rows_per_group": scales.partition.rows_per_group,
+        "cols_per_group": scales.partition.cols_per_group,
     }
 
 
@@ -267,7 +253,7 @@ def save_bundle(graph, path):
         "segments": [{"id": s.id, "layers": list(s.layer_ids)} for s in graph.segments],
     }
     if graph.scales:
-        manifest["scales"] = {lid: _scale_entry(info) for lid, info in graph.scales.items()}
+        manifest["scales"] = {lid: _scale_entry(scales) for lid, scales in graph.scales.items()}
     if graph.reorderings:
         manifest["reorderings"] = graph.reorderings
     write_atomic(path / BLOB_NAME, b"".join(blobs.chunks))
@@ -457,11 +443,11 @@ def _load_scale_entry(lid, entry, layer):
     try:
         for what, value in bits.items():
             check_bits(what, value)
-        info = QuantizedLayerInfo(ScaleSet(weight_scales, input_scale, **bits), rows, cols)
-        check_layer_scales(info.partition(layer), info.scales)
+        partition = make_partition(layer.out_channels, layer.weights_per_channel,
+                                   GranularityConfig("method1", rows, cols))
+        return ScaleSet(partition, weight_scales, input_scale, **bits)
     except ValueError as exc:
         raise BadInputError(f"layer {lid}: {exc}") from exc
-    return info
 
 
 def save_calibration_set(path, samples):
@@ -758,11 +744,11 @@ def float_conv(layer, x):
 
 
 def quantized_conv(scales, float_op=float_conv):
-    """conv_op running every quantized layer with an entry in `scales` through
-    the grouped integer path, which quantizes the activation before lowering
-    it; all other layers run through the float conv_op `float_op`.
+    """conv_op running every quantized layer with a ScaleSet in `scales`
+    through the grouped integer path, which quantizes the activation before
+    lowering it; all other layers run through the float conv_op `float_op`.
 
-    A quantized layer's scales are checked and its weight codes made on its
+    A quantized layer's weights are checked and its weight codes made on its
     first call (quant.quantized_layer), and every later batch reuses them,
     so one conv_op serves one graph whose weights and scales do not change.
     """
@@ -771,12 +757,12 @@ def quantized_conv(scales, float_op=float_conv):
     def conv_op(layer, x):
         run = prepared.get(layer.id)
         if run is None:
-            info = scales.get(layer.id) if layer.quantize else None
-            if info is None:
+            layer_scales = scales.get(layer.id) if layer.quantize else None
+            if layer_scales is None:
                 return float_op(layer, x)
             run = prepared[layer.id] = quantized_layer(
-                layer.weight_matrix(), info.partition(layer), info.scales, layer.bias,
-                layer.activation, layer.slope, lower=partial(lower_layer_input, layer))
+                layer.weight_matrix(), layer_scales, layer.bias, layer.activation,
+                layer.slope, lower=partial(lower_layer_input, layer))
         return run(x, _sample_columns(layer, x.shape))
     return conv_op
 

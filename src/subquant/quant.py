@@ -162,19 +162,31 @@ def make_partition(out_channels, weights_per_channel, config):
 
 @dataclass
 class ScaleSet:
-    """Calibrated scales of one layer: a v_groups x h_groups weight-scale grid
-    plus the single input scale."""
+    """Calibrated scales of one layer: a v_groups x h_groups grid, one weight
+    scale per tile of its partition, plus the single input scale. One that does
+    not fit its tiles (finite positive scales, grid shape, the 2^53 bound)
+    cannot be built."""
 
+    partition: SubMatrixPartition
     weight_scales: np.ndarray
     input_scale: float
     weight_bits: int = 4
     act_bits: int = 8
 
     def __post_init__(self):
-        self.weight_scales = np.asarray(self.weight_scales, dtype=np.float64)
-        if not (np.all(self.weight_scales > 0) and np.all(np.isfinite(self.weight_scales))
+        w = self.weight_scales = np.asarray(self.weight_scales, dtype=np.float64)
+        # min and max propagate NaN, which fails every comparison
+        if not ((w.size == 0 or 0 < w.min() <= w.max() < np.inf)
                 and 0 < self.input_scale < np.inf):
             raise ValueError("all scales must be finite and strictly positive")
+        p = self.partition
+        if w.shape != (p.v_groups, p.h_groups):
+            raise ValueError(
+                f"scale grid {w.shape} does not match the "
+                f"{p.v_groups}x{p.h_groups} partition of its "
+                f"{p.out_channels}x{p.weights_per_channel} weights into "
+                f"{p.rows_per_group}x{p.cols_per_group} groups")
+        check_exact_accumulation(p, self.weight_bits, self.act_bits)
 
 
 def check_exact_accumulation(partition, weight_bits, act_bits):
@@ -185,19 +197,6 @@ def check_exact_accumulation(partition, weight_bits, act_bits):
             f"integer accumulation would exceed the exact float64 range "
             f"(group width {width}, bits {weight_bits}/{act_bits})"
         )
-
-
-def check_layer_scales(partition, scales):
-    """Reject a scale grid that does not tile `partition`, and bit widths whose
-    integer accumulation would be inexact; positivity and finiteness are
-    checked by ScaleSet itself."""
-    if scales.weight_scales.shape != (partition.v_groups, partition.h_groups):
-        raise ValueError(
-            f"scale grid {scales.weight_scales.shape} does not match the "
-            f"{partition.v_groups}x{partition.h_groups} partition of its "
-            f"{partition.out_channels}x{partition.weights_per_channel} weights into "
-            f"{partition.rows_per_group}x{partition.cols_per_group} groups")
-    check_exact_accumulation(partition, scales.weight_bits, scales.act_bits)
 
 
 def _row_values(partition, group_values):
@@ -259,24 +258,24 @@ def sum_terms(terms):
     return acc
 
 
-def grouped_forward(codes, q_cols, partition, scales, bias=None,
-                    activation="identity", slope=0.01):
+def grouped_forward(codes, q_cols, scales, bias=None, activation="identity", slope=0.01):
     """finish(sum_terms(grouped_terms(...))): the grouped terms summed in
     ascending h, then bias and activation."""
-    return finish(sum_terms(grouped_terms(codes, q_cols, partition, scales.weight_scales,
-                                          scales.input_scale)), bias, activation, slope)
+    return finish(sum_terms(grouped_terms(codes, q_cols, scales.partition,
+                                          scales.weight_scales, scales.input_scale)),
+                  bias, activation, slope)
 
 
-def quantized_layer(weights, partition, scales, bias=None, activation="identity",
-                    slope=0.01, *, lower):
+def quantized_layer(weights, scales, bias=None, activation="identity", slope=0.01, *,
+                    lower):
     """The grouped integer conv of one layer as a function run(x,
     sample_columns) of its incoming activation: quantize every group (v, h)
     under its scale, run one integer matmul per column group, rescale each
     row group by its group scale times the input scale, and sum over h; bias
     and activation are applied on the rescaled result.
 
-    The scales are checked against the partition (check_layer_scales) and
-    the weight codes are made once, here, for every batch the layer runs.
+    The weights are checked against the scale set's partition and the
+    weight codes are made once, here, for every batch the layer runs.
     `x` is a batch of samples that lower(x) turns into the lowered [J, P]
     input, `sample_columns` columns per sample. The activation is quantized
     before it is lowered: quantization is elementwise and lowering only
@@ -289,14 +288,13 @@ def quantized_layer(weights, partition, scales, bias=None, activation="identity"
     every later float64 op (rescale, ascending-h sum, bias, activation) is
     per column.
     """
-    check_layer_scales(partition, scales)
-    codes = quantize_weight_groups(weights, partition, scales.weight_scales,
+    codes = quantize_weight_groups(weights, scales.partition, scales.weight_scales,
                                    scales.weight_bits)
     sample_size = np.shape(weights)[1]
 
     def conv(block):
         q_cols = lower(quantize_values(block, scales.input_scale, scales.act_bits))
-        return grouped_forward(codes, q_cols, partition, scales, bias, activation, slope)
+        return grouped_forward(codes, q_cols, scales, bias, activation, slope)
 
     def run(x, sample_columns):
         return in_sample_blocks(conv, x, sample_size * sample_columns)

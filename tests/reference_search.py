@@ -31,11 +31,10 @@ def dense_plan(cols):
                         np.arange(cols.size).reshape(cols.shape))
 
 
-def dense_forward(weights, cols, partition, scales, bias=None, activation="identity",
-                  slope=0.01):
+def dense_forward(weights, cols, scales, bias=None, activation="identity", slope=0.01):
     """quantized_layer of a dense [J, P] matrix, run as a batch of P
     one-column samples that np.transpose lowers back to the matrix."""
-    return quantized_layer(weights, partition, scales, bias, activation, slope,
+    return quantized_layer(weights, scales, bias, activation, slope,
                            lower=np.transpose)(np.asarray(cols).T, 1)
 
 

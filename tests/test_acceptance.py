@@ -131,7 +131,7 @@ def test_03_iterative_search_vs_exhaustive_oracle():
                         g2 = scales.copy()
                         g2[v, h] = cand
                         out = dense_forward(
-                            w, x, part, ScaleSet(g2, dx, cfg.weight_bits, cfg.act_bits))
+                            w, x, ScaleSet(part, g2, dx, cfg.weight_bits, cfg.act_bits))
                         assert distance(out, target) >= greedy - 1e-12
             # exhaustive joint optimum over the initial candidate grids
             grids = [scale_space(cfg.alpha, cfg.beta,
@@ -142,7 +142,7 @@ def test_03_iterative_search_vs_exhaustive_oracle():
             for combo in itertools.product(*grids):
                 grid = np.array(combo).reshape(part.v_groups, part.h_groups)
                 out = dense_forward(
-                    w, x, part, ScaleSet(grid, dx, cfg.weight_bits, cfg.act_bits))
+                    w, x, ScaleSet(part, grid, dx, cfg.weight_bits, cfg.act_bits))
                 oracle = min(oracle, distance(out, target))
             assert greedy <= 1.25 * oracle
         assert time.time() - start < 30.0
@@ -162,7 +162,7 @@ def test_04_special_case_equivalences():
             # single group reproduces the layerwise form exactly
             part = make_partition(oc, j, GranularityConfig("method1", oc, j))
             dw = init_scale(w, 4)
-            got = dense_forward(w, x, part, ScaleSet(np.array([[dw]]), dx), bias=b)
+            got = dense_forward(w, x, ScaleSet(part, np.array([[dw]]), dx), bias=b)
             qw = quantize_values(w, dw, 4)
             qx = quantize_values(x, dx, 8)
             want = ((dw * dx) * (qw @ qx) + b.astype(np.float64)[:, None]).astype(np.float32)
@@ -170,7 +170,7 @@ def test_04_special_case_equivalences():
             # one-row groups match an independently coded per-channel pass
             part = make_partition(oc, j, GranularityConfig("method1", 1, j))
             row_scales = np.array([[init_scale(w[c], 4)] for c in range(oc)])
-            got = dense_forward(w, x, part, ScaleSet(row_scales, dx), bias=b)
+            got = dense_forward(w, x, ScaleSet(part, row_scales, dx), bias=b)
             want = np.empty((oc, p))
             for c in range(oc):
                 s = row_scales[c, 0]
@@ -278,10 +278,10 @@ def test_08_overhead_table_and_instrumentation(term_sizes):
                 x_in = current[layer.predecessors[0]]
                 cols_mat = lower_layer_input(layer, x_in)
                 part = make_partition(layer.out_channels, layer.weights_per_channel, gran)
-                scales = ScaleSet(np.full((part.v_groups, part.h_groups), 0.05),
+                scales = ScaleSet(part, np.full((part.v_groups, part.h_groups), 0.05),
                                   init_scale(cols_mat, 8))
                 term_sizes.clear()
-                dense_forward(layer.weight_matrix(), cols_mat, part, scales)
+                dense_forward(layer.weight_matrix(), cols_mat, scales)
                 assert sum(term_sizes) == \
                     part.h_groups * layer.out_channels * cols_mat.shape[1]
                 out = conv_ref(layer.weight_matrix(), cols_mat, layer.activation,

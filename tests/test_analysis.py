@@ -53,9 +53,9 @@ class TestComputationOverhead:
             if layer.kind == "conv" and cols.shape[0] != layer.weights_per_channel:
                 continue  # only check layers fed directly by the input shape
             part = make_partition(layer.out_channels, layer.weights_per_channel, gran)
-            scales = ScaleSet(np.full((part.v_groups, part.h_groups), 0.1),
+            scales = ScaleSet(part, np.full((part.v_groups, part.h_groups), 0.1),
                               init_scale(cols, 8))
-            dense_forward(layer.weight_matrix(), cols, part, scales)
+            dense_forward(layer.weight_matrix(), cols, scales)
             assert sum(term_sizes) == part.h_groups * layer.out_channels * cols.shape[1]
             break
 

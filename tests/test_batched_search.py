@@ -1,6 +1,7 @@
 """The batched weight search and the grouped forward against their unbatched
 references: every scale, trace value and output must match bit for bit."""
 
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -71,7 +72,8 @@ def assert_search_matches(weights, cols, partition, input_scale, target, cfg, bi
     assert np.array_equal(got[0], expect[0])
     assert got[1] == expect[1]
     forward = reference_quantized_forward_layer(
-        weights, cols, partition, ScaleSet(got[0], input_scale, cfg.weight_bits, cfg.act_bits),
+        weights, cols, partition,
+        ScaleSet(partition, got[0], input_scale, cfg.weight_bits, cfg.act_bits),
         bias, activation, slope)
     assert got[2].tobytes() == forward.tobytes() == expect[2].tobytes()
     return got
@@ -150,8 +152,8 @@ def test_grouped_forward_matches_reference(granularity, activation, term_sizes):
     partition = make_partition(*weights.shape, granularity)
     rng = np.random.default_rng(7)
     grid = rng.uniform(0.01, 0.05, size=(partition.v_groups, partition.h_groups))
-    scales = ScaleSet(grid, 0.03)
-    got = dense_forward(weights, cols, partition, scales, bias, activation, 0.1)
+    scales = ScaleSet(partition, grid, 0.03)
+    got = dense_forward(weights, cols, scales, bias, activation, 0.1)
     expect = reference_quantized_forward_layer(weights, cols, partition, scales, bias,
                                                activation, 0.1)
     assert got.dtype == np.float32
@@ -175,7 +177,8 @@ def test_input_research_matches_reference(metric):
     best = (None, np.inf, None)
     for cand in candidates:
         out = reference_quantized_forward_layer(weights, cols, partition,
-                                                ScaleSet(grid, float(cand)), bias, "relu")
+                                                ScaleSet(partition, grid, float(cand)),
+                                                bias, "relu")
         d = distance(out, target, metric)
         if d < best[1]:
             best = (float(cand), d, out)
@@ -193,7 +196,7 @@ def test_calibrated_output_is_the_final_forward(metric, granularity):
     cfg = CalibConfig(grid_size=15, iterations=1, metric=metric)
     cal = calibrate_layer(weights, dense_plan(cols), target, granularity, cfg, bias,
                           "leaky_relu", 0.1)
-    expect = dense_forward(weights, cols, cal.partition, cal.scales, bias, "leaky_relu", 0.1)
+    expect = dense_forward(weights, cols, cal.scales, bias, "leaky_relu", 0.1)
     assert np.array_equal(cal.output, expect)
     assert cal.distance == distance(expect, target, metric)
     assert cal.step_distances["final"] == cal.distance
@@ -245,23 +248,23 @@ def test_exact_accumulation_guard_at_bound(width, ok):
     weights = np.full((2, width), -1.0, dtype=np.float32)
     cols = np.full((width, 3), -1.0, dtype=np.float32)
     partition = make_partition(2, width, GranularityConfig("layerwise"))
-    scales = ScaleSet([[1e-9]], 1e-9, weight_bits=bits, act_bits=bits)
+    scales = partial(ScaleSet, partition, [[1e-9]], 1e-9, weight_bits=bits, act_bits=bits)
     cfg = CalibConfig(grid_size=3, iterations=1, weight_bits=bits, act_bits=bits)
     target = np.zeros((2, 3), dtype=np.float32)
 
     def step3():
         return search_input_scale(weights, dense_plan(cols), target, cfg, partition=partition,
-                                  weight_scales=scales.weight_scales, center=1e-9)
+                                  weight_scales=[[1e-9]], center=1e-9)
 
     if ok:
-        out = dense_forward(weights, cols, partition, scales)
-        expect = reference_quantized_forward_layer(weights, cols, partition, scales)
+        out = dense_forward(weights, cols, scales())
+        expect = reference_quantized_forward_layer(weights, cols, partition, scales())
         assert np.array_equal(out, expect)
         assert out[0, 0] == np.float32(2.0 ** 53 * 1e-9 * 1e-9)
         assert step3()[0] is not None
         search_weight_scales(weights, dense_plan(cols), partition, 1e-9, target, cfg)
     else:
-        for run in (lambda: dense_forward(weights, cols, partition, scales), step3,
+        for run in (lambda: dense_forward(weights, cols, scales()), step3,
                     lambda: search_weight_scales(weights, dense_plan(cols), partition, 1e-9,
                                                  target, cfg)):
             with pytest.raises(ValueError, match="exact float64 range"):

@@ -316,8 +316,8 @@ class TestSearchWeightScales:
             best_s, best_d = init, None
             for cand in [init] + list(scale_space(cfg.alpha, cfg.beta, init, cfg.grid_size)):
                 out = dense_forward(
-                    w, x, part, ScaleSet(np.array([[cand]]), dx,
-                                         cfg.weight_bits, cfg.act_bits))
+                    w, x, ScaleSet(part, np.array([[cand]]), dx,
+                                   cfg.weight_bits, cfg.act_bits))
                 d = distance(out, target, cfg.metric)
                 if best_d is None or d < best_d:
                     best_s, best_d = cand, d
@@ -400,7 +400,7 @@ class TestSearchWeightScales:
             for combo in itertools.product(*grids):
                 grid = np.array(combo).reshape(part.v_groups, part.h_groups)
                 out = dense_forward(
-                    w, x, part, ScaleSet(grid, dx, cfg.weight_bits, cfg.act_bits))
+                    w, x, ScaleSet(part, grid, dx, cfg.weight_bits, cfg.act_bits))
                 oracle_d = min(oracle_d, distance(out, target, cfg.metric))
             assert greedy_d <= 1.25 * oracle_d
 
@@ -478,9 +478,9 @@ class TestCalibrateNetwork:
         r2 = calibrate_network(graph, x, GranularityConfig("channelwise"), cfg)
         assert r1.scales.keys() == r2.scales.keys()
         for key in r1.scales:
-            np.testing.assert_array_equal(r1.scales[key].scales.weight_scales,
-                                          r2.scales[key].scales.weight_scales)
-            assert r1.scales[key].scales.input_scale == r2.scales[key].scales.input_scale
+            np.testing.assert_array_equal(r1.scales[key].weight_scales,
+                                          r2.scales[key].weight_scales)
+            assert r1.scales[key].input_scale == r2.scales[key].input_scale
         assert r1.network_distance == r2.network_distance
 
 

@@ -82,10 +82,10 @@ class TestQuantize:
             out=str(tmp_path / "out"))
         assert main(["quantize", "--config", str(config)]) == 0
         loaded = load_bundle(tmp_path / "out" / "quantized")
-        for lid, info in loaded.scales.items():
+        for lid, scales in loaded.scales.items():
             layer = loaded.layer(lid)
-            assert info.cols_per_group == math.ceil(layer.weights_per_channel / 4)
-            assert info.scales.weight_scales.shape[1] == 4
+            assert scales.partition.cols_per_group == math.ceil(layer.weights_per_channel / 4)
+            assert scales.weight_scales.shape[1] == 4
 
     def test_missing_calibration_exits_2(self, fixture_dir, tmp_path, capsys):
         config = write_config(
@@ -589,7 +589,7 @@ class TestMalformedScaleTable:
                               "rows_per_group": 1, "cols_per_group": width}}}
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         if ok:
-            assert load_bundle(tmp_path).scales["fc"].cols_per_group == width
+            assert load_bundle(tmp_path).scales["fc"].partition.cols_per_group == width
         else:
             with pytest.raises(BadInputError, match="layer fc: .*exact float64 range"):
                 load_bundle(tmp_path)
@@ -828,7 +828,8 @@ class TestMalformedInput:
         """An eval set of 70 samples that passes every check, then is cut to
         40 samples as calibration starts, cannot be read past its first
         chunk: eval exits 2 naming the file, and sweep reports that fault
-        for its cell instead of an accuracy. Neither exits 1."""
+        for its cell instead of an accuracy, keeping its distance. Neither
+        exits 1."""
         path = tmp_path / "eval.ptqc"
         save_calibration_set(path, random_inputs(build_small_cnn(), 70, 5))
         calibrate_network = cli.calibrate_network
@@ -845,8 +846,11 @@ class TestMalformedInput:
         else:
             assert code == 0
             cells = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())["cells"]
-            assert [cell.keys() for cell in cells] == [{"rows", "h_groups", "error"}]
+            assert [cell.keys() for cell in cells] == [{"rows", "h_groups", "distance", "error"}]
             assert cells[0]["error"].startswith(f"BadInputError: {fault}")
+            out = tmp_path / "out"
+            assert read_csv(out / "sweep_distance.csv")[1][1] == repr(cells[0]["distance"])
+            assert read_csv(out / "sweep_accuracy.csv")[1][1] == "FAILED"
 
     def test_eval_set_shape_mismatch_exits_2(self, fixture_dir, tmp_path, capsys):
         save_calibration_set(tmp_path / "small.ptqc", np.zeros((4, 3, 7, 7), np.float32))

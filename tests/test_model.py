@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from subquant.calib import plan_layer_input
+from subquant.calib import CalibConfig, calibrate_network, plan_layer_input
 from subquant.errors import BadInputError
 from subquant.fixtures import build_resnet20_style, build_small_cnn, random_inputs
 from subquant.model import (
@@ -23,7 +23,6 @@ from subquant.model import (
     CalibrationSetReader,
     Layer,
     ModelGraph,
-    QuantizedLayerInfo,
     execute,
     float_conv,
     fold_all_batchnorms,
@@ -42,6 +41,7 @@ from subquant.model import (
 from subquant import model, tensor
 from subquant.tensor import conv_reference
 from subquant.quant import (
+    GRANULARITY_MODES,
     GranularityConfig,
     ScaleSet,
     grouped_forward,
@@ -159,6 +159,38 @@ class TestBundleIO:
         assert loaded.layer("first").quantize is False
         assert loaded.layer("mid").quantize is True
         assert loaded.layer("last").quantize is False
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(build=st.sampled_from([build_small_cnn, build_resnet20_style]),
+       mode=st.sampled_from(GRANULARITY_MODES), rows=st.integers(1, 20),
+       cols=st.integers(1, 300), h_groups=st.integers(1, 12))
+def test_scale_sets_keep_their_partitions_through_a_bundle(tmp_path_factory, build, mode,
+                                                           rows, cols, h_groups):
+    """A calibrated bundle, in every granularity mode, loads back with each
+    ScaleSet's partition (row and column ranges included) and scales, and
+    the loaded bundle saves to the same manifest bytes."""
+    graph = prepare_for_quantization(build())
+    granularity = GranularityConfig(mode, rows, cols, h_groups)
+    graph.scales = calibrate_network(graph, random_inputs(graph, 2, seed=0), granularity,
+                                     CalibConfig(grid_size=2, iterations=1, samples=2)).scales
+    root = tmp_path_factory.mktemp("bundles")
+    save_bundle(graph, root / "calibrated")
+    loaded = load_bundle(root / "calibrated")
+    assert loaded.scales.keys() == graph.scales.keys()
+    for lid, scales in graph.scales.items():
+        layer, got = graph.layer(lid), loaded.scales[lid]
+        assert scales.partition == make_partition(layer.out_channels,
+                                                  layer.weights_per_channel, granularity)
+        assert got.partition == scales.partition
+        assert got.partition.row_ranges == scales.partition.row_ranges
+        assert got.partition.col_ranges == scales.partition.col_ranges
+        assert got.weight_scales.tobytes() == scales.weight_scales.tobytes()
+        assert (got.input_scale, got.weight_bits, got.act_bits) == \
+            (scales.input_scale, scales.weight_bits, scales.act_bits)
+    save_bundle(loaded, root / "resaved")
+    assert ((root / "resaved" / "manifest.json").read_bytes()
+            == (root / "calibrated" / "manifest.json").read_bytes())
 
 
 class TestCalibrationSetIO:
@@ -398,8 +430,10 @@ class TestExecute:
         about 2 MB, would exceed its bound by lowering the whole matrix."""
         graph = prepare_for_quantization(build_small_cnn())
         layer = graph.layer("conv3")
-        info = QuantizedLayerInfo(ScaleSet(np.full((12, 4), 0.02), 0.05), 1, 27)
-        conv_op = float_conv if kind == "float" else quantized_conv({"conv3": info})
+        part = make_partition(layer.out_channels, layer.weights_per_channel,
+                              GranularityConfig("method1", 1, 27))
+        scales = ScaleSet(part, np.full((12, 4), 0.02), 0.05)
+        conv_op = float_conv if kind == "float" else quantized_conv({"conv3": scales})
         walk = execute(graph.layers, {graph.input_id: random_inputs(graph, 256, seed=0)},
                        conv_op)
         for done, _ in walk:
@@ -478,18 +512,17 @@ def test_blocked_quantized_conv_matches_whole_matrix(block_eights, case, out_cha
                     else None)
     part = make_partition(out_channels, layer.weights_per_channel,
                           GranularityConfig("method1", rows, cols))
-    info = QuantizedLayerInfo(ScaleSet(rng.uniform(0.01, 1.0, (part.v_groups, part.h_groups)),
-                                       input_scale, *bits), rows, cols)
-    scales = info.scales
+    scales = ScaleSet(part, rng.uniform(0.01, 1.0, (part.v_groups, part.h_groups)),
+                      input_scale, *bits)
     with np.errstate(over="ignore", invalid="ignore"):
         codes = quantize_weight_groups(layer.weight_matrix(), part, scales.weight_scales,
                                        scales.weight_bits)
         q_cols = quantize_values(lower_layer_input(layer, x), input_scale, scales.act_bits)
-        whole = grouped_forward(codes, q_cols, part, scales, layer.bias, activation, 0.1)
+        whole = grouped_forward(codes, q_cols, scales, layer.bias, activation, 0.1)
         sample_bytes = lower_layer_input(layer, x[:1]).nbytes
         block_bytes = (1 << 40) if block_eights is None else 8 * block_eights * sample_bytes
         with mock.patch.object(tensor, "_FORWARD_BLOCK_BYTES", block_bytes):
-            got = quantized_conv({"l": info})(layer, x)
+            got = quantized_conv({"l": scales})(layer, x)
     assert got.dtype == whole.dtype == np.float32
     assert np.array_equal(got, whole, equal_nan=True)
     numbers = ~np.isnan(whole)
@@ -545,8 +578,9 @@ def test_conv_peak_memory_does_not_grow_with_the_batch(kind):
                   weight=rng.normal(size=(16, 16, 3, 3)).astype(np.float32))
     x = rng.normal(size=(768, 16, 8, 8)).astype(np.float32)
     assert layer.weights_per_channel * x.shape[0] * 64 * 8 >= 50 * 2 ** 20
-    info = QuantizedLayerInfo(ScaleSet(np.full((16, 4), 0.05), 0.05), 1, 36)
-    conv_op = float_conv if kind == "float" else quantized_conv({"l": info})
+    part = make_partition(16, 144, GranularityConfig("method1", 1, 36))
+    scales = ScaleSet(part, np.full((16, 4), 0.05), 0.05)
+    conv_op = float_conv if kind == "float" else quantized_conv({"l": scales})
     tracemalloc.start()
     try:
         out = conv_op(layer, x)
@@ -559,8 +593,9 @@ def test_conv_peak_memory_does_not_grow_with_the_batch(kind):
 def test_quantized_conv_of_an_empty_batch_is_empty():
     layer = Layer(id="l", kind="conv", out_channels=2, in_channels=3, kernel=3, padding=1,
                   weight=np.ones((2, 3, 3, 3), np.float32))
-    info = QuantizedLayerInfo(ScaleSet(np.ones((2, 1)), 0.1), 1, 27)
-    out = quantized_conv({"l": info})(layer, np.zeros((0, 3, 4, 4), np.float32))
+    scales = ScaleSet(make_partition(2, 27, GranularityConfig("method1", 1, 27)),
+                      np.ones((2, 1)), 0.1)
+    out = quantized_conv({"l": scales})(layer, np.zeros((0, 3, 4, 4), np.float32))
     assert out.shape == (2, 0) and out.dtype == np.float32
 
 
@@ -571,8 +606,9 @@ def test_an_empty_batch_runs_through_a_linear_layer():
     outs = forward_float(graph, np.zeros((0, 3, 8, 8), np.float32))
     assert outs["fc"].shape == (0, 10) and outs["output"].shape == (0, 10)
     fc = replace(graph.layer("fc"), quantize=True)
-    info = QuantizedLayerInfo(ScaleSet(np.ones((10, 1)), 0.1), 1, fc.in_channels)
-    out = quantized_conv({"fc": info})(fc, np.zeros((0, 16, 4, 4), np.float32))
+    part = make_partition(10, fc.in_channels, GranularityConfig("method1", 1, fc.in_channels))
+    scales = ScaleSet(part, np.ones((10, 1)), 0.1)
+    out = quantized_conv({"fc": scales})(fc, np.zeros((0, 16, 4, 4), np.float32))
     assert out.shape == (10, 0) and out.dtype == np.float32
 
 

@@ -1,5 +1,7 @@
 """Mapping function, partition geometry, and grouped forward equivalences."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,8 +264,8 @@ class TestQuantizedForward:
         w = (rng.integers(-8, 8, size=(4, 6)) * dw).astype(np.float32)
         x = (rng.integers(-128, 128, size=(6, 9)) * dx).astype(np.float32)
         part = make_partition(4, 6, GranularityConfig("method1", 2, 3))
-        scales = ScaleSet(np.full((2, 2), dw), dx)
-        out = dense_forward(w, x, part, scales)
+        scales = ScaleSet(part, np.full((2, 2), dw), dx)
+        out = dense_forward(w, x, scales)
         ref = conv_reference(w, x)
         np.testing.assert_array_equal(out, ref)
 
@@ -274,7 +276,7 @@ class TestQuantizedForward:
         b = rng.normal(size=5).astype(np.float32)
         dw, dx = init_scale(w, 4), init_scale(x, 8)
         part = make_partition(5, 12, GranularityConfig("layerwise"))
-        out = dense_forward(w, x, part, ScaleSet(np.array([[dw]]), dx), bias=b)
+        out = dense_forward(w, x, ScaleSet(part, np.array([[dw]]), dx), bias=b)
         qw = quantize_values(w, dw, 4)
         qx = quantize_values(x, dx, 8)
         expected = (dw * dx) * (qw @ qx) + b.astype(np.float64)[:, None]
@@ -291,7 +293,7 @@ class TestQuantizedForward:
             row_scales = np.array([init_scale(w[c], 4) for c in range(oc)])
             dx = init_scale(x, 8)
             out = dense_forward(
-                w, x, part, ScaleSet(row_scales[:, None], dx), bias=b, activation="relu")
+                w, x, ScaleSet(part, row_scales[:, None], dx), bias=b, activation="relu")
             want = channelwise_oracle(w, x, row_scales, dx, 4, 8, b, "relu")
             np.testing.assert_allclose(out, want, rtol=1e-6, atol=1e-7)
 
@@ -302,8 +304,8 @@ class TestQuantizedForward:
         w = rng.integers(-7, 8, size=(6, 10)).astype(np.float32)
         x = rng.integers(-127, 128, size=(10, 8)).astype(np.float32)
         part = make_partition(6, 10, GranularityConfig("method1", 2, 4))
-        scales = ScaleSet(np.ones((3, 3)), 1.0)
-        out = dense_forward(w, x, part, scales)
+        scales = ScaleSet(part, np.ones((3, 3)), 1.0)
+        out = dense_forward(w, x, scales)
         np.testing.assert_array_equal(out, conv_reference(w, x))
 
     def test_codes_stay_in_range_everywhere(self):
@@ -322,8 +324,8 @@ class TestQuantizedForward:
         w = rng.normal(size=(oc, j)).astype(np.float32)
         x = rng.normal(size=(j, p)).astype(np.float32)
         part = make_partition(oc, j, GranularityConfig("method1", 4, 6))
-        scales = ScaleSet(np.ones((part.v_groups, part.h_groups)), 1.0)
-        dense_forward(w, x, part, scales)
+        scales = ScaleSet(part, np.ones((part.v_groups, part.h_groups)), 1.0)
+        dense_forward(w, x, scales)
         assert sum(term_sizes) == part.h_groups * oc * p
 
     def test_scale_grid_mismatch_rejected(self):
@@ -331,7 +333,11 @@ class TestQuantizedForward:
         x = np.ones((4, 2), dtype=np.float32)
         part = make_partition(4, 4, GranularityConfig("method1", 2, 2))
         with pytest.raises(ValueError):
-            dense_forward(w, x, part, ScaleSet(np.ones((1, 1)), 1.0))
+            dense_forward(w, x, ScaleSet(part, np.ones((1, 1)), 1.0))
+
+
+# a 12x4 tiling: conv3 of small_cnn, 12x108 weights in 1x27 groups
+GRID_12x4 = make_partition(12, 108, GranularityConfig("method1", 1, 27))
 
 
 class TestScaleAndShapeChecks:
@@ -340,18 +346,37 @@ class TestScaleAndShapeChecks:
         grid = np.full((12, 4), 0.05)
         grid[3, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            ScaleSet(grid, 0.05)
+            ScaleSet(GRID_12x4, grid, 0.05)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_input_scale_that_is_not_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            ScaleSet(np.full((12, 4), 0.05), bad)
+            ScaleSet(GRID_12x4, np.full((12, 4), 0.05), bad)
+
+    def test_scale_grid_of_the_wrong_shape_rejected(self):
+        """A grid that does not tile its partition cannot be built, and the
+        message names the partition."""
+        with pytest.raises(ValueError, match=re.escape(
+                "scale grid (4, 12) does not match the 12x4 partition of its 12x108 "
+                "weights into 1x27 groups")):
+            ScaleSet(GRID_12x4, np.full((4, 12), 0.05), 0.05)
+
+    @pytest.mark.parametrize("act_bits,ok", [(26, True), (27, False)])
+    def test_bits_past_the_exact_bound_rejected(self, act_bits, ok):
+        """27-column groups: 27 * 2^23 * 2^25 is below 2^53, and one more
+        activation bit is past it."""
+        if ok:
+            ScaleSet(GRID_12x4, np.full((12, 4), 0.05), 0.05, 24, act_bits)
+            return
+        with pytest.raises(ValueError, match=re.escape(
+                "exceed the exact float64 range (group width 27, bits 24/27)")):
+            ScaleSet(GRID_12x4, np.full((12, 4), 0.05), 0.05, 24, act_bits)
 
     def test_lowered_input_with_an_extra_row_rejected(self):
         """A lowering that gives J + 1 rows is an error, not J rows read and
         the last ignored."""
         part = make_partition(4, 6, GranularityConfig("method1", 2, 3))
-        run = quantized_layer(np.ones((4, 6)), part, ScaleSet(np.ones((2, 2)), 1.0),
+        run = quantized_layer(np.ones((4, 6)), ScaleSet(part, np.ones((2, 2)), 1.0),
                               lower=np.transpose)
         with pytest.raises(ValueError, match="input rows 7"):
             run(np.ones((5, 7)), 1)
