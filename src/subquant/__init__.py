@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .calib import CalibConfig, calibrate_layer, calibrate_network, distance
 from .errors import BadInputError, SubquantError
-from .model import ModelGraph, forward_float, load_bundle, save_bundle
+from .model import ModelGraph, load_bundle, save_bundle
 from .quant import GranularityConfig, ScaleSet, make_partition
 from .reorder import ReorderConfig, ea_search
 
@@ -20,7 +20,6 @@ __all__ = [
     "calibrate_network",
     "distance",
     "ea_search",
-    "forward_float",
     "load_bundle",
     "make_partition",
     "save_bundle",

@@ -15,13 +15,7 @@ from functools import partial
 import numpy as np
 
 from .errors import BadInputError
-from .model import (
-    execute,
-    float_conv,
-    forward_float,
-    lower_layer_input,
-    reference_target,
-)
+from .model import execute, float_conv, lower_layer_input, reference_target
 from .quant import (
     GranularityConfig,
     ScaleSet,
@@ -567,64 +561,67 @@ class NetworkCalibration:
         return float(np.mean([self.layer_distances[k] for k in keys])) if keys else 0.0
 
 
-def calibrating_conv(refs, granularity, cfg, on_layer=None):
-    """conv_op that calibrates each quantized layer as the walk reaches it.
+def float_walk(layers, feeds):
+    """execute(layers, feeds, float_conv), with overflow warnings silenced in
+    each step. An inf or NaN output leaves calibration no target to match,
+    so it is bad input, reported at the first layer that produces one.
+    """
+    walk = execute(layers, feeds, float_conv)
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = next(walk, None)
+        if step is None:
+            return
+        layer, out = step
+        if not np.all(np.isfinite(out)):
+            raise BadInputError(f"the float forward of the calibration samples is not "
+                                f"finite at layer {layer.id}: the samples are too large")
+        yield step
 
-    A quantized layer is calibrated (calibrate_layer) on its lowered input,
-    held as a LoweredInput, against its float reference refs[layer.id], and
-    its quantized output feeds the layers after it; a layer with quantize
-    false runs in float.
-    on_layer(layer, cal), when given, sees each LayerCalibration.
+
+def calibration_walk(layers, feeds, granularity, cfg, measure, on_layer=None):
+    """Calibrate `layers` on `feeds`, yielding (layer, measure(layer, out, ref))
+    for each layer in turn: out is its quantized output, ref its float one.
+
+    The float walk (float_walk) runs in lockstep with the calibrating walk,
+    as eval's two walks do, one layer each in turn: each quantized layer is
+    calibrated (calibrate_layer) on its LoweredInput against the float
+    output that the float walk has just made, and on_layer(layer, cal),
+    when given, sees each LayerCalibration; a layer with quantize false
+    runs in float. A float output is dropped once measured, unless a later
+    float layer reads it.
     """
     def conv_op(layer, x):
         if not layer.quantize:
             return float_conv(layer, x)
-        target = reference_target(layer, refs[layer.id])
-        cal = calibrate_layer(layer.weight_matrix(), plan_layer_input(layer, x), target,
-                              granularity, cfg, layer.bias, layer.activation, layer.slope)
+        cal = calibrate_layer(layer.weight_matrix(), plan_layer_input(layer, x),
+                              reference_target(layer, ref), granularity, cfg, layer.bias,
+                              layer.activation, layer.slope)
         if on_layer is not None:
             on_layer(layer, cal)
         return cal.output
-    return conv_op
+
+    calibrating = execute(layers, feeds, conv_op)
+    for layer, ref in float_walk(layers, feeds):
+        _, out = next(calibrating)
+        yield layer, measure(layer, out, ref)
 
 
-def float_references(graph, samples):
-    """forward_float(graph, samples), once every layer's output is known to be
-    finite.
-
-    Finite samples can still overflow float32 in the float forward; its
-    inf and NaN outputs would leave calibration no target to match, so
-    they are bad input, reported at the first layer that produces one.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        refs = forward_float(graph, samples)
-    for layer in graph.layers:
-        if not np.all(np.isfinite(refs[layer.id])):
-            raise BadInputError(f"the float forward of the calibration samples is not "
-                                f"finite at layer {layer.id}: the samples are too large")
-    return refs
-
-
-def calibrate_network(graph, samples, granularity, cfg, references=None):
+def calibrate_network(graph, samples, granularity, cfg):
     """Calibrate every quantizable layer in topological order.
 
-    One executor walk with calibrating_conv: each quantized layer is
-    calibrated on its input from the already-quantized prefix against its
-    float reference, and its quantized output feeds the layers after it.
-    `references` may carry a precollected float forward map
-    (float_references) so that sweeps across granularities reuse one
-    reference run.
+    One calibration_walk: each quantized layer is calibrated on its input
+    from the already-quantized prefix against its float reference, and its
+    quantized output feeds the layers after it.
     """
     samples = subsample(np.asarray(samples, dtype=np.float32), cfg.samples, cfg.seed)
-    refs = float_references(graph, samples) if references is None else references
     scales = {}
 
     def record(layer, cal):
         scales[layer.id] = cal.scales
 
-    conv_op = calibrating_conv(refs, granularity, cfg, record)
-    layer_distances = {
-        layer.id: distance(out, refs[layer.id], cfg.metric)
-        for layer, out in execute(graph.layers, {graph.input_id: samples}, conv_op)}
+    walk = calibration_walk(graph.layers, {graph.input_id: samples}, granularity, cfg,
+                            lambda layer, out, ref: distance(out, ref, cfg.metric), record)
+    layer_distances = {layer.id: d for layer, d in walk}
     return NetworkCalibration(scales=scales, layer_distances=layer_distances,
                               network_distance=layer_distances[graph.output_id])

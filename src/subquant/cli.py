@@ -21,7 +21,7 @@ from .calib import (
     CalibConfig,
     StreamingDistance,
     calibrate_network,
-    float_references,
+    float_walk,
     subsample,
 )
 from .errors import BadInputError, SubquantError
@@ -279,7 +279,8 @@ def cmd_sweep(cfg):
     samples = subsample(_load_samples(cfg, graph), cfg.calib.samples, cfg.calib.seed)
     eval_x, labels = _load_eval_set(cfg, graph) if cfg.eval_inputs else (None, None)
     with eval_x or contextlib.nullcontext():
-        references = float_references(graph, samples)
+        for _ in float_walk(graph.layers, {graph.input_id: samples}):
+            pass  # a non-finite float forward exits 2 before any cell runs
         output_id = graph.output_id
 
         def granularity(cell):
@@ -298,8 +299,7 @@ def cmd_sweep(cfg):
             return {"accuracy": hits / eval_x.count}
 
         def run_cell(cell):
-            result = calibrate_network(graph, samples, granularity(cell), cfg.calib,
-                                       references=references)
+            result = calibrate_network(graph, samples, granularity(cell), cfg.calib)
             outcome = {"distance": result.network_distance}
             if eval_x is not None:  # a failed accuracy pass keeps the distance
                 outcome.update(_guarded(accuracy)(result.scales))
@@ -364,25 +364,36 @@ def cmd_reorder(cfg):
     check_segments(graph)  # reject bad segments before any calibration
     samples = _load_samples(cfg, graph)
     calib_samples = subsample(samples, cfg.calib.samples, cfg.calib.seed)
-    references = float_references(graph, calib_samples)
-    baseline = calibrate_network(graph, calib_samples, cfg.granularity, cfg.calib,
-                                 references=references)
+    # One float walk keeps only the activations entering the segments, all that
+    # the searches read; a non-finite one exits 2 before any calibration.
+    entries = {graph.layer(segment.layer_ids[0]).predecessors[0]
+               for segment in graph.segments}
+    block_inputs = {layer.id: out for layer, out in float_walk(
+        graph.layers, {graph.input_id: calib_samples}) if layer.id in entries}
+    baseline = calibrate_network(graph, calib_samples, cfg.granularity,
+                                 cfg.calib).network_distance
+
+    def summary(segments, final):
+        return {"granularity": cfg.granularity.describe(), "seed": cfg.seed,
+                "segments": segments, "baseline_network_distance": baseline,
+                "final_network_distance": final, "improvement": baseline - final}
+
     if not graph.segments:
         print("no segments declared in the bundle; nothing to reorder")
-        write_json(cfg.out / "reorder_summary.json", {
-            "segments": [], "baseline_network_distance": baseline.network_distance,
-            "final_network_distance": baseline.network_distance, "seed": cfg.seed})
+        write_json(cfg.out / "reorder_summary.json", summary([], baseline))
         return 0
-    # The segments are disjoint and every search reads the float references,
+    # The segments are disjoint and every search reads only float activations,
     # so no search depends on another's commit: all run on the uncommitted
     # graph, and the commits follow in segment order.
-    contexts = [make_segment_context(graph, segment, references, cfg.granularity, cfg.calib)
+    contexts = [make_segment_context(graph, segment, block_inputs, cfg.granularity,
+                                     cfg.calib)
                 for segment in graph.segments]
 
     def search(index):
         return ea_search(contexts[index], replace(cfg.reorder, seed=cfg.reorder.seed + index))
 
     results = parallel_map(search, range(len(contexts)), cfg.jobs)
+    del block_inputs, contexts  # the final calibration needs neither
     for segment, res in zip(graph.segments, results):
         commit_segment_reordering(graph, segment, res.best_perms)
         print(f"segment {segment.id}: score {res.identity_score:.6g} -> "
@@ -401,16 +412,10 @@ def cmd_reorder(cfg):
         rows.append([r.segment_id, repr(r.identity_score), repr(r.best_score),
                      repr(r.best_score - r.identity_score)])
     write_csv(cfg.out / "segment_scores.csv", rows)
-    write_json(cfg.out / "reorder_summary.json", {
-        "granularity": cfg.granularity.describe(),
-        "seed": cfg.seed,
-        "segments": graph.reorderings,
-        "baseline_network_distance": baseline.network_distance,
-        "final_network_distance": final.network_distance,
-        "improvement": baseline.network_distance - final.network_distance,
-    })
+    write_json(cfg.out / "reorder_summary.json",
+               summary(graph.reorderings, final.network_distance))
     print(f"reordered {len(results)} segments; network distance "
-          f"{baseline.network_distance:.6g} -> {final.network_distance:.6g}; "
+          f"{baseline:.6g} -> {final.network_distance:.6g}; "
           f"bundle at {bundle_dir}")
     return 0
 

@@ -767,12 +767,6 @@ def quantized_conv(scales, float_op=float_conv):
     return conv_op
 
 
-def forward_float(graph, x):
-    """Run the float network; returns every layer's output keyed by id."""
-    return {layer.id: out
-            for layer, out in execute(graph.layers, {graph.input_id: x}, float_conv)}
-
-
 def propagate_shapes(graph, batch=1):
     """Per-layer output shapes at the given batch size, from graph metadata.
 

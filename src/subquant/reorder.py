@@ -11,9 +11,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calib import CalibConfig, calibrating_conv, distance
+from .calib import CalibConfig, calibration_walk, distance
 from .errors import BadInputError
-from .model import execute, float_conv, reference_target, successors
+from .model import reference_target, successors
 
 
 @dataclass(frozen=True)
@@ -108,16 +108,19 @@ def score_block(ctx, layers):
     quantized and float outputs of the block's last conv, after recalibrating
     every scale inside the block (quantized activations propagate within).
 
-    A float pass over the block gives every layer's reference; a
-    calibrating_conv pass then runs each layer on the quantized output of
-    the one before, as calibrate_network does on the whole network.
+    One calibration_walk over the block from its float input, as
+    calibrate_network walks the whole network.
     """
+    last = layers[-1]
+
+    def measure(layer, out, ref):  # only the block's output is scored
+        if layer is last:
+            return -distance(reference_target(layer, out), reference_target(layer, ref),
+                             "euclidean")
+
     feeds = {layers[0].predecessors[0]: ctx.block_input}
-    refs = {layer.id: out for layer, out in execute(layers, feeds, float_conv)}
-    conv_op = calibrating_conv(refs, ctx.granularity, ctx.calib_cfg)
-    *_, (last, out) = execute(layers, feeds, conv_op)
-    return -distance(reference_target(last, out), reference_target(last, refs[last.id]),
-                     "euclidean")
+    *_, (_, score) = calibration_walk(layers, feeds, ctx.granularity, ctx.calib_cfg, measure)
+    return score
 
 
 @dataclass
@@ -167,7 +170,7 @@ def check_segments(graph):
 
 def make_segment_context(graph, segment, float_refs, granularity, calib_cfg):
     """Build the scoring context for a segment (see segment_layers) from
-    cached float activations."""
+    float activations by layer id, which hold the one entering it."""
     layers = segment_layers(graph, segment)
     entry = layers[0].predecessors[0]
     return SegmentContext(segment_id=segment.id, layers=layers,

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import numpy as np
 
+from reference_search import forward_float
 from subquant.calib import CalibConfig, calibrate_layer, plan_layer_input
 from subquant.fixtures import build_small_cnn, build_toy_segment_net, random_inputs
 from subquant.model import (
-    forward_float,
     lower_layer_input,
     prepare_for_quantization,
     raise_layer_output,

@@ -2,8 +2,9 @@
 forward, kept as oracles for the batched versions in `subquant`, plus the
 block fitness written as its own layer loop, an oracle for the executor-based
 `score_block`, and the earlier forms of the quantization formula, of
-im2col and of the euclidean distance; and two adapters that run a dense
-[J, P] matrix through the production input forms.
+im2col and of the euclidean distance; two adapters that run a dense
+[J, P] matrix through the production input forms; and `forward_float`,
+the float network's outputs as one dict.
 
 `reference_search_weight_scales` scores every grid candidate with
 `distance()` on the full layer output; `reference_quantized_forward_layer`
@@ -14,7 +15,7 @@ results the library must reproduce bit for bit.
 import numpy as np
 
 from subquant.calib import LoweredInput, calibrate_layer, distance, scale_space
-from subquant.model import lower_layer_input, raise_layer_output
+from subquant.model import execute, float_conv, lower_layer_input, raise_layer_output
 from subquant.quant import (
     check_exact_accumulation,
     init_scale,
@@ -36,6 +37,13 @@ def dense_forward(weights, cols, scales, bias=None, activation="identity", slope
     one-column samples that np.transpose lowers back to the matrix."""
     return quantized_layer(weights, scales, bias, activation, slope,
                            lower=np.transpose)(np.asarray(cols).T, 1)
+
+
+def forward_float(graph, x):
+    """Every layer's float output on the batch `x`, keyed by id: the whole
+    float walk held at once, which the library never builds."""
+    return {layer.id: out
+            for layer, out in execute(graph.layers, {graph.input_id: x}, float_conv)}
 
 
 def reference_quantize_values(x, scale, bits):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import write_config
-from reference_search import dense_forward, dense_plan
+from reference_search import dense_forward, dense_plan, forward_float
 from subquant.analysis import network_overhead_report
 from subquant.calib import (
     CalibConfig,
@@ -28,7 +28,7 @@ from subquant.fixtures import (
     random_inputs,
     resnet18_shape_graph,
 )
-from subquant.model import forward_float, prepare_for_quantization
+from subquant.model import prepare_for_quantization
 from subquant.quant import (
     GranularityConfig,
     ScaleSet,

@@ -13,6 +13,7 @@ from reference_search import (
     reference_im2col,
     reference_quantize_values,
     reference_quantized_forward_layer,
+    forward_float,
     reference_search_weight_scales,
 )
 from subquant import calib
@@ -26,7 +27,7 @@ from subquant.calib import (
     search_weight_scales,
 )
 from subquant.fixtures import build_resnet20_style, build_small_cnn, random_inputs
-from subquant.model import forward_float, prepare_for_quantization, reference_target
+from subquant.model import prepare_for_quantization, reference_target
 from subquant.quant import (
     GranularityConfig,
     ScaleSet,

@@ -1,11 +1,13 @@
 """Scale search behavior against enumerative and exhaustive oracles."""
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 from reference_search import dense_forward, dense_plan, reference_distance
+from subquant import calib, model
 from subquant.calib import (
     _SUM_LEAF,
     _PairwiseSum,
@@ -20,8 +22,8 @@ from subquant.calib import (
     search_weight_scales,
     subsample,
 )
-from subquant.fixtures import build_small_cnn, random_inputs
-from subquant.model import Layer, ModelGraph, forward_float
+from subquant.fixtures import build_resnet20_style, build_small_cnn, random_inputs
+from subquant.model import Layer, ModelGraph, prepare_for_quantization
 from subquant.quant import (
     GranularityConfig,
     ScaleSet,
@@ -482,6 +484,40 @@ class TestCalibrateNetwork:
                                           r2.scales[key].weight_scales)
             assert r1.scales[key].input_scale == r2.scales[key].input_scale
         assert r1.network_distance == r2.network_distance
+
+    def test_float_outputs_released_as_layers_are_calibrated(self, monkeypatch):
+        """When calibration reaches a conv, the float output of every layer
+        before it that no layer after it reads is gone."""
+        graph = prepare_for_quantization(build_resnet20_style())
+        order = {layer.id: i for i, layer in enumerate(graph.layers)}
+        last_read = {pred: order[layer.id] for layer in graph.layers
+                     for pred in layer.predecessors}
+        floats, checked = {}, []
+        real_execute = model.execute
+
+        def tracking_execute(layers, feeds, conv_op):
+            if conv_op is model.float_conv:  # a float walk: note each output
+                for layer, out in real_execute(layers, feeds, conv_op):
+                    if layer.kind != "input":
+                        floats[layer.id] = weakref.ref(out)
+                    yield layer, out
+                return
+
+            def checking_op(layer, x):
+                k = order[layer.id]
+                held = [j for j, out in floats.items() if out() is not None
+                        and order[j] < k and last_read.get(j, len(order)) <= k]
+                assert held == [], f"float outputs held while calibrating {layer.id}"
+                checked.append(layer.id)
+                return conv_op(layer, x)
+            yield from real_execute(layers, feeds, checking_op)
+
+        monkeypatch.setattr(model, "execute", tracking_execute)
+        monkeypatch.setattr(calib, "execute", tracking_execute)
+        calibrate_network(graph, random_inputs(graph, 4, seed=0),
+                          GranularityConfig("channelwise"),
+                          CalibConfig(grid_size=3, iterations=1, samples=4))
+        assert checked == [layer.id for layer in graph.conv_like()]
 
 
 def test_subsample_is_deterministic_and_ordered():

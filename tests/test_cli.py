@@ -177,10 +177,10 @@ class TestSweep:
         """calibrate_network raises for rows_per_group 2 only."""
         real = cli.calibrate_network
 
-        def calibrate(graph, samples, granularity, cfg, references=None):
+        def calibrate(graph, samples, granularity, cfg):
             if granularity.rows_per_group == 2:
                 raise ValueError("calibration failed")
-            return real(graph, samples, granularity, cfg, references=references)
+            return real(graph, samples, granularity, cfg)
 
         monkeypatch.setattr(cli, "calibrate_network", calibrate)
 
@@ -242,7 +242,7 @@ class TestSweep:
         h_groups) and returns a distance that names the cell."""
         seen = []
 
-        def calibrate(graph, samples, granularity, cfg, references=None):
+        def calibrate(graph, samples, granularity, cfg):
             cell = (granularity.rows_per_group, granularity.h_groups)
             seen.append(cell)
             return types.SimpleNamespace(network_distance=float(10 * cell[0] + cell[1]))
@@ -328,23 +328,33 @@ class TestReorder:
         assert found and int(found.group(1)) != os.getpid()
 
     def test_no_segments_is_noop(self, tmp_path, capsys):
+        """A bundle without segments gets a summary with the keys of a
+        segmented run's, and an improvement of 0."""
         graph = build_small_cnn()
+        save_bundle(graph, tmp_path / "seg")
         graph.segments = []
         save_bundle(graph, tmp_path / "noseg")
         save_calibration_set(tmp_path / "calib.ptqc",
                              np.random.default_rng(0).normal(
                                  size=(4, 3, 8, 8)).astype(np.float32))
-        config = write_config(
-            tmp_path / "run.json",
-            model=str(tmp_path / "noseg"),
-            calibration=str(tmp_path / "calib.ptqc"),
-            granularity={"mode": "channelwise"},
-            calib=quick_calib(samples=4),
-            out=str(tmp_path / "out"))
-        assert main(["reorder", "--config", str(config)]) == 0
+
+        def run(bundle):
+            config = write_config(
+                tmp_path / f"{bundle}.json",
+                model=str(tmp_path / bundle),
+                calibration=str(tmp_path / "calib.ptqc"),
+                granularity={"mode": "channelwise"},
+                calib=quick_calib(samples=4),
+                reorder={"population": 2, "iterations": 1},
+                out=str(tmp_path / f"{bundle}_out"))
+            assert main(["reorder", "--config", str(config)]) == 0
+            return json.loads((tmp_path / f"{bundle}_out" / "reorder_summary.json").read_text())
+
+        summary = run("noseg")
         assert "nothing to reorder" in capsys.readouterr().out
-        summary = json.loads((tmp_path / "out" / "reorder_summary.json").read_text())
         assert summary["segments"] == []
+        assert summary["improvement"] == 0.0
+        assert summary.keys() == run("seg").keys()
 
 
 class TestOverhead:
@@ -762,9 +772,15 @@ class TestMalformedInput:
         assert "long.ptqc" in err and f"payload holds {payload} bytes" in err
 
     @pytest.mark.parametrize("command", ["quantize", "sweep", "reorder"])
-    def test_float_forward_overflow_exits_2(self, fixture_dir, tmp_path, command, capsys):
-        """Finite samples of 3e38 overflow conv1's float32 output to inf."""
+    def test_float_forward_overflow_exits_2(self, fixture_dir, tmp_path, command, capsys,
+                                            monkeypatch):
+        """Finite samples of 3e38 overflow conv1's float32 output to inf;
+        sweep and reorder find it before they calibrate anything."""
         save_calibration_set(tmp_path / "huge.ptqc", np.full((4, 3, 8, 8), 3e38, np.float32))
+        if command != "quantize":
+            def no_calibration(*args, **kwargs):
+                raise AssertionError("calibration ran before the float forward check")
+            monkeypatch.setattr(cli, "calibrate_network", no_calibration)
         assert self.run(command, tmp_path, fixture_dir / "small_cnn",
                         tmp_path / "huge.ptqc") == 2
         err = capsys.readouterr().err
@@ -807,7 +823,7 @@ class TestMalformedInput:
                                                             command, capsys, monkeypatch):
         """eval and sweep read the eval set one chunk at a time, but a NaN in
         its last sample still exits 2 naming the file before any calibration
-        (or float reference) and before any report is written."""
+        (or float walk) and before any report is written."""
         samples = random_inputs(build_small_cnn(), 70, 5)
         samples[-1, 2, 7, 7] = np.nan
         save_calibration_set(tmp_path / "nan.ptqc", samples)
@@ -815,7 +831,7 @@ class TestMalformedInput:
         def no_calibration(*args, **kwargs):
             raise AssertionError("calibration ran before the eval set check")
         monkeypatch.setattr(cli, "calibrate_network", no_calibration)
-        monkeypatch.setattr(cli, "float_references", no_calibration)
+        monkeypatch.setattr(cli, "float_walk", no_calibration)
         assert self.run(command, tmp_path, fixture_dir / "small_cnn",
                         fixture_dir / "small_cnn_calib.ptqc",
                         eval_inputs=tmp_path / "nan.ptqc", labels=70) == 2

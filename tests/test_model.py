@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from reference_search import forward_float
 from subquant.calib import CalibConfig, calibrate_network, plan_layer_input
 from subquant.errors import BadInputError
 from subquant.fixtures import build_resnet20_style, build_small_cnn, random_inputs
@@ -27,7 +28,6 @@ from subquant.model import (
     float_conv,
     fold_all_batchnorms,
     fold_batchnorm,
-    forward_float,
     fuse_activations,
     load_bundle,
     load_calibration_set,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_search import reference_score_block
+from reference_search import forward_float, reference_score_block
 from subquant.calib import CalibConfig, distance
 from subquant.errors import BadInputError
 from subquant.fixtures import (
@@ -19,7 +19,6 @@ from subquant.fixtures import (
 )
 from subquant.model import (
     Segment,
-    forward_float,
     load_bundle,
     prepare_for_quantization,
     save_bundle,
