@@ -9,13 +9,14 @@ activations, while layer inputs come from the already-quantized prefix of
 the network, so quantization error accumulates forward.
 """
 
+import weakref
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import BadInputError
-from .model import execute, float_conv, lower_layer_input, reference_target
+from .model import execute, float_conv, lower_layer_input
 from .quant import (
     GranularityConfig,
     ScaleSet,
@@ -561,12 +562,12 @@ class NetworkCalibration:
         return float(np.mean([self.layer_distances[k] for k in keys])) if keys else 0.0
 
 
-def float_walk(layers, feeds):
-    """execute(layers, feeds, float_conv), with overflow warnings silenced in
-    each step. An inf or NaN output leaves calibration no target to match,
-    so it is bad input, reported at the first layer that produces one.
+def float_walk(layers, feeds, conv_op=float_conv):
+    """execute(layers, feeds, conv_op) of a float conv_op, with overflow
+    warnings silenced in each step. An inf or NaN output leaves no reference
+    to match, so it is bad input, reported at the first layer that makes one.
     """
-    walk = execute(layers, feeds, float_conv)
+    walk = execute(layers, feeds, conv_op)
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
             step = next(walk, None)
@@ -574,37 +575,59 @@ def float_walk(layers, feeds):
             return
         layer, out = step
         if not np.all(np.isfinite(out)):
-            raise BadInputError(f"the float forward of the calibration samples is not "
-                                f"finite at layer {layer.id}: the samples are too large")
+            raise BadInputError(f"the float forward of the samples is not finite at "
+                                f"layer {layer.id}: the samples are too large")
         yield step
 
 
-def calibration_walk(layers, feeds, granularity, cfg, measure, on_layer=None):
-    """Calibrate `layers` on `feeds`, yielding (layer, measure(layer, out, ref))
-    for each layer in turn: out is its quantized output, ref its float one.
+class Lockstep:
+    """The float walk (float_walk) of `layers`, one layer ahead of a second walk.
+    While that runs a conv or linear layer, `ref` is the float [OC, P] output
+    just made for it, and float_conv(layer, x) returns `ref` itself when `x`
+    is the very array, held weakly, that the float conv read (an unquantized
+    first conv, on the samples); otherwise it runs float_conv."""
 
-    The float walk (float_walk) runs in lockstep with the calibrating walk,
-    as eval's two walks do, one layer each in turn: each quantized layer is
-    calibrated (calibrate_layer) on its LoweredInput against the float
-    output that the float walk has just made, and on_layer(layer, cal),
-    when given, sees each LayerCalibration; a layer with quantize false
-    runs in float. A float output is dropped once measured, unless a later
-    float layer reads it.
-    """
+    def __init__(self, layers):
+        self.layers = layers
+        self.ref = self._read = None  # _read: a weakref to what the float conv read
+
+    def _float_op(self, layer, x):
+        self.ref, self._read = float_conv(layer, x), weakref.ref(x)
+        return self.ref
+
+    def float_conv(self, layer, x):
+        return self.ref if self._read() is x else float_conv(layer, x)
+
+    def walk(self, feeds, conv_op):
+        """(layer, out, ref) for each layer in turn: out from the second walk,
+        execute(layers, feeds, conv_op), and ref from the float walk of `feeds`."""
+        second = execute(self.layers, feeds, conv_op)
+        for layer, ref in float_walk(self.layers, feeds, self._float_op):
+            _, out = next(second)
+            yield layer, out, ref
+
+
+def calibration_walk(layers, feeds, granularity, cfg, measure, on_layer=None):
+    """Calibrate `layers` on `feeds`: an iterator of (layer, measure(layer,
+    out, ref)) for each layer in turn, out its quantized output, ref its float one.
+
+    The calibrating walk is a Lockstep's second walk: each quantized layer is
+    calibrated (calibrate_layer) on its LoweredInput against `ref`, and
+    on_layer(layer, cal), when given, sees each LayerCalibration; a layer with
+    quantize false runs in float. No step is held once measured, so a float
+    output is dropped then, unless a later float layer reads it."""
+    pair = Lockstep(layers)
+
     def conv_op(layer, x):
         if not layer.quantize:
-            return float_conv(layer, x)
-        cal = calibrate_layer(layer.weight_matrix(), plan_layer_input(layer, x),
-                              reference_target(layer, ref), granularity, cfg, layer.bias,
-                              layer.activation, layer.slope)
+            return pair.float_conv(layer, x)
+        cal = calibrate_layer(layer.weight_matrix(), plan_layer_input(layer, x), pair.ref,
+                              granularity, cfg, layer.bias, layer.activation, layer.slope)
         if on_layer is not None:
             on_layer(layer, cal)
         return cal.output
 
-    calibrating = execute(layers, feeds, conv_op)
-    for layer, ref in float_walk(layers, feeds):
-        _, out = next(calibrating)
-        yield layer, measure(layer, out, ref)
+    return map(lambda step: (step[0], measure(*step)), pair.walk(feeds, conv_op))
 
 
 def calibrate_network(graph, samples, granularity, cfg):

@@ -19,8 +19,11 @@ import numpy as np
 from .analysis import network_overhead_report, write_overhead_csv, write_overhead_json
 from .calib import (
     CalibConfig,
+    Lockstep,
     StreamingDistance,
     calibrate_network,
+    calibration_walk,
+    distance,
     float_walk,
     subsample,
 )
@@ -29,7 +32,6 @@ from .model import (
     CalibrationSetReader,
     check_shapes,
     execute,
-    float_conv,
     load_bundle,
     load_calibration_set,
     prepare_for_quantization,
@@ -281,7 +283,7 @@ def cmd_sweep(cfg):
     with eval_x or contextlib.nullcontext():
         for _ in float_walk(graph.layers, {graph.input_id: samples}):
             pass  # a non-finite float forward exits 2 before any cell runs
-        output_id = graph.output_id
+        input_id, output_id = graph.input_id, graph.output_id
 
         def granularity(cell):
             rows, value = cell
@@ -292,10 +294,11 @@ def cmd_sweep(cfg):
         def accuracy(scales):
             # A forked worker reads its chunks at their own offsets, so the
             # workers never move a file offset that they share.
-            walk = _walk(graph, quantized_conv(scales))
+            conv_op = quantized_conv(scales)
             hits = sum(_top1_hits(out, labels[i:i + len(x)])
                        for i, x in _eval_chunks(graph, eval_x)
-                       for layer, out in walk(x) if layer.id == output_id)
+                       for layer, out in execute(graph.layers, {input_id: x}, conv_op)
+                       if layer.id == output_id)
             return {"accuracy": hits / eval_x.count}
 
         def run_cell(cell):
@@ -363,15 +366,18 @@ def cmd_reorder(cfg):
     graph = _load_model(cfg)
     check_segments(graph)  # reject bad segments before any calibration
     samples = _load_samples(cfg, graph)
-    calib_samples = subsample(samples, cfg.calib.samples, cfg.calib.seed)
-    # One float walk keeps only the activations entering the segments, all that
-    # the searches read; a non-finite one exits 2 before any calibration.
     entries = {graph.layer(segment.layer_ids[0]).predecessors[0]
                for segment in graph.segments}
-    block_inputs = {layer.id: out for layer, out in float_walk(
-        graph.layers, {graph.input_id: calib_samples}) if layer.id in entries}
-    baseline = calibrate_network(graph, calib_samples, cfg.granularity,
-                                 cfg.calib).network_distance
+    block_inputs = {}
+
+    def measure(layer, out, ref):  # keeps the float inputs of the segment searches
+        if layer.id in entries:
+            block_inputs[layer.id] = ref
+        return distance(out, ref, cfg.calib.metric)
+
+    walk = calibration_walk(graph.layers, {graph.input_id: subsample(
+        samples, cfg.calib.samples, cfg.calib.seed)}, cfg.granularity, cfg.calib, measure)
+    baseline = {layer.id: d for layer, d in walk}[graph.output_id]
 
     def summary(segments, final):
         return {"granularity": cfg.granularity.describe(), "seed": cfg.seed,
@@ -498,42 +504,8 @@ def _eval_chunks(graph, eval_x):
         yield i, eval_x.read(i, i + step)
 
 
-def _walk(graph, conv_op):
-    """walk(x): the executor over the graph's layers on the batch `x`."""
-    input_id = graph.input_id
-    return lambda x: execute(graph.layers, {input_id: x}, conv_op)
-
-
 def _top1_hits(scores, labels):
     return int(np.count_nonzero(np.argmax(scores, axis=1) == labels))
-
-
-def _eval_walks(graph):
-    """walks(x): the float and the quantized walk of the batch `x`, zipped so
-    that they run in lockstep, one layer each in turn; only the live
-    activations and the network outputs stay in memory. Both conv ops are
-    made here, once, so each quantized layer's weight codes are made once
-    for every batch that `walks` runs.
-
-    A layer that the quantized walk runs in float on the very array that the
-    float walk has just handed it (an unquantized first conv, on the eval
-    samples) takes the float walk's output: the same conv of the same input.
-    """
-    last = {}  # the float walk's latest conv: {layer id: (input, output)}
-
-    def float_op(layer, x):
-        last.clear()
-        out = float_conv(layer, x)
-        last[layer.id] = x, out
-        return out
-
-    def quantized_walk_float_op(layer, x):
-        seen, out = last.pop(layer.id, (None, None))
-        return out if seen is x else float_conv(layer, x)
-
-    float_walk = _walk(graph, float_op)
-    quant_walk = _walk(graph, quantized_conv(graph.scales, quantized_walk_float_op))
-    return lambda x: zip(float_walk(x), quant_walk(x))
 
 
 def cmd_eval(cfg):
@@ -544,17 +516,18 @@ def cmd_eval(cfg):
             samples = _load_samples(cfg, graph)
             graph.scales = calibrate_network(graph, samples, cfg.granularity,
                                              cfg.calib).scales
-        # Both walks run one chunk of samples at a time through the whole
-        # network; each layer's distance and the top-1 hits add up over the
-        # chunks, as over the whole set.
+        # One Lockstep walks each chunk of samples through the float and the
+        # quantized network, whose one conv_op makes each layer's weight codes
+        # once; each layer's distance and the top-1 hits add up over the chunks.
         n = eval_x.count
         distances = {lid: StreamingDistance(n * math.prod(shape[1:]), cfg.calib.metric)
                      for lid, shape in propagate_shapes(graph).items()}
-        walks, output_id = _eval_walks(graph), graph.output_id
+        pair, output_id = Lockstep(graph.layers), graph.output_id
+        conv_op = quantized_conv(graph.scales, pair.float_conv)
         float_hits = quant_hits = 0
         for i, x in _eval_chunks(graph, eval_x):
             chunk_labels = labels[i:i + len(x)]
-            for (layer, float_out), (_, quant_out) in walks(x):
+            for layer, quant_out, float_out in pair.walk({graph.input_id: x}, conv_op):
                 distances[layer.id].add(quant_out, float_out)
                 if layer.id == output_id:
                     float_hits += _top1_hits(float_out, chunk_labels)

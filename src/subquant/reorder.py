@@ -33,6 +33,9 @@ class ReorderConfig:
             raise ValueError("max_pairs must be >= 1")
         if not 0 < self.selection < 1:
             raise ValueError("selection must be in (0, 1)")
+        if round(self.population * self.selection) >= self.population:
+            raise ValueError(f"selection {self.selection} keeps all {self.population} "
+                             f"individuals as parents, so no offspring are bred")
 
 
 def identity_permutation(channels):

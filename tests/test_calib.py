@@ -496,7 +496,8 @@ class TestCalibrateNetwork:
         real_execute = model.execute
 
         def tracking_execute(layers, feeds, conv_op):
-            if conv_op is model.float_conv:  # a float walk: note each output
+            if isinstance(getattr(conv_op, "__self__", None), calib.Lockstep):
+                # the float walk of a Lockstep: note each output
                 for layer, out in real_execute(layers, feeds, conv_op):
                     if layer.kind != "input":
                         floats[layer.id] = weakref.ref(out)
@@ -518,6 +519,24 @@ class TestCalibrateNetwork:
                           GranularityConfig("channelwise"),
                           CalibConfig(grid_size=3, iterations=1, samples=4))
         assert checked == [layer.id for layer in graph.conv_like()]
+
+    def test_unquantized_first_conv_runs_once(self, monkeypatch):
+        """resnet20_style's conv0 runs in float on the samples in both walks;
+        the calibrating walk takes the float walk's output, so one
+        calibrate_network runs it once. fc runs in float too, but on inputs
+        that differ between the walks, so it runs in each: 22 float convs."""
+        graph = prepare_for_quantization(build_resnet20_style())
+        ran = []
+        real = calib.float_conv
+
+        def spy(layer, x):
+            ran.append(layer.id)
+            return real(layer, x)
+        monkeypatch.setattr(calib, "float_conv", spy)
+        calibrate_network(graph, random_inputs(graph, 4, seed=0),
+                          GranularityConfig("channelwise"),
+                          CalibConfig(grid_size=3, iterations=1, samples=4))
+        assert ran.count("conv0") == 1 and ran.count("fc") == 2 and len(ran) == 22
 
 
 def test_subsample_is_deterministic_and_ordered():

@@ -1,4 +1,5 @@
-"""Every top-level function and class of the library has a caller in it."""
+"""Every top-level function and class of the library, and every method of
+its classes but the dunder ones, has a caller in it."""
 
 import ast
 from collections import Counter
@@ -17,14 +18,28 @@ def _names_used(tree):
                    if isinstance(node, (ast.Name, ast.Attribute)))
 
 
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and class of a
+    module, and of each method of its classes whose name is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not (
+                        method.name.startswith("__") and method.name.endswith("__")):
+                    yield f"{node.name}.{method.name}", method
+
+
 def test_every_function_and_class_has_a_caller():
     """A definition counts as used when its name is read in code outside its
-    own body, in any module but __init__.py: a re-export is not a use."""
+    own body, in any module but __init__.py: a re-export is not a use. A
+    method's name counts wherever it is read, as any attribute of that name
+    is."""
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted(SOURCE.glob("*.py")) if path.name != "__init__.py"}
     used = sum((_names_used(tree) for tree in modules.values()), Counter())
-    unused = [f"{module}.{node.name}"
-              for module, tree in modules.items() for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and used[node.name] == _names_used(node)[node.name]]
+    unused = [f"{module}.{name}"
+              for module, tree in modules.items() for name, node in _definitions(tree)
+              if used[node.name] == _names_used(node)[node.name]]
     assert unused == []

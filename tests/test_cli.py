@@ -10,6 +10,7 @@ import struct
 import tempfile
 import tracemalloc
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import write_config
-from subquant import cli, model, quant, tensor
+from subquant import calib, cli, model, quant, tensor
 from subquant.cli import main, parallel_map
 from subquant.errors import BadInputError
 from subquant.fixtures import build_resnet20_style, build_small_cnn, random_inputs
@@ -326,6 +327,25 @@ class TestReorder:
         found = re.search(r"error: segment block1 rejected in process (\d+)",
                           capsys.readouterr().err)
         assert found and int(found.group(1)) != os.getpid()
+
+    def test_each_float_conv_runs_once_per_calibration(self, resnet20_config, tmp_path,
+                                                       monkeypatch):
+        """With the block searches stubbed out, reorder runs the float convs
+        of the calibration samples only in the baseline and the final
+        calibration: each layer twice, fc twice in each (it runs in float on
+        the quantized prefix too), and no float forward besides."""
+        monkeypatch.setattr("subquant.reorder.score_block", lambda ctx, layers: 0.0)
+        ran = []
+        real = calib.float_conv
+
+        def spy(layer, x):
+            ran.append(layer.id)
+            return real(layer, x)
+        monkeypatch.setattr(calib, "float_conv", spy)
+        assert main(["reorder", "--config", str(resnet20_config),
+                     "--out", str(tmp_path / "out")]) == 0
+        expect = {layer.id: 2 for layer in build_resnet20_style().conv_like()}
+        assert Counter(ran) == {**expect, "fc": 4}
 
     def test_no_segments_is_noop(self, tmp_path, capsys):
         """A bundle without segments gets a summary with the keys of a
@@ -771,20 +791,28 @@ class TestMalformedInput:
         payload = len(data) + 1 - PTQC_HEADER
         assert "long.ptqc" in err and f"payload holds {payload} bytes" in err
 
-    @pytest.mark.parametrize("command", ["quantize", "sweep", "reorder"])
-    def test_float_forward_overflow_exits_2(self, fixture_dir, tmp_path, command, capsys,
-                                            monkeypatch):
+    @pytest.mark.parametrize("command", ["quantize", "sweep", "reorder", "eval"])
+    def test_float_forward_overflow_exits_2(self, fixture_dir, quantized_small_cnn, tmp_path,
+                                            command, capsys, monkeypatch):
         """Finite samples of 3e38 overflow conv1's float32 output to inf;
-        sweep and reorder find it before they calibrate anything."""
-        save_calibration_set(tmp_path / "huge.ptqc", np.full((4, 3, 8, 8), 3e38, np.float32))
-        if command != "quantize":
-            def no_calibration(*args, **kwargs):
-                raise AssertionError("calibration ran before the float forward check")
-            monkeypatch.setattr(cli, "calibrate_network", no_calibration)
-        assert self.run(command, tmp_path, fixture_dir / "small_cnn",
-                        tmp_path / "huge.ptqc") == 2
+        every command finds it before it calibrates any layer, and eval of a
+        quantized bundle on such eval samples before it writes a report."""
+        huge = tmp_path / "huge.ptqc"
+        save_calibration_set(huge, np.full((4, 3, 8, 8), 3e38, np.float32))
+
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibration ran before the float forward check")
+        monkeypatch.setattr(calib, "calibrate_layer", no_calibration)
+        if command == "eval":
+            code = self.run(command, tmp_path, quantized_small_cnn, huge, eval_inputs=huge,
+                            labels=4)
+        else:
+            code = self.run(command, tmp_path, fixture_dir / "small_cnn", huge)
+        assert code == 2
         err = capsys.readouterr().err
-        assert "not finite at layer conv1" in err and "internal error" not in err
+        assert "float forward of the samples is not finite at layer conv1" in err
+        assert "internal error" not in err
+        assert list((tmp_path / "out").iterdir()) == []
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(edit=st.one_of(
@@ -832,6 +860,7 @@ class TestMalformedInput:
             raise AssertionError("calibration ran before the eval set check")
         monkeypatch.setattr(cli, "calibrate_network", no_calibration)
         monkeypatch.setattr(cli, "float_walk", no_calibration)
+        monkeypatch.setattr(cli, "Lockstep", no_calibration)
         assert self.run(command, tmp_path, fixture_dir / "small_cnn",
                         fixture_dir / "small_cnn_calib.ptqc",
                         eval_inputs=tmp_path / "nan.ptqc", labels=70) == 2
@@ -991,6 +1020,9 @@ class TestMalformedInput:
                      f"beta must be finite, got {10 ** 400}", id="beta-beyond-float64"),
         pytest.param({"reorder": {"selection": None}},
                      "reorder.selection must be a number, got None", id="selection-null"),
+        pytest.param({"reorder": {"population": 2, "selection": 0.75}},
+                     "selection 0.75 keeps all 2 individuals as parents, so no offspring",
+                     id="selection-without-offspring"),
     ])
     def test_malformed_run_config_exits_2(self, fixture_dir, tmp_path, entries, fault,
                                           capsys):
@@ -1334,16 +1366,12 @@ class TestDeterminism:
             "eval": {"inputs": str(tmp_path / "eval.ptqc"),
                      "labels": str(tmp_path / "labels.json")}})
         chunks = []
-        eval_walks = cli._eval_walks
 
-        def spy(graph):
-            walks = eval_walks(graph)
-
-            def counted(x):
-                chunks.append(len(x))
-                return walks(x)
-            return counted
-        monkeypatch.setattr(cli, "_eval_walks", spy)
+        class Spy(calib.Lockstep):
+            def walk(self, feeds, conv_op):
+                chunks.extend(len(x) for x in feeds.values())
+                return super().walk(feeds, conv_op)
+        monkeypatch.setattr(cli, "Lockstep", Spy)
         reports = []
         for block_bytes, expect in ((tensor._FORWARD_BLOCK_BYTES, [32] * 34 + [8]),
                                     (1, [8] * 137), (1 << 40, [1096])):

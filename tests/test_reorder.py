@@ -298,3 +298,6 @@ def test_reorder_config_validation():
         ReorderConfig(iterations=0)
     with pytest.raises(ValueError):
         ReorderConfig(selection=1.0)
+    for population, selection in ((2, 0.75), (40, 0.99)):  # every individual a parent
+        with pytest.raises(ValueError, match="no offspring"):
+            ReorderConfig(population=population, selection=selection)
