@@ -10,7 +10,7 @@ the network, so quantization error accumulates forward.
 """
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -310,17 +310,17 @@ def plan_layer_input(layer, x):
     return LoweredInput(values, (np.cumsum(read) - 1)[index])
 
 
-def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales=None,
-                       center=None, bias=None, activation="identity", slope=0.01,
-                       center_result=None):
+def search_input_scale(weights, cols, target, cfg, scales=None, bias=None,
+                       activation="identity", slope=0.01, center_result=None):
     """Enumerate input-scale candidates and keep the one closest to target.
 
     `cols` is the LoweredInput of the layer; each candidate quantizes its
     values once and gathers the lowered codes into one buffer.
-    With `weight_scales` given, candidates are evaluated through the grouped
-    integer path; the weight codes are made once and only the input is
-    re-quantized per candidate. Otherwise weights stay in float. The grid
-    center is always part of the comparison set, like the evaluated
+    With `scales` given, a ScaleSet whose input scale is the grid center,
+    candidates are evaluated through the grouped integer path; the weight
+    codes are made once and only the input is re-quantized per candidate.
+    Otherwise weights stay in float and the center is the input's init
+    scale. The center is always part of the comparison set, like the evaluated
     incumbent of the weight search, so a scale that is already exact is
     never displaced. `center_result`, when given, is the center's
     (distance, output), known to the caller, and is used in the center's
@@ -329,15 +329,15 @@ def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales
     """
     if cols.shape[1] == 0:
         raise ValueError("empty calibration set")
-    if center is None:
+    if scales is None:
         center = init_scale(cols.values, cfg.act_bits)
+    else:
+        center = scales.input_scale
+        codes = quantize_weight_groups(weights, scales.partition, scales.weight_scales,
+                                       scales.weight_bits)
     candidates = scale_space(cfg.alpha, cfg.beta, center, cfg.grid_size)
     # ascending; strict < keeps the smallest tie
     candidates = np.unique(np.append(candidates, center))
-    if weight_scales is not None:
-        scales = ScaleSet(partition, weight_scales, center, cfg.weight_bits, cfg.act_bits)
-        codes = quantize_weight_groups(weights, partition, scales.weight_scales,
-                                       cfg.weight_bits)
     lowered = np.empty(cols.shape)  # each candidate's lowered input, in turn
     best_scale, best_d, best_out = None, np.inf, None
     for cand in candidates:
@@ -346,15 +346,13 @@ def search_input_scale(weights, cols, target, cfg, partition=None, weight_scales
             d, out = center_result
         else:
             q = quantize_values(cols.values, cand, cfg.act_bits)
-            if weight_scales is None:
+            if scales is None:
                 q *= cand
                 out = conv_reference(weights, cols.gather(q, lowered), activation, bias,
                                      slope)
             else:
-                scales = ScaleSet(partition, weight_scales, cand, cfg.weight_bits,
-                                  cfg.act_bits)
-                out = grouped_forward(codes, cols.gather(q, lowered), scales, bias,
-                                      activation, slope)
+                out = grouped_forward(codes, cols.gather(q, lowered),
+                                      replace(scales, input_scale=cand), bias, activation, slope)
             d = distance(out, target, cfg.metric)
         if d < best_d:
             best_scale, best_d, best_out = cand, d, out
@@ -508,7 +506,7 @@ def search_weight_scales(weights, cols, partition, input_scale, target, cfg,
                 else:
                     scales[v, h], terms[h][r0:r1], out[r0:r1] = best
                     screen.update(r0, r1, out[r0:r1])
-        trace.append(distance(out, target, cfg.metric))
+        trace.append(d_entry)
     return scales, trace, out
 
 
@@ -518,8 +516,6 @@ class LayerCalibration:
 
     scales: ScaleSet
     output: np.ndarray
-    distance: float
-    step_distances: dict
 
 
 def calibrate_layer(weights, cols, target, granularity, cfg, bias=None,
@@ -534,19 +530,15 @@ def calibrate_layer(weights, cols, target, granularity, cfg, bias=None,
     """
     oc, j = weights.shape
     partition = make_partition(oc, j, granularity)
-    input_scale, d1, _ = search_input_scale(weights, cols, target, cfg, bias=bias,
-                                            activation=activation, slope=slope)
+    input_scale, _, _ = search_input_scale(weights, cols, target, cfg, bias=bias,
+                                           activation=activation, slope=slope)
     weight_scales, trace, searched = search_weight_scales(
         weights, cols, partition, input_scale, target, cfg, bias, activation, slope)
-    input_scale, d3, output = search_input_scale(
-        weights, cols, target, cfg, partition=partition, weight_scales=weight_scales,
-        center=input_scale, bias=bias, activation=activation, slope=slope,
-        center_result=(trace[-1], searched))
     scales = ScaleSet(partition, weight_scales, input_scale, cfg.weight_bits, cfg.act_bits)
-    steps = {"input_search": d1, "weight_search": trace[-1],
-             "input_research": d3, "final": d3, "weight_trace": trace}
-    return LayerCalibration(scales=scales, output=output, distance=d3,
-                            step_distances=steps)
+    input_scale, _, output = search_input_scale(
+        weights, cols, target, cfg, scales, bias, activation, slope,
+        center_result=(trace[-1], searched))
+    return LayerCalibration(replace(scales, input_scale=input_scale), output)
 
 
 @dataclass

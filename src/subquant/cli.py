@@ -7,6 +7,7 @@ written atomically. Exit codes: 0 success, 1 internal error, 2 bad input.
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -281,8 +282,10 @@ def cmd_sweep(cfg):
     samples = subsample(_load_samples(cfg, graph), cfg.calib.samples, cfg.calib.seed)
     eval_x, labels = _load_eval_set(cfg, graph) if cfg.eval_inputs else (None, None)
     with eval_x or contextlib.nullcontext():
-        for _ in float_walk(graph.layers, {graph.input_id: samples}):
-            pass  # a non-finite float forward exits 2 before any cell runs
+        chunks = () if eval_x is None else (x for _, x in _eval_chunks(graph, eval_x))
+        for x in itertools.chain([samples], chunks):
+            for _ in float_walk(graph.layers, {graph.input_id: x}):
+                pass  # a non-finite float forward exits 2 before any cell runs
         input_id, output_id = graph.input_id, graph.output_id
 
         def granularity(cell):

@@ -56,9 +56,9 @@ def _conv_bn_relu(rng, layers, name, ic, oc, k, stride, padding, pred, quantize=
     return last
 
 
-def build_small_cnn(seed=11):
+def build_small_cnn():
     """Five-conv CNN with one residual block, BN everywhere, 8x8 inputs."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     layers = [Layer(id="input", kind="input")]
     last = _conv_bn_relu(rng, layers, "conv1", 3, 8, 3, 1, 1, "input", quantize=False)
     last = _conv_bn_relu(rng, layers, "conv2", 8, 12, 3, 1, 1, last)
@@ -75,13 +75,13 @@ def build_small_cnn(seed=11):
     return graph.validate()
 
 
-def build_resnet20_style(seed=7):
+def build_resnet20_style():
     """Residual net shaped like a CIFAR ResNet-20: 20 convs, 9 blocks, 8x8 inputs.
 
     Stage channel widths are 8/16/16 with a single strided transition whose
     shortcut is a 1x1 conv, keeping the conv count at 20.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     layers = [Layer(id="input", kind="input")]
     segments = []
     last = _conv_bn_relu(rng, layers, "conv0", 3, 8, 3, 1, 1, "input", quantize=False)
@@ -113,22 +113,22 @@ def build_resnet20_style(seed=7):
     return graph.validate()
 
 
-def build_toy_segment_net(seed=9, channels=4, spatial=6):
-    """Two quantized convs over `channels` channels; one reorderable segment.
+def build_toy_segment_net():
+    """Two quantized convs over 4 channels of 6x6; one reorderable segment.
 
     The first conv carries a strong per-output-channel magnitude spread, so
     grouping similar channels pays off and the jointly constrained reordering
     space reaches the same quality region as free per-layer reordering.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(9)
     layers = [Layer(id="input", kind="input")]
-    conv_a = _conv(rng, "convA", channels, channels, 3, 1, 1, "input")
+    conv_a = _conv(rng, "convA", 4, 4, 3, 1, 1, "input")
     conv_a.activation = "relu"
-    conv_a.weight *= rng.uniform(1.0 / 3.0, 3.0, channels)[:, None, None, None].astype(np.float32)
-    conv_b = _conv(rng, "convB", channels, channels, 3, 1, 1, "convA")
+    conv_a.weight *= rng.uniform(1.0 / 3.0, 3.0, 4)[:, None, None, None].astype(np.float32)
+    conv_b = _conv(rng, "convB", 4, 4, 3, 1, 1, "convA")
     layers += [conv_a, conv_b, Layer(id="output", kind="output", predecessors=["convB"])]
     graph = ModelGraph(layers=layers, segments=[Segment("block1", ["convA", "convB"])],
-                       input_shape=[1, channels, spatial, spatial])
+                       input_shape=[1, 4, 6, 6])
     return graph.validate()
 
 
@@ -267,30 +267,30 @@ def yolov3_320_shape_graph():
     return ModelGraph(layers=layers, input_shape=[1, 3, 320, 320]).validate()
 
 
-def write_all(out_dir, calib_count=64, eval_count=32, seed=0):
-    """Materialize the demo bundles, calibration sets, and shape manifests."""
+def write_all(out_dir):
+    """Materialize the demo bundles, calibration sets (64 samples each, 8 for
+    toy_segment), a small_cnn eval set of 32 labelled samples, and the shape
+    manifests."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     small = build_small_cnn()
     save_bundle(small, out / "small_cnn")
     save_calibration_set(out / "small_cnn_calib.ptqc",
-                         random_inputs(small, calib_count, seed))
-    save_calibration_set(out / "small_cnn_eval.ptqc",
-                         random_inputs(small, eval_count, seed + 1))
-    rng = np.random.default_rng(seed + 2)
-    labels = rng.integers(0, 10, eval_count).tolist()
+                         random_inputs(small, 64, 0))
+    save_calibration_set(out / "small_cnn_eval.ptqc", random_inputs(small, 32, 1))
+    labels = np.random.default_rng(2).integers(0, 10, 32).tolist()
     write_atomic(out / "small_cnn_eval_labels.json", json.dumps(labels) + "\n")
 
     resnet = build_resnet20_style()
     save_bundle(resnet, out / "resnet20_style")
     save_calibration_set(out / "resnet20_style_calib.ptqc",
-                         random_inputs(resnet, calib_count, seed + 3))
+                         random_inputs(resnet, 64, 3))
 
     toy = build_toy_segment_net()
     save_bundle(toy, out / "toy_segment")
     save_calibration_set(out / "toy_segment_calib.ptqc",
-                         random_inputs(toy, 8, seed + 4))
+                         random_inputs(toy, 8, 4))
 
     save_bundle(resnet18_shape_graph(), out / "resnet18_shape")
     save_bundle(resnet50_shape_graph(), out / "resnet50_shape")

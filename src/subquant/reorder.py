@@ -132,7 +132,6 @@ class EAResult:
     best_perms: tuple
     best_score: float
     identity_score: float
-    best_history: list
 
 
 def segment_layers(graph, segment):
@@ -214,7 +213,6 @@ def ea_search(ctx, cfg):
     identity_score = scores[0]
     best_idx = int(np.argmax(scores))
     best_ind, best_score = population[best_idx], scores[best_idx]
-    history = [best_score]
 
     n_parents = max(1, int(round(cfg.population * cfg.selection)))
     for _ in range(cfg.iterations):
@@ -230,11 +228,9 @@ def ea_search(ctx, cfg):
         gen_best = int(np.argmax(scores))
         if scores[gen_best] > best_score:
             best_ind, best_score = population[gen_best], scores[gen_best]
-        history.append(best_score)
 
     return EAResult(segment_id=ctx.segment_id, best_perms=best_ind,
-                    best_score=best_score, identity_score=identity_score,
-                    best_history=history)
+                    best_score=best_score, identity_score=identity_score)
 
 
 def commit_segment_reordering(graph, segment, perms):

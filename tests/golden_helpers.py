@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from reference_search import forward_float
-from subquant.calib import CalibConfig, calibrate_layer, plan_layer_input
+from subquant.calib import CalibConfig, calibrate_layer, distance, plan_layer_input
 from subquant.fixtures import build_small_cnn, build_toy_segment_net, random_inputs
 from subquant.model import (
     lower_layer_input,
@@ -32,7 +32,7 @@ def forward_payload():
         flat = arr.reshape(-1).astype(np.float64)
         payload[lid] = {
             "shape": list(arr.shape),
-            "norm": float(np.linalg.norm(flat)),
+            "norm": float(np.sqrt(np.sum(flat * flat))),
             "head": [float(v) for v in flat[:4]],
         }
     return payload
@@ -57,7 +57,7 @@ def scales_payload():
         "layer": "conv2",
         "weight_scales": [[float(s) for s in row] for row in cal.scales.weight_scales],
         "input_scale": float(cal.scales.input_scale),
-        "distance": float(cal.distance),
+        "distance": distance(cal.output, target, cfg.metric),
     }
 
 

@@ -172,8 +172,8 @@ def test_input_research_matches_reference(metric):
     cfg = CalibConfig(grid_size=25, metric=metric)
     plan = dense_plan(cols)
     grid, _, _ = search_weight_scales(weights, plan, partition, 0.03, target, cfg, bias, "relu")
-    got = search_input_scale(weights, plan, target, cfg, partition=partition,
-                             weight_scales=grid, center=0.03, bias=bias, activation="relu")
+    got = search_input_scale(weights, plan, target, cfg, ScaleSet(partition, grid, 0.03),
+                             bias=bias, activation="relu")
     candidates = np.unique(np.append(scale_space(cfg.alpha, cfg.beta, 0.03, 25), 0.03))
     best = (None, np.inf, None)
     for cand in candidates:
@@ -199,8 +199,31 @@ def test_calibrated_output_is_the_final_forward(metric, granularity):
                           "leaky_relu", 0.1)
     expect = dense_forward(weights, cols, cal.scales, bias, "leaky_relu", 0.1)
     assert np.array_equal(cal.output, expect)
-    assert cal.distance == distance(expect, target, metric)
-    assert cal.step_distances["final"] == cal.distance
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_weight_search_measures_only_the_entry_and_the_confirmed_candidates(metric):
+    """distance() runs once on the entry output and once per candidate the
+    screen keeps; each sweep's trace value is the running distance, not one
+    more call."""
+    weights, cols, bias = make_layer(4)
+    target = target_of(weights, cols, bias, "relu")
+    partition = make_partition(*weights.shape, GranularityConfig("method1", 4, 12))
+    cfg = CalibConfig(grid_size=15, iterations=2, metric=metric)
+    kept = []
+    contenders = calib._Screen.contenders
+
+    def counted(screen, scores):
+        mask = contenders(screen, scores)
+        kept.append(int(np.count_nonzero(mask)))
+        return mask
+
+    with mock.patch.object(calib, "distance", wraps=calib.distance) as measured, \
+            mock.patch.object(calib._Screen, "contenders", counted):
+        search_weight_scales(weights, dense_plan(cols), partition, 0.03, target, cfg, bias,
+                             "relu")
+    assert len(kept) == cfg.iterations * partition.v_groups * partition.h_groups
+    assert measured.call_count == 1 + sum(kept)
 
 
 def full_step3(weights, plan, target, granularity, cfg, bias, activation, slope):
@@ -209,8 +232,8 @@ def full_step3(weights, plan, target, granularity, cfg, bias, activation, slope)
     partition = make_partition(*weights.shape, granularity)
     center = search_input_scale(weights, plan, target, cfg, **layer)[0]
     grid, _, _ = search_weight_scales(weights, plan, partition, center, target, cfg, **layer)
-    return center, search_input_scale(weights, plan, target, cfg, partition=partition,
-                                      weight_scales=grid, center=center, **layer)
+    scales = ScaleSet(partition, grid, center, cfg.weight_bits, cfg.act_bits)
+    return center, search_input_scale(weights, plan, target, cfg, scales, **layer)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
@@ -233,7 +256,7 @@ def test_reused_center_equals_full_step3(metric, granularity, tie):
         cal = calibrate_layer(weights, plan, target, granularity, cfg, bias, "relu")
     candidates = np.unique(np.append(scale_space(cfg.alpha, cfg.beta, center, 15), center))
     assert forward.call_count == len(candidates) - 1  # all but the center
-    assert (cal.scales.input_scale, cal.distance) == expect[:2]
+    assert (cal.scales.input_scale, distance(cal.output, target, metric)) == expect[:2]
     assert cal.output.tobytes() == expect[2].tobytes()
     if tie:
         assert not np.any(cal.output)
@@ -254,8 +277,7 @@ def test_exact_accumulation_guard_at_bound(width, ok):
     target = np.zeros((2, 3), dtype=np.float32)
 
     def step3():
-        return search_input_scale(weights, dense_plan(cols), target, cfg, partition=partition,
-                                  weight_scales=[[1e-9]], center=1e-9)
+        return search_input_scale(weights, dense_plan(cols), target, cfg, scales())
 
     if ok:
         out = dense_forward(weights, cols, scales())
@@ -297,8 +319,8 @@ def test_searches_through_the_plan_match_the_dense_oracle(metric, build, layer_i
         step1 = search_input_scale(weights, cols, target, cfg, **layer_args)
         grid, trace, out = search_weight_scales(weights, cols, partition, step1[0], target,
                                                 cfg, **layer_args)
-        step3 = search_input_scale(weights, cols, target, cfg, partition=partition,
-                                   weight_scales=grid, center=step1[0], **layer_args)
+        step3 = search_input_scale(weights, cols, target, cfg,
+                                   ScaleSet(partition, grid, step1[0]), **layer_args)
         return step1, grid, trace, step3, out
 
     got = steps(plan_layer_input(layer, x))

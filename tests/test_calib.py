@@ -2,6 +2,7 @@
 
 import itertools
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -414,7 +415,7 @@ class TestCalibrateLayer:
         cfg = CalibConfig(grid_size=101, iterations=2)
         cal = calibrate_layer(w, dense_plan(x), target, GranularityConfig("channelwise"),
                               cfg)
-        assert cal.distance == 0.0
+        assert distance(cal.output, target) == 0.0
         np.testing.assert_array_equal(cal.output, target)
 
     def test_input_research_never_hurts(self):
@@ -424,11 +425,16 @@ class TestCalibrateLayer:
             w = rng.normal(size=(5, 9)).astype(np.float32)
             x = rng.normal(size=(9, 11)).astype(np.float32)
             target = conv_reference(w, x, "relu")
-            cal = calibrate_layer(w, dense_plan(x), target,
-                                  GranularityConfig("method1", 2, 3), cfg, activation="relu")
-            steps = cal.step_distances
-            assert steps["input_research"] <= steps["weight_search"] + 1e-12
-            assert steps["final"] == steps["input_research"]
+            plan = dense_plan(x)
+            cal = calibrate_layer(w, plan, target, GranularityConfig("method1", 2, 3), cfg,
+                                  activation="relu")
+            step1 = search_input_scale(w, plan, target, cfg, activation="relu")[0]
+            weight_search = distance(dense_forward(w, x, replace(cal.scales, input_scale=step1),
+                                                   activation="relu"), target)
+            input_research = distance(cal.output, target)
+            assert input_research <= weight_search + 1e-12
+            assert distance(dense_forward(w, x, cal.scales, activation="relu"),
+                            target) == input_research
 
 
 def tiny_two_layer_graph(dw=0.25, dx=0.0625):

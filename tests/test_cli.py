@@ -791,12 +791,14 @@ class TestMalformedInput:
         payload = len(data) + 1 - PTQC_HEADER
         assert "long.ptqc" in err and f"payload holds {payload} bytes" in err
 
-    @pytest.mark.parametrize("command", ["quantize", "sweep", "reorder", "eval"])
+    @pytest.mark.parametrize("command", ["quantize", "sweep", "reorder", "eval", "sweep-eval"])
     def test_float_forward_overflow_exits_2(self, fixture_dir, quantized_small_cnn, tmp_path,
                                             command, capsys, monkeypatch):
         """Finite samples of 3e38 overflow conv1's float32 output to inf;
-        every command finds it before it calibrates any layer, and eval of a
-        quantized bundle on such eval samples before it writes a report."""
+        every command finds it before it calibrates any layer, eval of a
+        quantized bundle on such eval samples before it writes a report, and
+        sweep on such eval samples (sweep-eval, with finite calibration
+        samples) before it calibrates any cell."""
         huge = tmp_path / "huge.ptqc"
         save_calibration_set(huge, np.full((4, 3, 8, 8), 3e38, np.float32))
 
@@ -806,6 +808,10 @@ class TestMalformedInput:
         if command == "eval":
             code = self.run(command, tmp_path, quantized_small_cnn, huge, eval_inputs=huge,
                             labels=4)
+        elif command == "sweep-eval":
+            save_calibration_set(huge, np.full((16, 3, 8, 8), 3e38, np.float32))
+            code = self.run("sweep", tmp_path, fixture_dir / "small_cnn",
+                            fixture_dir / "small_cnn_calib.ptqc", eval_inputs=huge, labels=16)
         else:
             code = self.run(command, tmp_path, fixture_dir / "small_cnn", huge)
         assert code == 2

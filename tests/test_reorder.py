@@ -214,13 +214,11 @@ class TestEASearch:
         assert result.best_score == 0.0
         np.testing.assert_array_equal(result.best_perms[0], [0, 1])
 
-    def test_never_worse_than_identity_and_monotone(self):
+    def test_never_worse_than_identity(self):
         ctx = toy_context()
         for seed in (0, 1, 2):
             result = ea_search(ctx, ReorderConfig(population=6, iterations=3, seed=seed))
             assert result.best_score >= result.identity_score
-            hist = result.best_history
-            assert all(b >= a for a, b in zip(hist, hist[1:]))
 
     def test_deterministic_given_seed(self):
         ctx = toy_context()
