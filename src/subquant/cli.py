@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +46,7 @@ from .model import (
     write_json,
 )
 from .quant import GranularityConfig, check_bits, make_partition
-from .reorder import (
-    ReorderConfig,
-    check_segments,
-    commit_segment_reordering,
-    ea_search,
-    make_segment_context,
-)
+from .reorder import ReorderConfig, check_segments, ea_search, joint_reorder, score_block
 from .tensor import block_samples
 
 OUT_ENV_VAR = "SUBQUANT_OUT"
@@ -367,10 +362,9 @@ def _cell_text(cell, key):
 
 def cmd_reorder(cfg):
     graph = _load_model(cfg)
-    check_segments(graph)  # reject bad segments before any calibration
+    chains = check_segments(graph)  # reject bad segments before any calibration
     samples = _load_samples(cfg, graph)
-    entries = {graph.layer(segment.layer_ids[0]).predecessors[0]
-               for segment in graph.segments}
+    entries = [chain[0].predecessors[0] for chain in chains]
     block_inputs = {}
 
     def measure(layer, out, ref):  # keeps the float inputs of the segment searches
@@ -387,38 +381,39 @@ def cmd_reorder(cfg):
                 "segments": segments, "baseline_network_distance": baseline,
                 "final_network_distance": final, "improvement": baseline - final}
 
-    if not graph.segments:
+    if not chains:
         print("no segments declared in the bundle; nothing to reorder")
         write_json(cfg.out / "reorder_summary.json", summary([], baseline))
         return 0
     # The segments are disjoint and every search reads only float activations,
     # so no search depends on another's commit: all run on the uncommitted
-    # graph, and the commits follow in segment order.
-    contexts = [make_segment_context(graph, segment, block_inputs, cfg.granularity,
-                                     cfg.calib)
-                for segment in graph.segments]
-
+    # graph, and their reorderings are committed together.
     def search(index):
-        return ea_search(contexts[index], replace(cfg.reorder, seed=cfg.reorder.seed + index))
+        fitness = partial(score_block, block_inputs[entries[index]], cfg.granularity, cfg.calib)
+        return ea_search(chains[index], fitness,
+                         replace(cfg.reorder, seed=cfg.reorder.seed + index))
 
-    results = parallel_map(search, range(len(contexts)), cfg.jobs)
-    del block_inputs, contexts  # the final calibration needs neither
-    for segment, res in zip(graph.segments, results):
-        commit_segment_reordering(graph, segment, res.best_perms)
+    results = parallel_map(search, range(len(chains)), cfg.jobs)
+    reordered = {layer.id: layer for chain, res in zip(chains, results)
+                 for layer in joint_reorder(chain, list(res.best_perms))}
+    graph.layers = [reordered.get(layer.id, layer) for layer in graph.layers]
+    del block_inputs, chains  # the final calibration needs neither
+    searched = list(zip(graph.segments, results))
+    for segment, res in searched:
         print(f"segment {segment.id}: score {res.identity_score:.6g} -> "
               f"{res.best_score:.6g}")
     final = calibrate_network(graph, samples, cfg.granularity, cfg.calib)
     graph.scales = final.scales
     graph.reorderings = [{
-        "segment": r.segment_id,
+        "segment": segment.id,
         "permutations": [[int(v) for v in perm] for perm in r.best_perms],
         "score": r.best_score,
         "baseline_score": r.identity_score,
-    } for r in results]
+    } for segment, r in searched]
     bundle_dir = save_bundle(graph, cfg.out / "reordered")
     rows = [["segment", "baseline_score", "best_score", "improvement"]]
-    for r in results:
-        rows.append([r.segment_id, repr(r.identity_score), repr(r.best_score),
+    for segment, r in searched:
+        rows.append([segment.id, repr(r.identity_score), repr(r.best_score),
                      repr(r.best_score - r.identity_score)])
     write_csv(cfg.out / "segment_scores.csv", rows)
     write_json(cfg.out / "reorder_summary.json",

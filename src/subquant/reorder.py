@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calib import CalibConfig, calibration_walk, distance
+from .calib import calibration_walk, distance
 from .errors import BadInputError
 from .model import reference_target, successors
 
@@ -94,25 +94,14 @@ def joint_reorder(layers, perms):
     return reordered
 
 
-@dataclass
-class SegmentContext:
-    """Everything needed to score one block in isolation: its conv layers,
-    the float activations entering the block, and the calibration setup."""
-
-    segment_id: str
-    layers: list
-    block_input: np.ndarray
-    granularity: object
-    calib_cfg: CalibConfig
-
-
-def score_block(ctx, layers):
+def score_block(block_input, granularity, calib_cfg, layers):
     """Fitness of a reordered block: negative euclidean distance between the
     quantized and float outputs of the block's last conv, after recalibrating
     every scale inside the block (quantized activations propagate within).
 
     One calibration_walk over the block from its float input, as
-    calibrate_network walks the whole network.
+    calibrate_network walks the whole network. Bind all but `layers` with
+    functools.partial to get an `ea_search` fitness.
     """
     last = layers[-1]
 
@@ -121,75 +110,64 @@ def score_block(ctx, layers):
             return -distance(reference_target(layer, out), reference_target(layer, ref),
                              "euclidean")
 
-    feeds = {layers[0].predecessors[0]: ctx.block_input}
-    *_, (_, score) = calibration_walk(layers, feeds, ctx.granularity, ctx.calib_cfg, measure)
+    feeds = {layers[0].predecessors[0]: block_input}
+    *_, (_, score) = calibration_walk(layers, feeds, granularity, calib_cfg, measure)
     return score
 
 
 @dataclass
 class EAResult:
-    segment_id: str
     best_perms: tuple
     best_score: float
     identity_score: float
 
 
-def segment_layers(graph, segment):
-    """The layers of a segment, which must be a chain of convs on the
-    prepared graph: each layer after the first reads only the one before it,
-    and every inner layer feeds only the next one, so a joint reordering
-    preserves the function.
-    """
-    layers = [graph.layer(lid) for lid in segment.layer_ids]
-    if not layers:
-        raise BadInputError(f"segment {segment.id} has no layers")
-    consumers = successors(graph)
-    for i, layer in enumerate(layers):
-        if layer.kind != "conv":
-            fault = f"{layer.id} is a {layer.kind} layer, not a conv"
-        elif i and layer.predecessors != [layers[i - 1].id]:
-            fault = f"{layer.id} does not read only from {layers[i - 1].id}"
-        elif i < len(layers) - 1 and consumers[layer.id] != [layers[i + 1].id]:
-            fault = f"{layer.id} feeds {consumers[layer.id]}, not only {layers[i + 1].id}"
-        else:
-            continue
-        raise BadInputError(f"segment {segment.id} is not a conv chain: {fault}")
-    return layers
-
-
 def check_segments(graph):
-    """Every segment is a conv chain (see segment_layers), and no layer is in
-    two segments, so each segment's search can run on the graph as loaded:
-    no segment's reordering changes another's layers."""
-    owner = {}
+    """The layers of each segment, in segment order.
+
+    Each segment must be a chain of convs on the prepared graph: each layer
+    after the first reads only the one before it, and every inner layer
+    feeds only the next one, so a joint reordering preserves the function.
+    No layer is in two segments, so each segment's search can run on the
+    graph as loaded: no segment's reordering changes another's layers.
+    """
+    consumers = successors(graph)
+    owner, chains = {}, []
     for segment in graph.segments:
-        for layer in segment_layers(graph, segment):
+        layers = [graph.layer(lid) for lid in segment.layer_ids]
+        if not layers:
+            raise BadInputError(f"segment {segment.id} has no layers")
+        for i, layer in enumerate(layers):
+            if layer.kind != "conv":
+                fault = f"{layer.id} is a {layer.kind} layer, not a conv"
+            elif i and layer.predecessors != [layers[i - 1].id]:
+                fault = f"{layer.id} does not read only from {layers[i - 1].id}"
+            elif i < len(layers) - 1 and consumers[layer.id] != [layers[i + 1].id]:
+                fault = f"{layer.id} feeds {consumers[layer.id]}, not only {layers[i + 1].id}"
+            else:
+                continue
+            raise BadInputError(f"segment {segment.id} is not a conv chain: {fault}")
+        for layer in layers:
             if layer.id in owner:
                 raise BadInputError(f"segments {owner[layer.id]} and {segment.id} overlap "
                                     f"at layer {layer.id}")
             owner[layer.id] = segment.id
+        chains.append(layers)
+    return chains
 
 
-def make_segment_context(graph, segment, float_refs, granularity, calib_cfg):
-    """Build the scoring context for a segment (see segment_layers) from
-    float activations by layer id, which hold the one entering it."""
-    layers = segment_layers(graph, segment)
-    entry = layers[0].predecessors[0]
-    return SegmentContext(segment_id=segment.id, layers=layers,
-                          block_input=float_refs[entry], granularity=granularity,
-                          calib_cfg=calib_cfg)
+def ea_search(layers, fitness, cfg):
+    """Evolutionary search over joint reorderings of a conv chain.
 
-
-def ea_search(ctx, cfg):
-    """Evolutionary search over joint reorderings of one segment.
-
-    The identity individual seeds the population, so the returned best is
-    never worse than not reordering. Each generation scores the population,
-    keeps the top `selection` fraction as parents, and refills the rest with
-    mutants of random parents. Individuals are scored once and cached.
+    `fitness(reordered_layers)` scores an individual, higher being better;
+    it is called once per distinct individual, first on the identity. The
+    identity individual seeds the population, so the returned best is never
+    worse than not reordering. Each generation scores the population, keeps
+    the top `selection` fraction as parents, and refills the rest with
+    mutants of random parents.
     """
     rng = np.random.default_rng(cfg.seed)
-    slot_sizes = [layer.out_channels for layer in ctx.layers[:-1]]
+    slot_sizes = [layer.out_channels for layer in layers[:-1]]
 
     def random_individual():
         return tuple(rng.permutation(c).astype(np.int64) for c in slot_sizes)
@@ -206,7 +184,7 @@ def ea_search(ctx, cfg):
     def score(ind):
         k = key(ind)
         if k not in cache:
-            cache[k] = score_block(ctx, joint_reorder(ctx.layers, list(ind)))
+            cache[k] = fitness(joint_reorder(layers, list(ind)))
         return cache[k]
 
     scores = [score(ind) for ind in population]
@@ -229,14 +207,5 @@ def ea_search(ctx, cfg):
         if scores[gen_best] > best_score:
             best_ind, best_score = population[gen_best], scores[gen_best]
 
-    return EAResult(segment_id=ctx.segment_id, best_perms=best_ind,
-                    best_score=best_score, identity_score=identity_score)
-
-
-def commit_segment_reordering(graph, segment, perms):
-    """Write a segment's joint reordering back into the graph layers."""
-    layers = [graph.layer(lid) for lid in segment.layer_ids]
-    reordered = joint_reorder(layers, list(perms))
-    table = {layer.id: layer for layer in reordered}
-    graph.layers = [table.get(layer.id, layer) for layer in graph.layers]
-    return graph
+    return EAResult(best_perms=best_ind, best_score=best_score,
+                    identity_score=identity_score)

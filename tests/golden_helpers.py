@@ -3,6 +3,7 @@ point: run `python tests/golden_helpers.py` ONLY after hand-verifying a
 change that legitimately alters the numerics. The goldens pin the calibrated
 scales, forward activations, and reordering outcome of the demo fixtures."""
 
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from subquant.model import (
     write_json,
 )
 from subquant.quant import GranularityConfig
-from subquant.reorder import ReorderConfig, ea_search, make_segment_context
+from subquant.reorder import ReorderConfig, check_segments, ea_search, score_block
 from subquant.tensor import conv_reference
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -64,14 +65,12 @@ def scales_payload():
 def reorder_payload():
     graph = build_toy_segment_net()
     x = random_inputs(graph, 8, seed=7)
-    refs = forward_float(graph, x)
-    refs["input"] = x
     cfg = CalibConfig(grid_size=12, iterations=1, samples=8)
-    ctx = make_segment_context(graph, graph.segments[0], refs,
-                               GranularityConfig("method1", 2, 18), cfg)
-    result = ea_search(ctx, ReorderConfig(population=8, iterations=2, seed=7))
+    [chain] = check_segments(graph)
+    fitness = partial(score_block, x, GranularityConfig("method1", 2, 18), cfg)
+    result = ea_search(chain, fitness, ReorderConfig(population=8, iterations=2, seed=7))
     return {
-        "segment": result.segment_id,
+        "segment": graph.segments[0].id,
         "permutations": [[int(v) for v in p] for p in result.best_perms],
         "best_score": result.best_score,
         "identity_score": result.identity_score,

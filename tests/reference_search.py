@@ -3,8 +3,9 @@ forward, kept as oracles for the batched versions in `subquant`, plus the
 block fitness written as its own layer loop, an oracle for the executor-based
 `score_block`, and the earlier forms of the quantization formula, of
 im2col and of the euclidean distance; two adapters that run a dense
-[J, P] matrix through the production input forms; and `forward_float`,
-the float network's outputs as one dict.
+[J, P] matrix through the production input forms; `forward_float`, the
+float network's outputs as one dict; and `commit_reordering`, which writes
+a segment's joint reordering into a graph as `subquant reorder` does.
 
 `reference_search_weight_scales` scores every grid candidate with
 `distance()` on the full layer output; `reference_quantized_forward_layer`
@@ -22,6 +23,7 @@ from subquant.quant import (
     quantize_values,
     quantized_layer,
 )
+from subquant.reorder import joint_reorder
 from subquant.tensor import apply_activation, conv_output_hw, conv_reference
 
 
@@ -44,6 +46,13 @@ def forward_float(graph, x):
     float walk held at once, which the library never builds."""
     return {layer.id: out
             for layer, out in execute(graph.layers, {graph.input_id: x}, float_conv)}
+
+
+def commit_reordering(graph, segment, perms):
+    """Replace a segment's layers in `graph` by their joint reordering."""
+    reordered = {layer.id: layer for layer in joint_reorder(
+        [graph.layer(lid) for lid in segment.layer_ids], list(perms))}
+    graph.layers = [reordered.get(layer.id, layer) for layer in graph.layers]
 
 
 def reference_quantize_values(x, scale, bits):
@@ -161,18 +170,18 @@ def reference_quantized_forward_layer(weights, cols, partition, scales, bias=Non
     return out
 
 
-def reference_score_block(ctx, layers):
+def reference_score_block(block_input, granularity, calib_cfg, layers):
     """The block fitness as one interleaved loop: float and quantized
     activations advance together, each layer calibrated against its float
     output in the lowered [OC, P] layout."""
-    current_f = current_q = ctx.block_input
+    current_f = current_q = block_input
     for layer in layers:
         cols_f = lower_layer_input(layer, current_f)
         out_f = conv_reference(layer.weight_matrix(), cols_f, layer.activation,
                                layer.bias, layer.slope)
         cols_q = lower_layer_input(layer, current_q)
         out_q = calibrate_layer(layer.weight_matrix(), dense_plan(cols_q), out_f,
-                                ctx.granularity, ctx.calib_cfg, layer.bias,
+                                granularity, calib_cfg, layer.bias,
                                 layer.activation, layer.slope).output
         current_f = raise_layer_output(layer, out_f, current_f.shape)
         current_q = raise_layer_output(layer, out_q, current_q.shape)

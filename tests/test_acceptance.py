@@ -7,12 +7,13 @@ import itertools
 import json
 import time
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
 
 from conftest import write_config
-from reference_search import dense_forward, dense_plan, forward_float
+from reference_search import commit_reordering, dense_forward, dense_plan, forward_float
 from subquant.analysis import network_overhead_report
 from subquant.calib import (
     CalibConfig,
@@ -40,9 +41,8 @@ from subquant.reorder import (
     ReorderConfig,
     apply_input_permutation,
     apply_output_permutation,
-    commit_segment_reordering,
+    check_segments,
     ea_search,
-    make_segment_context,
     score_block,
 )
 from subquant.tensor import conv_reference
@@ -207,7 +207,7 @@ def test_06_joint_reordering_preserves_float_function():
             graph = prepare_for_quantization(build_resnet20_style())
             segment = graph.segments[int(rng.integers(len(graph.segments)))]
             channels = graph.layer(segment.layer_ids[0]).out_channels
-            commit_segment_reordering(graph, segment, [rng.permutation(channels)])
+            commit_reordering(graph, segment, [rng.permutation(channels)])
             out = forward_float(graph, x)["output"]
             assert np.abs(out - baseline).max() <= 1e-5 * scale
 
@@ -220,31 +220,32 @@ def test_07_ea_never_loses_and_small_instance_top_decile():
         x = random_inputs(graph, 16, seed=0)
         refs = forward_float(graph, x)
         cfg = CalibConfig(grid_size=20, iterations=1, samples=16)
-        ctx = make_segment_context(graph, graph.segments[8], refs,
-                                   GranularityConfig("method1", 4, 36), cfg)
+        chain = check_segments(graph)[8]
+        fitness = partial(score_block, refs[chain[0].predecessors[0]],
+                          GranularityConfig("method1", 4, 36), cfg)
         for seed in (0, 7):
-            result = ea_search(ctx, ReorderConfig(population=40, iterations=5, seed=seed))
+            result = ea_search(chain, fitness,
+                               ReorderConfig(population=40, iterations=5, seed=seed))
             assert result.best_score >= result.identity_score
 
         # 4-channel 2-layer toy: full enumeration of output x input reorderings
         toy = build_toy_segment_net()
         xt = random_inputs(toy, 8, seed=1)
-        refs_t = forward_float(toy, xt)
-        refs_t["input"] = xt
         cfg_t = CalibConfig(grid_size=20, iterations=1, samples=8)
-        ctx_t = make_segment_context(toy, toy.segments[0], refs_t,
-                                     GranularityConfig("method1", 2, 18), cfg_t)
+        [chain_t] = check_segments(toy)
+        fitness_t = partial(score_block, xt, GranularityConfig("method1", 2, 18), cfg_t)
         perms4 = [np.array(p) for p in itertools.permutations(range(4))]
         scores = []
         for p_out in perms4:
-            la = apply_output_permutation(ctx_t.layers[0], p_out)
+            la = apply_output_permutation(chain_t[0], p_out)
             for p_in in perms4:
-                lb = apply_input_permutation(ctx_t.layers[1], p_in)
-                scores.append(score_block(ctx_t, [la, lb]))
+                lb = apply_input_permutation(chain_t[1], p_in)
+                scores.append(fitness_t([la, lb]))
         assert len(scores) == 576
         p90 = np.quantile(scores, 0.90)
         for seed in range(5):
-            res = ea_search(ctx_t, ReorderConfig(population=12, iterations=4, seed=seed))
+            res = ea_search(chain_t, fitness_t,
+                            ReorderConfig(population=12, iterations=4, seed=seed))
             assert res.best_score >= res.identity_score
             assert res.best_score >= p90
         assert time.time() - start < 600.0

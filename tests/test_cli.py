@@ -319,8 +319,11 @@ class TestReorder:
 
     def test_bad_input_in_a_worker_exits_2(self, resnet20_config, tmp_path, capsys,
                                            monkeypatch):
-        def rejecting_search(ctx, cfg):
-            raise BadInputError(f"segment {ctx.segment_id} rejected in process {os.getpid()}")
+        segment_of = {s.layer_ids[0]: s.id for s in build_resnet20_style().segments}
+
+        def rejecting_search(layers, fitness, cfg):
+            raise BadInputError(f"segment {segment_of[layers[0].id]} rejected in process "
+                                f"{os.getpid()}")
         monkeypatch.setattr("subquant.cli.ea_search", rejecting_search)
         assert main(["reorder", "--config", str(resnet20_config), "--jobs", "2",
                      "--out", str(tmp_path / "out")]) == 2
@@ -334,7 +337,8 @@ class TestReorder:
         of the calibration samples only in the baseline and the final
         calibration: each layer twice, fc twice in each (it runs in float on
         the quantized prefix too), and no float forward besides."""
-        monkeypatch.setattr("subquant.reorder.score_block", lambda ctx, layers: 0.0)
+        monkeypatch.setattr("subquant.cli.score_block",
+                            lambda block_input, granularity, calib_cfg, layers: 0.0)
         ran = []
         real = calib.float_conv
 

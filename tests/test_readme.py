@@ -1,6 +1,6 @@
 """README's "Library use" examples run as written.
 
-The four ```python blocks run in order, in one namespace, in a directory
+The five ```python blocks run in order, in one namespace, in a directory
 that holds the demo fixtures (`python -m subquant.fixtures demo/`) and the
 `out/quantized` bundle of a `subquant quantize` run on README's own run
 config, so a changed signature cannot leave them stale.
@@ -23,7 +23,7 @@ def test_library_use_blocks_run(tmp_path, monkeypatch, capsys):
     text = README.read_text()
     blocks = fenced(text, "python")
     [config] = fenced(text, "json")
-    assert len(blocks) == 4
+    assert len(blocks) == 5
     monkeypatch.chdir(tmp_path)
     write_all("demo")
     Path("demo/run.json").write_text(config)

@@ -2,13 +2,14 @@
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_search import forward_float, reference_score_block
+from reference_search import commit_reordering, forward_float, reference_score_block
 from subquant.calib import CalibConfig, distance
 from subquant.errors import BadInputError
 from subquant.fixtures import (
@@ -28,12 +29,11 @@ from subquant.reorder import (
     ReorderConfig,
     apply_input_permutation,
     apply_output_permutation,
-    commit_segment_reordering,
+    check_segments,
     ea_search,
     identity_permutation,
     is_permutation,
     joint_reorder,
-    make_segment_context,
     mutate,
     score_block,
 )
@@ -117,7 +117,7 @@ class TestJointReorder:
         for seg in graph.segments[:4]:
             layers = [graph.layer(lid) for lid in seg.layer_ids]
             perms = [rng.permutation(layers[0].out_channels)]
-            commit_segment_reordering(graph, seg, perms)
+            commit_reordering(graph, seg, perms)
         out = forward_float(graph, x)["output"]
         scale = np.abs(baseline).max()
         assert np.abs(out - baseline).max() <= 1e-5 * scale
@@ -138,7 +138,7 @@ class TestJointReorder:
             layers = [graph.layer(lid) for lid in seg.layer_ids]
             perms = [np.array(data.draw(st.permutations(range(layer.out_channels))))
                      for layer in layers[:-1]]
-            commit_segment_reordering(graph, seg, perms)
+            commit_reordering(graph, seg, perms)
         out = forward_float(graph, x)["output"]
         assert np.abs(out - baseline).max() <= 1e-5 * np.abs(baseline).max()
 
@@ -172,14 +172,13 @@ class TestMutate:
         np.testing.assert_array_equal(a, b)
 
 
-def toy_context(grid_size=10, samples=4, iterations=1, seed=0):
+def toy_fitness(grid_size=10, samples=4, iterations=1, seed=0):
+    """The toy segment's layers and their block fitness."""
     graph = build_toy_segment_net()
     x = random_inputs(graph, samples, seed=seed)
-    refs = forward_float(graph, x)
-    refs["input"] = x
     cfg = CalibConfig(grid_size=grid_size, iterations=iterations, samples=samples)
-    return make_segment_context(graph, graph.segments[0], refs,
-                                GranularityConfig("method1", 2, 18), cfg)
+    [layers] = check_segments(graph)
+    return layers, partial(score_block, x, GranularityConfig("method1", 2, 18), cfg)
 
 
 class TestEASearch:
@@ -204,27 +203,66 @@ class TestEASearch:
         q0 = np.array([[-128, 8], [-64, 56]], np.float32)
         q1 = np.array([[16, -64], [40, 0]], np.float32)
         x = (np.stack([q0, q1])[None] * dx).astype(np.float32)
-        refs = forward_float(graph, x)
-        refs["input"] = x
         cfg = CalibConfig(grid_size=101, iterations=1, samples=1)
-        ctx = make_segment_context(graph, graph.segments[0], refs,
-                                   GranularityConfig("channelwise"), cfg)
-        result = ea_search(ctx, ReorderConfig(population=2, iterations=1, seed=0))
+        [chain] = check_segments(graph)
+        fitness = partial(score_block, x, GranularityConfig("channelwise"), cfg)
+        result = ea_search(chain, fitness, ReorderConfig(population=2, iterations=1, seed=0))
         assert result.identity_score == 0.0
         assert result.best_score == 0.0
         np.testing.assert_array_equal(result.best_perms[0], [0, 1])
 
+    def test_fake_fitness_scores_each_distinct_joint_reordering_once(self):
+        """No calibration: the fitness reads the permutations back from
+        weights that name their origin (100 * output + input channel) and
+        scores them by the rearrangement sum, which the identity minimizes."""
+        from subquant.model import Layer
+        sizes = [3, 5, 4, 2]  # in, slot 1, slot 2, out
+        layers = [Layer(id=f"conv{i}", kind="conv", predecessors=[f"conv{i - 1}"],
+                        out_channels=oc, in_channels=ic, kernel=1,
+                        weight=(100 * np.arange(oc)[:, None] + np.arange(ic)).astype(
+                            np.float32).reshape(oc, ic, 1, 1))
+                  for i, (ic, oc) in enumerate(zip(sizes, sizes[1:]))]
+        scored, values = [], []
+
+        def fitness(reordered):
+            outs = [tuple(int(v) for v in layer.weight[:, 0, 0, 0] // 100)
+                    for layer in reordered[:-1]]
+            ins = [tuple(int(v) for v in layer.weight[0, :, 0, 0] % 100)
+                   for layer in reordered[1:]]
+            scored.append((outs, ins))
+            values.append(-float(sum(i * v for perm in outs for i, v in enumerate(perm))))
+            return values[-1]
+
+        cfg = ReorderConfig(population=6, iterations=4, max_pairs=2, seed=5)
+        result = ea_search(layers, fitness, cfg)
+        parents = max(1, round(cfg.population * cfg.selection))
+        individuals = [tuple(outs) for outs, _ in scored]
+        assert len(set(individuals)) == len(individuals)
+        assert len(individuals) <= cfg.population + cfg.iterations * (cfg.population - parents)
+        assert individuals[0] == (tuple(range(5)), tuple(range(4)))
+        assert all(outs == ins for outs, ins in scored)
+        assert result.identity_score == values[0]
+        assert result.best_score == max(values) >= result.identity_score
+        best = tuple(tuple(int(v) for v in perm) for perm in result.best_perms)
+        assert values[individuals.index(best)] == result.best_score
+        again = ea_search(layers, fitness, cfg)
+        assert (again.best_score, again.identity_score) == (result.best_score,
+                                                            result.identity_score)
+        for pa, pb in zip(again.best_perms, result.best_perms):
+            np.testing.assert_array_equal(pa, pb)
+
     def test_never_worse_than_identity(self):
-        ctx = toy_context()
+        layers, fitness = toy_fitness()
         for seed in (0, 1, 2):
-            result = ea_search(ctx, ReorderConfig(population=6, iterations=3, seed=seed))
+            result = ea_search(layers, fitness,
+                               ReorderConfig(population=6, iterations=3, seed=seed))
             assert result.best_score >= result.identity_score
 
     def test_deterministic_given_seed(self):
-        ctx = toy_context()
+        layers, fitness = toy_fitness()
         cfg = ReorderConfig(population=5, iterations=2, seed=11)
-        a = ea_search(ctx, cfg)
-        b = ea_search(ctx, cfg)
+        a = ea_search(layers, fitness, cfg)
+        b = ea_search(layers, fitness, cfg)
         assert a.best_score == b.best_score
         for pa, pb in zip(a.best_perms, b.best_perms):
             np.testing.assert_array_equal(pa, pb)
@@ -232,13 +270,13 @@ class TestEASearch:
     def test_score_block_matches_unconstrained_scoring_path(self):
         # scoring a jointly reordered block and scoring the explicit pair of
         # layer transforms must agree: they share one code path
-        ctx = toy_context()
+        layers, fitness = toy_fitness()
         rng = np.random.default_rng(6)
         perm = rng.permutation(4)
-        via_joint = score_block(ctx, joint_reorder(ctx.layers, [perm]))
-        manual = [apply_output_permutation(ctx.layers[0], perm),
-                  apply_input_permutation(ctx.layers[1], perm)]
-        assert score_block(ctx, manual) == via_joint
+        via_joint = fitness(joint_reorder(layers, [perm]))
+        manual = [apply_output_permutation(layers[0], perm),
+                  apply_input_permutation(layers[1], perm)]
+        assert fitness(manual) == via_joint
 
 
 class TestScoreBlock:
@@ -250,21 +288,19 @@ class TestScoreBlock:
         refs = forward_float(graph, x)
         cfg = CalibConfig(grid_size=8, iterations=1, samples=4)
         rng = np.random.default_rng(8)
-        for segment in graph.segments[::4]:
-            ctx = make_segment_context(graph, segment, refs,
-                                       GranularityConfig("method1", 4, 36), cfg)
+        for chain in check_segments(graph)[::4]:
+            setup = (refs[chain[0].predecessors[0]], GranularityConfig("method1", 4, 36), cfg)
             for _ in range(3):
-                perm = rng.permutation(ctx.layers[0].out_channels)
-                layers = joint_reorder(ctx.layers, [perm])
-                assert score_block(ctx, layers) == reference_score_block(ctx, layers)
+                perm = rng.permutation(chain[0].out_channels)
+                layers = joint_reorder(chain, [perm])
+                assert score_block(*setup, layers) == reference_score_block(*setup, layers)
 
 
     def test_unquantized_block_scores_zero(self):
         """A conv with quantize false runs in float while the block is scored,
         as it does in the network, so an all-float block equals its reference."""
-        ctx = toy_context()
-        layers = [replace(layer, quantize=False) for layer in ctx.layers]
-        score = score_block(ctx, layers)
+        layers, fitness = toy_fitness()
+        score = fitness([replace(layer, quantize=False) for layer in layers])
         assert score == 0.0 and math.copysign(1.0, score) == -1.0
 
 
@@ -276,17 +312,16 @@ class TestSegmentChain:
     ])
     def test_non_chain_rejected(self, layer_ids, fault):
         graph = prepare_for_quantization(build_small_cnn())
-        refs = forward_float(graph, random_inputs(graph, 2, seed=0))
+        graph.segments = [Segment("bad", layer_ids)]
         with pytest.raises(BadInputError, match=r"segment bad is not a conv chain") as err:
-            make_segment_context(graph, Segment("bad", layer_ids), refs,
-                                 GranularityConfig("channelwise"), CalibConfig())
+            check_segments(graph)
         assert fault in str(err.value)
 
     def test_empty_segment_rejected(self):
         graph = prepare_for_quantization(build_small_cnn())
+        graph.segments = [Segment("bad", [])]
         with pytest.raises(BadInputError, match="no layers"):
-            make_segment_context(graph, Segment("bad", []), {},
-                                 GranularityConfig("channelwise"), CalibConfig())
+            check_segments(graph)
 
 
 def test_reorder_config_validation():
