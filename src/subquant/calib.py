@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .errors import BadInputError
-from .model import execute, float_conv, lower_layer_input
+from .model import ModelGraph, execute, float_conv, lower_layer_input
 from .quant import (
     GranularityConfig,
     ScaleSet,
@@ -543,11 +543,10 @@ def calibrate_layer(weights, cols, target, granularity, cfg, bias=None,
 
 @dataclass
 class NetworkCalibration:
-    """Per-layer ScaleSets and distances from calibrating a whole graph."""
+    """Per-layer ScaleSets and measures from calibrating a run of layers."""
 
     scales: dict
     layer_distances: dict
-    network_distance: float
 
     def mean_quantized_distance(self):
         keys = list(self.scales)
@@ -599,44 +598,32 @@ class Lockstep:
             yield layer, out, ref
 
 
-def calibration_walk(layers, feeds, granularity, cfg, measure, on_layer=None):
-    """Calibrate `layers` on `feeds`: an iterator of (layer, measure(layer,
-    out, ref)) for each layer in turn, out its quantized output, ref its float one.
+def calibrate_network(layers, feeds, granularity, cfg, measure=None):
+    """Calibrate `layers` on `feeds`, each subsampled to cfg.samples and cast
+    to float32: the NetworkCalibration of each quantized layer's ScaleSet and
+    each layer's measure(layer, out, ref), by default the cfg.metric distance.
 
     The calibrating walk is a Lockstep's second walk: each quantized layer is
-    calibrated (calibrate_layer) on its LoweredInput against `ref`, and
-    on_layer(layer, cal), when given, sees each LayerCalibration; a layer with
-    quantize false runs in float. No step is held once measured, so a float
-    output is dropped then, unless a later float layer reads it."""
-    pair = Lockstep(layers)
+    calibrated (calibrate_layer) on its LoweredInput, from the quantized
+    prefix, against its float output `ref`; a layer with quantize false runs
+    in float. No step is held once measured, so a float output is dropped
+    then, unless a later float layer reads it. A ModelGraph and its samples,
+    as perfbench/roadmap_table.py passes them, stand for its layers and feeds.
+    """
+    if isinstance(layers, ModelGraph):
+        layers, feeds = layers.layers, {layers.input_id: feeds}
+    feeds = {lid: subsample(np.asarray(x, dtype=np.float32), cfg.samples, cfg.seed)
+             for lid, x in feeds.items()}
+    measure = measure or (lambda layer, out, ref: distance(out, ref, cfg.metric))
+    pair, scales = Lockstep(layers), {}
 
     def conv_op(layer, x):
         if not layer.quantize:
             return pair.float_conv(layer, x)
         cal = calibrate_layer(layer.weight_matrix(), plan_layer_input(layer, x), pair.ref,
                               granularity, cfg, layer.bias, layer.activation, layer.slope)
-        if on_layer is not None:
-            on_layer(layer, cal)
+        scales[layer.id] = cal.scales
         return cal.output
 
-    return map(lambda step: (step[0], measure(*step)), pair.walk(feeds, conv_op))
-
-
-def calibrate_network(graph, samples, granularity, cfg):
-    """Calibrate every quantizable layer in topological order.
-
-    One calibration_walk: each quantized layer is calibrated on its input
-    from the already-quantized prefix against its float reference, and its
-    quantized output feeds the layers after it.
-    """
-    samples = subsample(np.asarray(samples, dtype=np.float32), cfg.samples, cfg.seed)
-    scales = {}
-
-    def record(layer, cal):
-        scales[layer.id] = cal.scales
-
-    walk = calibration_walk(graph.layers, {graph.input_id: samples}, granularity, cfg,
-                            lambda layer, out, ref: distance(out, ref, cfg.metric), record)
-    layer_distances = {layer.id: d for layer, d in walk}
-    return NetworkCalibration(scales=scales, layer_distances=layer_distances,
-                              network_distance=layer_distances[graph.output_id])
+    measured = map(lambda step: (step[0].id, measure(*step)), pair.walk(feeds, conv_op))
+    return NetworkCalibration(scales, dict(measured))

@@ -24,12 +24,11 @@ from .calib import (
     Lockstep,
     StreamingDistance,
     calibrate_network,
-    calibration_walk,
     distance,
     float_walk,
     subsample,
 )
-from .errors import BadInputError, SubquantError
+from .errors import BadInputError
 from .model import (
     CalibrationSetReader,
     check_shapes,
@@ -168,7 +167,17 @@ def _resolve_optional(config_path, value):
 
 
 def _load_model(cfg):
-    return check_shapes(prepare_for_quantization(load_bundle(cfg.model)))
+    """The prepared bundle, once it has one input and one output layer and
+    weights on every conv and linear layer (`overhead` runs without them)."""
+    graph = load_bundle(cfg.model)
+    for kind in ("input", "output"):
+        ids = [layer.id for layer in graph.layers if layer.kind == kind]
+        if len(ids) != 1:
+            raise BadInputError(f"the model needs one {kind} layer, has {len(ids)}: {ids}")
+    for layer in graph.conv_like():
+        if layer.weight is None:
+            raise BadInputError(f"layer {layer.id}: a {layer.kind} layer needs a weight blob")
+    return check_shapes(prepare_for_quantization(graph))
 
 
 def _check_sample_shape(path, dims, graph):
@@ -187,22 +196,23 @@ def _load_samples(cfg, graph):
     return samples
 
 
-def _layer_distance_rows(graph, result):
-    rows = [["layer", "kind", "quantized", "distance"]]
-    for layer in graph.layers:
-        rows.append([layer.id, layer.kind,
-                     int(layer.id in result.scales),
-                     repr(result.layer_distances[layer.id])])
-    return rows
+def _layer_distance_rows(graph, scales, distances):
+    """The rows of layer_distances.csv and eval_layer_distances.csv."""
+    return [["layer", "kind", "quantized", "distance"]] + [
+        [layer.id, layer.kind, int(layer.id in scales), repr(distances[layer.id])]
+        for layer in graph.layers]
 
 
 def cmd_quantize(cfg):
     graph = _load_model(cfg)
     samples = _load_samples(cfg, graph)
-    result = calibrate_network(graph, samples, cfg.granularity, cfg.calib)
+    result = calibrate_network(graph.layers, {graph.input_id: samples}, cfg.granularity,
+                               cfg.calib)
+    network_distance = result.layer_distances[graph.output_id]
     graph.scales = result.scales
     bundle_dir = save_bundle(graph, cfg.out / "quantized")
-    write_csv(cfg.out / "layer_distances.csv", _layer_distance_rows(graph, result))
+    write_csv(cfg.out / "layer_distances.csv",
+              _layer_distance_rows(graph, result.scales, result.layer_distances))
     summary = {
         "granularity": cfg.granularity.describe(),
         "metric": cfg.calib.metric,
@@ -210,13 +220,13 @@ def cmd_quantize(cfg):
         "act_bits": cfg.calib.act_bits,
         "seed": cfg.seed,
         "calibration_samples": int(min(cfg.calib.samples, samples.shape[0])),
-        "network_distance": result.network_distance,
+        "network_distance": network_distance,
         "mean_quantized_layer_distance": result.mean_quantized_distance(),
         "quantized_layers": sorted(result.scales),
     }
     write_json(cfg.out / "quantize_summary.json", summary)
     print(f"quantized {len(result.scales)} layers; network distance "
-          f"{result.network_distance:.6g}; bundle at {bundle_dir}")
+          f"{network_distance:.6g}; bundle at {bundle_dir}")
     return 0
 
 
@@ -300,8 +310,9 @@ def cmd_sweep(cfg):
             return {"accuracy": hits / eval_x.count}
 
         def run_cell(cell):
-            result = calibrate_network(graph, samples, granularity(cell), cfg.calib)
-            outcome = {"distance": result.network_distance}
+            result = calibrate_network(graph.layers, {input_id: samples}, granularity(cell),
+                                       cfg.calib)
+            outcome = {"distance": result.layer_distances[output_id]}
             if eval_x is not None:  # a failed accuracy pass keeps the distance
                 outcome.update(_guarded(accuracy)(result.scales))
             return outcome
@@ -372,9 +383,8 @@ def cmd_reorder(cfg):
             block_inputs[layer.id] = ref
         return distance(out, ref, cfg.calib.metric)
 
-    walk = calibration_walk(graph.layers, {graph.input_id: subsample(
-        samples, cfg.calib.samples, cfg.calib.seed)}, cfg.granularity, cfg.calib, measure)
-    baseline = {layer.id: d for layer, d in walk}[graph.output_id]
+    baseline = calibrate_network(graph.layers, {graph.input_id: samples}, cfg.granularity,
+                                 cfg.calib, measure).layer_distances[graph.output_id]
 
     def summary(segments, final):
         return {"granularity": cfg.granularity.describe(), "seed": cfg.seed,
@@ -402,7 +412,9 @@ def cmd_reorder(cfg):
     for segment, res in searched:
         print(f"segment {segment.id}: score {res.identity_score:.6g} -> "
               f"{res.best_score:.6g}")
-    final = calibrate_network(graph, samples, cfg.granularity, cfg.calib)
+    final = calibrate_network(graph.layers, {graph.input_id: samples}, cfg.granularity,
+                              cfg.calib)
+    final_distance = final.layer_distances[graph.output_id]
     graph.scales = final.scales
     graph.reorderings = [{
         "segment": segment.id,
@@ -417,9 +429,9 @@ def cmd_reorder(cfg):
                      repr(r.best_score - r.identity_score)])
     write_csv(cfg.out / "segment_scores.csv", rows)
     write_json(cfg.out / "reorder_summary.json",
-               summary(graph.reorderings, final.network_distance))
+               summary(graph.reorderings, final_distance))
     print(f"reordered {len(results)} segments; network distance "
-          f"{baseline:.6g} -> {final.network_distance:.6g}; "
+          f"{baseline:.6g} -> {final_distance:.6g}; "
           f"bundle at {bundle_dir}")
     return 0
 
@@ -512,8 +524,8 @@ def cmd_eval(cfg):
     with eval_x:
         if not graph.scales:
             samples = _load_samples(cfg, graph)
-            graph.scales = calibrate_network(graph, samples, cfg.granularity,
-                                             cfg.calib).scales
+            graph.scales = calibrate_network(graph.layers, {graph.input_id: samples},
+                                             cfg.granularity, cfg.calib).scales
         # One Lockstep walks each chunk of samples through the float and the
         # quantized network, whose one conv_op makes each layer's weight codes
         # once; each layer's distance and the top-1 hits add up over the chunks.
@@ -530,16 +542,15 @@ def cmd_eval(cfg):
                 if layer.id == output_id:
                     float_hits += _top1_hits(float_out, chunk_labels)
                     quant_hits += _top1_hits(quant_out, chunk_labels)
-    rows = [["layer", "kind", "quantized", "distance"]]
-    rows += [[layer.id, layer.kind, int(layer.id in graph.scales),
-              repr(distances[layer.id].value())] for layer in graph.layers]
+    values = {lid: d.value() for lid, d in distances.items()}
     float_top1, quant_top1 = float_hits / n, quant_hits / n
-    write_csv(cfg.out / "eval_layer_distances.csv", rows)
+    write_csv(cfg.out / "eval_layer_distances.csv",
+              _layer_distance_rows(graph, graph.scales, values))
     write_json(cfg.out / "eval_summary.json", {
         "eval_samples": n,
         "float_top1": float_top1,
         "quantized_top1": quant_top1,
-        "network_distance": distances[output_id].value(),
+        "network_distance": values[output_id],
         "seed": cfg.seed,
     })
     print(f"top-1 float {float_top1:.4f} vs quantized {quant_top1:.4f} on "
@@ -586,9 +597,6 @@ def main(argv=None):
     except BadInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SubquantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # internal failure
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -121,7 +121,6 @@ class ModelGraph:
 
     def validate(self):
         seen = set()
-        inputs = 0
         ids = {l.id for l in self.layers}
         if len(ids) != len(self.layers):
             raise BadInputError("duplicate layer ids in graph")
@@ -133,11 +132,11 @@ class ModelGraph:
                     raise BadInputError(
                         f"layer {layer.id}: predecessor {pred!r} not defined earlier "
                         f"(graph must be topologically ordered)")
-            if layer.kind == "residual-add" and len(layer.predecessors) != 2:
-                raise BadInputError(f"layer {layer.id}: residual-add needs 2 predecessors")
-            if layer.kind == "input" and (layer.predecessors or inputs):
-                raise BadInputError(f"layer {layer.id}: kind 'input' is for the graph's "
-                                    f"one input layer, which has no predecessors")
+            need = {"input": 0, "residual-add": 2}.get(layer.kind, 1)
+            if len(layer.predecessors) != need:
+                raise BadInputError(f"layer {layer.id}: kind {layer.kind!r} needs {need} "
+                                    f"predecessor{'s' * (need != 1)}, got "
+                                    f"{layer.predecessors}")
             if layer.kind in ("conv", "linear") and layer.weight is not None:
                 expect = layer.out_channels * layer.weights_per_channel
                 if layer.weight.size != expect:
@@ -145,7 +144,6 @@ class ModelGraph:
                         f"layer {layer.id}: weight blob has {layer.weight.size} "
                         f"elements, expected {expect}")
             seen.add(layer.id)
-            inputs += layer.kind == "input"
         for seg in self.segments:
             for lid in seg.layer_ids:
                 if lid not in ids:

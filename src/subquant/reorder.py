@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calib import calibration_walk, distance
+from .calib import calibrate_network, distance
 from .errors import BadInputError
 from .model import reference_target, successors
 
@@ -99,8 +99,8 @@ def score_block(block_input, granularity, calib_cfg, layers):
     quantized and float outputs of the block's last conv, after recalibrating
     every scale inside the block (quantized activations propagate within).
 
-    One calibration_walk over the block from its float input, as
-    calibrate_network walks the whole network. Bind all but `layers` with
+    One calibrate_network over the block from its float input, which holds
+    calib_cfg.samples samples or fewer. Bind all but `layers` with
     functools.partial to get an `ea_search` fitness.
     """
     last = layers[-1]
@@ -111,8 +111,8 @@ def score_block(block_input, granularity, calib_cfg, layers):
                              "euclidean")
 
     feeds = {layers[0].predecessors[0]: block_input}
-    *_, (_, score) = calibration_walk(layers, feeds, granularity, calib_cfg, measure)
-    return score
+    return calibrate_network(layers, feeds, granularity, calib_cfg,
+                             measure).layer_distances[last.id]
 
 
 @dataclass

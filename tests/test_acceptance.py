@@ -190,7 +190,7 @@ def test_05_granularity_monotonicity():
         means = []
         for h in (1, 2, 4):
             gran = GranularityConfig("method2", 1, h_groups=h)
-            result = calibrate_network(graph, samples, gran, cfg)
+            result = calibrate_network(graph.layers, {graph.input_id: samples}, gran, cfg)
             means.append(result.mean_quantized_distance())
         assert means[0] > means[1] > means[2]
         assert time.time() - start < 300.0

@@ -461,9 +461,10 @@ class TestCalibrateNetwork:
             layer.quantize = False
         x = random_inputs(graph, 4, seed=3)
         cfg = CalibConfig(samples=4)
-        result = calibrate_network(graph, x, GranularityConfig("channelwise"), cfg)
+        result = calibrate_network(graph.layers, {graph.input_id: x},
+                                   GranularityConfig("channelwise"), cfg)
         assert result.scales == {}
-        assert result.network_distance == 0.0
+        assert result.layer_distances[graph.output_id] == 0.0
         assert all(d == 0.0 for d in result.layer_distances.values())
 
     def test_lossless_first_layer_feeds_exact_inputs(self):
@@ -473,7 +474,8 @@ class TestCalibrateNetwork:
         xcodes[0, 0, 0, 0] = -128
         x = (xcodes * 0.0625).astype(np.float32)
         cfg = CalibConfig(grid_size=101, samples=4)
-        result = calibrate_network(graph, x, GranularityConfig("channelwise"), cfg)
+        result = calibrate_network(graph.layers, {graph.input_id: x},
+                                   GranularityConfig("channelwise"), cfg)
         assert result.layer_distances["l1"] == 0.0
 
     def test_deterministic_scale_sets(self):
@@ -482,14 +484,31 @@ class TestCalibrateNetwork:
         cfg = CalibConfig(grid_size=11, samples=6)
         from subquant.model import prepare_for_quantization
         graph = prepare_for_quantization(graph)
-        r1 = calibrate_network(graph, x, GranularityConfig("channelwise"), cfg)
-        r2 = calibrate_network(graph, x, GranularityConfig("channelwise"), cfg)
+        r1 = calibrate_network(graph.layers, {graph.input_id: x},
+                               GranularityConfig("channelwise"), cfg)
+        r2 = calibrate_network(graph.layers, {graph.input_id: x},
+                               GranularityConfig("channelwise"), cfg)
         assert r1.scales.keys() == r2.scales.keys()
         for key in r1.scales:
             np.testing.assert_array_equal(r1.scales[key].weight_scales,
                                           r2.scales[key].weight_scales)
             assert r1.scales[key].input_scale == r2.scales[key].input_scale
-        assert r1.network_distance == r2.network_distance
+        assert r1.layer_distances[graph.output_id] == r2.layer_distances[graph.output_id]
+
+    def test_graph_and_samples_stand_for_its_layers_and_feeds(self):
+        """calibrate_network(graph, samples, ...), the form
+        perfbench/roadmap_table.py calls, is the layers and feeds form."""
+        graph = tiny_two_layer_graph()
+        x = random_inputs(graph, 6, seed=1)
+        granularity, cfg = GranularityConfig("channelwise"), CalibConfig(grid_size=5, samples=4)
+        by_graph = calibrate_network(graph, x, granularity, cfg)
+        by_layers = calibrate_network(graph.layers, {graph.input_id: x}, granularity, cfg)
+        assert by_graph.layer_distances == by_layers.layer_distances
+        assert by_graph.scales.keys() == by_layers.scales.keys() == {"l1", "l2"}
+        for lid, scales in by_graph.scales.items():
+            np.testing.assert_array_equal(scales.weight_scales,
+                                          by_layers.scales[lid].weight_scales)
+            assert scales.input_scale == by_layers.scales[lid].input_scale
 
     def test_float_outputs_released_as_layers_are_calibrated(self, monkeypatch):
         """When calibration reaches a conv, the float output of every layer
@@ -521,7 +540,7 @@ class TestCalibrateNetwork:
 
         monkeypatch.setattr(model, "execute", tracking_execute)
         monkeypatch.setattr(calib, "execute", tracking_execute)
-        calibrate_network(graph, random_inputs(graph, 4, seed=0),
+        calibrate_network(graph.layers, {graph.input_id: random_inputs(graph, 4, seed=0)},
                           GranularityConfig("channelwise"),
                           CalibConfig(grid_size=3, iterations=1, samples=4))
         assert checked == [layer.id for layer in graph.conv_like()]
@@ -539,7 +558,7 @@ class TestCalibrateNetwork:
             ran.append(layer.id)
             return real(layer, x)
         monkeypatch.setattr(calib, "float_conv", spy)
-        calibrate_network(graph, random_inputs(graph, 4, seed=0),
+        calibrate_network(graph.layers, {graph.input_id: random_inputs(graph, 4, seed=0)},
                           GranularityConfig("channelwise"),
                           CalibConfig(grid_size=3, iterations=1, samples=4))
         assert ran.count("conv0") == 1 and ran.count("fc") == 2 and len(ran) == 22

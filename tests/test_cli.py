@@ -178,10 +178,10 @@ class TestSweep:
         """calibrate_network raises for rows_per_group 2 only."""
         real = cli.calibrate_network
 
-        def calibrate(graph, samples, granularity, cfg):
+        def calibrate(layers, feeds, granularity, cfg, measure=None):
             if granularity.rows_per_group == 2:
                 raise ValueError("calibration failed")
-            return real(graph, samples, granularity, cfg)
+            return real(layers, feeds, granularity, cfg, measure)
 
         monkeypatch.setattr(cli, "calibrate_network", calibrate)
 
@@ -243,10 +243,11 @@ class TestSweep:
         h_groups) and returns a distance that names the cell."""
         seen = []
 
-        def calibrate(graph, samples, granularity, cfg):
+        def calibrate(layers, feeds, granularity, cfg, measure=None):
             cell = (granularity.rows_per_group, granularity.h_groups)
             seen.append(cell)
-            return types.SimpleNamespace(network_distance=float(10 * cell[0] + cell[1]))
+            return types.SimpleNamespace(
+                layer_distances={"output": float(10 * cell[0] + cell[1])})
 
         monkeypatch.setattr(cli, "calibrate_network", calibrate)
         return seen
@@ -641,6 +642,64 @@ def small_ptqc(tmp_path_factory):
     data = path.read_bytes()
     assert len(data) == PTQC_SIZE
     return data
+
+
+def manifest_layer(manifest, lid):
+    return next(e for e in manifest["layers"] if e["id"] == lid)
+
+
+def drop_input_layer(manifest):
+    manifest["layers"].pop(0)
+    manifest_layer(manifest, "conv1")["predecessors"] = []
+
+
+def drop_output_layer(manifest):
+    manifest["layers"].pop()
+
+
+def add_predecessor(lid, pred):
+    def edit(manifest):
+        manifest_layer(manifest, lid)["predecessors"].append(pred)
+    return edit
+
+
+def add_output_layer(manifest):
+    manifest["layers"].append({"id": "output2", "kind": "output", "predecessors": ["fc"]})
+
+
+def drop_weight(lid):
+    def edit(manifest):
+        del manifest_layer(manifest, lid)["weight"]
+    return edit
+
+
+# manifest edit of small_cnn -> (its fault as the message gives it, the
+# commands run on it); reorder runs where the edit is on a segment conv
+MALFORMED_GRAPHS = {
+    "no-input-layer": (drop_input_layer, "layer conv1: kind 'conv' needs 1 predecessor, got []",
+                       ("quantize", "eval")),
+    "no-output-layer": (drop_output_layer, "the model needs one output layer, has 0: []",
+                        ("quantize", "eval")),
+    "relu-without-predecessor": (
+        lambda manifest: manifest_layer(manifest, "add1.relu").update(predecessors=[]),
+        "layer add1.relu: kind 'relu' needs 1 predecessor, got []", ("quantize", "eval")),
+    "segment-conv-with-two-predecessors": (
+        add_predecessor("conv3", "conv1.relu"),
+        "layer conv3: kind 'conv' needs 1 predecessor, got ['conv2.relu', 'conv1.relu']",
+        ("quantize", "eval", "reorder")),
+    "output-with-two-predecessors": (
+        add_predecessor("output", "conv5.relu"),
+        "layer output: kind 'output' needs 1 predecessor, got ['fc', 'conv5.relu']",
+        ("quantize", "eval")),
+    "two-output-layers": (add_output_layer,
+                          "the model needs one output layer, has 2: ['output', 'output2']",
+                          ("quantize", "eval")),
+    "segment-conv-without-weights": (
+        drop_weight("conv3"), "layer conv3: a conv layer needs a weight blob",
+        ("quantize", "sweep", "eval", "reorder")),
+    "linear-without-weights": (drop_weight("fc"), "layer fc: a linear layer needs a weight blob",
+                               ("quantize", "sweep", "eval")),
+}
 
 
 class TestMalformedInput:
@@ -1185,6 +1244,31 @@ class TestMalformedInput:
                         fixture_dir / "small_cnn_calib.ptqc") == 2
         err = capsys.readouterr().err
         assert "layer big:" in err and "kernel=9" in err
+
+    @pytest.mark.parametrize("edit,command", [(name, command)
+                                              for name, (_, _, commands) in
+                                              MALFORMED_GRAPHS.items()
+                                              for command in commands])
+    def test_malformed_graph_exits_2(self, fixture_dir, tmp_path, capsys, edit, command):
+        """A layer with more or fewer predecessors than its kind takes, a
+        model without exactly one input and one output layer, and a conv or
+        linear layer without weights exit 2 naming the fault. Each exited 1
+        (ValueError, IndexError or AttributeError) or ran on the first
+        predecessor or output layer."""
+        manifest_edit, fault, _ = MALFORMED_GRAPHS[edit]
+        bundle = self.edited_bundle(fixture_dir, tmp_path, manifest_edit)
+        eval_inputs = fixture_dir / "small_cnn_eval.ptqc" if command == "eval" else None
+        assert self.run(command, tmp_path, bundle, fixture_dir / "small_cnn_calib.ptqc",
+                        eval_inputs=eval_inputs) == 2
+        assert fault in capsys.readouterr().err
+
+    def test_shape_only_bundle_has_an_overhead_report(self, fixture_dir, tmp_path):
+        """overhead needs no weights: it still runs on a bundle without them."""
+        def edit(manifest):
+            for entry in manifest["layers"]:
+                entry.pop("weight", None)
+        bundle = self.edited_bundle(fixture_dir, tmp_path, edit)
+        assert self.run("overhead", tmp_path, bundle, fixture_dir / "small_cnn_calib.ptqc") == 0
 
 
 class TestParallelMap:

@@ -172,7 +172,8 @@ def test_scale_sets_keep_their_partitions_through_a_bundle(tmp_path_factory, bui
     the loaded bundle saves to the same manifest bytes."""
     graph = prepare_for_quantization(build())
     granularity = GranularityConfig(mode, rows, cols, h_groups)
-    graph.scales = calibrate_network(graph, random_inputs(graph, 2, seed=0), granularity,
+    samples = random_inputs(graph, 2, seed=0)
+    graph.scales = calibrate_network(graph.layers, {graph.input_id: samples}, granularity,
                                      CalibConfig(grid_size=2, iterations=1, samples=2)).scales
     root = tmp_path_factory.mktemp("bundles")
     save_bundle(graph, root / "calibrated")
