@@ -60,7 +60,7 @@ def network_overhead_report(graph, granularity):
     Linear layers count as 1x1 convs over their input features. Layers with
     quantize=false (typically first and last) are excluded.
     """
-    shapes = propagate_shapes(graph, batch=1)
+    shapes = propagate_shapes(graph)
     rows = []
     for layer in graph.conv_like():
         if not layer.quantize:

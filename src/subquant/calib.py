@@ -37,11 +37,9 @@ DISTANCE_METRICS = ("euclidean", "cosine")
 # bytes per [candidates, rows, P] float64 array.
 _CHUNK_BYTES = 256 * 1024
 
-# StreamingDistance computes its float64 terms for at most _DISTANCE_PIECE
-# elements at a time (512 KB each) and sums them through _PairwiseSum, one
-# np.sum per leaf of at most _SUM_LEAF terms (64 KB), the most that it holds
-# back between two runs.
-_DISTANCE_PIECE = 1 << 16
+# StreamingDistance sums its float64 terms through _PairwiseSum, one np.sum
+# per leaf of at most _SUM_LEAF terms (64 KB), the most that it holds back
+# between two runs.
 _SUM_LEAF = 1 << 13
 
 # A screened distance and distance() both stay within N*eps of the exact
@@ -165,22 +163,6 @@ class _PairwiseSum:
         return self._total
 
 
-def _c_order_pieces(a, b):
-    """a and b, of one shape, in consecutive pieces along C order of at most
-    _DISTANCE_PIECE elements each (a single element when it is larger)."""
-    if a.size <= _DISTANCE_PIECE:
-        yield a, b
-        return
-    row = a.size // len(a)
-    if row > _DISTANCE_PIECE:
-        for i in range(len(a)):
-            yield from _c_order_pieces(a[i], b[i])
-        return
-    step = _DISTANCE_PIECE // row
-    for i in range(0, len(a), step):
-        yield a[i:i + step], b[i:i + step]
-
-
 def _distance_terms(a, b, metric):
     """The float64 terms distance() sums over a and b, each flat in C order:
     (a - b)**2 for euclidean; a*b, a*a and b*b for cosine. They are yielded
@@ -207,9 +189,9 @@ class StreamingDistance:
     time; the value is distance() of the whole arrays bit for bit.
 
     The pieces follow each other in C order, as add(a[i:j], b[i:j]) does for
-    consecutive chunks of the first axis. Each term is summed in float64 in
-    np.sum's pairwise order (_PairwiseSum), so no whole-array float64 copy is
-    made, whatever the size.
+    consecutive chunks of the first axis. The terms of each piece are made
+    whole and summed in float64 in np.sum's pairwise order (_PairwiseSum),
+    so no float64 copy of more than one piece is made, whatever the size.
     """
 
     def __init__(self, size, metric="euclidean"):
@@ -224,9 +206,8 @@ class StreamingDistance:
         b = np.asarray(b)
         if a.shape != b.shape:
             raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-        for piece_a, piece_b in _c_order_pieces(a, b):
-            for acc, terms in zip(self._sums, _distance_terms(piece_a, piece_b, self.metric)):
-                acc.add(terms)
+        for acc, terms in zip(self._sums, _distance_terms(a, b, self.metric)):
+            acc.add(terms)
 
     def value(self):
         return _distance_value(self.metric, [acc.total() for acc in self._sums])

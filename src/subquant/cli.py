@@ -8,7 +8,6 @@ written atomically. Exit codes: 0 success, 1 internal error, 2 bad input.
 import argparse
 import contextlib
 import itertools
-import json
 import math
 import os
 import sys
@@ -38,8 +37,10 @@ from .model import (
     prepare_for_quantization,
     propagate_shapes,
     quantized_conv,
+    read_json,
     require_int,
     require_number,
+    sample_size,
     save_bundle,
     write_csv,
     write_json,
@@ -117,10 +118,7 @@ def load_run_config(path, out=None, seed=None, jobs=None):
     path = Path(path)
     if not path.is_file():
         raise BadInputError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise BadInputError(f"malformed config {path}: {exc}") from exc
+    raw = read_json(path, f"malformed config {path}")
     try:
         if not isinstance(raw, dict):
             raise TypeError(f"the config must be a JSON object, got {raw!r}")
@@ -471,10 +469,7 @@ def _load_labels(cfg, graph, count):
     """The `count` labels of the eval set, checked against the graph's output."""
     if not cfg.eval_labels.is_file():
         raise BadInputError(f"labels file not found: {cfg.eval_labels}")
-    try:
-        raw = json.loads(cfg.eval_labels.read_text())
-    except json.JSONDecodeError as exc:
-        raise BadInputError(f"malformed labels file {cfg.eval_labels}: {exc}") from exc
+    raw = read_json(cfg.eval_labels, f"malformed labels file {cfg.eval_labels}")
     if not (isinstance(raw, list) and all(type(v) is int and abs(v) < 2 ** 63 for v in raw)):
         raise BadInputError(f"labels file {cfg.eval_labels} must hold a JSON list of "
                             f"64-bit integers")
@@ -508,7 +503,7 @@ def _eval_chunks(graph, eval_x):
     every float dgemm block does too.
     """
     shapes = propagate_shapes(graph)
-    step = min((block_samples(layer.weights_per_channel * math.prod(shapes[layer.id][2:]))
+    step = min((block_samples(sample_size(layer, shapes[layer.predecessors[0]]))
                 for layer in graph.conv_like()), default=eval_x.count)
     for i in range(0, eval_x.count, step):
         yield i, eval_x.read(i, i + step)
@@ -592,7 +587,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config, out=args.out, seed=args.seed, jobs=args.jobs)
-        cfg.out.mkdir(parents=True, exist_ok=True)
+        try:
+            cfg.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise BadInputError(f"cannot create output directory {cfg.out}: "
+                                f"{exc.strerror}") from exc
         return COMMANDS[args.command](cfg)
     except BadInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

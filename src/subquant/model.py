@@ -154,6 +154,15 @@ class ModelGraph:
 # ---------------------------------------------------------------------------
 # bundle serialization
 
+def read_json(path, malformed):
+    """The JSON value of the file `path`, read as UTF-8. A file that is not
+    UTF-8 or not JSON is bad input, reported as `malformed` and the fault."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise BadInputError(f"{malformed}: {exc}") from exc
+
+
 def write_atomic(path, data):
     """Write text (as UTF-8) or bytes to `path` through a temporary file and a
     rename, so a reader never sees a half-written file."""
@@ -280,10 +289,7 @@ def load_bundle(path):
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.is_file():
         raise BadInputError(f"no {MANIFEST_NAME} in bundle {path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise BadInputError(f"malformed manifest in {path}: {exc}") from exc
+    manifest = read_json(manifest_path, f"malformed manifest in {path}")
     _check_manifest_types(manifest, path)
     blob_path = path / BLOB_NAME
     data = blob_path.read_bytes() if blob_path.is_file() else b""
@@ -641,9 +647,11 @@ def lower_layer_input(layer, x):
     return np.array(x.reshape(x.shape[0], features).T, dtype=np.float64, order="C")
 
 
-def _sample_columns(layer, x_shape):
-    """Columns of the lowered [J, P] matrix per sample of an input of shape `x_shape`."""
-    return math.prod(_output_meta(layer, x_shape)[1:])
+def sample_size(layer, x_shape):
+    """Elements that one sample of an input of shape `x_shape` lowers to: J
+    times that sample's columns of the lowered [J, P] matrix. It sizes every
+    sample block (tensor.block_samples)."""
+    return layer.weights_per_channel * math.prod(_output_meta(layer, x_shape)[1:])
 
 
 def raise_layer_output(layer, out, x_shape):
@@ -738,7 +746,7 @@ def float_conv(layer, x):
     def conv(block):
         return conv_reference(weights, lower_layer_input(layer, block), layer.activation,
                               layer.bias, layer.slope)
-    return in_sample_blocks(conv, x, layer.weights_per_channel * _sample_columns(layer, x.shape))
+    return in_sample_blocks(conv, x, sample_size(layer, x.shape))
 
 
 def quantized_conv(scales, float_op=float_conv):
@@ -749,24 +757,29 @@ def quantized_conv(scales, float_op=float_conv):
     A quantized layer's weights are checked and its weight codes made on its
     first call (quant.quantized_layer), and every later batch reuses them,
     so one conv_op serves one graph whose weights and scales do not change.
+
+    Each batch runs in sample blocks (in_sample_blocks), as float_conv's
+    does. Any blocking gives the whole-matrix output bit for bit: the
+    integer matmuls are exact and every later float64 op (rescale,
+    ascending-h sum, bias, activation) is per column.
     """
     prepared = {}
 
     def conv_op(layer, x):
-        run = prepared.get(layer.id)
-        if run is None:
+        conv = prepared.get(layer.id)
+        if conv is None:
             layer_scales = scales.get(layer.id) if layer.quantize else None
             if layer_scales is None:
                 return float_op(layer, x)
-            run = prepared[layer.id] = quantized_layer(
+            conv = prepared[layer.id] = quantized_layer(
                 layer.weight_matrix(), layer_scales, layer.bias, layer.activation,
                 layer.slope, lower=partial(lower_layer_input, layer))
-        return run(x, _sample_columns(layer, x.shape))
+        return in_sample_blocks(conv, x, sample_size(layer, x.shape))
     return conv_op
 
 
-def propagate_shapes(graph, batch=1):
-    """Per-layer output shapes at the given batch size, from graph metadata.
+def propagate_shapes(graph):
+    """Per-layer output shapes of a batch of one sample, from graph metadata.
 
     Raises ValueError when the graph has no input_shape, and naming the
     layer whose input a conv cannot take.
@@ -776,7 +789,7 @@ def propagate_shapes(graph, batch=1):
     shapes = {}
     for layer in graph.layers:
         if layer.kind == "input":
-            shapes[layer.id] = (batch, *graph.input_shape[1:])
+            shapes[layer.id] = (1, *graph.input_shape[1:])
         elif layer.kind == "conv":
             x_shape = shapes[layer.predecessors[0]]
             if len(x_shape) != 4:

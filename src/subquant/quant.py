@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import finish, in_sample_blocks
+from .tensor import finish
 
 GRANULARITY_MODES = ("layerwise", "channelwise", "method1", "method2")
 
@@ -88,16 +88,12 @@ class GranularityConfig:
     def __post_init__(self):
         if self.mode not in GRANULARITY_MODES:
             raise ValueError(f"unknown granularity mode {self.mode!r}")
-        if self.mode == "method1":
-            if not self.rows_per_group or self.rows_per_group < 1:
-                raise ValueError("method1 requires rows_per_group >= 1")
-            if not self.cols_per_group or self.cols_per_group < 1:
-                raise ValueError("method1 requires cols_per_group >= 1")
-        if self.mode == "method2":
-            if not self.rows_per_group or self.rows_per_group < 1:
-                raise ValueError("method2 requires rows_per_group >= 1")
-            if not self.h_groups or self.h_groups < 1:
-                raise ValueError("method2 requires h_groups >= 1")
+        if self.mode in ("method1", "method2"):
+            width = "cols_per_group" if self.mode == "method1" else "h_groups"
+            for name in ("rows_per_group", width):
+                value = getattr(self, name)
+                if not value or value < 1:
+                    raise ValueError(f"{self.mode} requires {name} >= 1")
 
     def describe(self):
         if self.mode == "method1":
@@ -268,34 +264,24 @@ def grouped_forward(codes, q_cols, scales, bias=None, activation="identity", slo
 
 def quantized_layer(weights, scales, bias=None, activation="identity", slope=0.01, *,
                     lower):
-    """The grouped integer conv of one layer as a function run(x,
-    sample_columns) of its incoming activation: quantize every group (v, h)
-    under its scale, run one integer matmul per column group, rescale each
-    row group by its group scale times the input scale, and sum over h; bias
-    and activation are applied on the rescaled result.
+    """The grouped integer conv of one layer as a function conv(x) of a batch
+    of its incoming activation: quantize every group (v, h) under its scale,
+    run one integer matmul per column group, rescale each row group by its
+    group scale times the input scale, and sum over h; bias and activation
+    are applied on the rescaled result.
 
     The weights are checked against the scale set's partition and the
     weight codes are made once, here, for every batch the layer runs.
-    `x` is a batch of samples that lower(x) turns into the lowered [J, P]
-    input, `sample_columns` columns per sample. The activation is quantized
-    before it is lowered: quantization is elementwise and lowering only
-    copies elements and pads with +0.0, whose code is +0.0, so the codes are
-    the same bit for bit while a K*K conv quantizes each input element once
-    instead of K*K times.
-
-    Each batch runs in sample blocks (in_sample_blocks). Any blocking gives
-    the whole-matrix output bit for bit: the integer matmuls are exact and
-    every later float64 op (rescale, ascending-h sum, bias, activation) is
-    per column.
+    lower(x) turns the batch `x` into the lowered [J, P] input. The
+    activation is quantized before it is lowered: quantization is
+    elementwise and lowering only copies elements and pads with +0.0, whose
+    code is +0.0, so the codes are the same bit for bit while a K*K conv
+    quantizes each input element once instead of K*K times.
     """
     codes = quantize_weight_groups(weights, scales.partition, scales.weight_scales,
                                    scales.weight_bits)
-    sample_size = np.shape(weights)[1]
 
-    def conv(block):
-        q_cols = lower(quantize_values(block, scales.input_scale, scales.act_bits))
+    def conv(x):
+        q_cols = lower(quantize_values(x, scales.input_scale, scales.act_bits))
         return grouped_forward(codes, q_cols, scales, bias, activation, slope)
-
-    def run(x, sample_columns):
-        return in_sample_blocks(conv, x, sample_size * sample_columns)
-    return run
+    return conv

@@ -38,7 +38,7 @@ def dense_forward(weights, cols, scales, bias=None, activation="identity", slope
     """quantized_layer of a dense [J, P] matrix, run as a batch of P
     one-column samples that np.transpose lowers back to the matrix."""
     return quantized_layer(weights, scales, bias, activation, slope,
-                           lower=np.transpose)(np.asarray(cols).T, 1)
+                           lower=np.transpose)(np.asarray(cols).T)
 
 
 def forward_float(graph, x):

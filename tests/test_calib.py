@@ -181,9 +181,9 @@ class TestStreamingDistance:
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_samples_larger_than_a_piece(self, metric):
-        """Samples of 80,000 elements each, more than one piece of terms,
-        streamed one sample at a time or in one piece give distance() of
-        the whole arrays, which is the old formula's for euclidean."""
+        """Samples of 80,000 elements each, each more than one leaf of the
+        pairwise sum, streamed one sample at a time give distance() of the
+        whole arrays, which is the old formula's for euclidean."""
         rng = np.random.default_rng(4)
         a = rng.normal(size=(3, 2, 200, 200)).astype(np.float32)
         b = (a + rng.normal(0.0, 0.1, a.shape)).astype(np.float32)

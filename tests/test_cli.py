@@ -1203,6 +1203,40 @@ class TestMalformedInput:
                         eval_inputs=fixture_dir / "small_cnn_eval.ptqc", labels=text) == 2
         assert "labels.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["broken/manifest.json", "run.json", "labels.json"])
+    def test_file_that_is_not_utf8_exits_2(self, fixture_dir, tmp_path, capsys, name):
+        """A manifest, a run config or a labels file whose first byte is 0xff
+        exits 2 naming the bundle or the file; each exited 1 with a
+        UnicodeDecodeError."""
+        bundle = self.edited_bundle(fixture_dir, tmp_path, lambda manifest: None)
+        (tmp_path / "labels.json").write_text(json.dumps([0] * 8))
+        config = write_config(tmp_path / "run.json", model=str(bundle),
+                              calibration=str(fixture_dir / "small_cnn_calib.ptqc"),
+                              calib=quick_calib(),
+                              eval={"inputs": str(fixture_dir / "small_cnn_eval.ptqc"),
+                                    "labels": str(tmp_path / "labels.json")})
+        path = tmp_path / name
+        path.write_bytes(b"\xff" + path.read_bytes())
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        named = bundle if name.startswith("broken/") else path
+        assert "malformed" in err and f"{named}:" in err and "byte 0xff" in err
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_output_directory_that_cannot_be_made_exits_2(self, fixture_dir, tmp_path,
+                                                         capsys, out):
+        """An --out that is a regular file, or lies below one, exits 2 naming
+        the directory; each exited 1 with FileExistsError or
+        NotADirectoryError."""
+        (tmp_path / "afile").write_text("")
+        config = write_config(tmp_path / "run.json", model=str(fixture_dir / "small_cnn"),
+                              calibration=str(fixture_dir / "small_cnn_calib.ptqc"),
+                              calib=quick_calib())
+        assert main(["quantize", "--config", str(config),
+                     "--out", str(tmp_path / out)]) == 2
+        assert f"cannot create output directory {tmp_path / out}: " in \
+            capsys.readouterr().err
+
     def test_manifest_that_is_not_an_object_exits_2(self, fixture_dir, tmp_path, capsys):
         bundle = self.edited_bundle(fixture_dir, tmp_path, lambda manifest: None)
         (bundle / "manifest.json").write_text("[]")

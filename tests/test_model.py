@@ -701,11 +701,11 @@ class TestForward:
 
     def test_propagate_shapes(self):
         graph = build_small_cnn()
-        shapes = propagate_shapes(graph, batch=2)
-        assert shapes["conv1"] == (2, 8, 8, 8)
-        assert shapes["conv5"] == (2, 16, 4, 4)
-        assert shapes["fc"] == (2, 10)
-        assert shapes["output"] == (2, 10)
+        shapes = propagate_shapes(graph)
+        assert shapes["conv1"] == (1, 8, 8, 8)
+        assert shapes["conv5"] == (1, 16, 4, 4)
+        assert shapes["fc"] == (1, 10)
+        assert shapes["output"] == (1, 10)
 
     def test_check_shapes_rejects_residual_add_of_two_shapes(self):
         layers = [Layer(id="input", kind="input"),

@@ -379,7 +379,7 @@ class TestScaleAndShapeChecks:
         run = quantized_layer(np.ones((4, 6)), ScaleSet(part, np.ones((2, 2)), 1.0),
                               lower=np.transpose)
         with pytest.raises(ValueError, match="input rows 7"):
-            run(np.ones((5, 7)), 1)
+            run(np.ones((5, 7)))
 
     def test_weights_with_an_extra_column_rejected(self):
         part = make_partition(4, 6, GranularityConfig("method1", 2, 3))

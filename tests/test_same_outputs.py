@@ -1,9 +1,15 @@
 """tools/same_outputs.py: the tree comparison and the exit status."""
 
 import importlib.util
+import json
+import shutil
 from pathlib import Path
 
 import pytest
+
+from subquant import cli
+from subquant.fixtures import write_all
+from subquant.model import CalibrationSetReader, load_bundle, prepare_for_quantization
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
 
@@ -72,3 +78,31 @@ def test_checkout_without_package_is_a_usage_error(same_outputs, tmp_path):
         same_outputs.main(["--parent", str(tmp_path / "parent"),
                            "--change", str(tmp_path / "change")])
     assert exc.value.code == 2
+
+
+def test_eval_runs_stream_distances_across_chunks(same_outputs, tmp_path):
+    """On small_cnn and resnet20_style, an eval of the quantized bundle and
+    one through the calibrating fallback read a labelled set of more samples
+    than one eval chunk holds: 32 + 32 and 56 + 8."""
+    fixtures = tmp_path / "fixtures"
+    write_all(fixtures)
+    same_outputs.write_calib_labels(fixtures)
+    for jobs in (1, 2):
+        for model in ("small_cnn", "resnet20_style"):
+            shutil.copytree(fixtures / model,
+                            tmp_path / "runs" / f"quantize-{model}-j{jobs}" / "quantized")
+    chunked = {}
+    for name, command, config in same_outputs.runs(fixtures, tmp_path):
+        if command != "eval":
+            continue
+        graph = prepare_for_quantization(load_bundle(config["model"]))
+        with CalibrationSetReader(config["eval"]["inputs"]) as reader:
+            chunks = [len(x) for _, x in cli._eval_chunks(graph, reader)]
+        labels = json.loads(Path(config["eval"]["labels"]).read_text())
+        assert len(labels) == sum(chunks)
+        if len(chunks) > 1:
+            chunked[name] = chunks
+    assert chunked == {f"eval-{kind}-{model}-calib-j{jobs}": chunks
+                       for jobs in (1, 2) for kind in ("quantized", "fallback")
+                       for model, chunks in (("small_cnn", [32, 32]),
+                                             ("resnet20_style", [56, 8]))}

@@ -12,6 +12,10 @@ that `src/` on PYTHONPATH, the tool writes the demo fixtures with
   set;
 - `eval` on small_cnn's eval set, of the bundle `quantize` wrote and of the
   unquantized bundle, which `eval` calibrates first;
+- the same two `eval` runs on small_cnn and on resnet20_style with the
+  model's 64-sample calibration set as the eval set, labelled by a file the
+  tool writes into the fixtures, so that each layer's distance is streamed
+  across more than one eval chunk;
 - `overhead` on small_cnn and the resnet18 shape manifest.
 
 The two trees of fixtures and reports are then compared file by file, in
@@ -33,6 +37,12 @@ from pathlib import Path
 
 CALIB = {"grid_size": 12, "iterations": 1, "samples": 16}
 GRANULARITY = {"mode": "method2", "rows_per_group": 4, "h_groups": 2}
+# Labels of the 64 samples of each calibration set, when it is an eval set.
+CALIB_LABELS = "calib_labels.json"
+
+
+def write_calib_labels(fixtures):
+    (fixtures / CALIB_LABELS).write_text(json.dumps([i % 10 for i in range(64)]))
 
 
 def runs(fixtures, tree):
@@ -53,11 +63,16 @@ def runs(fixtures, tree):
         yield (f"sweep-small_cnn-j{jobs}", "sweep",
                config("small_cnn", "small_cnn_calib.ptqc", eval=eval_set,
                       sweep={"rows": [1, 4], "h_groups": [1, 2]}))
-        quantized = tree / "runs" / f"quantize-small_cnn-j{jobs}" / "quantized"
-        yield (f"eval-quantized-small_cnn-j{jobs}", "eval",
-               config(quantized, eval=eval_set))
-        yield (f"eval-fallback-small_cnn-j{jobs}", "eval",
-               config("small_cnn", "small_cnn_calib.ptqc", eval=eval_set))
+        for name, model, inputs, labels in (
+                ("small_cnn", "small_cnn", "small_cnn_eval.ptqc", "small_cnn_eval_labels.json"),
+                ("small_cnn-calib", "small_cnn", "small_cnn_calib.ptqc", CALIB_LABELS),
+                ("resnet20_style-calib", "resnet20_style", "resnet20_style_calib.ptqc",
+                 CALIB_LABELS)):
+            evals = {"inputs": str(fixtures / inputs), "labels": str(fixtures / labels)}
+            quantized = tree / "runs" / f"quantize-{model}-j{jobs}" / "quantized"
+            yield f"eval-quantized-{name}-j{jobs}", "eval", config(quantized, eval=evals)
+            yield (f"eval-fallback-{name}-j{jobs}", "eval",
+                   config(model, f"{model}_calib.ptqc", eval=evals))
         for model in ("small_cnn", "resnet18_shape"):
             yield f"overhead-{model}-j{jobs}", "overhead", config(model)
 
@@ -76,6 +91,8 @@ def run_side(checkout, side_dir):
         return None if proc.returncode == 0 else (name, proc.stderr)
 
     failed = run("fixtures", "-m", "subquant.fixtures", str(fixtures))
+    if not failed:
+        write_calib_labels(fixtures)
     for name, command, config in ([] if failed else runs(fixtures, tree)):
         path = configs / f"{name}.json"
         path.write_text(json.dumps(config, indent=2))
