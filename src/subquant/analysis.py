@@ -6,7 +6,8 @@ overhead of a conv layer is #H / (K*K*IC). Memory overhead is the scale
 count #V*#H against OC*J stored weights, roughly 1/(rows*cols) per group.
 """
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
 from .model import propagate_shapes, write_csv, write_json
 from .quant import make_partition
@@ -66,71 +67,42 @@ def network_overhead_report(graph, granularity):
         if not layer.quantize:
             continue
         kernel = layer.kernel if layer.kind == "conv" else 1
-        if layer.kind == "conv":
-            _, _, out_h, out_w = shapes[layer.id]
-            pixels = out_h * out_w
-        else:
-            pixels = 1
+        in_channels = layer.weights_per_channel // (kernel * kernel)
+        pixels = math.prod(shapes[layer.id][2:])  # a linear layer's output has no spatial dims
         partition = make_partition(layer.out_channels, layer.weights_per_channel,
                                    granularity)
-        comp = computation_overhead(kernel, layer.weights_per_channel // (kernel * kernel),
-                                    layer.out_channels, pixels, partition.h_groups)
+        comp = computation_overhead(kernel, in_channels, layer.out_channels, pixels,
+                                    partition.h_groups)
         mem = memory_overhead(partition)
         rows.append(LayerOverhead(
-            layer_id=layer.id, kernel=kernel,
-            in_channels=layer.weights_per_channel // (kernel * kernel),
-            out_channels=layer.out_channels, pixels=pixels,
-            v_groups=partition.v_groups, h_groups=partition.h_groups,
-            base_macs=comp["base"], extra_macs=comp["extra"],
-            compute_overhead=comp["relative"],
-            scale_count=mem["scales"], weight_count=mem["weights"],
-            memory_overhead=mem["relative"]))
+            layer.id, kernel, in_channels, layer.out_channels, pixels,
+            partition.v_groups, partition.h_groups, comp["base"], comp["extra"],
+            comp["relative"], mem["scales"], mem["weights"], mem["relative"]))
     if not rows:
         raise ValueError("no quantized conv or linear layers to report on")
-    total_base = sum(r.base_macs for r in rows)
-    total_extra = sum(r.extra_macs for r in rows)
-    total_scales = sum(r.scale_count for r in rows)
-    total_weights = sum(r.weight_count for r in rows)
-    return OverheadReport(
-        layers=rows,
-        total_base_macs=total_base,
-        total_extra_macs=total_extra,
-        total_compute_overhead=total_extra / total_base,
-        total_scale_count=total_scales,
-        total_weight_count=total_weights,
-        total_memory_overhead=total_scales / total_weights)
+    base, extra, scales, weights = (sum(getattr(r, name) for r in rows) for name in
+                                    ("base_macs", "extra_macs", "scale_count", "weight_count"))
+    return OverheadReport(rows, base, extra, extra / base, scales, weights, scales / weights)
 
 
-OVERHEAD_COLUMNS = ["layer", "kernel", "in_channels", "out_channels", "pixels",
-                    "v_groups", "h_groups", "base_macs", "extra_macs",
-                    "compute_overhead", "scale_count", "weight_count",
-                    "memory_overhead"]
+OVERHEAD_COLUMNS = ["layer"] + [f.name for f in fields(LayerOverhead)[1:]]
+
+
+def _totals(report):
+    """{column: total} of the report's totals, keyed by their LayerOverhead column."""
+    return {f.name.removeprefix("total_"): getattr(report, f.name)
+            for f in fields(OverheadReport) if f.name != "layers"}
 
 
 def write_overhead_csv(report, path):
-    rows = [OVERHEAD_COLUMNS]
-    for r in report.layers:
-        rows.append([r.layer_id, r.kernel, r.in_channels, r.out_channels, r.pixels,
-                     r.v_groups, r.h_groups, r.base_macs, r.extra_macs,
-                     repr(r.compute_overhead), r.scale_count, r.weight_count,
-                     repr(r.memory_overhead)])
-    rows.append(["TOTAL", "", "", "", "", "", "", report.total_base_macs,
-                 report.total_extra_macs, repr(report.total_compute_overhead),
-                 report.total_scale_count, report.total_weight_count,
-                 repr(report.total_memory_overhead)])
-    return write_csv(path, rows)
+    names = [f.name for f in fields(LayerOverhead)]
+    totals = _totals(report)
+    rows = [[getattr(r, name) for name in names] for r in report.layers]
+    rows.append(["TOTAL"] + [totals.get(name, "") for name in names[1:]])
+    return write_csv(path, [OVERHEAD_COLUMNS] + [
+        [repr(v) if isinstance(v, float) else v for v in row] for row in rows])
 
 
 def write_overhead_json(report, path):
-    payload = {
-        "layers": [asdict(r) for r in report.layers],
-        "total": {
-            "base_macs": report.total_base_macs,
-            "extra_macs": report.total_extra_macs,
-            "compute_overhead": report.total_compute_overhead,
-            "scale_count": report.total_scale_count,
-            "weight_count": report.total_weight_count,
-            "memory_overhead": report.total_memory_overhead,
-        },
-    }
-    return write_json(path, payload)
+    return write_json(path, {"layers": [asdict(r) for r in report.layers],
+                             "total": _totals(report)})

@@ -268,18 +268,14 @@ def _run_item(index):
 
 
 def _sweep_axis(cfg):
-    if cfg.sweep_cols and cfg.sweep_h:
+    if cfg.sweep_rows and cfg.sweep_cols and cfg.sweep_h:
         raise BadInputError("sweep config must set either cols or h_groups, not both")
-    if cfg.sweep_cols:
-        return "cols", cfg.sweep_cols
-    if cfg.sweep_h:
-        return "h_groups", cfg.sweep_h
+    if cfg.sweep_rows and (cfg.sweep_cols or cfg.sweep_h):
+        return ("cols", cfg.sweep_cols) if cfg.sweep_cols else ("h_groups", cfg.sweep_h)
     raise BadInputError("sweep config needs non-empty rows and cols (or h_groups)")
 
 
 def cmd_sweep(cfg):
-    if not cfg.sweep_rows:
-        raise BadInputError("sweep config needs non-empty rows and cols (or h_groups)")
     axis, col_values = _sweep_axis(cfg)
     graph = _load_model(cfg)
     samples = subsample(_load_samples(cfg, graph), cfg.calib.samples, cfg.calib.seed)
@@ -406,25 +402,23 @@ def cmd_reorder(cfg):
                  for layer in joint_reorder(chain, list(res.best_perms))}
     graph.layers = [reordered.get(layer.id, layer) for layer in graph.layers]
     del block_inputs, chains  # the final calibration needs neither
-    searched = list(zip(graph.segments, results))
-    for segment, res in searched:
-        print(f"segment {segment.id}: score {res.identity_score:.6g} -> "
-              f"{res.best_score:.6g}")
+    graph.reorderings = []  # replaces any that the loaded bundle carried
+    rows = [["segment", "baseline_score", "best_score", "improvement"]]
+    for segment, r in zip(graph.segments, results):
+        print(f"segment {segment.id}: score {r.identity_score:.6g} -> {r.best_score:.6g}")
+        graph.reorderings.append({
+            "segment": segment.id,
+            "permutations": [[int(v) for v in perm] for perm in r.best_perms],
+            "score": r.best_score,
+            "baseline_score": r.identity_score,
+        })
+        rows.append([segment.id, repr(r.identity_score), repr(r.best_score),
+                     repr(r.best_score - r.identity_score)])
     final = calibrate_network(graph.layers, {graph.input_id: samples}, cfg.granularity,
                               cfg.calib)
     final_distance = final.layer_distances[graph.output_id]
     graph.scales = final.scales
-    graph.reorderings = [{
-        "segment": segment.id,
-        "permutations": [[int(v) for v in perm] for perm in r.best_perms],
-        "score": r.best_score,
-        "baseline_score": r.identity_score,
-    } for segment, r in searched]
     bundle_dir = save_bundle(graph, cfg.out / "reordered")
-    rows = [["segment", "baseline_score", "best_score", "improvement"]]
-    for segment, r in searched:
-        rows.append([segment.id, repr(r.identity_score), repr(r.best_score),
-                     repr(r.best_score - r.identity_score)])
     write_csv(cfg.out / "segment_scores.csv", rows)
     write_json(cfg.out / "reorder_summary.json",
                summary(graph.reorderings, final_distance))

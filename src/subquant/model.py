@@ -419,9 +419,11 @@ def _load_layer(entry, lid, kind, data):
                 raise BadInputError(f"layer {lid}: {what} blob size {arr.size} != "
                                     f"declared channels {channels}")
             parts[what] = arr
-        if not np.all(parts["var"] + epsilon > 0):
-            raise BadInputError(f"layer {lid}: var + epsilon must be positive "
-                                f"(epsilon {epsilon})")
+        with np.errstate(over="ignore"):  # in float32, as the fold and the forward sum it
+            total = parts["var"] + epsilon
+        if not np.all(np.isfinite(total) & (total > 0)):
+            raise BadInputError(f"layer {lid}: var + epsilon must be finite and positive "
+                                f"in float32 (epsilon {epsilon})")
         layer.bn = BatchNormParams(parts["gamma"], parts["beta"], parts["mean"],
                                    parts["var"], epsilon)
     elif kind == "leaky-relu":

@@ -38,10 +38,6 @@ class ReorderConfig:
                              f"individuals as parents, so no offspring are bred")
 
 
-def identity_permutation(channels):
-    return np.arange(channels, dtype=np.int64)
-
-
 def is_permutation(perm):
     perm = np.asarray(perm)
     return perm.ndim == 1 and np.array_equal(np.sort(perm), np.arange(perm.size))
@@ -164,7 +160,8 @@ def ea_search(layers, fitness, cfg):
     identity individual seeds the population, so the returned best is never
     worse than not reordering. Each generation scores the population, keeps
     the top `selection` fraction as parents, and refills the rest with
-    mutants of random parents.
+    mutants of random parents. The result is the first individual scored
+    with the top score.
     """
     rng = np.random.default_rng(cfg.seed)
     slot_sizes = [layer.out_channels for layer in layers[:-1]]
@@ -175,7 +172,7 @@ def ea_search(layers, fitness, cfg):
     def key(ind):
         return tuple(tuple(int(v) for v in perm) for perm in ind)
 
-    population = [tuple(identity_permutation(c) for c in slot_sizes)]
+    population = [tuple(np.arange(c, dtype=np.int64) for c in slot_sizes)]
     while len(population) < cfg.population:
         population.append(random_individual())
 
@@ -189,8 +186,6 @@ def ea_search(layers, fitness, cfg):
 
     scores = [score(ind) for ind in population]
     identity_score = scores[0]
-    best_idx = int(np.argmax(scores))
-    best_ind, best_score = population[best_idx], scores[best_idx]
 
     n_parents = max(1, int(round(cfg.population * cfg.selection)))
     for _ in range(cfg.iterations):
@@ -203,9 +198,7 @@ def ea_search(layers, fitness, cfg):
             offspring.append(tuple(mutate(p, cfg.max_pairs, rng) for p in parent))
         population = parents + offspring
         scores = parent_scores + [score(ind) for ind in offspring]
-        gen_best = int(np.argmax(scores))
-        if scores[gen_best] > best_score:
-            best_ind, best_score = population[gen_best], scores[gen_best]
 
-    return EAResult(best_perms=best_ind, best_score=best_score,
+    best = int(np.argmax(scores))  # parents lead, best first and ties in scoring order
+    return EAResult(best_perms=population[best], best_score=scores[best],
                     identity_score=identity_score)

@@ -146,6 +146,32 @@ def test_cosine_zero_target():
     assert_search_matches(weights, cols, partition, 0.03, target, cfg, None, "relu")
 
 
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_screen_within_the_summation_error_stays_a_contender(metric):
+    """A screen and distance() each err by up to N*eps, so a candidate whose
+    screen lies 2*N*eps above the screened minimum (relative for euclidean,
+    absolute for cosine) may still be the closest: it must be confirmed."""
+    weights, cols, bias = make_layer(6)
+    out = conv_reference(weights, cols, "identity", bias, 0.1)
+    screen = calib._Screen(out, target_of(weights, cols, bias, "identity"), metric)
+    err, best = 2 * out.size * np.finfo(np.float64).eps, 0.25
+    near = best * (1 + err) if metric == "euclidean" else best + err
+    assert near > best
+    assert screen.contenders(np.array([near, best, near])).all()
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_non_finite_screen_stays_a_contender(metric):
+    """A NaN or infinite screen bounds nothing, so only distance() can rule
+    that candidate out; a finite screen far above the minimum is dropped."""
+    weights, cols, bias = make_layer(7)
+    out = conv_reference(weights, cols, "identity", bias, 0.1)
+    screen = calib._Screen(out, target_of(weights, cols, bias, "identity"), metric)
+    scores = np.array([0.5, np.nan, np.inf, 0.75, -np.inf])
+    assert screen.contenders(scores).tolist() == [True, True, True, False, True]
+    assert screen.contenders(np.array([np.nan, np.nan])).all()
+
+
 @pytest.mark.parametrize("granularity", GRANULARITIES, ids=lambda g: g.describe())
 @pytest.mark.parametrize("activation", ["identity", "relu", "leaky_relu"])
 def test_grouped_forward_matches_reference(granularity, activation, term_sizes):

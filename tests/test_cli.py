@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import write_config
@@ -217,6 +217,17 @@ class TestSweep:
     def test_empty_sweep_exits_2(self, fixture_dir, tmp_path):
         config = self.base_config(fixture_dir, tmp_path, {"rows": []})
         assert main(["sweep", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("sweep,fault", [
+        ({"rows": [], "cols": [36], "h_groups": [1]}, "needs non-empty rows"),
+        ({"rows": [1], "cols": [36], "h_groups": [1]}, "either cols or h_groups, not both"),
+        ({"rows": [1]}, "needs non-empty rows"), ({"cols": [36]}, "needs non-empty rows")],
+        ids=["no-rows-both-axes", "both-axes", "no-axis", "no-rows"])
+    def test_sweep_grid_fault_is_named(self, fixture_dir, tmp_path, capsys, sweep, fault):
+        """Missing rows are named before two axes, and two axes before none."""
+        config = self.base_config(fixture_dir, tmp_path, sweep)
+        assert main(["sweep", "--config", str(config)]) == 2
+        assert fault in capsys.readouterr().err
 
     @pytest.mark.parametrize("sweep", [{"rows": [2, 1, 1], "cols": [36, 72, 36]},
                                        {"rows": [1, 2, 1], "h_groups": [2, 1, 2]}],
@@ -772,6 +783,19 @@ class TestMalformedInput:
                         fixture_dir / "small_cnn_calib.ptqc") == 2
         assert f"layer {lid}: malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon", [1e300, math.inf])
+    def test_epsilon_beyond_float32_exits_2(self, fixture_dir, tmp_path, capsys, epsilon):
+        """var + epsilon is summed in float32, where 1e300 overflows to inf:
+        bad input named by the layer and epsilon. 1e300 ran with an overflow
+        warning and folded the batchnorm with a factor of 0."""
+        def edit(manifest):
+            next(e for e in manifest["layers"] if e["id"] == "conv1.bn")["epsilon"] = epsilon
+        bundle = self.edited_bundle(fixture_dir, tmp_path, edit)
+        assert self.run("quantize", tmp_path, bundle,
+                        fixture_dir / "small_cnn_calib.ptqc") == 2
+        err = capsys.readouterr().err
+        assert "layer conv1.bn" in err and "epsilon" in err
+
     def test_unfoldable_batchnorm_exits_2(self, fixture_dir, tmp_path, capsys):
         """A valid activation on a conv in front of its batchnorm cannot be
         folded: bad input, named by the batchnorm and the conv."""
@@ -821,6 +845,7 @@ class TestMalformedInput:
            field=st.sampled_from(FUZZ_FIELDS),
            value=st.one_of(st.integers(), st.floats(), st.text(max_size=8), st.booleans(),
                            st.none(), st.sampled_from(ACTIVATIONS)))
+    @example(lid="conv2.bn", field="epsilon", value=1e300)
     def test_fuzzed_layer_field_never_exits_1(self, fixture_dir, lid, field, value):
         """Any value in any field of a conv, linear or batchnorm layer is either
         run or rejected as bad input, never an internal error."""

@@ -31,7 +31,6 @@ from subquant.reorder import (
     apply_output_permutation,
     check_segments,
     ea_search,
-    identity_permutation,
     is_permutation,
     joint_reorder,
     mutate,
@@ -47,14 +46,14 @@ class TestPermutationOps:
     def test_identity_output_perm_is_noop(self):
         graph = prepared_resnet20()
         layer = graph.layer("s1b1.conv1")
-        out = apply_output_permutation(layer, identity_permutation(layer.out_channels))
+        out = apply_output_permutation(layer, np.arange(layer.out_channels))
         np.testing.assert_array_equal(out.weight, layer.weight)
         np.testing.assert_array_equal(out.bias, layer.bias)
 
     def test_swap_exchanges_rows(self):
         graph = prepared_resnet20()
         layer = graph.layer("s1b1.conv1")
-        perm = identity_permutation(layer.out_channels)
+        perm = np.arange(layer.out_channels)
         perm[[0, 1]] = perm[[1, 0]]
         out = apply_output_permutation(layer, perm)
         np.testing.assert_array_equal(out.weight[0], layer.weight[1])
@@ -105,7 +104,7 @@ class TestJointReorder:
     def test_identity_perms_bit_identical(self):
         graph = prepared_resnet20()
         layers = [graph.layer("s1b1.conv1"), graph.layer("s1b1.conv2")]
-        out = joint_reorder(layers, [identity_permutation(8)])
+        out = joint_reorder(layers, [np.arange(8)])
         for a, b in zip(out, layers):
             np.testing.assert_array_equal(a.weight, b.weight)
 
@@ -161,14 +160,14 @@ class TestMutate:
     def test_always_bijective(self):
         rng = np.random.default_rng(4)
         for c in (2, 5, 16, 33):
-            perm = identity_permutation(c)
+            perm = np.arange(c)
             for _ in range(25):
                 perm = mutate(perm, 30, rng)
                 assert is_permutation(perm)
 
     def test_seeded_reproducibility(self):
-        a = mutate(identity_permutation(12), 5, np.random.default_rng(9))
-        b = mutate(identity_permutation(12), 5, np.random.default_rng(9))
+        a = mutate(np.arange(12), 5, np.random.default_rng(9))
+        b = mutate(np.arange(12), 5, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
 
@@ -250,6 +249,35 @@ class TestEASearch:
                                                             result.identity_score)
         for pa, pb in zip(again.best_perms, result.best_perms):
             np.testing.assert_array_equal(pa, pb)
+
+    @pytest.mark.parametrize("top", [lambda outs: -1.0, lambda outs: float(outs[0][0] != 0)],
+                             ids=["flat", "two-levels"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ties_at_the_top_go_to_the_first_scored(self, top, seed):
+        """Of the distinct individuals that share the top score, the search
+        returns the first one scored, with that score."""
+        from subquant.model import Layer
+        sizes = [2, 4, 3, 2]  # in, slot 1, slot 2, out
+        layers = [Layer(id=f"conv{i}", kind="conv", predecessors=[f"conv{i - 1}"],
+                        out_channels=oc, in_channels=ic, kernel=1,
+                        weight=(100 * np.arange(oc)[:, None] + np.arange(ic)).astype(
+                            np.float32).reshape(oc, ic, 1, 1))
+                  for i, (ic, oc) in enumerate(zip(sizes, sizes[1:]))]
+        scored = []
+
+        def fitness(reordered):
+            outs = tuple(tuple(int(v) for v in layer.weight[:, 0, 0, 0] // 100)
+                         for layer in reordered[:-1])
+            scored.append((outs, top(outs)))
+            return scored[-1][1]
+
+        result = ea_search(layers, fitness,
+                           ReorderConfig(population=6, iterations=4, max_pairs=2, seed=seed))
+        best = max(value for _, value in scored)
+        tied = [outs for outs, value in scored if value == best]
+        assert len(tied) >= 2
+        assert tuple(tuple(int(v) for v in perm) for perm in result.best_perms) == tied[0]
+        assert result.best_score == best
 
     def test_never_worse_than_identity(self):
         layers, fitness = toy_fitness()

@@ -18,6 +18,9 @@ that `src/` on PYTHONPATH, the tool writes the demo fixtures with
   across more than one eval chunk;
 - `overhead` on small_cnn and the resnet18 shape manifest.
 
+Every child runs under `-W error::RuntimeWarning`, so a numpy overflow or
+invalid-value warning fails its command.
+
 The two trees of fixtures and reports are then compared file by file, in
 sorted order. The first file that is missing on one side or differs is
 named, and the exit status is 1; it is 1 too when a command fails in either
@@ -86,7 +89,8 @@ def run_side(checkout, side_dir):
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
 
     def run(name, *args):
-        proc = subprocess.run([sys.executable, *args], cwd=checkout, env=env,
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args],
+                              cwd=checkout, env=env,
                               capture_output=True, text=True, check=False)
         return None if proc.returncode == 0 else (name, proc.stderr)
 
