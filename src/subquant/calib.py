@@ -21,12 +21,12 @@ from .quant import (
     GranularityConfig,
     ScaleSet,
     check_exact_accumulation,
-    grouped_forward,
     grouped_terms,
     init_scale,
     make_partition,
     quantize_values,
     quantize_weight_groups,
+    quantized_layer,
     sum_terms,
 )
 from .tensor import conv_reference, finish
@@ -81,9 +81,13 @@ class CalibConfig:
 
 def scale_space(alpha, beta, center, n):
     """n candidates evenly spaced over [alpha*center, beta*center], less those
-    that underflow to 0 under a tiny alpha: a scale must be positive."""
+    that underflow to 0 under a tiny alpha: a scale must be positive, and
+    finite, so a beta*center that overflows is bad input."""
     if center <= 0:
         raise ValueError(f"center scale must be positive, got {center}")
+    if beta * float(center) == np.inf:
+        raise BadInputError(f"calib.beta {beta} times the center scale {center} "
+                            f"overflows float64")
     grid = np.linspace(alpha * center, beta * center, n, dtype=np.float64)
     return grid[grid > 0]
 
@@ -298,42 +302,40 @@ def search_input_scale(weights, cols, target, cfg, scales=None, bias=None,
     `cols` is the LoweredInput of the layer; each candidate quantizes its
     values once and gathers the lowered codes into one buffer.
     With `scales` given, a ScaleSet whose input scale is the grid center,
-    candidates are evaluated through the grouped integer path; the weight
-    codes are made once and only the input is re-quantized per candidate.
-    Otherwise weights stay in float and the center is the input's init
-    scale. The center is always part of the comparison set, like the evaluated
-    incumbent of the weight search, so a scale that is already exact is
-    never displaced. `center_result`, when given, is the center's
-    (distance, output), known to the caller, and is used in the center's
-    place in the comparison instead of evaluating it again. Ties go to the
-    smaller scale. Returns the winning scale, its distance and its output.
+    each candidate runs the forward's conv (quant.quantized_layer) under
+    that input scale; its weight codes are made once. Otherwise weights
+    stay in float and the center is the input's init scale. The center is
+    always part of the comparison set, like the evaluated incumbent of the
+    weight search, so a scale that is already exact is never displaced.
+    `center_result`, when given, is the center's (distance, output), known
+    to the caller, and is used in the center's place in the comparison
+    instead of evaluating it again. Ties go to the smaller scale. Returns
+    the winning scale, its distance and its output.
     """
     if cols.shape[1] == 0:
         raise ValueError("empty calibration set")
+    lowered = np.empty(cols.shape)  # each candidate's lowered input, in turn
     if scales is None:
         center = init_scale(cols.values, cfg.act_bits)
+
+        def conv(values, cand):
+            q = quantize_values(values, cand, cfg.act_bits)
+            q *= cand
+            return conv_reference(weights, cols.gather(q, lowered), activation, bias, slope)
     else:
         center = scales.input_scale
-        codes = quantize_weight_groups(weights, scales.partition, scales.weight_scales,
-                                       scales.weight_bits)
+        conv = quantized_layer(weights, scales, bias, activation, slope,
+                               lower=partial(cols.gather, out=lowered))
     candidates = scale_space(cfg.alpha, cfg.beta, center, cfg.grid_size)
     # ascending; strict < keeps the smallest tie
     candidates = np.unique(np.append(candidates, center))
-    lowered = np.empty(cols.shape)  # each candidate's lowered input, in turn
     best_scale, best_d, best_out = None, np.inf, None
     for cand in candidates:
         cand = float(cand)
         if cand == center and center_result is not None:
             d, out = center_result
         else:
-            q = quantize_values(cols.values, cand, cfg.act_bits)
-            if scales is None:
-                q *= cand
-                out = conv_reference(weights, cols.gather(q, lowered), activation, bias,
-                                     slope)
-            else:
-                out = grouped_forward(codes, cols.gather(q, lowered),
-                                      replace(scales, input_scale=cand), bias, activation, slope)
+            out = conv(cols.values, cand)
             d = distance(out, target, cfg.metric)
         if d < best_d:
             best_scale, best_d, best_out = cand, d, out
@@ -507,7 +509,9 @@ def calibrate_layer(weights, cols, target, granularity, cfg, bias=None,
     Step 3's center candidate, the step-1 input scale, is not evaluated
     again: its output and distance are those the weight search ends with.
     Step 4 is no extra forward: the output is that of the winning step-3
-    candidate, which ran the same codes under the final scales.
+    candidate, made by the forward's own conv (quant.quantized_layer) under
+    the final scales, or, if the center wins, the weight search's output,
+    which equals it bit for bit.
     """
     oc, j = weights.shape
     partition = make_partition(oc, j, granularity)

@@ -382,6 +382,9 @@ def _load_layer(entry, lid, kind, data):
             layer.kernel = require_int("kernel", entry["kernel"], 1)
             layer.stride = require_int("stride", entry.get("stride", 1), 1)
             layer.padding = require_int("padding", entry.get("padding", 0), 0)
+            if layer.padding >= layer.kernel:  # a window must read an input element
+                raise ValueError(f"padding must be < kernel, got padding {layer.padding}, "
+                                 f"kernel {layer.kernel}")
         layer.activation = entry.get("activation", "identity")
         if layer.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {', '.join(ACTIVATIONS)}, "
@@ -432,9 +435,11 @@ def _load_layer(entry, lid, kind, data):
 
 
 def _load_scale_entry(lid, entry, layer):
-    """One manifest scale entry, checked against the geometry of its layer."""
+    """One manifest scale entry, checked against its layer, which must be quantized."""
     if layer is None or layer.kind not in ("conv", "linear"):
         raise BadInputError(f"scales given for {lid!r}, which is not a conv or linear layer")
+    if not layer.quantize:
+        raise BadInputError(f"scales given for {lid!r}, whose quantize is false")
     try:
         grid = np.array(entry["weight_scales"], dtype=object)
         for value in grid.flat:
@@ -631,12 +636,19 @@ def prepare_for_quantization(graph):
 # ---------------------------------------------------------------------------
 # forward passes
 
-def _output_meta(layer, x_shape):
-    """Reshape info of a conv or linear layer's [OC, P] output, from its input shape."""
-    if layer.kind == "conv":
-        return (x_shape[0], *conv_output_hw(x_shape[2], x_shape[3], layer.kernel,
-                                            layer.stride, layer.padding))
-    return (x_shape[0],)
+def _output_shape(layer, x_shape):
+    """The output shape of a conv or linear layer on an input of shape
+    `x_shape`, [N, OC, out_h, out_w] or [N, OC]; a fault names the layer."""
+    if layer.kind == "linear":
+        return (x_shape[0], layer.out_channels)
+    if len(x_shape) != 4:
+        raise ValueError(f"layer {layer.id}: a conv needs [N, C, H, W] input, got "
+                         f"{list(x_shape)}")
+    try:
+        return (x_shape[0], layer.out_channels,
+                *conv_output_hw(*x_shape[2:], layer.kernel, layer.stride, layer.padding))
+    except ValueError as exc:
+        raise ValueError(f"layer {layer.id}: {exc}") from exc
 
 
 def lower_layer_input(layer, x):
@@ -645,7 +657,7 @@ def lower_layer_input(layer, x):
         return im2col(x, layer.kernel, layer.stride, layer.padding)
     # linear: flatten features per sample; the explicit feature count keeps an
     # empty batch reshapeable
-    features = int(np.prod(x.shape[1:]))
+    features = math.prod(x.shape[1:])
     return np.array(x.reshape(x.shape[0], features).T, dtype=np.float64, order="C")
 
 
@@ -653,15 +665,15 @@ def sample_size(layer, x_shape):
     """Elements that one sample of an input of shape `x_shape` lowers to: J
     times that sample's columns of the lowered [J, P] matrix. It sizes every
     sample block (tensor.block_samples)."""
-    return layer.weights_per_channel * math.prod(_output_meta(layer, x_shape)[1:])
+    return layer.weights_per_channel * math.prod(_output_shape(layer, x_shape)[2:])
 
 
 def raise_layer_output(layer, out, x_shape):
     """Inverse of lower_layer_input on the [OC, P] output matrix of an input
     of shape `x_shape`."""
     if layer.kind == "conv":
-        n, out_h, out_w = _output_meta(layer, x_shape)
-        return out.reshape(layer.out_channels, n, out_h, out_w).transpose(1, 0, 2, 3)
+        n, oc, out_h, out_w = _output_shape(layer, x_shape)
+        return out.reshape(oc, n, out_h, out_w).transpose(1, 0, 2, 3)
     return np.ascontiguousarray(out.T)
 
 
@@ -688,8 +700,8 @@ def run_simple_layer(layer, outputs):
     if layer.kind == "residual-add":
         a, b = (outputs[p] for p in layer.predecessors)
         if a.shape != b.shape:
-            raise ValueError(f"layer {layer.id}: residual-add shapes differ "
-                             f"{a.shape} vs {b.shape}")
+            raise ValueError(f"layer {layer.id}: residual-add input shapes differ "
+                             f"({list(a.shape[1:])} vs {list(b.shape[1:])})")
         return a + b
     if layer.kind == "output":
         return x
@@ -702,10 +714,10 @@ def _run_weighted(layer, x, conv_op):
     executor yields."""
     if layer.weight is None:
         raise ValueError(f"layer {layer.id} has no weights loaded")
-    got = x.shape[1] if layer.kind == "conv" else int(np.prod(x.shape[1:]))
+    got = x.shape[1] if layer.kind == "conv" else math.prod(x.shape[1:])
     if got != layer.in_channels:
-        raise ValueError(f"layer {layer.id}: expected {layer.in_channels} input "
-                         f"channels, got an activation of shape {x.shape}")
+        raise ValueError(f"layer {layer.id}: declares {layer.in_channels} input channels, "
+                         f"but {layer.predecessors[0]} gives {got}")
     return raise_layer_output(layer, conv_op(layer, x), x.shape)
 
 
@@ -752,9 +764,10 @@ def float_conv(layer, x):
 
 
 def quantized_conv(scales, float_op=float_conv):
-    """conv_op running every quantized layer with a ScaleSet in `scales`
-    through the grouped integer path, which quantizes the activation before
-    lowering it; all other layers run through the float conv_op `float_op`.
+    """conv_op running every layer with a ScaleSet in `scales`, which alone
+    marks a layer quantized, through the grouped integer path, which
+    quantizes the activation before lowering it; all other layers run
+    through the float conv_op `float_op`.
 
     A quantized layer's weights are checked and its weight codes made on its
     first call (quant.quantized_layer), and every later batch reuses them,
@@ -770,7 +783,7 @@ def quantized_conv(scales, float_op=float_conv):
     def conv_op(layer, x):
         conv = prepared.get(layer.id)
         if conv is None:
-            layer_scales = scales.get(layer.id) if layer.quantize else None
+            layer_scales = scales.get(layer.id)
             if layer_scales is None:
                 return float_op(layer, x)
             conv = prepared[layer.id] = quantized_layer(
@@ -792,21 +805,11 @@ def propagate_shapes(graph):
     for layer in graph.layers:
         if layer.kind == "input":
             shapes[layer.id] = (1, *graph.input_shape[1:])
-        elif layer.kind == "conv":
-            x_shape = shapes[layer.predecessors[0]]
-            if len(x_shape) != 4:
-                raise ValueError(f"layer {layer.id}: a conv needs [N, C, H, W] input, got "
-                                 f"{list(x_shape)}; input_shape is {graph.input_shape}")
-            n, _, h, w = x_shape
+        elif layer.kind in ("conv", "linear"):
             try:
-                out_h, out_w = conv_output_hw(h, w, layer.kernel, layer.stride,
-                                              layer.padding)
+                shapes[layer.id] = _output_shape(layer, shapes[layer.predecessors[0]])
             except ValueError as exc:
-                raise ValueError(f"layer {layer.id}: {exc}") from exc
-            shapes[layer.id] = (n, layer.out_channels, out_h, out_w)
-        elif layer.kind == "linear":
-            n = shapes[layer.predecessors[0]][0]
-            shapes[layer.id] = (n, layer.out_channels)
+                raise ValueError(f"{exc}; input_shape is {graph.input_shape}") from exc
         else:
             shapes[layer.id] = shapes[layer.predecessors[0]]
     return shapes
@@ -815,25 +818,18 @@ def propagate_shapes(graph):
 def check_shapes(graph):
     """Reject a graph whose wired layers disagree on shapes, naming the layer.
 
-    A conv or linear layer must declare the channels (features) its
-    predecessor produces, both inputs of a residual-add must match, and
-    every conv window must fit, from the graph's input_shape, which must be
-    set. Not part of validate(): shape-only graphs such as yolov3_320_shape
-    wire head convs to a stand-in predecessor.
+    The shapes must propagate from the graph's input_shape (propagate_shapes);
+    then execute's own checks of channels and residual-adds decide the rest,
+    on an empty batch through a conv_op that returns an empty output. Not
+    part of validate(): shape-only graphs such as yolov3_320_shape wire head
+    convs to a stand-in predecessor.
     """
     try:
-        shapes = propagate_shapes(graph)
+        propagate_shapes(graph)
+        empty = np.zeros((0, *graph.input_shape[1:]), dtype=np.float32)
+        for _ in execute(graph.layers, {graph.input_id: empty},
+                         lambda layer, x: np.zeros((layer.out_channels, 0))):
+            pass
     except ValueError as exc:
         raise BadInputError(str(exc)) from exc
-    for layer in graph.layers:
-        ins = [shapes[pred] for pred in layer.predecessors]
-        if layer.kind in ("conv", "linear"):
-            got = ins[0][1] if layer.kind == "conv" else int(np.prod(ins[0][1:]))
-            if got != layer.in_channels:
-                raise BadInputError(
-                    f"layer {layer.id}: declares {layer.in_channels} input channels, "
-                    f"but {layer.predecessors[0]} gives {got}")
-        elif layer.kind == "residual-add" and ins[0] != ins[1]:
-            raise BadInputError(f"layer {layer.id}: residual-add input shapes differ "
-                                f"({list(ins[0][1:])} vs {list(ins[1][1:])})")
     return graph

@@ -254,18 +254,11 @@ def sum_terms(terms):
     return acc
 
 
-def grouped_forward(codes, q_cols, scales, bias=None, activation="identity", slope=0.01):
-    """finish(sum_terms(grouped_terms(...))): the grouped terms summed in
-    ascending h, then bias and activation."""
-    return finish(sum_terms(grouped_terms(codes, q_cols, scales.partition,
-                                          scales.weight_scales, scales.input_scale)),
-                  bias, activation, slope)
-
-
 def quantized_layer(weights, scales, bias=None, activation="identity", slope=0.01, *,
                     lower):
-    """The grouped integer conv of one layer as a function conv(x) of a batch
-    of its incoming activation: quantize every group (v, h) under its scale,
+    """The grouped integer conv of one layer as a function conv(x, input_scale)
+    of a batch of its incoming activation, under the input scale of `scales`
+    unless another is given: quantize every group (v, h) under its scale,
     run one integer matmul per column group, rescale each row group by its
     group scale times the input scale, and sum over h; bias and activation
     are applied on the rescaled result.
@@ -281,7 +274,9 @@ def quantized_layer(weights, scales, bias=None, activation="identity", slope=0.0
     codes = quantize_weight_groups(weights, scales.partition, scales.weight_scales,
                                    scales.weight_bits)
 
-    def conv(x):
-        q_cols = lower(quantize_values(x, scales.input_scale, scales.act_bits))
-        return grouped_forward(codes, q_cols, scales, bias, activation, slope)
+    def conv(x, input_scale=scales.input_scale):
+        q_cols = lower(quantize_values(x, input_scale, scales.act_bits))
+        return finish(sum_terms(grouped_terms(codes, q_cols, scales.partition,
+                                              scales.weight_scales, input_scale)),
+                      bias, activation, slope)
     return conv

@@ -16,8 +16,14 @@ from subquant.analysis import (
     write_overhead_json,
 )
 from subquant.calib import CalibConfig
-from subquant.fixtures import build_small_cnn, random_inputs, resnet18_shape_graph
-from subquant.model import lower_layer_input, prepare_for_quantization
+from subquant.fixtures import (
+    build_small_cnn,
+    random_inputs,
+    resnet18_shape_graph,
+    resnet50_shape_graph,
+    yolov3_320_shape_graph,
+)
+from subquant.model import load_bundle, lower_layer_input, prepare_for_quantization, save_bundle
 from subquant.quant import (
     GranularityConfig,
     ScaleSet,
@@ -120,6 +126,31 @@ class TestNetworkReport:
             layer.quantize = False
         with pytest.raises(ValueError):
             network_overhead_report(graph, GranularityConfig("channelwise"))
+
+
+class TestShapeManifests:
+    """The shipped shape manifests, saved and loaded as `overhead` reads them.
+    YOLOv3's head convs are wired to stand-in predecessors, so neither the
+    loader nor propagate_shapes may check channels."""
+
+    @pytest.mark.parametrize("build,percent", [
+        (resnet18_shape_graph, [0.18, 0.35, 0.70, 1.39, 2.78]),
+        (yolov3_320_shape_graph, [0.20, 0.36, 0.70, 1.40, 2.80])], ids=["resnet18", "yolov3"])
+    def test_readme_compute_overheads(self, tmp_path, build, percent):
+        """README's total compute overheads at cols_per_group 576 down to 36."""
+        graph = load_bundle(save_bundle(build(), tmp_path / "shape"))
+        got = [network_overhead_report(graph, GranularityConfig("method1", 1, cols))
+               .total_compute_overhead for cols in (576, 288, 144, 72, 36)]
+        assert [round(100 * value, 2) for value in got] == percent
+
+    def test_resnet50_lists_its_52_quantized_convs(self, tmp_path):
+        graph = load_bundle(save_bundle(resnet50_shape_graph(), tmp_path / "shape"))
+        rep = network_overhead_report(graph, GranularityConfig("channelwise"))
+        stage_entries = (1, 4, 8, 14)  # the first block of each stage has a down conv
+        expect = [f"b{b}.{conv}" for b in range(1, 17)
+                  for conv in ("conv1", "conv2", "conv3") + ("down",) * (b in stage_entries)]
+        assert len(expect) == 52
+        assert [r.layer_id for r in rep.layers] == expect
 
 
 class TestReportFiles:

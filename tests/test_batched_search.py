@@ -16,7 +16,7 @@ from reference_search import (
     forward_float,
     reference_search_weight_scales,
 )
-from subquant import calib
+from subquant import calib, quant
 from subquant.calib import (
     CalibConfig,
     calibrate_layer,
@@ -278,7 +278,7 @@ def test_reused_center_equals_full_step3(metric, granularity, tie):
     cfg = CalibConfig(grid_size=15, iterations=1, metric=metric)
     plan = dense_plan(cols)
     center, expect = full_step3(weights, plan, target, granularity, cfg, bias, "relu", 0.01)
-    with mock.patch.object(calib, "grouped_forward", wraps=calib.grouped_forward) as forward:
+    with mock.patch.object(quant, "grouped_terms", wraps=quant.grouped_terms) as forward:
         cal = calibrate_layer(weights, plan, target, granularity, cfg, bias, "relu")
     candidates = np.unique(np.append(scale_space(cfg.alpha, cfg.beta, center, 15), center))
     assert forward.call_count == len(candidates) - 1  # all but the center

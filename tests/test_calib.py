@@ -23,6 +23,7 @@ from subquant.calib import (
     search_weight_scales,
     subsample,
 )
+from subquant.errors import BadInputError
 from subquant.fixtures import build_resnet20_style, build_small_cnn, random_inputs
 from subquant.model import Layer, ModelGraph, prepare_for_quantization
 from subquant.quant import (
@@ -57,6 +58,15 @@ class TestScaleSpace:
         grid = scale_space(5e-324, 1.5, 0.03, 5)
         assert len(grid) == 4 and np.all(grid > 0)
         assert grid[-1] == 1.5 * 0.03
+
+    def test_rejects_a_span_that_overflows(self):
+        """beta * center beyond float64 would put inf and NaN in the grid;
+        just inside it, every candidate is finite."""
+        with pytest.raises(BadInputError, match=r"calib.beta 1e\+308 times the center "
+                                                r"scale 2.0 overflows float64"):
+            scale_space(0.5, 1e308, 2.0, 5)
+        grid = scale_space(0.5, 1e308, 1.0, 5)
+        assert len(grid) == 5 and np.all(np.isfinite(grid)) and grid[-1] == 1e308
 
     def test_rejects_nonpositive_center(self):
         with pytest.raises(ValueError):

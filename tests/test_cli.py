@@ -23,7 +23,8 @@ from subquant import calib, cli, model, quant, tensor
 from subquant.cli import main, parallel_map
 from subquant.errors import BadInputError
 from subquant.fixtures import build_resnet20_style, build_small_cnn, random_inputs
-from subquant.model import Layer, ModelGraph, load_bundle, save_bundle, save_calibration_set
+from subquant.model import (Layer, ModelGraph, load_bundle, load_calibration_set, save_bundle,
+                            save_calibration_set)
 from subquant.tensor import ACTIVATIONS
 
 
@@ -537,6 +538,20 @@ class TestMalformedScaleTable:
         assert self.eval_with_manifest_edit(quantized_small_cnn, fixture_dir, tmp_path,
                                             lambda entry: None) == 0
 
+    def test_scales_on_an_unquantized_layer_exit_2(self, quantized_small_cnn, fixture_dir,
+                                                  tmp_path, capsys):
+        """A scale set alone marks a layer quantized, so one on a layer whose
+        quantize is false is bad input. eval ran that layer in float while its
+        report marked it quantized."""
+        bundle = tmp_path / "contradictory"
+        shutil.copytree(quantized_small_cnn, bundle)
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        manifest_layer(manifest, "conv3")["quantize"] = False
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        assert self.eval_with_manifest_edit(bundle, fixture_dir, tmp_path,
+                                            lambda entry: None) == 2
+        assert "scales given for 'conv3', whose quantize is false" in capsys.readouterr().err
+
     def test_zero_input_scale_exits_2(self, quantized_small_cnn, fixture_dir, tmp_path,
                                       capsys):
         def edit(entry):
@@ -741,6 +756,20 @@ class TestMalformedInput:
             reorder={"population": 2, "iterations": 1},
             sweep={"rows": [1], "h_groups": [1]}, out=str(tmp_path / "out"), **extra)
         return main([command, "--config", str(config)])
+
+    @pytest.mark.parametrize("command", ["quantize", "overhead"])
+    @pytest.mark.parametrize("padding", [3, 10 ** 5, 10 ** 9])
+    def test_padding_of_a_whole_kernel_exits_2(self, fixture_dir, tmp_path, capsys, command,
+                                               padding):
+        """A conv whose padding is at least its kernel has windows that read
+        only padding. At 10^5 quantize exited 1 out of memory, at 10^9 it
+        exited 1 with an array too big for numpy, and overhead reported on
+        either."""
+        bundle = self.edited_bundle(
+            fixture_dir, tmp_path, lambda m: manifest_layer(m, "conv2").update(padding=padding))
+        assert self.run(command, tmp_path, bundle, fixture_dir / "small_cnn_calib.ptqc") == 2
+        err = capsys.readouterr().err
+        assert "layer conv2" in err and f"padding {padding}, kernel 3" in err
 
     def test_conv_without_out_channels_exits_2(self, fixture_dir, tmp_path, capsys):
         def edit(manifest):
@@ -1134,6 +1163,17 @@ class TestMalformedInput:
         candidate is dropped, not run as a zero scale."""
         assert self.run("quantize", tmp_path, fixture_dir / "small_cnn",
                         fixture_dir / "small_cnn_calib.ptqc", calib={"alpha": 5e-324}) == 0
+
+    def test_beta_whose_scale_grid_overflows_exits_2(self, fixture_dir, tmp_path, capsys):
+        """On samples 1000 times larger, beta times the input's center scale
+        overflows float64, so the grid would hold inf and NaN candidates: bad
+        input, naming beta. It exited 1 when the ScaleSet rejected them."""
+        samples = load_calibration_set(fixture_dir / "small_cnn_calib.ptqc")
+        save_calibration_set(tmp_path / "large.ptqc", 1000 * samples)
+        assert self.run("quantize", tmp_path, fixture_dir / "small_cnn",
+                        tmp_path / "large.ptqc", calib={"beta": 1e308}) == 2
+        err = capsys.readouterr().err
+        assert "calib.beta 1e+308 times the center scale" in err and "overflows" in err
 
     # Every run-config field a quantize run reads, one unknown field per
     # section, and the sections themselves.

@@ -44,10 +44,9 @@ from subquant.quant import (
     GRANULARITY_MODES,
     GranularityConfig,
     ScaleSet,
-    grouped_forward,
     make_partition,
     quantize_values,
-    quantize_weight_groups,
+    quantized_layer,
 )
 
 
@@ -414,7 +413,8 @@ class TestExecute:
     def test_input_channel_mismatch_names_layer(self):
         graph = prepare_for_quantization(build_small_cnn())
         x = np.zeros((1, 4, 8, 8), np.float32)
-        with pytest.raises(ValueError, match="layer conv1: expected 3 input channels"):
+        with pytest.raises(ValueError, match="layer conv1: declares 3 input channels, "
+                                             "but input gives 4"):
             forward_float(graph, x)
 
     def test_missing_weights_named(self):
@@ -499,7 +499,7 @@ def test_blocked_quantized_conv_matches_whole_matrix(block_eights, case, out_cha
                                                      with_bias, seed):
     """quantized_conv runs the activation in sample blocks (8 samples each, 24,
     or all at once), which leaves a short last block for most batch sizes; its
-    output equals grouped_forward on the codes of the whole lowered matrix bit
+    output equals quantized_layer's conv of the whole lowered matrix bit
     for bit, signed zeros included. A NaN's sign bit is not compared: BLAS
     picks which NaN operand to propagate by kernel (a one-column block runs a
     matrix-vector kernel), as it already does between batch sizes."""
@@ -516,10 +516,8 @@ def test_blocked_quantized_conv_matches_whole_matrix(block_eights, case, out_cha
     scales = ScaleSet(part, rng.uniform(0.01, 1.0, (part.v_groups, part.h_groups)),
                       input_scale, *bits)
     with np.errstate(over="ignore", invalid="ignore"):
-        codes = quantize_weight_groups(layer.weight_matrix(), part, scales.weight_scales,
-                                       scales.weight_bits)
-        q_cols = quantize_values(lower_layer_input(layer, x), input_scale, scales.act_bits)
-        whole = grouped_forward(codes, q_cols, scales, layer.bias, activation, 0.1)
+        whole = quantized_layer(layer.weight_matrix(), scales, layer.bias, activation, 0.1,
+                                lower=lambda cols: cols)(lower_layer_input(layer, x))
         sample_bytes = lower_layer_input(layer, x[:1]).nbytes
         block_bytes = (1 << 40) if block_eights is None else 8 * block_eights * sample_bytes
         with mock.patch.object(tensor, "_FORWARD_BLOCK_BYTES", block_bytes):

@@ -80,6 +80,23 @@ def test_checkout_without_package_is_a_usage_error(same_outputs, tmp_path):
     assert exc.value.code == 2
 
 
+def test_runs_take_the_cosine_metric_and_method1(same_outputs, tmp_path):
+    """quantize and the calibrating eval of small_cnn and reorder of
+    toy_segment also run under the cosine metric and method1 groups, at
+    --jobs 1 and 2; every other run uses euclidean distance and method2."""
+    other = {}
+    for name, command, config in same_outputs.runs(tmp_path / "fixtures", tmp_path):
+        key = (config["calib"].get("metric", "euclidean"), config["granularity"]["mode"])
+        if key != ("euclidean", "method2"):
+            other[name] = (command, key, Path(config["model"]).name)
+    assert other == {
+        f"{name}-cosine-j{jobs}": (command, ("cosine", "method1"), model)
+        for jobs in (1, 2) for name, command, model in (
+            ("quantize-small_cnn", "quantize", "small_cnn"),
+            ("eval-fallback-small_cnn", "eval", "small_cnn"),
+            ("reorder-toy_segment", "reorder", "toy_segment"))}
+
+
 def test_eval_runs_stream_distances_across_chunks(same_outputs, tmp_path):
     """On small_cnn and resnet20_style, an eval of the quantized bundle and
     one through the calibrating fallback read a labelled set of more samples

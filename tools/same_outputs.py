@@ -16,7 +16,10 @@ that `src/` on PYTHONPATH, the tool writes the demo fixtures with
   model's 64-sample calibration set as the eval set, labelled by a file the
   tool writes into the fixtures, so that each layer's distance is streamed
   across more than one eval chunk;
-- `overhead` on small_cnn and the resnet18 shape manifest.
+- `overhead` on small_cnn and the resnet18 shape manifest;
+- under the cosine metric and method1 groups (2 rows x 18 columns):
+  `quantize` and the calibrating `eval` on small_cnn, and `reorder` on
+  toy_segment.
 
 Every child runs under `-W error::RuntimeWarning`, so a numpy overflow or
 invalid-value warning fails its command.
@@ -58,6 +61,8 @@ def runs(fixtures, tree):
 
     eval_set = {"inputs": str(fixtures / "small_cnn_eval.ptqc"),
                 "labels": str(fixtures / "small_cnn_eval_labels.json")}
+    cosine = {"calib": {**CALIB, "metric": "cosine"},  # the other metric and method
+              "granularity": {"mode": "method1", "rows_per_group": 2, "cols_per_group": 18}}
     for jobs in (1, 2):
         for model in ("small_cnn", "resnet20_style", "toy_segment"):
             calibration = f"{model}_calib.ptqc"
@@ -78,6 +83,12 @@ def runs(fixtures, tree):
                    config(model, f"{model}_calib.ptqc", eval=evals))
         for model in ("small_cnn", "resnet18_shape"):
             yield f"overhead-{model}-j{jobs}", "overhead", config(model)
+        yield (f"quantize-small_cnn-cosine-j{jobs}", "quantize",
+               config("small_cnn", "small_cnn_calib.ptqc", **cosine))
+        yield (f"eval-fallback-small_cnn-cosine-j{jobs}", "eval",
+               config("small_cnn", "small_cnn_calib.ptqc", eval=eval_set, **cosine))
+        yield (f"reorder-toy_segment-cosine-j{jobs}", "reorder",
+               config("toy_segment", "toy_segment_calib.ptqc", **cosine))
 
 
 def run_side(checkout, side_dir):
