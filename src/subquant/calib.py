@@ -310,7 +310,8 @@ def search_input_scale(weights, cols, target, cfg, scales=None, bias=None,
     `center_result`, when given, is the center's (distance, output), known
     to the caller, and is used in the center's place in the comparison
     instead of evaluating it again. Ties go to the smaller scale. Returns
-    the winning scale, its distance and its output.
+    the winning scale, its distance and its output. An output that overflows
+    float32 scores inf or NaN, and never wins; if none wins, that is bad input.
     """
     if cols.shape[1] == 0:
         raise ValueError("empty calibration set")
@@ -339,6 +340,8 @@ def search_input_scale(weights, cols, target, cfg, scales=None, bias=None,
             d = distance(out, target, cfg.metric)
         if d < best_d:
             best_scale, best_d, best_out = cand, d, out
+    if best_scale is None:
+        raise BadInputError("no input-scale candidate gives a finite float32 output")
     return best_scale, best_d, best_out
 
 
@@ -576,10 +579,20 @@ class Lockstep:
 
     def walk(self, feeds, conv_op):
         """(layer, out, ref) for each layer in turn: out from the second walk,
-        execute(layers, feeds, conv_op), and ref from the float walk of `feeds`."""
+        execute(layers, feeds, conv_op), and ref from the float walk of `feeds`.
+        As in float_walk, overflow is silenced in each step and a non-finite
+        out is bad input, named by the layer, as is bad input in a step; a
+        calibration candidate that overflows holds inf there, and loses."""
         second = execute(self.layers, feeds, conv_op)
         for layer, ref in float_walk(self.layers, feeds, self._float_op):
-            _, out = next(second)
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    _, out = next(second)
+                except BadInputError as exc:
+                    raise BadInputError(f"layer {layer.id}: {exc}") from exc
+            if not np.all(np.isfinite(out)):
+                raise BadInputError(f"the quantized forward of the samples is not finite at "
+                                    f"layer {layer.id}: the samples are too large")
             yield layer, out, ref
 
 

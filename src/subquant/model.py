@@ -137,12 +137,6 @@ class ModelGraph:
                 raise BadInputError(f"layer {layer.id}: kind {layer.kind!r} needs {need} "
                                     f"predecessor{'s' * (need != 1)}, got "
                                     f"{layer.predecessors}")
-            if layer.kind in ("conv", "linear") and layer.weight is not None:
-                expect = layer.out_channels * layer.weights_per_channel
-                if layer.weight.size != expect:
-                    raise BadInputError(
-                        f"layer {layer.id}: weight blob has {layer.weight.size} "
-                        f"elements, expected {expect}")
             seen.add(layer.id)
         for seg in self.segments:
             for lid in seg.layer_ids:
@@ -268,17 +262,24 @@ def save_bundle(graph, path):
     return path
 
 
-def _read_blob(ref, data, layer_id, what):
+def _read_blob(ref, data, layer_id, what, shape):
+    """The float32 array of shape `shape` that the blob reference `ref` names
+    in the tensor file's bytes `data`, once its `count` is the product of
+    `shape`, it lies inside the file and its values are finite."""
     try:
         offset, count = int(ref["offset"]), int(ref["count"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadInputError(f"layer {layer_id}: malformed {what} blob reference") from exc
+    expect = math.prod(shape)
+    if count != expect:
+        raise BadInputError(f"layer {layer_id}: {what} blob has {count} elements, "
+                            f"expected {expect}")
     end = offset + 4 * count
     if offset < 0 or end > len(data):
         raise BadInputError(
             f"layer {layer_id}: {what} blob [{offset}, {end}) outside tensor file "
             f"of {len(data)} bytes")
-    arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset).copy()
+    arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset).reshape(shape).copy()
     _require_finite(arr, f"layer {layer_id}: {what} blob")
     return arr
 
@@ -295,27 +296,22 @@ def load_bundle(path):
     data = blob_path.read_bytes() if blob_path.is_file() else b""
 
     layers = []
-    implicit_quantize = []
     for entry in manifest.get("layers", []):
         try:
             lid, kind = entry["id"], entry["kind"]
         except (KeyError, TypeError) as exc:
             raise BadInputError(f"manifest layer entry missing {exc}") from exc
         try:
-            layer = _load_layer(entry, lid, kind, data)
+            layers.append(_load_layer(entry, lid, kind, data))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BadInputError(f"layer {lid}: malformed manifest entry ({exc!r})") from exc
-        if kind in ("conv", "linear") and "quantize" not in entry:
-            implicit_quantize.append(layer)
-        layers.append(layer)
 
     # unless the manifest says otherwise, the first and last weighted layers
     # stay unquantized
     weighted = [l for l in layers if l.kind in ("conv", "linear")]
-    if weighted and implicit_quantize:
-        for boundary in (weighted[0], weighted[-1]):
-            if boundary in implicit_quantize:
-                boundary.quantize = False
+    for layer in weighted:
+        if layer.quantize is None:
+            layer.quantize = layer is not weighted[0] and layer is not weighted[-1]
 
     try:
         segments = [Segment(s["id"], _id_list(s["layers"], f"segment {s['id']}", "layers"))
@@ -390,38 +386,20 @@ def _load_layer(entry, lid, kind, data):
             raise ValueError(f"activation must be one of {', '.join(ACTIVATIONS)}, "
                              f"got {layer.activation!r}")
         layer.slope = float(require_number("slope", entry.get("slope", 0.01)))
-        layer.quantize = entry.get("quantize", True)
-        if type(layer.quantize) is not bool:
+        layer.quantize = entry.get("quantize")  # None, if absent, until load_bundle decides
+        if "quantize" in entry and type(layer.quantize) is not bool:
             raise TypeError(f"quantize must be true or false, got {layer.quantize!r}")
         if "weight" in entry:
-            flat = _read_blob(entry["weight"], data, lid, "weight")
-            expect = layer.out_channels * layer.weights_per_channel
-            if flat.size != expect:
-                raise BadInputError(
-                    f"layer {lid}: weight blob has {flat.size} elements, "
-                    f"expected {expect}")
-            if kind == "conv":
-                layer.weight = flat.reshape(layer.out_channels, layer.in_channels,
-                                            layer.kernel, layer.kernel)
-            else:
-                layer.weight = flat.reshape(layer.out_channels, layer.in_channels)
+            kernel = (layer.kernel, layer.kernel) if kind == "conv" else ()
+            layer.weight = _read_blob(entry["weight"], data, lid, "weight",
+                                      (layer.out_channels, layer.in_channels, *kernel))
         if "bias" in entry:
-            bias = _read_blob(entry["bias"], data, lid, "bias")
-            if bias.size != layer.out_channels:
-                raise BadInputError(
-                    f"layer {lid}: bias blob has {bias.size} elements, "
-                    f"expected {layer.out_channels}")
-            layer.bias = bias
+            layer.bias = _read_blob(entry["bias"], data, lid, "bias", (layer.out_channels,))
     elif kind == "batchnorm":
         channels = require_int("channels", entry["channels"], 1)
         epsilon = float(require_number("epsilon", entry.get("epsilon", 1e-5)))
-        parts = {}
-        for what in ("gamma", "beta", "mean", "var"):
-            arr = _read_blob(entry[what], data, lid, what)
-            if arr.size != channels:
-                raise BadInputError(f"layer {lid}: {what} blob size {arr.size} != "
-                                    f"declared channels {channels}")
-            parts[what] = arr
+        parts = {what: _read_blob(entry[what], data, lid, what, (channels,))
+                 for what in ("gamma", "beta", "mean", "var")}
         with np.errstate(over="ignore"):  # in float32, as the fold and the forward sum it
             total = parts["var"] + epsilon
         if not np.all(np.isfinite(total) & (total > 0)):
@@ -820,13 +798,17 @@ def check_shapes(graph):
 
     The shapes must propagate from the graph's input_shape (propagate_shapes);
     then execute's own checks of channels and residual-adds decide the rest,
-    on an empty batch through a conv_op that returns an empty output. Not
-    part of validate(): shape-only graphs such as yolov3_320_shape wire head
-    convs to a stand-in predecessor.
+    on an empty batch through a conv_op that returns an empty output; an
+    input_shape too big for that batch is named. Not part of validate():
+    shape-only graphs such as yolov3_320_shape wire head convs to a
+    stand-in predecessor.
     """
     try:
         propagate_shapes(graph)
-        empty = np.zeros((0, *graph.input_shape[1:]), dtype=np.float32)
+        try:
+            empty = np.zeros((0, *graph.input_shape[1:]), dtype=np.float32)
+        except ValueError as exc:  # such as a sample too big for numpy
+            raise ValueError(f"input_shape {graph.input_shape}: {exc}") from exc
         for _ in execute(graph.layers, {graph.input_id: empty},
                          lambda layer, x: np.zeros((layer.out_channels, 0))):
             pass

@@ -574,6 +574,71 @@ class TestCalibrateNetwork:
         assert ran.count("conv0") == 1 and ran.count("fc") == 2 and len(ran) == 22
 
 
+
+def one_linear_layer(weights):
+    """input -> a quantized linear layer fc of the one output row `weights` -> output."""
+    weights = np.asarray([weights], np.float32)
+    return [Layer(id="input", kind="input"),
+            Layer(id="fc", kind="linear", predecessors=["input"], out_channels=1,
+                  in_channels=weights.shape[1], quantize=True, weight=weights),
+            Layer(id="output", kind="output", predecessors=["fc"])]
+
+
+class TestFloat32Overflow:
+    """calibrate_network calibrates a layer in a step of the Lockstep's
+    second walk, with overflow warnings silenced: a candidate output that
+    overflows float32 holds inf there."""
+
+    # At the center input scale S the first input, 128 S, clamps to code
+    # 127 and the other 63, 66.5 S each, round up to 67. The float output,
+    # 4317.5 S, is finite in float32; the center's, 4348 S, is not.
+    S = 121 * 2.0 ** 109
+    LAYERS = one_linear_layer([1.0] * 64)
+    FEEDS = {"input": np.array([[128 * S] + [66.5 * S] * 63], np.float32)}
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_overflowing_candidates_lose(self, monkeypatch, metric):
+        """The center's output is inf, whose distance is inf (euclidean) or
+        NaN (cosine): it loses to a finite candidate under strict <."""
+        seen = []
+
+        def spy(a, b, metric):
+            seen.append(distance(a, b, metric))
+            return seen[-1]
+        monkeypatch.setattr(calib, "distance", spy)
+        result = calibrate_network(self.LAYERS, self.FEEDS, GranularityConfig("channelwise"),
+                                   CalibConfig(grid_size=9, samples=1, metric=metric))
+        lost = np.isposinf if metric == "euclidean" else np.isnan
+        assert any(lost(d) for d in seen)
+        assert np.isfinite(result.layer_distances["fc"])
+        assert result.scales["fc"].input_scale != self.S
+
+    def test_no_finite_candidate_is_bad_input_named_by_the_layer(self):
+        """alpha = beta = 1 leaves the center as the only candidate."""
+        with pytest.raises(BadInputError, match="layer fc: no input-scale candidate gives a "
+                                                "finite float32 output"):
+            calibrate_network(self.LAYERS, self.FEEDS, GranularityConfig("channelwise"),
+                              CalibConfig(alpha=1, beta=1, grid_size=2, samples=1))
+
+    def test_calibrated_output_that_is_not_finite_is_bad_input(self, monkeypatch):
+        """The cosine distance of an inf output from an all-zero target is
+        1.0, finite, so an inf output can win a search; the second walk
+        checks every output, the calibrated ones too."""
+        with np.errstate(invalid="ignore"):
+            assert distance(np.full(3, np.inf), np.zeros(3), "cosine") == 1.0
+        real = calib.calibrate_layer
+
+        def overflowing(*args):
+            cal = real(*args)
+            cal.output[0, 0] = np.inf
+            return cal
+        monkeypatch.setattr(calib, "calibrate_layer", overflowing)
+        with pytest.raises(BadInputError,
+                           match="quantized forward of the samples is not finite at layer fc"):
+            calibrate_network(self.LAYERS, {"input": np.ones((1, 64), np.float32)},
+                              GranularityConfig("channelwise"), CalibConfig(samples=1))
+
+
 def test_subsample_is_deterministic_and_ordered():
     samples = np.arange(40, dtype=np.float32).reshape(10, 4)
     a = subsample(samples, 4, seed=5)

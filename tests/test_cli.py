@@ -865,6 +865,61 @@ class TestMalformedInput:
         assert self.run(command, tmp_path, bundle, fixture_dir / "small_cnn_calib.ptqc") == 2
         assert "input_shape" in capsys.readouterr().err
 
+    def test_input_shape_too_big_for_numpy_exits_2_naming_it(self, fixture_dir, tmp_path,
+                                                              capsys):
+        """The shapes of [1, 3, 10**12, 10**12] propagate, as Python
+        integers, but numpy cannot hold a batch of that sample: quantize
+        names input_shape, where it gave numpy's "array is too big" alone.
+        overhead counts in Python integers and reports on it."""
+        bundle = self.edited_bundle(fixture_dir, tmp_path,
+                                    lambda m: m.update(input_shape=[1, 3, 10 ** 12, 10 ** 12]))
+        calibration = fixture_dir / "small_cnn_calib.ptqc"
+        assert self.run("quantize", tmp_path, bundle, calibration) == 2
+        assert ("error: input_shape [1, 3, 1000000000000, 1000000000000]: array is too big"
+                in capsys.readouterr().err)
+        assert self.run("overhead", tmp_path, bundle, calibration) == 0
+
+    @pytest.mark.parametrize("command", ["quantize", "overhead"])
+    @pytest.mark.parametrize("lid", ["conv3", "fc"])
+    def test_repeated_layer_id_exits_2(self, fixture_dir, tmp_path, capsys, command, lid):
+        """A second layer `lid` right after the first, neither with quantize,
+        is a repeated id. With fc, the last weighted layer, both commands
+        exited 1: the quantize default compared the two layers field by
+        field, weight arrays included."""
+        def edit(manifest):
+            entry = manifest_layer(manifest, lid)
+            del entry["quantize"]
+            manifest["layers"].insert(manifest["layers"].index(entry) + 1, dict(entry))
+        bundle = self.edited_bundle(fixture_dir, tmp_path, edit)
+        assert self.run(command, tmp_path, bundle, fixture_dir / "small_cnn_calib.ptqc") == 2
+        assert "duplicate layer ids in graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lid,what,count", [("conv2", "weight", 864), ("fc", "bias", 10),
+                                                ("conv1.bn", "var", 8)])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_blob_count_off_by_one_exits_2(self, fixture_dir, tmp_path, capsys, lid, what,
+                                           count, delta):
+        """A blob's count is its layer's shape product: [OC, IC, K, K] for
+        conv2's weight, [OC] for fc's bias, [channels] for conv1.bn's var."""
+        def edit(manifest):
+            manifest_layer(manifest, lid)[what]["count"] = count + delta
+        bundle = self.edited_bundle(fixture_dir, tmp_path, edit)
+        assert self.run("quantize", tmp_path, bundle, fixture_dir / "small_cnn_calib.ptqc") == 2
+        assert (f"layer {lid}: {what} blob has {count + delta} elements, expected {count}"
+                in capsys.readouterr().err)
+
+    def test_blob_past_the_end_of_the_tensor_file_exits_2(self, fixture_dir, tmp_path,
+                                                           capsys):
+        """fc's bias, the last blob, moved on by one float: its count is
+        right, but it ends 4 bytes past the end of tensors.bin."""
+        size = (fixture_dir / "small_cnn" / "tensors.bin").stat().st_size
+        def edit(manifest):
+            manifest_layer(manifest, "fc")["bias"]["offset"] = size - 36
+        bundle = self.edited_bundle(fixture_dir, tmp_path, edit)
+        assert self.run("quantize", tmp_path, bundle, fixture_dir / "small_cnn_calib.ptqc") == 2
+        assert (f"layer fc: bias blob [{size - 36}, {size + 4}) outside tensor file of {size} "
+                f"bytes" in capsys.readouterr().err)
+
     FUZZ_FIELDS = ("id", "kind", "predecessors", "out_channels", "in_channels", "kernel",
                    "stride", "padding", "activation", "slope", "quantize", "weight", "bias",
                    "channels", "epsilon", "gamma", "beta", "mean", "var")
@@ -908,6 +963,22 @@ class TestMalformedInput:
         payload = len(data) + 1 - PTQC_HEADER
         assert "long.ptqc" in err and f"payload holds {payload} bytes" in err
 
+    @pytest.mark.parametrize("command", ["quantize", "reorder", "eval"])
+    def test_quantized_forward_overflow_exits_2(self, fixture_dir, small_ptqc, tmp_path,
+                                                command, capsys):
+        """With one value of 1.4646e38, the float forward of the samples
+        stays finite, but add1's sum in the calibrating walk overflows
+        float32: bad input named by add1. Each command exited 1 ("overflow
+        encountered in add")."""
+        data = bytearray(small_ptqc)
+        at = PTQC_HEADER + 4 * 126
+        data[at:at + 4] = np.float32(1.4646064881061696e38).tobytes()
+        (tmp_path / "big.ptqc").write_bytes(bytes(data))
+        assert self.run(command, tmp_path, fixture_dir / "small_cnn", tmp_path / "big.ptqc",
+                        eval_inputs=tmp_path / "big.ptqc", labels=2) == 2
+        assert ("quantized forward of the samples is not finite at layer add1"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("command", ["quantize", "sweep", "reorder", "eval", "sweep-eval"])
     def test_float_forward_overflow_exits_2(self, fixture_dir, quantized_small_cnn, tmp_path,
                                             command, capsys, monkeypatch):
@@ -944,6 +1015,7 @@ class TestMalformedInput:
         st.tuples(st.just("overwrite"),
                   st.one_of(st.integers(0, PTQC_HEADER - 1), st.integers(0, PTQC_SIZE - 1)),
                   st.binary(min_size=1, max_size=4))))
+    @example(edit=("overwrite", PTQC_HEADER, np.float32(3e38).tobytes()))
     def test_fuzzed_ptqc_bytes_never_exit_1(self, fixture_dir, small_ptqc, edit):
         """A PTQC file truncated, extended, or with bytes overwritten (the
         header's as often as the rest) is either run or rejected as bad

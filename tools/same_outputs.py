@@ -16,7 +16,8 @@ that `src/` on PYTHONPATH, the tool writes the demo fixtures with
   model's 64-sample calibration set as the eval set, labelled by a file the
   tool writes into the fixtures, so that each layer's distance is streamed
   across more than one eval chunk;
-- `overhead` on small_cnn and the resnet18 shape manifest;
+- `overhead` on small_cnn and on the resnet18, resnet50 and yolov3_320
+  shape manifests, which hold no weights;
 - under the cosine metric and method1 groups (2 rows x 18 columns):
   `quantize` and the calibrating `eval` on small_cnn, and `reorder` on
   toy_segment.
@@ -81,7 +82,7 @@ def runs(fixtures, tree):
             yield f"eval-quantized-{name}-j{jobs}", "eval", config(quantized, eval=evals)
             yield (f"eval-fallback-{name}-j{jobs}", "eval",
                    config(model, f"{model}_calib.ptqc", eval=evals))
-        for model in ("small_cnn", "resnet18_shape"):
+        for model in ("small_cnn", "resnet18_shape", "resnet50_shape", "yolov3_320_shape"):
             yield f"overhead-{model}-j{jobs}", "overhead", config(model)
         yield (f"quantize-small_cnn-cosine-j{jobs}", "quantize",
                config("small_cnn", "small_cnn_calib.ptqc", **cosine))
