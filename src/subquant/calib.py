@@ -580,9 +580,9 @@ class Lockstep:
     def walk(self, feeds, conv_op):
         """(layer, out, ref) for each layer in turn: out from the second walk,
         execute(layers, feeds, conv_op), and ref from the float walk of `feeds`.
-        As in float_walk, overflow is silenced in each step and a non-finite
-        out is bad input, named by the layer, as is bad input in a step; a
-        calibration candidate that overflows holds inf there, and loses."""
+        As in float_walk, each step runs with overflow silenced, and a
+        non-finite out is bad input named by the layer, as is bad input raised
+        in a step. A calibration candidate whose output overflows holds inf."""
         second = execute(self.layers, feeds, conv_op)
         for layer, ref in float_walk(self.layers, feeds, self._float_op):
             with np.errstate(over="ignore", invalid="ignore"):
