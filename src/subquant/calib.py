@@ -92,6 +92,15 @@ def scale_space(alpha, beta, center, n):
     return grid[grid > 0]
 
 
+def _with_center(grid, center):
+    """np.unique(np.append(grid, center)) of a scale_space grid: its values
+    and the center, each once, ascending. The sort and the mask of equal
+    neighbours are what np.unique does to a float64 array, without the
+    numpy.ma import that its first call makes."""
+    merged = np.sort(np.append(grid, center))
+    return merged[np.append(True, merged[1:] != merged[:-1])]
+
+
 def _pairwise_half(n):
     """Where np.sum splits n > 128 float64 terms: its pairwise summation adds
     the sum of the first n//2 - (n//2) % 8 terms to the sum of the rest."""
@@ -120,7 +129,8 @@ class _PairwiseSum:
     count alone, so every node of that tree is np.sum of its own terms:
     np.sum of each leaf of at most _SUM_LEAF terms, added along the tree
     (_pairwise_tree), is np.sum of all n. A leaf that spans two runs is
-    gathered in a buffer, so at most one leaf's terms are held back.
+    gathered in a buffer of its own size, dropped once the leaf is summed,
+    so at most one leaf's terms are held back, and only while it is open.
     """
 
     def __init__(self, n):
@@ -137,7 +147,7 @@ class _PairwiseSum:
         try:
             self._size = self._tree.send(leaf_sum)
         except StopIteration as done:
-            self._total, self._buffer = done.value, None
+            self._total = done.value
 
     def add(self, terms):
         """The next run of terms, a contiguous 1-D float64 array."""
@@ -153,12 +163,12 @@ class _PairwiseSum:
                 self._leaf_done(np.sum(run))
                 continue
             if self._buffer is None:
-                self._buffer = np.empty(min(self.n, _SUM_LEAF))
+                self._buffer = np.empty(size)
             self._buffer[self._filled:self._filled + take] = run
             self._filled += take
             if self._filled == size:
-                self._filled = 0
-                self._leaf_done(np.sum(self._buffer[:size]))
+                leaf, self._buffer, self._filled = self._buffer, None, 0
+                self._leaf_done(np.sum(leaf))
 
     def total(self):
         """np.sum of the n terms, once all of them have arrived."""
@@ -327,9 +337,8 @@ def search_input_scale(weights, cols, target, cfg, scales=None, bias=None,
         center = scales.input_scale
         conv = quantized_layer(weights, scales, bias, activation, slope,
                                lower=partial(cols.gather, out=lowered))
-    candidates = scale_space(cfg.alpha, cfg.beta, center, cfg.grid_size)
     # ascending; strict < keeps the smallest tie
-    candidates = np.unique(np.append(candidates, center))
+    candidates = _with_center(scale_space(cfg.alpha, cfg.beta, center, cfg.grid_size), center)
     best_scale, best_d, best_out = None, np.inf, None
     for cand in candidates:
         cand = float(cand)

@@ -267,8 +267,9 @@ def _read_blob(ref, data, layer_id, what, shape):
     in the tensor file's bytes `data`, once its `count` is the product of
     `shape`, it lies inside the file and its values are finite."""
     try:
-        offset, count = int(ref["offset"]), int(ref["count"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        offset = require_int("offset", ref["offset"])
+        count = require_int("count", ref["count"])
+    except (KeyError, TypeError) as exc:
         raise BadInputError(f"layer {layer_id}: malformed {what} blob reference") from exc
     expect = math.prod(shape)
     if count != expect:

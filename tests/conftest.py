@@ -28,6 +28,13 @@ def fixture_dir(tmp_path_factory):
     return root
 
 
+# (layer, blob, field, value) edits of small_cnn's manifest that int() took
+# as a blob's integer offset or count: each is malformed
+BLOB_INTEGERS_THAT_ARE_NOT_INTS = [("conv1.bn", "var", "count", 8.9),
+                                   ("conv1.bn", "var", "count", "8"),
+                                   ("conv1", "weight", "offset", 0.0)]
+
+
 def write_config(path, **entries):
     path.write_text(json.dumps(entries, indent=2))
     return path

@@ -6,12 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reference_search import dense_forward, dense_plan, reference_distance
 from subquant import calib, model
 from subquant.calib import (
     _SUM_LEAF,
     _PairwiseSum,
+    _with_center,
     CalibConfig,
     StreamingDistance,
     calibrate_layer,
@@ -71,6 +74,29 @@ class TestScaleSpace:
     def test_rejects_nonpositive_center(self):
         with pytest.raises(ValueError):
             scale_space(0.5, 1.5, 0.0, 5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(5e-324, 1.0), beta=st.floats(1.0, 1e6),
+           center=st.floats(5e-324, 1e300), n=st.integers(2, 300),
+           on_grid=st.one_of(st.none(), st.integers(0, 299)))
+    @example(alpha=0.5, beta=1.5, center=1.0, n=3, on_grid=None)  # the center is the middle point
+    @example(alpha=0.5, beta=1.5, center=0.2, n=100, on_grid=42)
+    @example(alpha=1.0, beta=1.0, center=0.3, n=5, on_grid=None)  # every point is the center
+    @example(alpha=1.0, beta=1.0, center=0.3, n=5, on_grid=2)
+    @example(alpha=5e-324, beta=1.5, center=0.03, n=5, on_grid=None)  # one point underflows
+    @example(alpha=5e-324, beta=1.5, center=1e-300, n=50, on_grid=0)
+    def test_with_center_is_np_unique(self, alpha, beta, center, n, on_grid):
+        """The grid with its center merged in is np.unique of the two, bit
+        for bit: ascending, each value once, whether the center is off the
+        grid, on one of its points or all of them, and whether points that
+        underflow were dropped. `on_grid` puts the center on that point."""
+        if beta * center == np.inf:
+            return  # scale_space rejects the span
+        grid = scale_space(alpha, beta, center, n)
+        if on_grid is not None:
+            center = grid[on_grid % len(grid)]
+        got, expect = _with_center(grid, center), np.unique(np.append(grid, center))
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
 
 
 class TestDistance:
@@ -171,6 +197,23 @@ class TestStreamingDistance:
             acc.total()
         with pytest.raises(ValueError, match="more than"):
             acc.add(np.ones(2 * _SUM_LEAF + 1))
+
+    def test_pairwise_sum_drops_a_leaf_buffer_once_summed(self):
+        """A leaf that spans two runs is gathered in a buffer of its own
+        size, which is dropped as soon as the run that completes the leaf
+        ends on a leaf boundary; it used to be kept, at _SUM_LEAF terms,
+        until the whole sum was done."""
+        terms = np.random.default_rng(5).normal(size=_SUM_LEAF + 8)
+        acc = _PairwiseSum(len(terms))  # two leaves, of 4096 and 4104 terms
+        acc.add(terms[:100])
+        assert acc._buffer.shape == (4096,)
+        acc.add(terms[100:4096])
+        assert acc._buffer is None
+        acc.add(terms[4096:4200])
+        assert acc._buffer.shape == (4104,)
+        acc.add(terms[4200:])
+        assert acc._buffer is None
+        assert np.float64(acc.total()).tobytes() == np.sum(terms).tobytes()
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     @pytest.mark.parametrize("samples,chunk", [(40, 8), (40, 40), (96, 8), (1096, 8),

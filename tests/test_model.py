@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import BLOB_INTEGERS_THAT_ARE_NOT_INTS
 from reference_search import forward_float
 from subquant.calib import CalibConfig, calibrate_network, plan_layer_input
 from subquant.errors import BadInputError
@@ -96,7 +98,10 @@ class TestBundleIO:
         with pytest.raises(BadInputError, match="badconv"):
             load_bundle(bundle)
 
-    def test_blob_out_of_bounds_names_layer(self, tmp_path):
+    @pytest.mark.parametrize("offset", [16, -4])
+    def test_blob_out_of_bounds_names_layer(self, tmp_path, offset):
+        """A one-element weight blob whose count is right, starting at the
+        16-byte file's end or before its start."""
         bundle = tmp_path / "m"
         bundle.mkdir()
         (bundle / "tensors.bin").write_bytes(b"\x00" * 16)
@@ -106,12 +111,26 @@ class TestBundleIO:
                 {"id": "input", "kind": "input", "predecessors": []},
                 {"id": "cx", "kind": "conv", "predecessors": ["input"],
                  "out_channels": 1, "in_channels": 1, "kernel": 1,
-                 "weight": {"file": "tensors.bin", "offset": 8, "count": 9}},
+                 "weight": {"file": "tensors.bin", "offset": offset, "count": 1}},
             ],
         }
         (bundle / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(BadInputError, match="cx"):
+        with pytest.raises(BadInputError, match=rf"layer cx: weight blob \[{offset}, "
+                                                rf"{offset + 4}\) outside tensor file"):
             load_bundle(bundle)
+
+    @pytest.mark.parametrize("lid,what,field,value", BLOB_INTEGERS_THAT_ARE_NOT_INTS)
+    def test_blob_integer_that_is_not_an_int_names_layer(self, tmp_path, lid, what, field,
+                                                         value):
+        """A blob's offset and count are integers; int() took a float or a
+        numeric string as one, and the blob loaded."""
+        save_bundle(build_small_cnn(), tmp_path / "m")
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        next(l for l in manifest["layers"] if l["id"] == lid)[what][field] = value
+        (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BadInputError,
+                           match=re.escape(f"layer {lid}: malformed {what} blob reference")):
+            load_bundle(tmp_path / "m")
 
     @pytest.mark.parametrize("field,value", [
         ("layers", {}), ("segments", "s1"), ("input_shape", [1, "3"]),
