@@ -1844,9 +1844,9 @@ def test_sweep_accuracy_peak_memory_does_not_grow_with_the_eval_set(fixture_dir,
     assert peaks[4096] - peaks[512] <= EXTRA_EVAL_PEAK
 
 
-# A CLI run in a fresh interpreter, as the console script makes one: its
-# arguments follow; the last line of its output names the numpy submodules,
-# of those numpy imports only on first use, that the run imported.
+# A CLI run in a fresh interpreter, as the console script makes one, given
+# its arguments after the code. The last line it prints names which of
+# numpy.ma and numpy.random, both loaded by numpy on first use, it imported.
 FRESH_RUN = """\
 import sys
 from subquant.cli import main
