@@ -550,30 +550,32 @@ class NetworkCalibration:
         return float(np.mean([self.layer_distances[k] for k in keys])) if keys else 0.0
 
 
-def float_walk(layers, feeds, conv_op=float_conv):
-    """execute(layers, feeds, conv_op) of a float conv_op, with overflow
-    warnings silenced in each step. An inf or NaN output leaves no reference
-    to match, so it is bad input, reported at the first layer that makes one.
-    """
+def checked_walk(layers, feeds, conv_op, which):
+    """execute(layers, feeds, conv_op), each step run with overflow warnings
+    silenced. Bad input raised in a step is named by its layer, and an inf
+    or NaN output is bad input too, at the first layer that makes one;
+    `which` ("float" or "quantized") names the forward. A calibration
+    candidate that overflows holds inf and loses inside its step."""
     walk = execute(layers, feeds, conv_op)
-    while True:
+    for layer in layers:  # execute yields one step per layer, in order
         with np.errstate(over="ignore", invalid="ignore"):
-            step = next(walk, None)
-        if step is None:
-            return
-        layer, out = step
+            try:
+                _, out = next(walk)
+            except BadInputError as exc:
+                raise BadInputError(f"layer {layer.id}: {exc}") from exc
         if not np.all(np.isfinite(out)):
-            raise BadInputError(f"the float forward of the samples is not finite at "
+            raise BadInputError(f"the {which} forward of the samples is not finite at "
                                 f"layer {layer.id}: the samples are too large")
-        yield step
+        yield layer, out
 
 
 class Lockstep:
-    """The float walk (float_walk) of `layers`, one layer ahead of a second walk.
-    While that runs a conv or linear layer, `ref` is the float [OC, P] output
-    just made for it, and float_conv(layer, x) returns `ref` itself when `x`
-    is the very array, held weakly, that the float conv read (an unquantized
-    first conv, on the samples); otherwise it runs float_conv."""
+    """The float walk of `layers`, one layer ahead of a second walk, each a
+    checked_walk. While the second walk runs a conv or linear layer, `ref`
+    is the float [OC, P] output just made for it, and float_conv(layer, x)
+    returns `ref` itself when `x` is the very array, held weakly, that the
+    float conv read (an unquantized first conv, on the samples); otherwise
+    it runs float_conv."""
 
     def __init__(self, layers):
         self.layers = layers
@@ -587,21 +589,12 @@ class Lockstep:
         return self.ref if self._read() is x else float_conv(layer, x)
 
     def walk(self, feeds, conv_op):
-        """(layer, out, ref) for each layer in turn: out from the second walk,
-        execute(layers, feeds, conv_op), and ref from the float walk of `feeds`.
-        As in float_walk, each step runs with overflow silenced, and a
-        non-finite out is bad input named by the layer, as is bad input raised
-        in a step. A calibration candidate whose output overflows holds inf."""
-        second = execute(self.layers, feeds, conv_op)
-        for layer, ref in float_walk(self.layers, feeds, self._float_op):
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    _, out = next(second)
-                except BadInputError as exc:
-                    raise BadInputError(f"layer {layer.id}: {exc}") from exc
-            if not np.all(np.isfinite(out)):
-                raise BadInputError(f"the quantized forward of the samples is not finite at "
-                                    f"layer {layer.id}: the samples are too large")
+        """(layer, out, ref) for each layer in turn: out from the quantized
+        walk of `feeds` through conv_op, ref from the float walk, each step
+        of the float walk run before that of the other."""
+        second = checked_walk(self.layers, feeds, conv_op, "quantized")
+        for layer, ref in checked_walk(self.layers, feeds, self._float_op, "float"):
+            _, out = next(second)
             yield layer, out, ref
 
 

@@ -23,15 +23,15 @@ from .calib import (
     Lockstep,
     StreamingDistance,
     calibrate_network,
+    checked_walk,
     distance,
-    float_walk,
     subsample,
 )
 from .errors import BadInputError
 from .model import (
     CalibrationSetReader,
     check_shapes,
-    execute,
+    float_conv,
     load_bundle,
     load_calibration_set,
     prepare_for_quantization,
@@ -279,11 +279,12 @@ def cmd_sweep(cfg):
     axis, col_values = _sweep_axis(cfg)
     graph = _load_model(cfg)
     samples = subsample(_load_samples(cfg, graph), cfg.calib.samples, cfg.calib.seed)
-    eval_x, labels = _load_eval_set(cfg, graph) if cfg.eval_inputs else (None, None)
+    eval_x, labels = (_load_eval_set(cfg, graph) if cfg.eval_inputs or cfg.eval_labels
+                      else (None, None))
     with eval_x or contextlib.nullcontext():
         chunks = () if eval_x is None else (x for _, x in _eval_chunks(graph, eval_x))
         for x in itertools.chain([samples], chunks):
-            for _ in float_walk(graph.layers, {graph.input_id: x}):
+            for _ in checked_walk(graph.layers, {graph.input_id: x}, float_conv, "float"):
                 pass  # a non-finite float forward exits 2 before any cell runs
         input_id, output_id = graph.input_id, graph.output_id
 
@@ -299,7 +300,8 @@ def cmd_sweep(cfg):
             conv_op = quantized_conv(scales)
             hits = sum(_top1_hits(out, labels[i:i + len(x)])
                        for i, x in _eval_chunks(graph, eval_x)
-                       for layer, out in execute(graph.layers, {input_id: x}, conv_op)
+                       for layer, out in checked_walk(graph.layers, {input_id: x}, conv_op,
+                                                      "quantized")
                        if layer.id == output_id)
             return {"accuracy": hits / eval_x.count}
 

@@ -147,70 +147,50 @@ def _shape_conv(lid, ic, oc, k, stride, pred, quantize=True):
                  quantize=quantize)
 
 
-def resnet18_shape_graph():
-    """ImageNet ResNet-18 conv geometry at 224x224 input."""
+def _resnet_shape_graph(stages, bottleneck):
+    """ImageNet ResNet conv geometry at 224x224 input. Each stage is (width,
+    blocks, stride), its first block strided; a block is two 3x3 convs, or
+    with `bottleneck` a 1x1, a 3x3 and a 1x1 conv out to 4 * width channels,
+    and the first 3x3 conv takes the stride. A 1x1 `down` conv carries the
+    shortcut where the block changes stride or channels."""
     layers = [Layer(id="input", kind="input"),
               # stride 4 folds the stem max-pool, which has no layer kind here;
               # the stem is excluded from overhead reports either way
               _shape_conv("conv1", 3, 64, 7, 4, "input", quantize=False)]
-    last = "conv1"
-    channels = 64
-    block = 0
-    for width, stride in [(64, 1), (64, 1), (128, 2), (128, 1),
-                          (256, 2), (256, 1), (512, 2), (512, 1)]:
-        block += 1
-        entry = last
-        layers.append(_shape_conv(f"b{block}.conv1", channels, width, 3, stride, entry))
-        layers.append(_shape_conv(f"b{block}.conv2", width, width, 3, 1, f"b{block}.conv1"))
-        last = f"b{block}.conv2"
-        if stride != 1 or channels != width:
-            layers.append(_shape_conv(f"b{block}.down", channels, width, 1, stride, entry))
-            layers.append(Layer(id=f"b{block}.add", kind="residual-add",
-                                predecessors=[last, f"b{block}.down"]))
-        else:
-            layers.append(Layer(id=f"b{block}.add", kind="residual-add",
-                                predecessors=[last, entry]))
-        last = f"b{block}.add"
-        channels = width
+    last, channels, block = "conv1", 64, 0
+    for width, blocks, stride in stages:
+        for b in range(blocks):
+            block += 1
+            name, entry, s = f"b{block}", last, stride if b == 0 else 1
+            convs = ([(width, 1, 1), (width, 3, s), (4 * width, 1, 1)] if bottleneck
+                     else [(width, 3, s), (width, 3, 1)])
+            out = channels
+            for i, (oc, k, conv_stride) in enumerate(convs, start=1):
+                layers.append(_shape_conv(f"{name}.conv{i}", out, oc, k, conv_stride, last))
+                out, last = oc, f"{name}.conv{i}"
+            shortcut = entry
+            if s != 1 or channels != out:
+                shortcut = f"{name}.down"
+                layers.append(_shape_conv(shortcut, channels, out, 1, s, entry))
+            layers.append(Layer(id=f"{name}.add", kind="residual-add",
+                                predecessors=[last, shortcut]))
+            last, channels = f"{name}.add", out
     layers.append(Layer(id="fc", kind="linear", predecessors=[last], out_channels=1000,
-                        in_channels=512 * 7 * 7, quantize=False))
+                        in_channels=channels * 7 * 7, quantize=False))
     layers.append(Layer(id="output", kind="output", predecessors=["fc"]))
     return ModelGraph(layers=layers, input_shape=[1, 3, 224, 224]).validate()
+
+
+def resnet18_shape_graph():
+    """ImageNet ResNet-18 conv geometry at 224x224 input."""
+    return _resnet_shape_graph([(64, 2, 1), (128, 2, 2), (256, 2, 2), (512, 2, 2)],
+                               bottleneck=False)
 
 
 def resnet50_shape_graph():
     """ImageNet ResNet-50 conv geometry at 224x224 input."""
-    layers = [Layer(id="input", kind="input"),
-              # stride 4 folds the stem max-pool, as in resnet18_shape_graph
-              _shape_conv("conv1", 3, 64, 7, 4, "input", quantize=False)]
-    last = "conv1"
-    channels = 64
-    block = 0
-    for stage, (mid, blocks, stride) in enumerate(
-            [(64, 3, 1), (128, 4, 2), (256, 6, 2), (512, 3, 2)], start=1):
-        out = mid * 4
-        for b in range(blocks):
-            block += 1
-            entry = last
-            s = stride if b == 0 else 1
-            name = f"b{block}"
-            layers.append(_shape_conv(f"{name}.conv1", channels, mid, 1, 1, entry))
-            layers.append(_shape_conv(f"{name}.conv2", mid, mid, 3, s, f"{name}.conv1"))
-            layers.append(_shape_conv(f"{name}.conv3", mid, out, 1, 1, f"{name}.conv2"))
-            last = f"{name}.conv3"
-            if b == 0:
-                layers.append(_shape_conv(f"{name}.down", channels, out, 1, s, entry))
-                layers.append(Layer(id=f"{name}.add", kind="residual-add",
-                                    predecessors=[last, f"{name}.down"]))
-            else:
-                layers.append(Layer(id=f"{name}.add", kind="residual-add",
-                                    predecessors=[last, entry]))
-            last = f"{name}.add"
-            channels = out
-    layers.append(Layer(id="fc", kind="linear", predecessors=[last], out_channels=1000,
-                        in_channels=2048 * 7 * 7, quantize=False))
-    layers.append(Layer(id="output", kind="output", predecessors=["fc"]))
-    return ModelGraph(layers=layers, input_shape=[1, 3, 224, 224]).validate()
+    return _resnet_shape_graph([(64, 3, 1), (128, 4, 2), (256, 6, 2), (512, 3, 2)],
+                               bottleneck=True)
 
 
 def yolov3_320_shape_graph():

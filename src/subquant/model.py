@@ -203,7 +203,15 @@ class _BlobWriter:
         return ref
 
 
-def _scale_entry(scales):
+def _scale_entry(lid, scales):
+    """The manifest entry of layer `lid`'s ScaleSet, whose bit widths must
+    pass the check_bits that _load_scale_entry applies. A ScaleSet takes
+    wider codes, as long as its sums stay exact."""
+    try:
+        for what in ("weight_bits", "act_bits"):
+            check_bits(what, getattr(scales, what))
+    except ValueError as exc:
+        raise ValueError(f"layer {lid}: {exc}") from exc
     return {
         "weight_scales": [[float(s) for s in row] for row in scales.weight_scales],
         "input_scale": float(scales.input_scale),
@@ -215,7 +223,9 @@ def _scale_entry(scales):
 
 
 def save_bundle(graph, path):
-    """Write manifest.json plus tensors.bin; layer order defines blob order."""
+    """Write manifest.json plus tensors.bin; layer order defines blob order.
+    A scale set whose bit widths load_bundle would reject raises ValueError
+    naming its layer, before any file is written."""
     path = Path(path)
     blobs = _BlobWriter()
     layers = []
@@ -254,7 +264,8 @@ def save_bundle(graph, path):
         "segments": [{"id": s.id, "layers": list(s.layer_ids)} for s in graph.segments],
     }
     if graph.scales:
-        manifest["scales"] = {lid: _scale_entry(scales) for lid, scales in graph.scales.items()}
+        manifest["scales"] = {lid: _scale_entry(lid, scales)
+                              for lid, scales in graph.scales.items()}
     if graph.reorderings:
         manifest["reorderings"] = graph.reorderings
     write_atomic(path / BLOB_NAME, b"".join(blobs.chunks))

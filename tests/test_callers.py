@@ -72,3 +72,21 @@ def test_every_dataclass_field_is_read():
               for field in cls.body
               if isinstance(field, ast.AnnAssign) and field.target.id not in read]
     assert unread == []
+
+
+def test_execute_is_read_only_by_the_checked_walk_and_the_shape_check():
+    """Every forward over samples is a calib.checked_walk, which checks each
+    step of execute; model.check_shapes runs execute on an empty batch. A
+    read of the name anywhere else, called or passed on, would be a walk
+    without those checks."""
+    readers = []
+    for module, tree in _library_modules().items():
+        outside = _names_used(tree)["execute"]
+        for name, node in _definitions(tree):
+            reads = _names_used(node)["execute"] if isinstance(node, ast.FunctionDef) else 0
+            if reads:
+                readers.append(f"{module}.{name}")
+                outside -= reads
+        if outside:
+            readers.append(f"{module} outside its functions")
+    assert sorted(readers) == ["calib.checked_walk", "model.check_shapes"]

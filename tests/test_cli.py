@@ -251,6 +251,48 @@ class TestSweep:
                 assert (tmp_path / "1" / name).read_bytes() == \
                     (tmp_path / jobs / name).read_bytes()
 
+    @pytest.mark.parametrize("given", ["inputs", "labels"])
+    def test_half_set_eval_section_exits_2(self, fixture_dir, tmp_path, capsys, given):
+        """An eval section that names only its samples, or only its labels,
+        exits 2 as it does in eval, before any cell runs."""
+        files = {"inputs": str(fixture_dir / "small_cnn_eval.ptqc"),
+                 "labels": str(fixture_dir / "small_cnn_eval_labels.json")}
+        config = self.base_config(fixture_dir, tmp_path, {"rows": [1], "h_groups": [1]},
+                                  eval={given: files[given]})
+        assert main(["sweep", "--config", str(config)]) == 2
+        assert ("eval requires eval.inputs and eval.labels in the config"
+                in capsys.readouterr().err)
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_non_finite_quantized_output_fails_the_cells_accuracy(self, fixture_dir,
+                                                                  tmp_path, monkeypatch):
+        """A quantized forward of the eval samples whose conv5 output is inf
+        records that fault, naming the layer, as the cell's error in place of
+        its accuracy; the cell keeps its distance."""
+        real = cli.quantized_conv
+
+        def overflowing(scales):
+            conv_op = real(scales)
+
+            def op(layer, x):
+                out = conv_op(layer, x)
+                return np.full_like(out, np.inf) if layer.id == "conv5" else out
+            return op
+
+        monkeypatch.setattr(cli, "quantized_conv", overflowing)
+        config = self.base_config(
+            fixture_dir, tmp_path, {"rows": [1], "h_groups": [1]},
+            eval={"inputs": str(fixture_dir / "small_cnn_eval.ptqc"),
+                  "labels": str(fixture_dir / "small_cnn_eval_labels.json")})
+        assert main(["sweep", "--config", str(config), "--jobs", "1"]) == 0
+        out = tmp_path / "out"
+        cells = json.loads((out / "sweep_summary.json").read_text())["cells"]
+        assert [cell.keys() for cell in cells] == [{"rows", "h_groups", "distance", "error"}]
+        assert cells[0]["error"] == ("BadInputError: the quantized forward of the samples is "
+                                     "not finite at layer conv5: the samples are too large")
+        assert read_csv(out / "sweep_distance.csv")[1][1] == repr(cells[0]["distance"])
+        assert read_csv(out / "sweep_accuracy.csv")[1][1] == "FAILED"
+
     @pytest.fixture
     def calibrations(self, monkeypatch):
         """Stub calibrate_network: records each granularity it gets (rows,
@@ -1067,7 +1109,7 @@ class TestMalformedInput:
         def no_calibration(*args, **kwargs):
             raise AssertionError("calibration ran before the eval set check")
         monkeypatch.setattr(cli, "calibrate_network", no_calibration)
-        monkeypatch.setattr(cli, "float_walk", no_calibration)
+        monkeypatch.setattr(cli, "checked_walk", no_calibration)
         monkeypatch.setattr(cli, "Lockstep", no_calibration)
         assert self.run(command, tmp_path, fixture_dir / "small_cnn",
                         fixture_dir / "small_cnn_calib.ptqc",

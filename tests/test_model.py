@@ -212,6 +212,24 @@ def test_scale_sets_keep_their_partitions_through_a_bundle(tmp_path_factory, bui
             == (root / "calibrated" / "manifest.json").read_bytes())
 
 
+
+@pytest.mark.parametrize("bits", [{"weight_bits": 40}, {"act_bits": 17}],
+                         ids=["weight_bits-40", "act_bits-17"])
+def test_save_bundle_writes_no_bit_width_that_load_bundle_rejects(tmp_path, bits):
+    """Calibration takes a bit width past [2, 16] while its integer sums stay
+    exact, but load_bundle does not: save_bundle raises naming the first
+    quantized layer, before it writes any file."""
+    graph = prepare_for_quantization(build_small_cnn())
+    samples = random_inputs(graph, 4, seed=0)
+    graph.scales = calibrate_network(graph.layers, {graph.input_id: samples},
+                                     GranularityConfig("channelwise"),
+                                     CalibConfig(grid_size=3, iterations=1, samples=4,
+                                                 **bits)).scales
+    (what, value), = bits.items()
+    with pytest.raises(ValueError, match=rf"^layer conv2: {what} {value} outside \[2, 16\]$"):
+        save_bundle(graph, tmp_path / "wide")
+    assert not (tmp_path / "wide").exists()
+
 class TestCalibrationSetIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -82,19 +82,35 @@ def test_checkout_without_package_is_a_usage_error(same_outputs, tmp_path):
 
 def test_runs_take_the_cosine_metric_and_method1(same_outputs, tmp_path):
     """quantize and the calibrating eval of small_cnn and reorder of
-    toy_segment also run under the cosine metric and method1 groups, at
+    toy_segment also run under the cosine metric and method1 groups, and
+    quantize of small_cnn under layerwise and under channelwise groups, at
     --jobs 1 and 2; every other run uses euclidean distance and method2."""
     other = {}
     for name, command, config in same_outputs.runs(tmp_path / "fixtures", tmp_path):
         key = (config["calib"].get("metric", "euclidean"), config["granularity"]["mode"])
         if key != ("euclidean", "method2"):
             other[name] = (command, key, Path(config["model"]).name)
-    assert other == {
+    cosine = {
         f"{name}-cosine-j{jobs}": (command, ("cosine", "method1"), model)
         for jobs in (1, 2) for name, command, model in (
             ("quantize-small_cnn", "quantize", "small_cnn"),
             ("eval-fallback-small_cnn", "eval", "small_cnn"),
             ("reorder-toy_segment", "reorder", "toy_segment"))}
+    modes = {f"quantize-small_cnn-{mode}-j{jobs}": ("quantize", ("euclidean", mode), "small_cnn")
+             for jobs in (1, 2) for mode in ("layerwise", "channelwise")}
+    assert other == {**cosine, **modes}
+
+
+def test_sweeps_run_on_both_axes_with_and_without_an_eval_set(same_outputs, tmp_path):
+    """sweep runs on small_cnn's h_groups axis with its eval set, and on the
+    cols axis (method1 cells) with none, at --jobs 1 and 2."""
+    sweeps = {name: (sorted(config["sweep"]), "eval" in config)
+              for name, command, config in same_outputs.runs(tmp_path / "fixtures", tmp_path)
+              if command == "sweep"}
+    assert sweeps == {f"sweep-small_cnn{tag}-j{jobs}": runs
+                      for jobs in (1, 2)
+                      for tag, runs in (("", (["h_groups", "rows"], True)),
+                                        ("-cols", (["cols", "rows"], False)))}
 
 
 def test_eval_runs_stream_distances_across_chunks(same_outputs, tmp_path):

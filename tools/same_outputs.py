@@ -9,7 +9,8 @@ that `src/` on PYTHONPATH, the tool writes the demo fixtures with
 1 generation), at `--jobs` 1 and again at 2:
 - `quantize` and `reorder` on small_cnn, resnet20_style and toy_segment;
 - `sweep` on small_cnn (rows 1 and 4 x 1 and 2 column groups) with its eval
-  set;
+  set, and again with no eval set on the method1 axis (rows 1 and 4 x 36
+  and 72 columns);
 - `eval` on small_cnn's eval set, of the bundle `quantize` wrote and of the
   unquantized bundle, which `eval` calibrates first;
 - the same two `eval` runs on small_cnn and on resnet20_style with the
@@ -20,7 +21,8 @@ that `src/` on PYTHONPATH, the tool writes the demo fixtures with
   shape manifests, which hold no weights;
 - under the cosine metric and method1 groups (2 rows x 18 columns):
   `quantize` and the calibrating `eval` on small_cnn, and `reorder` on
-  toy_segment.
+  toy_segment;
+- `quantize` on small_cnn under layerwise and under channelwise groups.
 
 Every child runs under `-W error::RuntimeWarning`, so a numpy overflow or
 invalid-value warning fails its command.
@@ -72,6 +74,9 @@ def runs(fixtures, tree):
         yield (f"sweep-small_cnn-j{jobs}", "sweep",
                config("small_cnn", "small_cnn_calib.ptqc", eval=eval_set,
                       sweep={"rows": [1, 4], "h_groups": [1, 2]}))
+        yield (f"sweep-small_cnn-cols-j{jobs}", "sweep",
+               config("small_cnn", "small_cnn_calib.ptqc",
+                      sweep={"rows": [1, 4], "cols": [36, 72]}))
         for name, model, inputs, labels in (
                 ("small_cnn", "small_cnn", "small_cnn_eval.ptqc", "small_cnn_eval_labels.json"),
                 ("small_cnn-calib", "small_cnn", "small_cnn_calib.ptqc", CALIB_LABELS),
@@ -90,6 +95,9 @@ def runs(fixtures, tree):
                config("small_cnn", "small_cnn_calib.ptqc", eval=eval_set, **cosine))
         yield (f"reorder-toy_segment-cosine-j{jobs}", "reorder",
                config("toy_segment", "toy_segment_calib.ptqc", **cosine))
+        for mode in ("layerwise", "channelwise"):
+            yield (f"quantize-small_cnn-{mode}-j{jobs}", "quantize",
+                   config("small_cnn", "small_cnn_calib.ptqc", granularity={"mode": mode}))
 
 
 def run_side(checkout, side_dir):
